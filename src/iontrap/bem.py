@@ -8,10 +8,21 @@ closed antiderivative form
     F(u, v) = u ln(v + r) + v ln(u + r) - |z| atan(u v / (|z| r)),
 
 with u = x_corner - xi, v = y_corner - eta, r = sqrt(u^2 + v^2 + z^2). The
-corner sum telescopes the same way for the field and the field Jacobian,
-which are therefore analytic as well (the Jacobian trace vanishes identically:
-Laplace). Logs are evaluated through the identity v + r = (u^2+z^2)/(r - v)
-when v <= 0, which keeps every quantity finite up to the panel edge lines.
+corner sum telescopes the same way for the field and the field Jacobian
+(whose trace vanishes identically: Laplace). Logs are evaluated through
+v + r = (u^2+z^2)/(r - v) when v <= 0, which keeps every quantity finite up
+to the panel edge lines.
+
+Panels of one plane and frame (uhat, vhat, nhat) share the terms of their
+common corners: the bisection meshes are grids with hanging nodes, so the
+default meshes have 1.13 n distinct corners for n panels, not 4 n. A PanelSet
+builds this corner table on first use. Corners merge after rounding to 1e-9
+of the median panel edge, the tolerance of the coincident-center check, as
+neighbours compute a shared corner only to within an ulp. One blocked loop
+serves the four public evaluators and evaluates each (point, corner) pair
+once, _BLOCK_PAIRS pairs per block. Charges are folded into corner weights
+w = C sigma (C the +/-1 corner-to-panel map), so a block is one dense
+(points x corners) @ (corners x k) product.
 
 Collocation at panel centers with one row per center and one column per panel
 gives a dense system A sigma = V; unit excitations (1 V on one electrode,
@@ -35,8 +46,10 @@ from .errors import InvalidGeometryError, SolverError
 from .geometry import TrapGeometry
 
 _TINY = 1e-300
-# target number of (point, panel) pairs held in memory per evaluation block
+# target number of (point, corner) pairs held in memory per evaluation block
 _BLOCK_PAIRS = 4_000_000
+# positions closer than this fraction of the median panel edge coincide
+_MERGE_REL = 1e-9
 # hard conditioning limit for the dense collocation matrix
 COND_LIMIT = 1e12
 # boundary-condition residual each unit solve must satisfy, in volts
@@ -64,147 +77,144 @@ class PanelSet:
         self.nhat = np.cross(self.uhat, self.vhat)
         self.centers = self.origins + 0.5 * (self.edge_u + self.edge_v)
         self.areas = self.a * self.b
-        # offsets so local coords come from plain matrix products
-        self._ou = np.einsum("ij,ij->i", self.origins, self.uhat)
-        self._ov = np.einsum("ij,ij->i", self.origins, self.vhat)
-        self._on = np.einsum("ij,ij->i", self.origins, self.nhat)
+        self._groups = None
 
     @property
     def n(self):
         return self.origins.shape[0]
 
-    def local_coords(self, points):
-        """Corner-relative coordinates, each (m, n)."""
-        p = np.atleast_2d(np.asarray(points, float))
-        xi = p @ self.uhat.T - self._ou
-        eta = p @ self.vhat.T - self._ov
-        zeta = p @ self.nhat.T - self._on
-        return -xi, self.a - xi, -eta, self.b - eta, zeta
+    def merge_keys(self, x):
+        """Integer keys of coordinates x (meters) at the merge tolerance."""
+        return np.round(x / (_MERGE_REL * float(np.median(self.a)))).astype(np.int64)
+
+    @property
+    def corner_groups(self) -> list[_CornerGroup]:
+        """The corner table, one group per frame and plane; built on first use."""
+        if self._groups is None:
+            frames = np.stack([self.uhat, self.vhat, self.nhat], axis=1)
+            on = np.einsum("ij,ij->i", self.origins, self.nhat)
+            key = np.column_stack([np.round(frames.reshape(-1, 9) / _MERGE_REL),
+                                   self.merge_keys(on)]).astype(np.int64)
+            which = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+            self._groups = [_CornerGroup(self, np.flatnonzero(which == g), frames, on)
+                            for g in range(which.max() + 1)]
+        return self._groups
 
 
-def _ln_vr(u, v, z2, r):
-    """ln(v + r), stable for v <= 0 via (u^2+z^2)/(r-v)."""
-    pos = v > 0.0
-    direct = np.where(pos, v + r, 1.0)
-    num = np.maximum(u * u + z2, _TINY)
-    den = np.maximum(np.where(pos, 1.0, r - v), _TINY)
-    return np.where(pos, np.log(direct), np.log(num) - np.log(den))
+class _CornerGroup:
+    """Panels of one frame and plane and their distinct corners (cu, cv):
+    idx[c, j] indexes corner c of panel panels[j], c running over (u2, v2),
+    (u1, v2), (u2, v1), (u1, v1) with the signs +, -, -, +."""
+
+    def __init__(self, pset: PanelSet, panels, frames, on):
+        self.panels = panels
+        self.frame = frames[panels[0]]
+        self.offset = on[panels[0]]
+        o, eu, ev = pset.origins[panels], pset.edge_u[panels], pset.edge_v[panels]
+        uv = (np.stack([o + eu + ev, o + ev, o + eu, o]) @ self.frame[:2].T).reshape(-1, 2)
+        _, keep, idx = np.unique(pset.merge_keys(uv), axis=0,
+                                 return_index=True, return_inverse=True)
+        self.cu, self.cv = uv[keep].T
+        self.idx = idx.reshape(4, -1)
+
+    def fold(self, sigma):
+        """Corner weights w = C sigma of this group's panels, (corners[, k])."""
+        s = sigma[self.panels]
+        w = np.zeros((self.cu.size,) + s.shape[1:])
+        for sign, i in zip((1.0, -1.0, -1.0, 1.0), self.idx):
+            np.add.at(w, i, sign * s)
+        return w
 
 
-def _potential_sums(U1, U2, V1, V2, Z):
-    z2 = Z * Z
-    t = np.abs(Z)
-
-    def F(u, v):
-        r = np.sqrt(u * u + v * v + z2)
-        return (u * _ln_vr(u, v, z2, r)
-                + v * _ln_vr(v, u, z2, r)
-                - t * np.arctan2(u * v, t * r))
-
-    return F(U2, V2) - F(U1, V2) - F(U2, V1) + F(U1, V1)
+def _ln_sum(v, r, du):
+    """ln(v + r), through (u^2+z^2)/(r - v) where v <= 0; du = u^2 + z^2."""
+    rv = np.maximum(r + np.abs(v), _TINY)
+    return np.log(np.where(v > 0.0, rv, np.maximum(du, _TINY) / rv))
 
 
-def _field_sums(U1, U2, V1, V2, Z):
-    z2 = Z * Z
-    t = np.abs(Z)
-    sgn = np.sign(Z)
-    ex = np.zeros_like(Z)
-    ey = np.zeros_like(Z)
-    ez = np.zeros_like(Z)
-    for u, v, s in ((U2, V2, 1.0), (U1, V2, -1.0), (U2, V1, -1.0), (U1, V1, 1.0)):
-        r = np.sqrt(u * u + v * v + z2)
-        ex += s * _ln_vr(u, v, z2, r)
-        ey += s * _ln_vr(v, u, z2, r)
-        ez += s * np.arctan2(u * v, t * r)
-    return ex, ey, ez * sgn
+def _field_terms(u, v, z):
+    """ln(v + r), ln(u + r) and sign(z) atan(u v / (|z| r)) of each corner."""
+    z2 = z * z
+    du = u * u + z2
+    dv = v * v + z2
+    r = np.sqrt(du + v * v)
+    return (_ln_sum(v, r, du), _ln_sum(u, r, dv),
+            np.sign(z) * np.arctan2(u * v, np.abs(z) * r))
 
 
-def _jacobian_sums(U1, U2, V1, V2, Z):
-    z2 = Z * Z
-    jxx = np.zeros_like(Z)
-    jxy = np.zeros_like(Z)
-    jxz = np.zeros_like(Z)
-    jyy = np.zeros_like(Z)
-    jyz = np.zeros_like(Z)
-    jzz = np.zeros_like(Z)
-    for u, v, s in ((U2, V2, 1.0), (U1, V2, -1.0), (U2, V1, -1.0), (U1, V1, 1.0)):
-        r = np.maximum(np.sqrt(u * u + v * v + z2), _TINY)
-        du = np.maximum(u * u + z2, _TINY)
-        dv = np.maximum(v * v + z2, _TINY)
-        jxx += s * u * (r - v) / (r * du)
-        jxy += s / r
-        jxz += s * Z * (r - v) / (r * du)
-        jyy += s * v * (r - u) / (r * dv)
-        jyz += s * Z * (r - u) / (r * dv)
-        jzz += s * u * v * (r * r + z2) / (r * du * dv)
-    return jxx, jxy, jxz, jyy, jyz, jzz
+def _potential_terms(u, v, z):
+    lv, lu, at = _field_terms(u, v, z)
+    return (u * lv + v * lu - z * at,)
 
 
-def _blocks(m, n):
-    step = max(8, int(_BLOCK_PAIRS // max(n, 1)))
-    for i0 in range(0, m, step):
-        yield i0, min(i0 + step, m)
+def _jacobian_terms(u, v, z):
+    """jxx, jxy, jxz, jyy, jyz, jzz of each corner."""
+    z2 = z * z
+    r = np.maximum(np.sqrt(u * u + v * v + z2), _TINY)
+    du = np.maximum(u * u + z2, _TINY)
+    dv = np.maximum(v * v + z2, _TINY)
+    a = (r - v) / (r * du)
+    b = (r - u) / (r * dv)
+    return (u * a, 1.0 / r, z * a, v * b, z * b,
+            u * v * (r * r + z2) / (r * du * dv))
+
+
+# Jacobian sums -> symmetric dE_a/dx_b in the frame (uhat, vhat, nhat)
+_JAC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+
+
+def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape, out=None):
+    """The blocked loop behind the public evaluators, out (m,) + shape.
+
+    For every block of points and corner group, terms(u, v, z) gives the
+    corner terms, each (group corners, block points), and emit(out[rows],
+    group, w, terms) adds their part, w the group's corner weights of sigma
+    (None without sigma). out is scaled by 1/(4 pi eps0) at the end.
+    """
+    p = np.atleast_2d(np.asarray(points, float))
+    if out is None:
+        out = np.zeros((p.shape[0],) + tuple(shape))
+    groups = pset.corner_groups
+    w = [None if sigma is None else g.fold(np.asarray(sigma, float)) for g in groups]
+    step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
+    for i0 in range(0, p.shape[0], step):
+        rows = slice(i0, i0 + step)
+        for g, wg in zip(groups, w):
+            loc = p[rows] @ g.frame.T
+            emit(out[rows], g, wg, terms(g.cu[:, None] - loc[:, 0],
+                                         g.cv[:, None] - loc[:, 1],
+                                         loc[:, 2] - g.offset))
+    out *= 1.0 / (4.0 * np.pi * constants.EPS0)
+    return out
 
 
 def potential_matrix(pset: PanelSet, points, out=None):
     """Potential at each point per unit charge density of each panel, (m, n)."""
-    p = np.atleast_2d(np.asarray(points, float))
-    m = p.shape[0]
-    k = 1.0 / (4.0 * np.pi * constants.EPS0)
-    A = out if out is not None else np.empty((m, pset.n))
-    for i0, i1 in _blocks(m, pset.n):
-        U1, U2, V1, V2, Z = pset.local_coords(p[i0:i1])
-        A[i0:i1, :] = k * _potential_sums(U1, U2, V1, V2, Z)
-    return A
+    def emit(dst, g, w, terms):
+        F, c = terms[0], g.idx
+        dst[:, g.panels] = (F[c[0]] - F[c[1]] - F[c[2]] + F[c[3]]).T
+    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,), out)
 
 
 def potential_of(pset: PanelSet, sigma, points):
-    p = np.atleast_2d(np.asarray(points, float))
-    k = 1.0 / (4.0 * np.pi * constants.EPS0)
-    sig = np.asarray(sigma, float)
-    phi = np.empty(p.shape[0] if sig.ndim == 1 else (p.shape[0], sig.shape[1]))
-    for i0, i1 in _blocks(p.shape[0], pset.n):
-        U1, U2, V1, V2, Z = pset.local_coords(p[i0:i1])
-        phi[i0:i1] = k * (_potential_sums(U1, U2, V1, V2, Z) @ sig)
-    return phi
+    def emit(dst, g, w, terms):
+        dst += terms[0].T @ w
+    return _evaluate(pset, points, sigma, _potential_terms, emit, np.shape(sigma)[1:])
 
 
 def field_of(pset: PanelSet, sigma, points):
-    p = np.atleast_2d(np.asarray(points, float))
-    k = 1.0 / (4.0 * np.pi * constants.EPS0)
-    sig = np.asarray(sigma, float)
-    E = np.empty((p.shape[0], 3))
-    for i0, i1 in _blocks(p.shape[0], pset.n):
-        U1, U2, V1, V2, Z = pset.local_coords(p[i0:i1])
-        ex, ey, ez = _field_sums(U1, U2, V1, V2, Z)
-        E[i0:i1] = k * ((ex * sig) @ pset.uhat
-                        + (ey * sig) @ pset.vhat
-                        + (ez * sig) @ pset.nhat)
-    return E
+    def emit(dst, g, w, terms):
+        dst += np.stack([t.T @ w for t in terms], axis=1) @ g.frame
+    return _evaluate(pset, points, sigma, _field_terms, emit, (3,))
 
 
 def jacobian_of(pset: PanelSet, sigma, points):
     """dE_i/dx_j of the superposed field, (m, 3, 3); trace is zero (Laplace)."""
-    p = np.atleast_2d(np.asarray(points, float))
-    k = 1.0 / (4.0 * np.pi * constants.EPS0)
-    sig = np.asarray(sigma, float)
-    J = np.zeros((p.shape[0], 3, 3))
-    u, v, n = pset.uhat, pset.vhat, pset.nhat
-    for i0, i1 in _blocks(p.shape[0], pset.n):
-        U1, U2, V1, V2, Z = pset.local_coords(p[i0:i1])
-        jxx, jxy, jxz, jyy, jyz, jzz = _jacobian_sums(U1, U2, V1, V2, Z)
-        blk = np.zeros((i1 - i0, 3, 3))
-        blk -= np.einsum("mn,ni,nj->mij", jxx * sig, u, u)
-        blk -= np.einsum("mn,ni,nj->mij", jyy * sig, v, v)
-        blk -= np.einsum("mn,ni,nj->mij", jzz * sig, n, n)
-        sym = np.einsum("mn,ni,nj->mij", jxy * sig, u, v)
-        blk -= sym + sym.transpose(0, 2, 1)
-        sym = np.einsum("mn,ni,nj->mij", jxz * sig, u, n)
-        blk += sym + sym.transpose(0, 2, 1)
-        sym = np.einsum("mn,ni,nj->mij", jyz * sig, v, n)
-        blk += sym + sym.transpose(0, 2, 1)
-        J[i0:i1] = k * blk
-    return J
+    def emit(dst, g, w, terms):
+        sums = np.stack([t.T @ w for t in terms], axis=1)
+        dst += g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame
+    return _evaluate(pset, points, sigma, _jacobian_terms, emit, (3, 3))
 
 
 # -- single-panel helpers (testing / inspection) ----------------------------
@@ -228,9 +238,9 @@ def panel_field(origin, edge_u, edge_v, points):
     returned and a warning is emitted."""
     ps = _single(origin, edge_u, edge_v)
     pts = np.atleast_2d(np.asarray(points, float))
-    U1, U2, V1, V2, Z = ps.local_coords(pts)
-    on_sheet = (np.abs(Z[:, 0]) < 1e-15 * max(ps.a[0], ps.b[0])) \
-        & (U1[:, 0] <= 0) & (U2[:, 0] >= 0) & (V1[:, 0] <= 0) & (V2[:, 0] >= 0)
+    xi, eta, zeta = ((pts - ps.origins[0]) @ ps.corner_groups[0].frame.T).T
+    on_sheet = (np.abs(zeta) < 1e-15 * max(ps.a[0], ps.b[0])) \
+        & (xi >= 0) & (xi <= ps.a[0]) & (eta >= 0) & (eta <= ps.b[0])
     if np.any(on_sheet):
         warnings.warn("point lies on the charged sheet; normal field is "
                       "discontinuous, returning the principal value")
@@ -298,14 +308,8 @@ class SolvedTrap:
     def capacitance_matrix(self):
         """Maxwell capacitance matrix in F: C[i, j] = Q_i under unit excitation j."""
         names = self.geometry.electrode_names
-        E = len(names)
-        C = np.empty((E, E))
-        for j, nj in enumerate(names):
-            sig = self.solutions[nj].sigma
-            for i in range(E):
-                sel = self.pset.electrode_idx == i
-                C[i, j] = (sig[sel] * self.pset.areas[sel]).sum()
-        return names, C
+        return names, np.array([[self.charge(ni, {nj: 1.0}) for nj in names]
+                                for ni in names])
 
     def rf_capacitance(self) -> float:
         """Charge on the rf electrodes with every rf rail at 1 V, in F."""
@@ -335,15 +339,11 @@ def solve_unit_excitations(geometry: TrapGeometry,
         if cached is not None:
             return cached
 
-    scale = float(np.median(pset.a))
-    key = np.round(pset.centers / (1e-9 * scale)).astype(np.int64)
-    if np.unique(key, axis=0).shape[0] != pset.n:
+    if np.unique(pset.merge_keys(pset.centers), axis=0).shape[0] != pset.n:
         raise InvalidGeometryError(
             "coincident panel centers detected (overlapping electrodes?)")
 
-    n = pset.n
-    A = np.empty((n, n), order="F")
-    potential_matrix(pset, pset.centers, out=A)
+    A = potential_matrix(pset, pset.centers, out=np.empty((pset.n, pset.n), order="F"))
     anorm = float(np.abs(A).sum(axis=0).max())
     lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
     rcond, info = sla.lapack.dgecon(lu, anorm, norm="1")
@@ -357,10 +357,10 @@ def solve_unit_excitations(geometry: TrapGeometry,
     del A
 
     names = geometry.electrode_names
-    B = np.zeros((n, len(names)), order="F")
-    for j in range(len(names)):
-        B[pset.electrode_idx == j, j] = 1.0
+    B = np.asfortranarray(pset.electrode_idx[:, None] == np.arange(len(names)), float)
     S = sla.lu_solve((lu, piv), B, check_finite=False)
+    if not np.isfinite(S).all():
+        raise SolverError(f"non-finite charge densities for {geometry.design!r}")
 
     # reconstruct the boundary potential through the public evaluation path;
     # every collocation point must sit on its prescribed voltage
@@ -368,7 +368,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
     solutions = {}
     for j, name in enumerate(names):
         res = float(np.abs(phi[:, j] - B[:, j]).max())
-        if res > RESIDUAL_LIMIT:
+        if not res <= RESIDUAL_LIMIT:  # a NaN residual fails too
             raise SolverError(
                 f"boundary residual {res:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
                 f"for electrode {name!r} of {geometry.design!r}")
@@ -411,14 +411,16 @@ def _cache_save(cache_dir, solved: SolvedTrap):
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }, sort_keys=True).encode()
     path = _cache_path(cache_dir, solved.geometry.signature())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<I", _CACHE_VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(payload)
-    os.replace(tmp, path)
+    # a temp file of its own per writer, so concurrent writers never share one
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(_CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, len(header))
+                    + header + payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def _cache_load(cache_dir, geometry, pset):
@@ -429,20 +431,18 @@ def _cache_load(cache_dir, geometry, pset):
         with open(path, "rb") as f:
             if f.read(4) != _CACHE_MAGIC:
                 raise ValueError("bad magic")
-            (version,) = struct.unpack("<I", f.read(4))
+            version, hlen = struct.unpack("<IQ", f.read(12))
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported cache version {version}")
-            (hlen,) = struct.unpack("<Q", f.read(8))
             header = json.loads(f.read(hlen))
             payload = f.read()
         if header["signature"] != geometry.signature():
             raise ValueError("signature mismatch")
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise ValueError("payload checksum mismatch")
-        n = header["n_panels"]
-        if n != pset.n:
+        if header["n_panels"] != pset.n:
             raise ValueError("panel count mismatch")
-        sigmas = np.frombuffer(payload, dtype="<f8").reshape(len(header["electrodes"]), n)
+        sigmas = np.frombuffer(payload, dtype="<f8").reshape(len(header["electrodes"]), -1)
         solutions = {
             name: UnitSolution(name, sigmas[i].copy(), header["residuals"][name])
             for i, name in enumerate(header["electrodes"])

@@ -28,6 +28,8 @@ from iontrap import (
 )
 from iontrap import bem
 from iontrap.constants import EPS0
+from iontrap.errors import SolverError
+from iontrap.geometry import _mesh_electrodes
 
 RNG = np.random.default_rng(20210814)
 
@@ -171,6 +173,39 @@ def test_potential_and_field_are_linear_in_sigma():
         rtol=1e-12, atol=1e-3 * np.abs(bem.field_of(ps, mix, pts)).max())
 
 
+def test_corner_sharing_telescopes_to_the_unsplit_rectangles():
+    # a graded mesh with hanging nodes of two rectangles in two planes and
+    # frames; with piecewise-uniform sigma every shared corner must cancel
+    # to the potential, field and Jacobian of the two whole rectangles
+    rect_a = Rect((-200.0, 0.0, -150.0), (400.0, 0.0, 0.0), (0.0, 0.0, 300.0))
+    rect_b = Rect((-160.0, 60.0, -180.0), (0.0, 0.0, 360.0), (320.0, 0.0, 0.0))
+    mesh = MeshParams(coarse_um=80.0, fine_um=10.0,
+                      fine_region=Box3((30.0, 30.0, -20.0), (20.0, 60.0, 20.0)))
+    po, pu, pv, pe = _mesh_electrodes(
+        (Electrode("a", "rf", (rect_a,)), Electrode("b", "dc", (rect_b,))), mesh)
+    meshed = bem.PanelSet(po * 1e-6, pu * 1e-6, pv * 1e-6, pe)
+    assert 350 < meshed.n < 450 and len(np.unique(meshed.a)) > 4
+    whole = bem.PanelSet(
+        np.array([r.origin for r in (rect_a, rect_b)]) * 1e-6,
+        np.array([r.edge_u for r in (rect_a, rect_b)]) * 1e-6,
+        np.array([r.edge_v for r in (rect_a, rect_b)]) * 1e-6, np.array([0, 1]))
+    density = np.array([2.0e-9, -1.3e-9])
+
+    rng = np.random.default_rng(7)
+    off = rng.uniform((-300.0, -80.0, -250.0), (300.0, 140.0, 250.0), (60, 3))
+    off = off[(np.abs(off[:, 1]) > 2.0) & (np.abs(off[:, 1] - 60.0) > 2.0)]
+    in_planes = np.array([
+        [237.3, 0.0, 11.9], [-251.7, 0.0, -170.3], [13.1, 0.0, 171.3],
+        [-88.9, 0.0, -203.7], [193.7, 60.0, 17.1], [-21.3, 60.0, 207.9],
+        [171.1, 60.0, -193.3], [-240.9, 60.0, -41.7]])
+    pts = np.vstack([off, in_planes]) * 1e-6
+
+    for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+        ref = evaluate(whole, density, pts)
+        got = evaluate(meshed, density[pe], pts)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), evaluate
+
+
 # -- solver ------------------------------------------------------------------
 
 
@@ -215,6 +250,19 @@ def test_solved_trap_field_is_superposition_of_units():
     via_units = (3.0 * solved.field(pts, {"a": 1.0})
                  - 1.5 * solved.field(pts, {"b": 1.0}))
     np.testing.assert_allclose(mixed, via_units, rtol=1e-12)
+
+
+def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
+    g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),), 100.0)
+
+    def nan_potential(pset, sigma, points):
+        return np.full((np.atleast_2d(points).shape[0],) + np.shape(sigma)[1:],
+                       np.nan)
+
+    monkeypatch.setattr(bem, "potential_of", nan_potential)
+    with pytest.raises(SolverError, match="residual"):
+        solve_unit_excitations(g, cache_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_sigma_for_unknown_electrode_raises():
@@ -331,3 +379,28 @@ def test_cache_is_keyed_by_geometry(tmp_path):
     solve_unit_excitations(a, cache_dir=tmp_path)
     solve_unit_excitations(b, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("*.itsc"))) == 2
+
+
+def test_cache_save_ignores_a_stale_shared_temp_file(tmp_path):
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    stale = tmp_path / f"{g.signature()}.itsc.tmp"
+    stale.write_bytes(b"left behind by a crashed writer")
+    first = solve_unit_excitations(g, cache_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{g.signature()}.itsc", stale.name])
+    assert stale.read_bytes() == b"left behind by a crashed writer"
+    second = solve_unit_excitations(g, cache_dir=tmp_path)
+    np.testing.assert_array_equal(first.solutions["a"].sigma,
+                                  second.solutions["a"].sigma)
+
+
+def test_failed_cache_write_removes_its_temp_file(tmp_path, monkeypatch):
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bem.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        solve_unit_excitations(g, cache_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
