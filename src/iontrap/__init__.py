@@ -35,7 +35,6 @@ from .bem import (
     PanelSet,
     SolvedTrap,
     UnitSolution,
-    evaluate_field,
     solve_unit_excitations,
 )
 from .pseudo import (
@@ -50,6 +49,7 @@ from .pseudo import (
 from .merit import (
     AxisFit,
     DepthResult,
+    FitAxes,
     HarmonicityResult,
     NullResult,
     OperatingPoint,
@@ -64,6 +64,7 @@ from .merit import (
     max_frequency,
     operating_q,
     power_norm,
+    radial_axes,
     radial_frequency,
     stability_q,
     trap_depth,
@@ -81,12 +82,12 @@ __all__ = [
     "default_surface_params", "default_gnd_surface_params",
     "default_cross_rf_params", "five_wire_null_seed_um",
     "PanelSet", "SolvedTrap", "UnitSolution", "solve_unit_excitations",
-    "evaluate_field",
     "DriveParams", "DEFAULT_DRIVE", "BemRfField", "QuadrupoleField",
     "PseudoField", "PseudoMap", "pseudo_map",
-    "NullResult", "AxisFit", "HarmonicityResult", "DepthResult",
+    "NullResult", "AxisFit", "FitAxes", "HarmonicityResult", "DepthResult",
     "OperatingPoint", "TrapReport", "find_rf_null", "fit_harmonicity",
-    "fit_axis_harmonicity", "flood_fill_escape", "trap_depth", "full_report",
+    "fit_axis_harmonicity", "radial_axes", "flood_fill_escape", "trap_depth",
+    "full_report",
     "radial_frequency", "stability_q", "operating_q", "max_frequency",
     "drive_for_target", "heating_norm", "power_norm",
 ]

@@ -261,7 +261,7 @@ class UnitSolution:
 
 
 class SolvedTrap:
-    """All unit excitations of a geometry plus evaluation helpers."""
+    """All unit excitations of a geometry; pseudo.BemRfField evaluates them."""
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet,
                  solutions: dict[str, UnitSolution], cond_estimate: float):
@@ -286,18 +286,6 @@ class SolvedTrap:
     def rf_voltages(self, amplitude: float = 1.0) -> dict[str, float]:
         return {n: amplitude for n in self.geometry.electrodes_with_role("rf")}
 
-    def potential(self, points, voltages=None):
-        sig = self.sigma_for(voltages or self.rf_voltages())
-        return potential_of(self.pset, sig, points)
-
-    def field(self, points, voltages=None):
-        sig = self.sigma_for(voltages or self.rf_voltages())
-        return field_of(self.pset, sig, points)
-
-    def jacobian(self, points, voltages=None):
-        sig = self.sigma_for(voltages or self.rf_voltages())
-        return jacobian_of(self.pset, sig, points)
-
     def charge(self, electrode: str, voltages: dict[str, float]) -> float:
         """Total charge (C) on an electrode under the given excitation."""
         sig = self.sigma_for(voltages)
@@ -317,25 +305,21 @@ class SolvedTrap:
         return sum(self.charge(n, volts) for n in volts)
 
 
-def evaluate_field(solved: SolvedTrap, points, voltages=None):
-    """(potential V, field V/m) of a voltage pattern; default: 1 V on rf."""
-    sig = solved.sigma_for(voltages or solved.rf_voltages())
-    return (potential_of(solved.pset, sig, points),
-            field_of(solved.pset, sig, points))
-
-
 def solve_unit_excitations(geometry: TrapGeometry,
                            cache_dir: str | os.PathLike | None = None) -> SolvedTrap:
     """Solve 1 V unit excitations for every electrode of the geometry.
 
     cache_dir (or $IONTRAP_CACHE_DIR if set and cache_dir is None) enables a
-    binary solution cache keyed by the geometry content hash.
+    binary solution cache keyed by the geometry content hash; an entry whose
+    panel arrays or solver source differ is solved again and overwritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or None
     pset = PanelSet(*geometry.arrays_m())
     if cache_dir:
-        cached = _cache_load(cache_dir, geometry, pset)
+        cache_dir = os.path.expanduser(cache_dir)
+        digest = _solution_digest(pset)
+        cached = _cache_load(cache_dir, geometry, pset, digest)
         if cached is not None:
             return cached
 
@@ -376,7 +360,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     solved = SolvedTrap(geometry, pset, solutions, cond)
     if cache_dir:
-        _cache_save(cache_dir, solved)
+        _cache_save(cache_dir, solved, digest)
     return solved
 
 
@@ -387,7 +371,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #   bytes 4:8    uint32 format version (1)
 #   bytes 8:16   uint64 header length H
 #   bytes 16:16+H JSON header: signature, electrode names, n_panels,
-#                 cond_estimate, residuals, payload sha256
+#                 cond_estimate, residuals, payload sha256 and the solution
+#                 digest (_solution_digest)
 #   remainder    one float64[n_panels] '<f8' charge-density block per
 #                 electrode, in header order
 
@@ -396,7 +381,18 @@ def _cache_path(cache_dir, signature):
     return os.path.join(cache_dir, f"{signature}.itsc")
 
 
-def _cache_save(cache_dir, solved: SolvedTrap):
+def _solution_digest(pset: PanelSet) -> str:
+    """SHA-256 of what a solution depends on besides the geometry signature:
+    the panel arrays and the source of this module (kernel and solver)."""
+    h = hashlib.sha256()
+    with open(__file__, "rb") as f:
+        h.update(f.read())
+    for a in (pset.origins, pset.edge_u, pset.edge_v, pset.electrode_idx):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
     os.makedirs(cache_dir, exist_ok=True)
     names = list(solved.solutions)
     payload = b"".join(
@@ -409,6 +405,7 @@ def _cache_save(cache_dir, solved: SolvedTrap):
         "cond_estimate": solved.cond_estimate,
         "residuals": {n: solved.solutions[n].residual_max for n in names},
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "digest": digest,
     }, sort_keys=True).encode()
     path = _cache_path(cache_dir, solved.geometry.signature())
     # a temp file of its own per writer, so concurrent writers never share one
@@ -423,7 +420,7 @@ def _cache_save(cache_dir, solved: SolvedTrap):
             os.remove(tmp)
 
 
-def _cache_load(cache_dir, geometry, pset):
+def _cache_load(cache_dir, geometry, pset, digest):
     path = _cache_path(cache_dir, geometry.signature())
     if not os.path.exists(path):
         return None
@@ -438,6 +435,8 @@ def _cache_load(cache_dir, geometry, pset):
             payload = f.read()
         if header["signature"] != geometry.signature():
             raise ValueError("signature mismatch")
+        if header.get("digest") != digest:
+            return None  # solved from other panels or by another solver
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise ValueError("payload checksum mismatch")
         if header["n_panels"] != pset.n:

@@ -19,18 +19,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, bem, geometry
-from .constants import CA40, get_species
+from .constants import get_species
 from .errors import InvalidInputError, IonTrapError, SolverError
 from .merit import DEFAULT_TARGET_OMEGA, TrapReport, full_report
 from .pseudo import BemRfField, DriveParams, PseudoField, pseudo_map
 from .validate import format_scoreboard, run_validation
 
-_DESIGNS = ("surface", "gnd-surface", "cross-rf")
+_DESIGNS = tuple(geometry.DESIGNS)
 
 SWEEP_CSV_HEADER = "h_um,d_um,k,D_meV,omega_MHz,q,heating_norm"
 
@@ -120,27 +119,10 @@ def _geometry_inputs(ns, geom) -> dict:
 
 
 def cmd_build(ns) -> int:
-    kwargs = {}
-    for attr, key in (("center_width_um", "center_width_um"),
-                      ("rf_width_um", "rf_width_um"), ("gap_um", "gap_um")):
-        v = getattr(ns, attr)
-        if v is not None:
-            kwargs[key] = v
-    if ns.design == "surface":
-        params = geometry.default_surface_params(fine_um=ns.mesh_fine_um, **kwargs)
-        geom = geometry.build_surface_trap(params)
-    elif ns.design == "gnd-surface":
-        params = geometry.default_gnd_surface_params(
-            h_um=ns.h_um or geometry.DEFAULT_H_UM, fine_um=ns.mesh_fine_um, **kwargs)
-        geom = geometry.build_gnd_surface_trap(params)
-    elif ns.design == "cross-rf":
-        if kwargs.pop("center_width_um", None) is not None or kwargs.pop("gap_um", None) is not None:
-            raise InvalidInputError("cross-rf takes only --rf-width-um")
-        params = geometry.default_cross_rf_params(
-            h_um=ns.h_um or geometry.DEFAULT_H_UM, fine_um=ns.mesh_fine_um, **kwargs)
-        geom = geometry.build_cross_rf_trap(params)
-    else:
-        raise InvalidInputError(f"unknown design {ns.design!r}")
+    dims = {k: getattr(ns, k) for k in ("center_width_um", "rf_width_um", "gap_um")
+            if getattr(ns, k) is not None}
+    geom = geometry.build_default(ns.design, h_um=ns.h_um,
+                                  fine_um=ns.mesh_fine_um, **dims)
     os.makedirs(os.path.dirname(os.path.abspath(ns.out)), exist_ok=True)
     geom.save(ns.out)
     _write_manifest([ns.out], ns, {"design": ns.design},
@@ -211,9 +193,11 @@ def _load_sweep_spec(path) -> dict:
     if not isinstance(spec, dict):
         raise InvalidInputError("sweep spec must be a JSON object")
     design = spec.get("design")
-    if design not in ("gnd-surface", "cross-rf"):
+    two_wafer = [n for n, (params, _) in geometry.DESIGNS.items()
+                 if params().h_um is not None]
+    if design not in two_wafer:
         raise InvalidInputError(
-            f"sweep spec 'design' must be gnd-surface or cross-rf, got {design!r}")
+            f"sweep spec 'design' must be {' or '.join(two_wafer)}, got {design!r}")
     hs = spec.get("h_um")
     if (not isinstance(hs, list) or not hs
             or not all(isinstance(h, (int, float)) for h in hs)):
@@ -255,28 +239,19 @@ def cmd_sweep(ns) -> int:
     results: list[str] = []
     errors: list[str] = []
 
-    def one(h):
-        return _sweep_row(spec["design"], h, drive, species, fine_um,
-                          ns.cache_dir, reference)
-
+    rest = (drive, species, fine_um, ns.cache_dir, reference)
+    calls = [lambda h=h: _sweep_row(spec["design"], h, *rest) for h in hs]
     if ns.jobs > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=ns.jobs) as ex:
-            futures = [ex.submit(_sweep_row, spec["design"], h, drive, species,
-                                 fine_um, ns.cache_dir, reference) for h in hs]
-            for h, fut in zip(hs, futures):
-                try:
-                    results.append(fut.result())
-                except IonTrapError as exc:
-                    errors.append(f"# error at h_um={h:.6g}: {exc}")
-                    results.append(f"{h:.6g},nan,nan,nan,nan,nan,nan")
-    else:
-        for h in hs:
-            try:
-                results.append(one(h))
-            except IonTrapError as exc:
-                errors.append(f"# error at h_um={h:.6g}: {exc}")
-                results.append(f"{h:.6g},nan,nan,nan,nan,nan,nan")
+            calls = [ex.submit(_sweep_row, spec["design"], h, *rest).result
+                     for h in hs]
+    for h, call in zip(hs, calls):
+        try:
+            results.append(call())
+        except IonTrapError as exc:
+            errors.append(f"# error at h_um={h:.6g}: {exc}")
+            results.append(f"{h:.6g},nan,nan,nan,nan,nan,nan")
 
     body = _manifest_ref(ns.out) + SWEEP_CSV_HEADER + "\n"
     body += "".join(e + "\n" for e in errors)
@@ -306,18 +281,18 @@ def _vec3(text, what):
 def _check_domain(geom, center, span):
     lo = [c - s / 2 for c, s in zip(center, span)]
     hi = [c + s / 2 for c, s in zip(center, span)]
-    extent = geom.params.wafer_extent_um or geom.params.electrode_length_um
-    h = geom.params.h_um
-    y_hi = h if h is not None else math.inf
+    top = geom.top_um
+    y_hi = math.inf if top is None else top
     if lo[1] < 0.0 or hi[1] > y_hi:
         raise InvalidInputError(
             f"map extends outside the trap interior in y: [{lo[1]:.6g}, "
             f"{hi[1]:.6g}] um vs [0, {y_hi:.6g}]")
+    half = float(np.abs(geom.corners_um()[:, [0, 2]]).max())
     for ax, name in ((0, "x"), (2, "z")):
-        if lo[ax] < -extent / 2 or hi[ax] > extent / 2:
+        if lo[ax] < -half or hi[ax] > half:
             raise InvalidInputError(
                 f"map extends outside the modeled region in {name}: "
-                f"[{lo[ax]:.6g}, {hi[ax]:.6g}] um vs +/-{extent / 2:.6g}")
+                f"[{lo[ax]:.6g}, {hi[ax]:.6g}] um vs +/-{half:.6g}")
 
 
 def cmd_map(ns) -> int:

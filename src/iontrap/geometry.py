@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -201,8 +201,21 @@ class TrapGeometry:
             self.panel_electrode,
         )
 
+    def corners_um(self) -> np.ndarray:
+        """Corners of every electrode rect, (4 * rects, 3)."""
+        return np.concatenate([r.corners() for e in self.electrodes for r in e.rects])
+
+    @property
+    def top_um(self) -> float | None:
+        """Height of the top wafer or cover plane: the lowest y > 0 of a
+        horizontal electrode rect, or None when there is none (the bottom
+        wafer is the y = 0 plane)."""
+        return min((r.origin[1] for e in self.electrodes for r in e.rects
+                    if r.edge_u[1] == r.edge_v[1] == 0.0 and r.origin[1] > 0.0),
+                   default=None)
+
     def _warn_if_fine_region_outside(self):
-        corners = np.concatenate([r.corners() for e in self.electrodes for r in e.rects])
+        corners = self.corners_um()
         lo, hi = corners.min(axis=0), corners.max(axis=0)
         blo, bhi = np.array(self.mesh.fine_region.lo), np.array(self.mesh.fine_region.hi)
         if np.any(bhi < lo) or np.any(blo > hi):
@@ -608,24 +621,26 @@ def build_cross_rf_trap(params: GeometryParams | None = None) -> TrapGeometry:
     return TrapGeometry("cross-rf", p, electrodes)
 
 
-_BUILDERS = {
-    "surface": build_surface_trap,
-    "gnd-surface": build_gnd_surface_trap,
-    "cross-rf": build_cross_rf_trap,
+# every built-in design: name -> (default params function, builder)
+DESIGNS = {
+    "surface": (default_surface_params, build_surface_trap),
+    "gnd-surface": (default_gnd_surface_params, build_gnd_surface_trap),
+    "cross-rf": (default_cross_rf_params, build_cross_rf_trap),
 }
 
 
 def build_default(design: str, h_um: float | None = None,
-                  fine_um: float = DEFAULT_FINE_UM) -> TrapGeometry:
-    """Build one of the named designs with calibrated default dimensions."""
-    if design == "surface":
-        return build_surface_trap(default_surface_params(fine_um=fine_um))
-    if design == "gnd-surface":
-        return build_gnd_surface_trap(
-            default_gnd_surface_params(h_um=h_um or DEFAULT_H_UM, fine_um=fine_um))
-    if design == "cross-rf":
-        return build_cross_rf_trap(
-            default_cross_rf_params(h_um=h_um or DEFAULT_H_UM, fine_um=fine_um))
-    raise InvalidInputError(
-        f"unknown design {design!r}; known: {', '.join(sorted(_BUILDERS))}"
-    )
+                  fine_um: float = DEFAULT_FINE_UM, **dims) -> TrapGeometry:
+    """Build a named design with calibrated default dimensions, overridden by
+    dims (keyword arguments of its params function; h_um for two-wafer ones)."""
+    if design not in DESIGNS:
+        raise InvalidInputError(
+            f"unknown design {design!r}; known: {', '.join(sorted(DESIGNS))}")
+    params_fn, build = DESIGNS[design]
+    if h_um is not None:
+        dims["h_um"] = h_um
+    try:
+        params = params_fn(fine_um=fine_um, **dims)
+    except TypeError as exc:  # a dimension the design does not have
+        raise InvalidInputError(f"{design} takes only its own dimensions: {exc}") from exc
+    return build(params)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -302,32 +302,51 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
     )
 
 
-_PLANAR_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
-_SQ2 = math.sqrt(0.5)
-_CROSS_AXES = {"diag_rf": (_SQ2, _SQ2, 0.0), "diag_gnd": (_SQ2, -_SQ2, 0.0)}
+@dataclass(frozen=True)
+class FitAxes:
+    """Radial fit axes, name -> direction in fit order (the first two give
+    k_x and k_y), and the name of the axis whose k is reported."""
+
+    vectors: dict
+    scalar_axis: str
+
+
+PLANAR_AXES = FitAxes({"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}, "y")
+
+
+def radial_axes(geom) -> FitAxes:
+    """Harmonicity fit axes of an electrode layout.
+
+    With every rf rect at one height these are x and y, reporting y. With rf
+    rects at several heights the first axis e1 is the xy projection of the
+    offset from the area centroid of the lowest rf rects to that of the
+    others (for cross-rf the rf-to-rf diagonal), the second its in-plane
+    perpendicular, and e1 is reported.
+    """
+    rects = [r for e in geom.electrodes if e.role == "rf" for r in e.rects]
+    centers = np.array([r.corners().mean(axis=0) for r in rects]).reshape(-1, 3)
+    low = centers[:, 1] == centers[:, 1].min(initial=math.inf)
+    if low.all():
+        return PLANAR_AXES
+    w = np.array([r.area_um2 for r in rects])
+    d = (np.average(centers[~low], axis=0, weights=w[~low])
+         - np.average(centers[low], axis=0, weights=w[low]))
+    ex, ey = (float(c) / math.hypot(d[0], d[1]) for c in d[:2])
+    return FitAxes({"diag_rf": (ex, ey, 0.0), "diag_gnd": (ey, -ex, 0.0)}, "diag_rf")
 
 
 def fit_harmonicity(rf_field, drive: DriveParams, null_m, r0_m,
-                    design: str = "surface", window_frac: float = 0.2,
+                    axes: FitAxes = PLANAR_AXES, window_frac: float = 0.2,
                     n_points: int = DEFAULT_FIT_POINTS) -> HarmonicityResult:
-    """Fit k along the radial axes of a design.
-
-    Planar designs fit the transverse (x) and vertical (y) axes and report
-    k = k_y. The cross-rf design fits the two diagonals; the rf-to-rf
-    diagonal carries the reported k.
-    """
-    if design == "cross-rf":
-        axes, scalar = _CROSS_AXES, "diag_rf"
-    else:
-        axes, scalar = _PLANAR_AXES, "y"
+    """Fit k along each of the given radial axes (see radial_axes)."""
     fits = {
         name: fit_axis_harmonicity(rf_field, drive, null_m, r0_m, vec,
                                    window_frac, n_points)
-        for name, vec in axes.items()
+        for name, vec in axes.vectors.items()
     }
-    names = list(axes)
+    names = list(fits)
     return HarmonicityResult(fits=fits, k_x=fits[names[0]].k,
-                             k_y=fits[names[1]].k, scalar_axis=scalar)
+                             k_y=fits[names[1]].k, scalar_axis=axes.scalar_axis)
 
 
 # -- trap depth ----------------------------------------------------------------
@@ -355,7 +374,7 @@ def flood_fill_escape(values: np.ndarray, start):
             continue
         seen.add(c)
         if any(c[ax] in (0, shape[ax] - 1) for ax in range(values.ndim) if shape[ax] > 1):
-            return d, passc[c], passc[c] == c and _on_boundary(c, shape)
+            return d, passc[c], passc[c] == c
         for ax in range(values.ndim):
             for dd in (-1, 1):
                 nb = list(c)
@@ -371,10 +390,6 @@ def flood_fill_escape(values: np.ndarray, start):
                     passc[nb] = nb if float(values[nb]) >= d else passc[c]
                     heapq.heappush(heap, (nd, nb))
     raise DepthError("no path from start to the grid boundary")
-
-
-def _on_boundary(c, shape):
-    return any(c[ax] in (0, shape[ax] - 1) for ax in range(len(shape)) if shape[ax] > 1)
 
 
 @dataclass
@@ -454,15 +469,11 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
         neg = eigs < -1e-3 * np.abs(eigs).max()
         direction = np.append(vecs[:, int(np.argmin(eigs))], 0.0)
         saddle_val = float(pseudo.psi(p[None, :])[0])
-        if neg.sum() != 1 or saddle_val < null.psi_J:
-            # polish wandered off the pass; fall back to the grid level
-            return DepthResult(depth_J=grid_level - null.psi_J, saddle=p,
-                               escape_direction=direction, boundary_limited=False,
-                               polished=False, grid_level_J=grid_level,
-                               hessian_eigs=eigs)
-        return DepthResult(depth_J=saddle_val - null.psi_J, saddle=p,
-                           escape_direction=direction, boundary_limited=False,
-                           polished=True, grid_level_J=grid_level,
+        # a polish that wandered off the pass falls back to the grid level
+        on_pass = neg.sum() == 1 and saddle_val >= null.psi_J
+        return DepthResult(depth_J=(saddle_val if on_pass else grid_level) - null.psi_J,
+                           saddle=p, escape_direction=direction, boundary_limited=False,
+                           polished=on_pass, grid_level_J=grid_level,
                            hessian_eigs=eigs)
     return DepthResult(depth_J=grid_level - null.psi_J, saddle=p,
                        escape_direction=None, boundary_limited=False,
@@ -525,21 +536,7 @@ class TrapReport:
         return ",".join(cells)
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        return d
-
-
-def _null_search_region(design, h_um):
-    if design in ("gnd-surface", "cross-rf"):
-        hi = min(h_um - 5.0, 400.0) if design == "gnd-surface" else h_um - 5.0
-        return (0.0, 5.0, 0.0), (0.0, hi, 0.0)
-    return (0.0, 5.0, 0.0), (0.0, 300.0, 0.0)
-
-
-def _depth_bounds(design, h_um, null_height_um):
-    if design in ("gnd-surface", "cross-rf"):
-        return 2.0, min(h_um - 2.0, null_height_um + 300.0)
-    return 2.0, null_height_um + 300.0
+        return dict(self.__dict__)
 
 
 def full_report(solved, species: IonSpecies = CA40,
@@ -560,21 +557,23 @@ def full_report(solved, species: IonSpecies = CA40,
         raise ValueError("reference report was computed at a different "
                          "drive; heating comparison needs matched drives")
     geom = solved.geometry
-    design = geom.design
-    h_um = geom.params.h_um
+    top = geom.top_um
     rf = BemRfField(solved)
     pseudo = PseudoField(rf, species, drive)
 
-    lo, hi = _null_search_region(design, h_um)
-    null = find_rf_null(pseudo, lo, hi, scan_um=scan_um)
+    # the null sits on x = z = 0 between the bottom wafer and any top plane
+    null_hi = 300.0 if top is None else top - 5.0
+    null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, null_hi, 0.0),
+                        scan_um=scan_um)
     d_m = null.position[1]
 
-    harm = fit_harmonicity(rf, drive, null.position, d_m, design)
+    harm = fit_harmonicity(rf, drive, null.position, d_m, radial_axes(geom))
     k = harm.k
 
-    y_lo, y_hi = _depth_bounds(design, h_um, null.height_um)
-    depth = trap_depth(pseudo, null, y_lo_um=y_lo, y_hi_um=y_hi,
-                       res_um=depth_res_um)
+    y_hi = null.height_um + 300.0
+    if top is not None:
+        y_hi = min(top - 2.0, y_hi)
+    depth = trap_depth(pseudo, null, y_hi_um=y_hi, res_um=depth_res_um)
 
     omega_sim = radial_frequency(drive.voltage, k, d_m, species, drive.omega_rf)
     q_sim = stability_q(drive.voltage, k, d_m, species, drive.omega_rf)
@@ -590,20 +589,18 @@ def full_report(solved, species: IonSpecies = CA40,
     v_req, omega_req = drive_for_target(op.q, target_omega, d_m, k, species)
     omega_max = max_frequency(k, d_m, species, drive.voltage)
 
+    heat = power = 1.0
     if reference is not None:
         heat = heating_norm(omega_sim, d_m,
                             reference.omega_sim_MHz * 2e6 * math.pi,
                             reference.d_um * 1e-6)
         power = power_norm(v_req, omega_req, reference.V_req_V,
                            reference.Omega_req_MHz * 2e6 * math.pi)
-    else:
-        heat = 1.0
-        power = 1.0
 
     return TrapReport(
-        design=design,
+        design=geom.design,
         geometry_signature=geom.signature(),
-        h_um=h_um,
+        h_um=geom.params.h_um,
         species=species.name,
         voltage_V=drive.voltage,
         freq_MHz=drive.freq_MHz,

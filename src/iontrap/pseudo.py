@@ -51,7 +51,8 @@ DEFAULT_DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
 
 class BemRfField:
-    """Unit-amplitude rf field (1 V on every rf electrode) of a solved trap."""
+    """Potential, field and field Jacobian of a solved trap under any voltage
+    pattern {electrode: volts}, by default 1 V on every rf electrode."""
 
     def __init__(self, solved: bem.SolvedTrap, voltages: dict | None = None):
         self.solved = solved

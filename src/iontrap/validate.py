@@ -15,6 +15,7 @@ import numpy as np
 from . import bem, constants
 from .geometry import Electrode, GeometryParams, MeshParams, Box3, Rect, TrapGeometry
 from .merit import (
+    PLANAR_AXES,
     drive_for_target,
     fit_harmonicity,
     flood_fill_escape,
@@ -172,7 +173,7 @@ def check_quadrupole_harmonicity():
     r0 = 100e-6
     drive = DriveParams.from_mhz(10.0, 20.0)
     res = fit_harmonicity(_quadrupole(1.0, r0), drive, np.zeros(3), r0,
-                          design="surface")
+                          axes=PLANAR_AXES)
     dev = abs(res.k_y - 1.0)
     return dev < 1e-3, f"fitted k_y = {res.k_y:.6f} (|dev| limit 1e-3)"
 

@@ -44,6 +44,7 @@ from iontrap.geometry import (
     default_cross_rf_params,
     default_gnd_surface_params,
 )
+from iontrap.merit import PLANAR_AXES
 
 TARGET = 2 * math.pi * 10e6  # 10 MHz secular target, rad/s
 
@@ -264,7 +265,7 @@ def test_criterion_8_oracle_equivalences():
     r0 = 100e-6
     drive = DriveParams.from_mhz(10.0, 20.0)
     quad = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
-    harm = fit_harmonicity(quad, drive, np.zeros(3), r0, design="surface")
+    harm = fit_harmonicity(quad, drive, np.zeros(3), r0, axes=PLANAR_AXES)
     assert harm.k_y == pytest.approx(1.000, abs=1e-3)
 
     pseudo = PseudoField(quad, CA40, drive)
@@ -288,3 +289,23 @@ def test_criterion_9_heating_bands(surface_report, gnd_solved_105,
     assert 0.05 <= heat_cross <= 0.2
     print(f"PASS criterion 9: heating_norm gnd-surface = {heat_gnd:.4f} "
           f"(band 0.25-1.0), cross-rf = {heat_cross:.4f} (band 0.05-0.2)")
+
+
+@pytest.mark.parametrize("design", ["gnd-surface", "cross-rf"])
+def test_custom_layout_reports_the_builtin_figures(design, cache_dir):
+    """A two-wafer layout saved as "design": "custom" without h_um gets the
+    built-in's analysis regions and fit axes, so the same figures of merit."""
+    builtin = build_default(design, fine_um=40.0)
+    layout = builtin.to_dict()
+    layout["design"] = "custom"
+    del layout["params"]["h_um"]
+    custom = TrapGeometry.from_dict(layout)
+    assert custom.signature() != builtin.signature()
+
+    ref, got = (full_report(solve_unit_excitations(g, cache_dir=cache_dir))
+                for g in (builtin, custom))
+    assert (got.design, got.h_um) == ("custom", None)
+    for attr in ("d_um", "k", "k_x", "k_y", "D_meV"):
+        assert getattr(got, attr) == pytest.approx(getattr(ref, attr), rel=1e-12), attr
+    print(f"PASS custom {design}: d = {got.d_um:.4f} um, k = {got.k:.5f}, "
+          f"D = {got.D_meV:.3f} meV, equal to the built-in's to 1e-12")

@@ -15,6 +15,7 @@ import pytest
 from scipy import integrate
 
 from iontrap import (
+    BemRfField,
     Box3,
     Electrode,
     GeometryParams,
@@ -23,7 +24,6 @@ from iontrap import (
     TrapGeometry,
     build_surface_trap,
     default_surface_params,
-    evaluate_field,
     solve_unit_excitations,
 )
 from iontrap import bem
@@ -218,8 +218,8 @@ def test_unit_solve_satisfies_boundary_conditions():
     centers = solved.pset.centers
     on_a = centers[solved.pset.electrode_idx == 0]
     on_b = centers[solved.pset.electrode_idx == 1]
-    phi_a, _ = evaluate_field(solved, on_a, {"a": 1.0})
-    phi_b, _ = evaluate_field(solved, on_b, {"a": 1.0})
+    phi_a = BemRfField(solved, {"a": 1.0}).potential(on_a)
+    phi_b = BemRfField(solved, {"a": 1.0}).potential(on_b)
     assert np.abs(phi_a - 1.0).max() < 1e-8
     assert np.abs(phi_b).max() < 1e-8
 
@@ -235,7 +235,7 @@ def test_boundary_error_between_collocation_points_shrinks_with_mesh():
         g = _custom_geometry((_plate(400.0, fine, 0.0, "a", "rf"),
                               _plate(400.0, fine, 50.0, "b", "ground")), fine)
         solved = solve_unit_excitations(g)
-        phi, _ = evaluate_field(solved, probes, {"a": 1.0})
+        phi = BemRfField(solved, {"a": 1.0}).potential(probes)
         errs.append(np.abs(phi - 1.0).max())
     assert errs[0] < 0.10
     assert errs[1] < 0.25 * errs[0]
@@ -246,9 +246,9 @@ def test_solved_trap_field_is_superposition_of_units():
                           _plate(200.0, 100.0, 40.0, "b", "dc")), 100.0)
     solved = solve_unit_excitations(g)
     pts = np.array([[10e-6, 20e-6, 5e-6]])
-    mixed = solved.field(pts, {"a": 3.0, "b": -1.5})
-    via_units = (3.0 * solved.field(pts, {"a": 1.0})
-                 - 1.5 * solved.field(pts, {"b": 1.0}))
+    mixed = BemRfField(solved, {"a": 3.0, "b": -1.5}).field(pts)
+    via_units = (3.0 * BemRfField(solved, {"a": 1.0}).field(pts)
+                 - 1.5 * BemRfField(solved, {"b": 1.0}).field(pts))
     np.testing.assert_allclose(mixed, via_units, rtol=1e-12)
 
 
@@ -318,15 +318,15 @@ def test_rf_capacitance_positive_and_order_100_fF(surface_solved):
 def test_surface_solve_mirror_symmetry(surface_solved):
     # the five-wire pattern is symmetric in x, so E_x vanishes on x = 0
     pts = np.array([[0.0, y * 1e-6, 0.0] for y in (40.0, 90.0, 160.0)])
-    E = surface_solved.field(pts)
+    E = BemRfField(surface_solved).field(pts)
     assert np.abs(E[:, 0]).max() < 1e-6 * np.abs(E).max()
 
 
 def test_doubling_rail_length_leaves_null_and_curvature_unchanged():
     # rails much longer than the ion height behave as infinite: doubling the
     # length must not move the rf null or the normalized curvature
-    from iontrap import (CA40, BemRfField, DriveParams, PseudoField,
-                         find_rf_null, fit_harmonicity)
+    from iontrap import CA40, DriveParams, PseudoField, find_rf_null, fit_harmonicity
+    from iontrap.merit import PLANAR_AXES
     drive = DriveParams.from_mhz(10.0, 20.0)
     nulls, ks = [], []
     for length in (4000.0, 8000.0):
@@ -337,7 +337,7 @@ def test_doubling_rail_length_leaves_null_and_curvature_unchanged():
         null = find_rf_null(pseudo, (-5.0, 40.0, 0.0), (5.0, 200.0, 0.0),
                             scan_um=4.0)
         fit = fit_harmonicity(pseudo.rf_field, drive, null.position,
-                              null.height_um * 1e-6, design="surface")
+                              null.height_um * 1e-6, axes=PLANAR_AXES)
         nulls.append(null.height_um)
         ks.append(fit.k_y)
     assert abs(nulls[1] - nulls[0]) < 0.5
@@ -371,6 +371,43 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
         again = solve_unit_excitations(g, cache_dir=tmp_path)
     np.testing.assert_allclose(again.solutions["a"].sigma,
                                first.solutions["a"].sigma, rtol=1e-12)
+
+
+def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
+    # an entry solved from other panels or by another solver is a miss: the
+    # next solve assembles the matrix again and overwrites the entry
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    assemblies = []
+    assemble = bem.potential_matrix
+
+    def counting_matrix(*args, **kwargs):
+        assemblies.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(bem, "potential_matrix", counting_matrix)
+    first = solve_unit_excitations(g, cache_dir=tmp_path)
+    solve_unit_excitations(g, cache_dir=tmp_path)
+    assert len(assemblies) == 1  # a matching entry hits
+
+    digest = bem._solution_digest
+    monkeypatch.setattr(bem, "_solution_digest", lambda pset: "other")
+    again = solve_unit_excitations(g, cache_dir=tmp_path)
+    assert len(assemblies) == 2
+    np.testing.assert_array_equal(again.solutions["a"].sigma,
+                                  first.solutions["a"].sigma)
+    solve_unit_excitations(g, cache_dir=tmp_path)
+    assert len(assemblies) == 2  # the overwritten entry hits
+    monkeypatch.setattr(bem, "_solution_digest", digest)
+    solve_unit_excitations(g, cache_dir=tmp_path)
+    assert len(assemblies) == 3
+    assert len(list(tmp_path.glob("*.itsc"))) == 1
+
+
+def test_cache_dir_expands_the_home_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    solve_unit_excitations(g, cache_dir="~/cache")
+    assert (tmp_path / "cache" / f"{g.signature()}.itsc").exists()
 
 
 def test_cache_is_keyed_by_geometry(tmp_path):

@@ -16,7 +16,7 @@ from iontrap import cli, geometry
 from iontrap.cli import SWEEP_CSV_HEADER, _sha256_file
 from iontrap.errors import SolverError
 from iontrap.merit import full_report
-from iontrap.validate import CheckResult
+from iontrap.validate import CheckResult, _parallel_plate_geometry
 
 
 def run_cli(*args):
@@ -77,6 +77,18 @@ def test_build_cross_rejects_planar_flags(tmp_path, capsys):
                  "--out", tmp_path / "g.json")
     assert rc == 2
     assert "cross-rf takes only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (("--design", "surface", "--h-um", 100), "surface takes only its own dimensions"),
+    (("--design", "cross-rf", "--h-um", 0), "h_um must be > 0"),
+])
+def test_build_rejects_a_height_the_design_cannot_take(tmp_path, capsys, args, fragment):
+    # neither is replaced by a default: surface has no top plane, and a zero
+    # wafer separation is not the default one
+    assert run_cli("build", *args, "--out", tmp_path / "g.json") == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_bundled_geometries_match_builders():
@@ -330,6 +342,28 @@ def test_map_outside_modeled_region(tmp_path, capsys):
                  "--span-um", "20,20,0", "--res-um", 10, "--out", tmp_path / "m.csv")
     assert rc == 2
     assert "outside the modeled region in x" in capsys.readouterr().err
+
+
+def test_map_bounds_of_a_custom_layout_come_from_its_electrodes(tmp_path, capsys):
+    # plates at y = 0 and y = 50 um, 1000 um square, with no dimensions in
+    # params: y is bounded by [0, 50] and x, z by +/-500
+    plates = tmp_path / "plates.json"
+    _parallel_plate_geometry().save(plates)
+    assert "wafer_extent_um" not in json.loads(plates.read_text())["params"]
+
+    def map_at(center, span):
+        return run_cli("map", "--geometry", plates, "--center-um", center,
+                       "--span-um", span, "--res-um", 10, "--out", tmp_path / "m.csv")
+
+    assert map_at("0,25,0", "40,40,980") == 0
+    assert len(csv_data_lines(tmp_path / "m.csv")) == 1 + 5 * 5 * 99
+    capsys.readouterr()
+    assert map_at("0,40,0", "0,30,0") == 2
+    assert "outside the trap interior in y" in capsys.readouterr().err
+    assert map_at("490,25,0", "40,0,0") == 2
+    assert "outside the modeled region in x: [470, 510] um vs +/-500" in capsys.readouterr().err
+    assert map_at("0,25,-490", "0,0,40") == 2
+    assert "outside the modeled region in z" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, fragment", [

@@ -17,13 +17,21 @@ from hypothesis.extra import numpy as hnp
 
 from iontrap import (
     CA40,
+    Box3,
     DriveParams,
+    Electrode,
+    FitAxes,
     FitError,
+    GeometryParams,
+    MeshParams,
     NullAmbiguityError,
     NullNotFoundError,
     NullResult,
     PseudoField,
     QuadrupoleField,
+    Rect,
+    TrapGeometry,
+    build_default,
     drive_for_target,
     find_rf_null,
     fit_axis_harmonicity,
@@ -34,10 +42,12 @@ from iontrap import (
     max_frequency,
     operating_q,
     power_norm,
+    radial_axes,
     radial_frequency,
     stability_q,
     trap_depth,
 )
+from iontrap.merit import PLANAR_AXES
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
@@ -295,25 +305,82 @@ class _XYQuadrupole:
         return np.broadcast_to(J, (m, 3, 3)).copy()
 
 
+_SQ2 = math.sqrt(0.5)
+# the fit axes of the cross-rf design: the rf-to-rf diagonal, then the other
+CROSS_AXES = FitAxes({"diag_rf": (_SQ2, _SQ2, 0.0), "diag_gnd": (_SQ2, -_SQ2, 0.0)},
+                     "diag_rf")
+
+
 def test_fit_harmonicity_axes_per_design():
     r0 = 100e-6
     planar = fit_harmonicity(QuadrupoleField(kx=1.0, ky=-1.0, r0=r0), DRIVE,
-                             np.zeros(3), r0, design="surface")
+                             np.zeros(3), r0, axes=PLANAR_AXES)
     assert planar.scalar_axis == "y"
     assert set(planar.fits) == {"x", "y"}
     assert planar.k == pytest.approx(planar.k_y)
     assert planar.k_y == pytest.approx(1.0, rel=1e-10)
 
     cross = fit_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
-                            design="cross-rf")
+                            axes=CROSS_AXES)
     assert cross.scalar_axis == "diag_rf"
     assert set(cross.fits) == {"diag_rf", "diag_gnd"}
     assert cross.k == pytest.approx(1.0, rel=1e-10)
     assert cross.fits["diag_gnd"].k == pytest.approx(1.0, rel=1e-10)
     # the same field fitted on the cartesian axes shows no curvature at all
     planar_view = fit_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
-                                  design="surface")
+                                  axes=PLANAR_AXES)
     assert planar_view.k_y == pytest.approx(0.0, abs=1e-10)
+
+
+def _unit(v):
+    v = np.asarray(v, float)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("h", [105.0, 200.0])
+def test_layout_rules_reproduce_the_builtin_choices(h):
+    # the top plane and the fit axes come from the electrodes alone
+    surface = build_default("surface", fine_um=200.0)
+    gnd = build_default("gnd-surface", h_um=h, fine_um=200.0)
+    cross = build_default("cross-rf", h_um=h, fine_um=200.0)
+    assert surface.top_um is None
+    assert gnd.top_um == h and cross.top_um == h
+    assert radial_axes(surface) == radial_axes(gnd) == PLANAR_AXES
+
+    axes = radial_axes(cross)
+    assert axes.scalar_axis == CROSS_AXES.scalar_axis
+    assert list(axes.vectors) == list(CROSS_AXES.vectors)
+    for name, vec in CROSS_AXES.vectors.items():
+        np.testing.assert_allclose(axes.vectors[name], vec, rtol=0, atol=2e-16)
+        # the unit vectors the fit samples along are bitwise the same
+        np.testing.assert_array_equal(_unit(axes.vectors[name]), _unit(vec))
+
+
+def test_radial_axes_follow_the_rf_centroids():
+    def rail(name, role, x0, y):
+        return Electrode(name, role, (Rect((x0, y, -500.0), (40.0, 0.0, 0.0),
+                                           (0.0, 0.0, 1000.0)),))
+
+    def layout(*electrodes):
+        mesh = MeshParams(200.0, 200.0, Box3((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        return TrapGeometry("custom", GeometryParams("custom", mesh), electrodes)
+
+    # rf rails on two wafers, offset by (-120, 80) um: e1 points along it
+    axes = radial_axes(layout(rail("rf_lo", "rf", 40.0, 0.0),
+                              rail("rf_hi", "rf", -80.0, 80.0)))
+    np.testing.assert_allclose(axes.vectors["diag_rf"], _unit((-3.0, 2.0, 0.0)),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(axes.vectors["diag_gnd"], _unit((2.0, 3.0, 0.0)),
+                               rtol=0, atol=1e-15)
+    # rf rails stacked above one another: y first and reported, then x
+    axes = radial_axes(layout(rail("rf_lo", "rf", 0.0, 0.0),
+                              rail("rf_hi", "rf", 0.0, 80.0)))
+    assert axes == FitAxes({"diag_rf": (0.0, 1.0, 0.0), "diag_gnd": (1.0, 0.0, 0.0)},
+                           "diag_rf")
+    # rf rails in one plane, or no rf at all: x and y, reporting y
+    assert radial_axes(layout(rail("rf_l", "rf", -80.0, 0.0),
+                              rail("rf_r", "rf", 40.0, 0.0))) == PLANAR_AXES
+    assert radial_axes(layout(rail("g", "ground", 0.0, 0.0))) == PLANAR_AXES
 
 
 # -- flood fill ----------------------------------------------------------------
