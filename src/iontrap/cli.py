@@ -59,7 +59,7 @@ def _write_manifest(out_paths: list[str], args_ns, inputs: dict, diagnostics: di
     payload = {
         "tool": "iontrap",
         "version": __version__,
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args_ns.command,
+        "command": " ".join(args_ns.argv),
         "inputs": inputs,
         "outputs": {os.path.basename(p): _sha256_file(p) for p in out_paths},
         "diagnostics": diagnostics,
@@ -110,8 +110,8 @@ def _geometry_inputs(ns, geom) -> dict:
                                    "sha256": _sha256_file(ns.geometry)}
     else:
         inputs["design"] = geom.design
-        if geom.params.h_um is not None:
-            inputs["h_um"] = geom.params.h_um
+        if geom.top_um is not None:
+            inputs["h_um"] = geom.top_um
     return inputs
 
 
@@ -404,10 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    if ns.cache_dir is None:
-        ns.cache_dir = os.environ.get(bem.CACHE_ENV) or None
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser().parse_args(argv)
+    ns.argv = argv
     try:
         return ns.fn(ns)
     except InvalidInputError as exc:

@@ -552,9 +552,8 @@ def _strip(name, role, x_lo, x_hi, y, length_um):
     )
 
 
-def build_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
-    """Five-wire planar trap in the y=0 plane, mirror-symmetric about x=0."""
-    p = params or default_surface_params()
+def _five_wire_electrodes(p: GeometryParams) -> list[Electrode]:
+    """The electrodes of build_surface_trap, after checking p's dimensions."""
     p._require_positive("rf_width_um", "center_width_um", "gap_um",
                         "electrode_length_um", "wafer_extent_um")
     cw, g, rw = p.center_width_um, p.gap_um, p.rf_width_um
@@ -567,21 +566,26 @@ def build_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
         )
     if L > W:
         raise InvalidGeometryError("electrode_length_um exceeds wafer_extent_um")
-    electrodes = [
+    return [
         _strip("dc_center", ROLE_DC, -0.5 * cw, 0.5 * cw, 0.0, L),
         _strip("rf_left", ROLE_RF, -B, -A, 0.0, L),
         _strip("rf_right", ROLE_RF, A, B, 0.0, L),
         _strip("gnd_left", ROLE_GROUND, -0.5 * W, -B - g, 0.0, L),
         _strip("gnd_right", ROLE_GROUND, B + g, 0.5 * W, 0.0, L),
     ]
-    return TrapGeometry("surface", p, electrodes)
+
+
+def build_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
+    """Five-wire planar trap in the y=0 plane, mirror-symmetric about x=0."""
+    p = params or default_surface_params()
+    return TrapGeometry("surface", p, _five_wire_electrodes(p))
 
 
 def build_gnd_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
     """Surface trap with an unpatterned grounded plane at height h."""
     p = params or default_gnd_surface_params()
     p._require_positive("h_um")
-    base = build_surface_trap(replace(p, design="surface", h_um=None))
+    electrodes = _five_wire_electrodes(p)
     W, L = p.wafer_extent_um, p.electrode_length_um
     top = Electrode(
         name="gnd_top",
@@ -594,7 +598,7 @@ def build_gnd_surface_trap(params: GeometryParams | None = None) -> TrapGeometry
             ),
         ),
     )
-    return TrapGeometry("gnd-surface", p, list(base.electrodes) + [top])
+    return TrapGeometry("gnd-surface", p, electrodes + [top])
 
 
 def build_cross_rf_trap(params: GeometryParams | None = None) -> TrapGeometry:

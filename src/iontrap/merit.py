@@ -107,71 +107,67 @@ class NullResult:
         return float(self.position[1]) * 1e6
 
 
-def _scan_axes(lo, hi, step):
-    axes = []
-    for a, b in zip(lo, hi):
-        if b - a <= 0.0:
-            axes.append(np.array([0.5 * (a + b)]))
-        else:
-            n = max(2, int(round((b - a) / step)) + 1)
-            axes.append(np.linspace(a, b, n))
-    return axes
+NEWTON_MAX_STEPS = 60
 
 
-def find_rf_null(pseudo: PseudoField, region_lo_um, region_hi_um,
-                 scan_um: float = 1.0, max_iter: int = 60) -> NullResult:
-    """Locate the pseudopotential minimum inside an axis-aligned region.
-
-    Coarse grid scan (spacing scan_um) followed by Gauss-Newton iteration on
-    E(r) = 0 using the analytic field Jacobian. The region must contain
-    exactly one minimum: a scan minimum on the region face raises
-    NullNotFoundError, several separated minima raise NullAmbiguityError.
-    """
-    lo = np.asarray(region_lo_um, float)
-    hi = np.asarray(region_hi_um, float)
-    axes = _scan_axes(lo, hi, scan_um)
-    shape = tuple(len(a) for a in axes)
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()]) * 1e-6
-    vals = pseudo.psi(pts).reshape(shape)
-
-    flat_min = int(np.argmin(vals))
-    idx_min = np.unravel_index(flat_min, shape)
-    for ax, n in enumerate(shape):
-        if n > 1 and idx_min[ax] in (0, n - 1):
-            raise NullNotFoundError(
-                "pseudopotential minimum sits on the search region boundary; "
-                "no interior null found")
-
-    candidates = _local_minima(vals)
-    vmin = vals[idx_min]
-    tol = 1e-9 * float(vals.max() - vmin) + 1e-300
-    near = [c for c in candidates if vals[c] <= vmin + tol]
-    clusters = _cluster_cells(near)
-    if len(clusters) > 1:
-        coords = [tuple(float(axes[d][c[d]]) for d in range(3))
-                  for c in sorted(cl[0] for cl in clusters)]
-        raise NullAmbiguityError(
-            f"{len(clusters)} equal pseudopotential minima in region", coords)
-
-    p = np.array([axes[d][idx_min[d]] for d in range(3)]) * 1e-6
-    step_cap = 2.0 * scan_um * 1e-6
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        E = pseudo.rf_field.field(p[None, :])[0]
-        J = pseudo.rf_field.jacobian(p[None, :])[0]
-        delta, *_ = np.linalg.lstsq(J, -E, rcond=1e-9)
+def _newton(step, p, cap):
+    """Capped Newton iteration p <- p + step(p). Each step is shortened to at
+    most cap; the iteration converges once a step is below 1e-13 m, and ends
+    unconverged after NEWTON_MAX_STEPS steps or when step raises LinAlgError.
+    Returns (p, converged, iterations)."""
+    for it in range(1, NEWTON_MAX_STEPS + 1):
+        try:
+            delta = step(p)
+        except np.linalg.LinAlgError:
+            return p, False, it
         norm = np.linalg.norm(delta)
-        if norm > step_cap:
-            delta *= step_cap / norm
+        if norm > cap:
+            delta *= cap / norm
         p = p + delta
         if norm < 1e-13:
-            converged = True
-            break
+            return p, True, it
+    return p, False, NEWTON_MAX_STEPS
 
-    grad = pseudo.grad(p[None, :])[0]
-    grad_norm = float(np.linalg.norm(grad))
+
+def find_rf_null(pseudo: PseudoField, start_um, end_um,
+                 scan_um: float = 1.0) -> NullResult:
+    """Locate the pseudopotential minimum on the segment from start to end.
+
+    Scan of the segment (spacing about scan_um) followed by Gauss-Newton
+    iteration in 3D on E(r) = 0 using the analytic field Jacobian. The
+    segment must cross exactly one minimum: a scan minimum at either end
+    raises NullNotFoundError, several separated minima raise
+    NullAmbiguityError.
+    """
+    pts_um = _grid_axis_um(start_um, end_um, scan_um)
+    vals = pseudo.psi(pts_um * 1e-6)
+
+    i_min = int(np.argmin(vals))
+    if i_min in (0, len(vals) - 1):
+        raise NullNotFoundError(
+            "pseudopotential minimum sits on the search segment boundary; "
+            "no interior null found")
+
+    # local minima within a hair of the lowest; each run of them is a well
+    vmin = vals[i_min]
+    tol = 1e-9 * float(vals.max() - vmin) + 1e-300
+    near = vals <= vmin + tol
+    near[1:] &= vals[1:] <= vals[:-1]
+    near[:-1] &= vals[:-1] <= vals[1:]
+    firsts = np.flatnonzero(near & ~np.append(False, near[:-1]))
+    if len(firsts) > 1:
+        raise NullAmbiguityError(
+            f"{len(firsts)} equal pseudopotential minima on the segment",
+            [tuple(float(c) for c in pts_um[i]) for i in firsts])
+
+    def step(p):
+        E = pseudo.rf_field.field(p[None, :])[0]
+        J = pseudo.rf_field.jacobian(p[None, :])[0]
+        return np.linalg.lstsq(J, -E, rcond=1e-9)[0]
+
+    p, converged, it = _newton(step, pts_um[i_min] * 1e-6, 2.0 * scan_um * 1e-6)
+
+    grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
     psi0 = float(pseudo.psi(p[None, :])[0])
     # scale check: the gradient must be tiny against psi one micron away
     ref = float(pseudo.psi((p + np.array([0.0, 1e-6, 0.0]))[None, :])[0])
@@ -179,50 +175,6 @@ def find_rf_null(pseudo: PseudoField, region_lo_um, region_hi_um,
         raise NullNotFoundError(
             f"null polish did not converge (|grad psi| = {grad_norm:.3e} J/m)")
     return NullResult(p, psi0, grad_norm, converged, it)
-
-
-def _local_minima(vals):
-    out = []
-    it = np.nditer(vals, flags=["multi_index"])
-    for v in it:
-        idx = it.multi_index
-        is_min = True
-        for ax in range(vals.ndim):
-            for d in (-1, 1):
-                j = idx[ax] + d
-                if 0 <= j < vals.shape[ax]:
-                    nb = list(idx)
-                    nb[ax] = j
-                    if vals[tuple(nb)] < v:
-                        is_min = False
-                        break
-            if not is_min:
-                break
-        if is_min:
-            out.append(idx)
-    return out
-
-
-def _cluster_cells(cells):
-    cells = set(map(tuple, cells))
-    clusters = []
-    while cells:
-        seed = cells.pop()
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            c = frontier.pop()
-            for ax in range(len(c)):
-                for d in (-1, 1):
-                    nb = list(c)
-                    nb[ax] += d
-                    nb = tuple(nb)
-                    if nb in cells:
-                        cells.remove(nb)
-                        group.append(nb)
-                        frontier.append(nb)
-        clusters.append(group)
-    return clusters
 
 
 # -- harmonicity --------------------------------------------------------------
@@ -253,10 +205,10 @@ class HarmonicityResult:
 
 
 DEFAULT_FIT_POINTS = 2001
+FIT_WINDOW_FRAC = 0.2   # half-width of the fit window in units of r0
 
 
 def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
-                         window_frac: float = 0.2,
                          n_points: int = DEFAULT_FIT_POINTS) -> AxisFit:
     """Quadratic least squares of the rf potential amplitude along one axis.
 
@@ -271,15 +223,15 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
                        "the drive amplitude must be positive")
     e = np.asarray(axis, float)
     e = e / np.linalg.norm(e)
-    w = window_frac * r0_m
+    w = FIT_WINDOW_FRAC * r0_m
     s = np.linspace(-w, w, n_points)
     pts = np.asarray(null_m)[None, :] + s[:, None] * e[None, :]
     y = drive.voltage * rf_field.potential(pts)
 
     X = np.column_stack([np.ones_like(s), s, s * s])
-    if np.linalg.matrix_rank(X) < 3:
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < 3:
         raise FitError("rank-deficient harmonicity sample")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     r = y - X @ beta
     dof = n_points - 3
     sigma2 = float(r @ r) / dof
@@ -336,14 +288,10 @@ def radial_axes(geom) -> FitAxes:
 
 
 def fit_harmonicity(rf_field, drive: DriveParams, null_m, r0_m,
-                    axes: FitAxes = PLANAR_AXES, window_frac: float = 0.2,
-                    n_points: int = DEFAULT_FIT_POINTS) -> HarmonicityResult:
+                    axes: FitAxes = PLANAR_AXES) -> HarmonicityResult:
     """Fit k along each of the given radial axes (see radial_axes)."""
-    fits = {
-        name: fit_axis_harmonicity(rf_field, drive, null_m, r0_m, vec,
-                                   window_frac, n_points)
-        for name, vec in axes.vectors.items()
-    }
+    fits = {name: fit_axis_harmonicity(rf_field, drive, null_m, r0_m, vec)
+            for name, vec in axes.vectors.items()}
     names = list(fits)
     return HarmonicityResult(fits=fits, k_x=fits[names[0]].k,
                              k_y=fits[names[1]].k, scalar_axis=axes.scalar_axis)
@@ -409,8 +357,8 @@ class DepthResult:
 
 def trap_depth(pseudo: PseudoField, null: NullResult,
                x_half_um: float = 300.0, y_lo_um: float = 2.0,
-               y_hi_um: float | None = None, res_um: float | None = None,
-               newton_steps: int = 60) -> DepthResult:
+               y_hi_um: float | None = None,
+               res_um: float | None = None) -> DepthResult:
     """Trap depth by flood fill over the radial plane through the null.
 
     The grid spans x in [-x_half, x_half], y in [y_lo, y_hi] at the null's
@@ -443,45 +391,35 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
                            escape_direction=None, boundary_limited=True,
                            polished=False, grid_level_J=grid_level)
 
-    p = np.array([xs[cell[0]] * 1e-6, ys[cell[1]] * 1e-6, z0])
-    cap = 2.0 * res_um * 1e-6
-    polished = False
-    for _ in range(newton_steps):
-        g = pseudo.grad(p[None, :])[0][:2]
-        H = pseudo.hessian(p[None, :])[0][:2, :2]
-        try:
-            delta = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.linalg.norm(delta)
-        if norm > cap:
-            delta *= cap / norm
-        p[:2] = p[:2] + delta
-        if norm < 1e-13:
-            polished = True
-            break
+    def step(xy):
+        q = np.append(xy, z0)[None, :]
+        g = pseudo.grad(q)[0][:2]
+        return np.linalg.solve(pseudo.hessian(q)[0][:2, :2], -g)
 
+    xy, polished, _ = _newton(step, np.array([xs[cell[0]], ys[cell[1]]]) * 1e-6,
+                              2.0 * res_um * 1e-6)
+    p = np.append(xy, z0)
+    level, direction, eigs = grid_level, None, None
     if polished:
         # classify with the in-plane Hessian: the axial curvature of these
         # translationally uniform traps is ~0 and its sign is numeric noise
-        H2 = pseudo.hessian(p[None, :])[0][:2, :2]
-        eigs, vecs = np.linalg.eigh(H2)
+        eigs, vecs = np.linalg.eigh(pseudo.hessian(p[None, :])[0][:2, :2])
         neg = eigs < -1e-3 * np.abs(eigs).max()
         direction = np.append(vecs[:, int(np.argmin(eigs))], 0.0)
         saddle_val = float(pseudo.psi(p[None, :])[0])
         # a polish that wandered off the pass falls back to the grid level
-        on_pass = neg.sum() == 1 and saddle_val >= null.psi_J
-        return DepthResult(depth_J=(saddle_val if on_pass else grid_level) - null.psi_J,
-                           saddle=p, escape_direction=direction, boundary_limited=False,
-                           polished=on_pass, grid_level_J=grid_level,
-                           hessian_eigs=eigs)
-    return DepthResult(depth_J=grid_level - null.psi_J, saddle=p,
-                       escape_direction=None, boundary_limited=False,
-                       polished=False, grid_level_J=grid_level)
+        polished = neg.sum() == 1 and saddle_val >= null.psi_J
+        if polished:
+            level = saddle_val
+    return DepthResult(depth_J=level - null.psi_J, saddle=p,
+                       escape_direction=direction, boundary_limited=False,
+                       polished=polished, grid_level_J=grid_level,
+                       hessian_eigs=eigs)
 
 
 def _grid_axis_um(lo, hi, res):
-    n = max(2, int(round((hi - lo) / res)) + 1)
+    """About res-spaced samples from lo to hi (scalars or points), ends kept."""
+    n = max(2, int(round(np.linalg.norm(np.subtract(hi, lo)) / res)) + 1)
     return np.linspace(lo, hi, n)
 
 
@@ -542,9 +480,7 @@ class TrapReport:
 def full_report(solved, species: IonSpecies = CA40,
                 drive: DriveParams = DEFAULT_DRIVE,
                 target_omega: float = DEFAULT_TARGET_OMEGA,
-                reference: "TrapReport | None" = None,
-                depth_res_um: float | None = None,
-                scan_um: float = 1.0) -> TrapReport:
+                reference: "TrapReport | None" = None) -> TrapReport:
     """All figures of merit of a solved trap at one drive.
 
     reference supplies the trap against which heating_norm (matched drive)
@@ -563,8 +499,7 @@ def full_report(solved, species: IonSpecies = CA40,
 
     # the null sits on x = z = 0 between the bottom wafer and any top plane
     null_hi = 300.0 if top is None else top - 5.0
-    null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, null_hi, 0.0),
-                        scan_um=scan_um)
+    null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, null_hi, 0.0))
     d_m = null.position[1]
 
     harm = fit_harmonicity(rf, drive, null.position, d_m, radial_axes(geom))
@@ -573,7 +508,7 @@ def full_report(solved, species: IonSpecies = CA40,
     y_hi = null.height_um + 300.0
     if top is not None:
         y_hi = min(top - 2.0, y_hi)
-    depth = trap_depth(pseudo, null, y_hi_um=y_hi, res_um=depth_res_um)
+    depth = trap_depth(pseudo, null, y_hi_um=y_hi)
 
     omega_sim = radial_frequency(drive.voltage, k, d_m, species, drive.omega_rf)
     q_sim = stability_q(drive.voltage, k, d_m, species, drive.omega_rf)
@@ -600,7 +535,7 @@ def full_report(solved, species: IonSpecies = CA40,
     return TrapReport(
         design=geom.design,
         geometry_signature=geom.signature(),
-        h_um=geom.params.h_um,
+        h_um=top,
         species=species.name,
         voltage_V=drive.voltage,
         freq_MHz=drive.freq_MHz,

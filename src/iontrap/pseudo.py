@@ -49,6 +49,8 @@ class DriveParams:
 # default drive used for the solved field maps and figures of merit
 DEFAULT_DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
+HESSIAN_STEP_M = 1e-7   # central-difference step of the Jacobian in hessian
+
 
 class BemRfField:
     """Potential, field and field Jacobian of a solved trap under any voltage
@@ -129,11 +131,11 @@ class PseudoField:
         J = self.rf_field.jacobian(points)
         return 2.0 * self.coef * np.einsum("mij,mi->mj", J, E)
 
-    def hessian(self, points, step: float = 1e-7) -> np.ndarray:
+    def hessian(self, points) -> np.ndarray:
         """d^2 psi / dr^2 in J/m^2.
 
         H = 2 c (J^T J + sum_i E_i K_i); the second field derivatives K are
-        central differences of the analytic Jacobian with the given step (m).
+        central differences of the analytic Jacobian, step HESSIAN_STEP_M.
         """
         p = np.atleast_2d(np.asarray(points, float))
         E = self.rf_field.field(p)
@@ -141,9 +143,9 @@ class PseudoField:
         H = np.einsum("mia,mib->mab", J, J)
         for b in range(3):
             dp = np.zeros(3)
-            dp[b] = step
+            dp[b] = HESSIAN_STEP_M
             dJ = (self.rf_field.jacobian(p + dp) - self.rf_field.jacobian(p - dp)) \
-                / (2.0 * step)
+                / (2.0 * HESSIAN_STEP_M)
             H[:, :, b] += np.einsum("mi,mia->ma", E, dJ)
         H *= 2.0 * self.coef
         return 0.5 * (H + H.transpose(0, 2, 1))

@@ -304,7 +304,8 @@ def test_custom_layout_reports_the_builtin_figures(design, cache_dir):
 
     ref, got = (full_report(solve_unit_excitations(g, cache_dir=cache_dir))
                 for g in (builtin, custom))
-    assert (got.design, got.h_um) == ("custom", None)
+    assert got.design == "custom"
+    assert got.h_um == ref.h_um == 200
     for attr in ("d_um", "k", "k_x", "k_y", "D_meV"):
         assert getattr(got, attr) == pytest.approx(getattr(ref, attr), rel=1e-12), attr
     print(f"PASS custom {design}: d = {got.d_um:.4f} um, k = {got.k:.5f}, "

@@ -54,6 +54,15 @@ def test_build_writes_loadable_geometry_and_manifest(tmp_path):
     assert manifest["diagnostics"]["signature"] == geom.signature()
 
 
+def test_manifest_records_the_parsed_arguments(tmp_path, monkeypatch):
+    # main(argv) called in Python records argv, not the host process's arguments
+    monkeypatch.setattr("sys.argv", ["host", "fake-host-arg", "--something"])
+    argv = ["build", "--design", "surface", "--out", str(tmp_path / "g.json")]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert manifest["command"] == " ".join(argv)
+
+
 def test_build_is_deterministic(tmp_path):
     out = tmp_path / "g.json"
     assert run_cli("build", "--design", "gnd-surface", "--h-um", 150, "--out", out) == 0
@@ -97,6 +106,13 @@ def test_bundled_geometries_match_builders():
         with importlib.resources.as_file(data / f"{design}.json") as path:
             geom = geometry.TrapGeometry.load(path)
         assert geom.signature() == geometry.build_default(design).signature()
+
+
+def test_bundled_geometry_files_are_the_default_dicts():
+    data = importlib.resources.files("iontrap") / "data"
+    for design in geometry.DESIGNS:
+        text = (data / f"{design}.json").read_text(encoding="utf-8")
+        assert json.loads(text) == geometry.build_default(design).to_dict(), design
 
 
 # -- report --------------------------------------------------------------

@@ -25,6 +25,7 @@ from iontrap import (
     five_wire_null_seed_um,
     refine_mesh,
 )
+from iontrap import geometry
 
 
 def _coarse_mesh(fine=80.0, coarse=500.0):
@@ -327,3 +328,16 @@ def test_five_wire_seed_matches_closed_form():
     assert five_wire_null_seed_um(114.6, 10.0, 57.7) == pytest.approx(
         math.sqrt(a * b), rel=1e-15)
     assert five_wire_null_seed_um(114.6, 10.0, 57.7) == pytest.approx(90.0, abs=0.05)
+
+
+def test_gnd_surface_build_meshes_once(monkeypatch):
+    calls = []
+    mesh = geometry._mesh_electrodes
+
+    def counting(*args):
+        calls.append(1)
+        return mesh(*args)
+
+    monkeypatch.setattr(geometry, "_mesh_electrodes", counting)
+    build_default("gnd-surface")
+    assert len(calls) == 1

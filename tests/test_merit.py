@@ -191,6 +191,50 @@ def test_find_rf_null_raises_on_ambiguous_minima():
         find_rf_null(ps, (-10.0, 30.0, 0.0), (10.0, 150.0, 0.0), scan_um=5.0)
 
 
+class _FlatWellsField:
+    """|E| vanishing on x = 0 for y in each of the given intervals (m)."""
+
+    signature = "flat-wells"
+
+    def __init__(self, *intervals, s=1e-4):
+        self.intervals, self.s = intervals, s
+
+    def _dist(self, y):
+        # distance of y to each interval and its derivative
+        d = [np.maximum.reduce([lo - y, 0.0 * y, y - hi]) for lo, hi in self.intervals]
+        dd = [1.0 * (y > hi) - (y < lo) for lo, hi in self.intervals]
+        return np.array(d) / self.s, np.array(dd) / self.s
+
+    def field(self, points):
+        p = np.atleast_2d(points)
+        d, _ = self._dist(p[:, 1])
+        return np.column_stack([d.prod(axis=0), p[:, 0] / self.s, 0.0 * p[:, 0]])
+
+    def jacobian(self, points):
+        p = np.atleast_2d(points)
+        d, dd = self._dist(p[:, 1])
+        J = np.zeros((p.shape[0], 3, 3))
+        for i in range(len(d)):
+            J[:, 0, 1] += dd[i] * np.delete(d, i, axis=0).prod(axis=0)
+        J[:, 1, 0] = 1.0 / self.s
+        return J
+
+
+def test_find_rf_null_takes_a_flat_well_as_one_minimum():
+    # each run of equal scan minima is one well, named by its first point
+    def search(*wells_um):
+        field = _FlatWellsField(*[(a * 1e-6, b * 1e-6) for a, b in wells_um])
+        ps = PseudoField(field, species=CA40, drive=DRIVE)
+        return find_rf_null(ps, (0.0, 30.0, 0.0), (0.0, 150.0, 0.0), scan_um=5.0)
+
+    res = search((60.0, 80.0))
+    assert res.converged
+    assert res.height_um == pytest.approx(60.0, abs=1e-9)
+    with pytest.raises(NullAmbiguityError) as err:
+        search((60.0, 80.0), (110.0, 120.0))
+    assert err.value.candidates == [(0.0, 60.0, 0.0), (0.0, 110.0, 0.0)]
+
+
 # -- harmonicity ---------------------------------------------------------------
 
 
