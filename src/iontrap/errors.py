@@ -30,7 +30,8 @@ class NullAmbiguityError(IonTrapError):
 
 
 class FitError(IonTrapError):
-    """Harmonicity fit could not be performed (rank deficient sample)."""
+    """Harmonicity fit could not be performed (rank-deficient sample, or an
+    axis potential its Chebyshev interpolant does not resolve)."""
 
 
 class DepthError(IonTrapError):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebpts2, chebval
 
 from .constants import CA40, ECHARGE, IonSpecies
 from .errors import DepthError, FitError, NullAmbiguityError, NullNotFoundError
@@ -206,15 +207,33 @@ class HarmonicityResult:
 
 DEFAULT_FIT_POINTS = 2001
 FIT_WINDOW_FRAC = 0.2   # half-width of the fit window in units of r0
+FIT_CHEB_NODES = 17     # rf potential evaluations per fit axis
+# largest last-two Chebyshev coefficient allowed, relative to the largest
+# non-constant one; the built-in designs measure <= 4e-11 at 17 nodes
+FIT_CHEB_TAIL = 1e-8
+# sample roundoff, relative to the largest coefficient: a tail below it is
+# noise even on an axis with no variation to resolve
+_CHEB_ROUNDOFF = 1e3 * np.finfo(float).eps
 
 
 def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
                          n_points: int = DEFAULT_FIT_POINTS) -> AxisFit:
     """Quadratic least squares of the rf potential amplitude along one axis.
 
-    The dense default sampling keeps the standard error of k below 1e-3 on
-    the stock designs, where the quartic tail of the well is the dominant
-    fit residual.
+    The potential is evaluated only at FIT_CHEB_NODES Chebyshev points of
+    the second kind on the window [-w, w], w = FIT_WINDOW_FRAC r0, and
+    interpolated by a Chebyshev series. The least squares runs on n_points
+    equispaced samples of that interpolant, in t = s / w so that its columns
+    1, t, t^2 are of order one at any trap size. The dense default sampling
+    keeps the standard error of k below 1e-3 on the stock designs, where the
+    quartic tail of the well is the dominant fit residual.
+
+    The axis potential is analytic on the window (the nearest conductor is
+    several window half-widths away), so its Chebyshev coefficients decay
+    geometrically. If the larger of the last two exceeds FIT_CHEB_TAIL of
+    the largest non-constant coefficient, the interpolant is not trusted and
+    FitError is raised: the window then reaches too close to an electrode.
+    A non-finite potential sample raises it too.
     """
     if n_points < 5:
         raise FitError("need at least 5 sample points")
@@ -224,11 +243,20 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
     e = np.asarray(axis, float)
     e = e / np.linalg.norm(e)
     w = FIT_WINDOW_FRAC * r0_m
-    s = np.linspace(-w, w, n_points)
-    pts = np.asarray(null_m)[None, :] + s[:, None] * e[None, :]
-    y = drive.voltage * rf_field.potential(pts)
+    nodes = chebpts2(FIT_CHEB_NODES)
+    pts = np.asarray(null_m)[None, :] + (w * nodes)[:, None] * e[None, :]
+    coef = chebfit(nodes, drive.voltage * rf_field.potential(pts),
+                   FIT_CHEB_NODES - 1)
+    mag = np.abs(coef)
+    tail = mag[-2:].max()
+    if not tail <= max(FIT_CHEB_TAIL * mag[1:].max(), _CHEB_ROUNDOFF * mag.max()):
+        raise FitError(
+            f"axis potential not resolved by {FIT_CHEB_NODES} Chebyshev nodes "
+            f"(tail coefficient {tail / mag[1:].max():.1e} of the largest)")
 
-    X = np.column_stack([np.ones_like(s), s, s * s])
+    t = np.linspace(-1.0, 1.0, n_points)
+    y = chebval(t, coef)
+    X = np.column_stack([np.ones_like(t), t, t * t])
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < 3:
         raise FitError("rank-deficient harmonicity sample")
@@ -236,8 +264,8 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
     dof = n_points - 3
     sigma2 = float(r @ r) / dof
     cov = sigma2 * np.linalg.inv(X.T @ X)
-    c2 = float(beta[2])
-    se_c2 = math.sqrt(max(cov[2, 2], 0.0))
+    c2 = float(beta[2]) / (w * w)
+    se_c2 = math.sqrt(max(cov[2, 2], 0.0)) / (w * w)
     scale = 2.0 * r0_m * r0_m / drive.voltage
     rms = math.sqrt(float(r @ r) / n_points)
     # warn when the residual is large against the quadratic signal itself

@@ -17,6 +17,7 @@ from .geometry import Electrode, GeometryParams, MeshParams, Box3, Rect, TrapGeo
 from .merit import (
     PLANAR_AXES,
     drive_for_target,
+    fit_axis_harmonicity,
     fit_harmonicity,
     flood_fill_escape,
     max_frequency,
@@ -178,6 +179,36 @@ def check_quadrupole_harmonicity():
     return dev < 1e-3, f"fitted k_y = {res.k_y:.6f} (|dev| limit 1e-3)"
 
 
+class _QuarticAxisField:
+    """Potential a2 y^2 + a4 y^4 per volt along y."""
+
+    def __init__(self, a2, a4):
+        self.a2, self.a4 = a2, a4
+
+    def potential(self, points):
+        y = np.atleast_2d(points)[:, 1]
+        return self.a2 * y * y + self.a4 * y**4
+
+
+def check_quartic_projection():
+    """Quadratic fit of a2 s^2 + a4 s^4 vs its closed-form moment projection.
+
+    Least squares of 1, s, s^2 on equispaced samples projects the quartic
+    onto c2 = a2 + a4 (m6 - m2 m4) / (m4 - m2^2), m_k = mean(s^k), so an
+    interpolation of the axis potential that is not exact for polynomials
+    turns this check red.
+    """
+    r0, a2, a4, n = 100e-6, 1e7, 5e14, 2001
+    drive = DriveParams.from_mhz(10.0, 20.0)
+    fit = fit_axis_harmonicity(_QuarticAxisField(a2, a4), drive, np.zeros(3),
+                               r0, (0.0, 1.0, 0.0), n_points=n)
+    s = np.linspace(-0.2 * r0, 0.2 * r0, n)
+    m2, m4, m6 = (np.mean(s**k) for k in (2, 4, 6))
+    ref = a2 + a4 * (m6 - m2 * m4) / (m4 - m2 * m2)
+    rel = abs(fit.k_signed / (2.0 * r0 * r0) - ref) / ref
+    return rel < 1e-9, f"c2 rel dev {rel:.2e} (limit 1e-9)"
+
+
 def check_frequency_hessian_identity():
     """Radial frequency formula vs pseudopotential Hessian on a quadrupole."""
     r0 = 100e-6
@@ -310,6 +341,7 @@ CHECKS = [
     ("bem-boundary-residual", check_bem_residual),
     ("parallel-plate-capacitance", check_parallel_plate_capacitance),
     ("quadrupole-harmonicity", check_quadrupole_harmonicity),
+    ("harmonicity-quartic-projection", check_quartic_projection),
     ("frequency-hessian-identity", check_frequency_hessian_identity),
     ("q-omega-identity", check_q_identity),
     ("flood-fill-oracle", check_flood_fill_oracle),

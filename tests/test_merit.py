@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from iontrap import (
     CA40,
+    BemRfField,
     Box3,
     DriveParams,
     Electrode,
@@ -47,7 +48,7 @@ from iontrap import (
     stability_q,
     trap_depth,
 )
-from iontrap.merit import PLANAR_AXES
+from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
@@ -248,6 +249,82 @@ def test_fit_recovers_exact_quadrupole_k():
     assert not fit.residual_warning
     fx = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0, (1.0, 0.0, 0.0))
     assert fx.k_signed == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("r0", [1e-6, 5e-6, 100e-6])
+def test_fit_is_exact_at_any_trap_size(r0):
+    # the fit columns are 1, t, t^2 in t = s / w, so a micron-scale window
+    # does not push the quadratic column below the rank threshold
+    field = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
+    fit = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0, (0.0, 1.0, 0.0))
+    assert fit.k == pytest.approx(1.0, rel=1e-10)
+    assert fit.std_err < 1e-9
+
+
+class _CountingField:
+    """Passes potential calls through and records the number of points."""
+
+    def __init__(self, field):
+        self.field, self.sizes = field, []
+
+    def potential(self, points):
+        self.sizes.append(len(points))
+        return self.field.potential(points)
+
+
+def test_interpolated_fit_matches_the_direct_bem_fit(surface_solved, surface_pseudo):
+    # oracle: the quadratic least squares on 2001 direct BEM samples per axis
+    rf = BemRfField(surface_solved)
+    null = find_rf_null(surface_pseudo, (0.0, 5.0, 0.0), (0.0, 300.0, 0.0))
+    r0 = null.position[1]
+    counted = _CountingField(rf)
+    res = fit_harmonicity(counted, DRIVE, null.position, r0, PLANAR_AXES)
+    assert counted.sizes == [FIT_CHEB_NODES] * 2 == [17, 17]
+
+    w = 0.2 * r0
+    s = np.linspace(-w, w, 2001)
+    for name, axis in PLANAR_AXES.vectors.items():
+        pts = null.position[None, :] + s[:, None] * np.asarray(axis)[None, :]
+        y = DRIVE.voltage * rf.potential(pts)
+        c, cov = np.polyfit(s, y, 2, cov=True)
+        scale = 2.0 * r0 * r0 / DRIVE.voltage
+        fit = res.fits[name]
+        assert fit.n_points == 2001
+        assert fit.k == pytest.approx(abs(c[0]) * scale, rel=1e-9)
+        assert fit.std_err == pytest.approx(math.sqrt(cov[0, 0]) * scale, rel=1e-7)
+
+
+class _LorentzField:
+    """Potential 1 / (t^2 + 0.05^2) along y, t = y / w: a pole 0.05 window
+    half-widths off the axis, which 17 Chebyshev nodes cannot resolve."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def potential(self, points):
+        t = np.atleast_2d(points)[:, 1] / self.w
+        return 1.0 / (t * t + 0.05**2)
+
+
+def test_unresolved_axis_potential_raises():
+    r0 = 100e-6
+    with pytest.raises(FitError, match="not resolved by 17 Chebyshev nodes"):
+        fit_axis_harmonicity(_LorentzField(0.2 * r0), DRIVE, np.zeros(3), r0,
+                             (0.0, 1.0, 0.0))
+    with pytest.raises(FitError, match="not resolved"):
+        fit_axis_harmonicity(_PolyField(1e7, math.nan), DRIVE, np.zeros(3), r0,
+                             (0.0, 1.0, 0.0))
+    # polynomial and flat axes are resolved exactly, a constant offset included
+    quartic = fit_axis_harmonicity(_PolyField(1e7, 5e14), DRIVE, np.zeros(3), r0,
+                                   (0.0, 1.0, 0.0))
+    assert quartic.k > 0.0
+    flat = fit_axis_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
+                                (0.0, 1.0, 0.0))
+    offset = fit_axis_harmonicity(QuadrupoleField(kx=1.0, ky=0.0, kz=-1.0, r0=r0),
+                                  DRIVE, np.array([30e-6, 0.0, 0.0]), r0,
+                                  (0.0, 1.0, 0.0))
+    assert flat.k == 0.0
+    assert offset.k == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fit_k_independent_of_drive_voltage():

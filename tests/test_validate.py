@@ -11,12 +11,13 @@ import math
 
 import numpy as np
 
-from iontrap import constants, validate
+from iontrap import constants, merit, validate
 from iontrap.validate import (
     CHECKS,
     CheckResult,
     check_kernel_far_field,
     check_kernel_self_potential,
+    check_quartic_projection,
     check_species_constants,
     format_scoreboard,
     run_validation,
@@ -31,6 +32,7 @@ EXPECTED_NAMES = [
     "bem-boundary-residual",
     "parallel-plate-capacitance",
     "quadrupole-harmonicity",
+    "harmonicity-quartic-projection",
     "frequency-hessian-identity",
     "q-omega-identity",
     "flood-fill-oracle",
@@ -74,6 +76,17 @@ def test_wrong_ion_mass_trips_species_check(monkeypatch):
     bad = dataclasses.replace(constants.CA40, mass=1.001 * constants.CA40.mass)
     monkeypatch.setitem(constants.SPECIES, "Ca40", bad)
     passed, detail = check_species_constants()
+    assert not passed, detail
+
+
+def test_misplaced_interpolation_nodes_trip_quartic_projection(monkeypatch):
+    passed, detail = check_quartic_projection()
+    assert passed, detail
+    # nodes sampled on half the window but read as the full window: the
+    # interpolant is still an exact quartic, of the wrong axis potential
+    monkeypatch.setattr(merit, "chebpts2",
+                        lambda n: 0.5 * np.polynomial.chebyshev.chebpts2(n))
+    passed, detail = check_quartic_projection()
     assert not passed, detail
 
 
