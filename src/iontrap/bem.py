@@ -25,16 +25,28 @@ w = C sigma (C the +/-1 corner-to-panel map), so a block is one dense
 (points x corners) @ (corners x k) product.
 
 Collocation at panel centers with one row per center and one column per panel
-gives a dense system A sigma = V; unit excitations (1 V on one electrode,
-0 V elsewhere) are solved for every electrode from a single LU factorization.
+gives the system A sigma = V, solved for the unit excitations (1 V on one
+electrode, 0 V elsewhere) of every electrode at once. The solver finds which
+of the mirrors x -> -x, z -> -z and their product map every panel's corners
+onto the corners of a panel (all three built-in meshes: the whole group) and
+splits the system by the characters of that group (Bossavit, CMAME 56, 167
+(1986); Allgower et al., SIAM J. Numer. Anal. 29, 534 (1992)). It assembles
+the rows R of one collocation point per panel orbit, about n/4 x n, forms
+one block per character in the orthonormal symmetry basis, factors each by
+LU, and expands the block solutions back to sigma. R also gives A sigma on
+every collocation point, one product per group element, for the residual
+check. A geometry without symmetry is the trivial group: one block, the
+dense matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -50,10 +62,12 @@ _TINY = 1e-300
 _BLOCK_PAIRS = 4_000_000
 # positions closer than this fraction of the median panel edge coincide
 _MERGE_REL = 1e-9
-# hard conditioning limit for the dense collocation matrix
+# hard limit on the 1-norm condition estimate of the collocation operator
 COND_LIMIT = 1e12
 # boundary-condition residual each unit solve must satisfy, in volts
 RESIDUAL_LIMIT = 1e-8
+# bytes a solve may allocate for its kernel rows and symmetry blocks
+SOLVE_MEMORY_BUDGET = 2 * 1024**3
 
 CACHE_ENV = "IONTRAP_CACHE_DIR"
 _CACHE_MAGIC = b"ITSC"
@@ -164,7 +178,7 @@ _JAC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
-def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape, out=None):
+def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
     """The blocked loop behind the public evaluators, out (m,) + shape.
 
     For every block of points and corner group, terms(u, v, z) gives the
@@ -173,8 +187,7 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape, out=None):
     (None without sigma). out is scaled by 1/(4 pi eps0) at the end.
     """
     p = np.atleast_2d(np.asarray(points, float))
-    if out is None:
-        out = np.zeros((p.shape[0],) + tuple(shape))
+    out = np.zeros((p.shape[0],) + tuple(shape))
     groups = pset.corner_groups
     w = [None if sigma is None else g.fold(np.asarray(sigma, float)) for g in groups]
     step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
@@ -189,12 +202,12 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape, out=None):
     return out
 
 
-def potential_matrix(pset: PanelSet, points, out=None):
+def potential_matrix(pset: PanelSet, points):
     """Potential at each point per unit charge density of each panel, (m, n)."""
     def emit(dst, g, w, terms):
         F, c = terms[0], g.idx
         dst[:, g.panels] = (F[c[0]] - F[c[1]] - F[c[2]] + F[c[3]]).T
-    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,), out)
+    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
 
 
 def potential_of(pset: PanelSet, sigma, points):
@@ -250,6 +263,109 @@ def panel_field(origin, edge_u, edge_v, points):
 
 # -- solver ------------------------------------------------------------------
 
+# group element e flips x when e & 1 and z when e & 2
+_MIRROR_SIGNS = np.array([(1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, -1)])
+_MIRROR_NAMES = ("identity", "x=0", "z=0", "x=0 & z=0")
+
+
+class _MirrorGroup:
+    """The elements of {identity, x -> -x, z -> -z, both} that map the panel
+    set onto itself, and the block structure they give the collocation system.
+
+    An element belongs to the group only if it maps the corners of every
+    panel, at the merge tolerance, onto the corners of some panel; then it
+    maps collocation points onto collocation points and A[g.i, g.j] = A[i, j].
+    perms[g, j] is the panel that element g maps panel j to, reps the lowest
+    panel of each orbit, stab the order of each rep's stabilizer. The
+    characters chars[c, g] = +/-1 split the system into one block per
+    character; block c keeps the orbits keep[c] (into reps) whose stabilizer
+    it fixes and is written in the orthonormal symmetry basis,
+    M_c[i, r] = sum_g chars[c, g] A[rep_i, g.rep_r] / sqrt(stab_i stab_r).
+    The trivial group has one block, the dense matrix.
+    """
+
+    def __init__(self, pset: PanelSet):
+        n = pset.n
+        o, eu, ev = pset.origins, pset.edge_u, pset.edge_v
+        keys = pset.merge_keys(np.stack([o, o + eu, o + ev, o + eu + ev], axis=1))
+        # rounding is odd, so the key of a mirrored corner is the negated key
+        flat = (keys * _MIRROR_SIGNS[:, None, None]).reshape(-1, 3)
+        corner = np.unique(flat, axis=0, return_inverse=True)[1].reshape(-1, 4)
+        panel = np.unique(np.sort(corner, axis=1), axis=0,
+                          return_inverse=True)[1].reshape(4, n)
+        where = np.full(4 * n, -1)
+        where[panel[0]] = np.arange(n)
+        perms = where[panel]  # -1 where a mirrored panel is no panel
+        elements = np.flatnonzero((perms >= 0).all(axis=1))
+        self.names = [_MIRROR_NAMES[e] for e in elements[1:]]
+        self.perms = perms[elements]
+        self.reps = np.flatnonzero(self.perms.min(axis=0) == np.arange(n))
+        fixed = self.perms[:, self.reps] == self.reps
+        self.stab = fixed.sum(axis=0)
+        table = np.array([[a ** (e & 1) * b ** (e >> 1) for e in elements]
+                          for a in (1, -1) for b in (1, -1)])
+        chars = table[np.sort(np.unique(table, axis=0, return_index=True)[1])]
+        keep = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
+        self.chars = np.array([c for c, k in zip(chars, keep) if k.size])
+        self.keep = [k for k in keep if k.size]
+        self.block_sizes = [int(k.size) for k in self.keep]
+        # the kept rows R, the largest block and, when the group has more
+        # than the identity, the term being added to it
+        blocks = 2 if len(elements) > 1 else 1
+        self.solve_bytes = 8 * (self.reps.size * n + blocks * max(self.block_sizes) ** 2)
+
+    def solve(self, R, B):
+        """sigma of A sigma = B from the kept rows R = A[reps], and the 1-norm
+        condition estimate of the block-diagonal operator (NaN on failure).
+
+        Block c solves M_c y = sqrt(|G| / stab_i) b_i for the projected
+        right-hand side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
+        x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
+        """
+        order = self.perms.shape[0]
+        Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.perms[:, self.reps]])
+        X = np.zeros_like(Bc)
+        anorm = ainv = 0.0
+        for c, k in enumerate(self.keep):
+            s = np.sqrt(self.stab[k])[:, None]
+            M = self._block(R, c)
+            mnorm = float(np.abs(M).sum(axis=0).max())
+            lu, piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
+            rcond, info = sla.lapack.dgecon(lu, mnorm, norm="1")
+            if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
+                return None, math.nan
+            anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
+            y = sla.lu_solve((lu, piv), Bc[c, k] / (s * math.sqrt(order)),
+                             check_finite=False)
+            X[c, k] = y * s / math.sqrt(order)
+        S = np.empty_like(B)
+        S[self.perms[:, self.reps]] = np.einsum("cg,cmk->gmk", self.chars, X)
+        return S, anorm * ainv
+
+    def _block(self, R, c):
+        """Block c in Fortran order, gathered one group element at a time."""
+        k = self.keep[c]
+        cols = self.perms[:, self.reps[k]]
+        M = R.T[np.ix_(cols[0], k)].T
+        for g in range(1, len(cols)):
+            term = R.T[np.ix_(cols[g], k)].T
+            if self.chars[c, g] > 0:
+                M += term
+            else:
+                M -= term
+        s = np.sqrt(self.stab[k])
+        M /= s[:, None]
+        M /= s
+        return M
+
+    def potential(self, R, sigma):
+        """A sigma on every collocation point from the kept rows: row g.i of
+        A is row i of R with its columns permuted by g."""
+        phi = np.empty_like(sigma)
+        for p in self.perms:
+            phi[p[self.reps]] = R @ sigma[p]
+        return phi
+
 
 @dataclass
 class UnitSolution:
@@ -261,14 +377,23 @@ class UnitSolution:
 
 
 class SolvedTrap:
-    """All unit excitations of a geometry; pseudo.BemRfField evaluates them."""
+    """All unit excitations of a geometry; pseudo.BemRfField evaluates them.
+
+    diagnostics records how the solve ran: cache ("hit", "miss", or "off"
+    without a cache directory), mirror_group (the symmetries found besides
+    the identity), block_sizes, and, when solved here rather than loaded,
+    the seconds of assembly_s (symmetry detection and kernel rows), factor_s
+    (blocks, LU, condition estimate and solve) and residual_s.
+    """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet,
-                 solutions: dict[str, UnitSolution], cond_estimate: float):
+                 solutions: dict[str, UnitSolution], cond_estimate: float,
+                 diagnostics: dict):
         self.geometry = geometry
         self.pset = pset
         self.solutions = solutions
         self.cond_estimate = cond_estimate
+        self.diagnostics = diagnostics
 
     @property
     def residual_max(self) -> float:
@@ -327,28 +452,31 @@ def solve_unit_excitations(geometry: TrapGeometry,
         raise InvalidGeometryError(
             "coincident panel centers detected (overlapping electrodes?)")
 
-    A = potential_matrix(pset, pset.centers, out=np.empty((pset.n, pset.n), order="F"))
-    anorm = float(np.abs(A).sum(axis=0).max())
-    lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-    rcond, info = sla.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
+    t0 = time.perf_counter()
+    group = _MirrorGroup(pset)
+    if group.solve_bytes > SOLVE_MEMORY_BUDGET:
+        raise SolverError(
+            f"solving {geometry.design!r} ({pset.n} panels, blocks "
+            f"{group.block_sizes}) needs {group.solve_bytes / 1e6:.3g} MB, more "
+            f"than the {SOLVE_MEMORY_BUDGET / 1e6:.3g} MB budget; coarsen the mesh")
+    R = potential_matrix(pset, pset.centers[group.reps])
+    t1 = time.perf_counter()
+
+    names = geometry.electrode_names
+    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
+    S, cond = group.solve(R, B)
+    if not np.isfinite(cond):
         raise SolverError(f"condition estimate failed for {geometry.design}")
-    cond = 1.0 / rcond
     if cond > COND_LIMIT:
         raise SolverError(
             f"BEM system for {geometry.design!r} is ill-conditioned "
             f"(cond ~ {cond:.2e} > {COND_LIMIT:.0e}); check the mesh")
-    del A
-
-    names = geometry.electrode_names
-    B = np.asfortranarray(pset.electrode_idx[:, None] == np.arange(len(names)), float)
-    S = sla.lu_solve((lu, piv), B, check_finite=False)
     if not np.isfinite(S).all():
         raise SolverError(f"non-finite charge densities for {geometry.design!r}")
+    t2 = time.perf_counter()
 
-    # reconstruct the boundary potential through the public evaluation path;
     # every collocation point must sit on its prescribed voltage
-    phi = potential_of(pset, S, pset.centers)
+    phi = group.potential(R, S)
     solutions = {}
     for j, name in enumerate(names):
         res = float(np.abs(phi[:, j] - B[:, j]).max())
@@ -358,7 +486,11 @@ def solve_unit_excitations(geometry: TrapGeometry,
                 f"for electrode {name!r} of {geometry.design!r}")
         solutions[name] = UnitSolution(name, np.ascontiguousarray(S[:, j]), res)
 
-    solved = SolvedTrap(geometry, pset, solutions, cond)
+    diagnostics = {"cache": "miss" if cache_dir else "off",
+                   "mirror_group": group.names, "block_sizes": group.block_sizes,
+                   "assembly_s": t1 - t0, "factor_s": t2 - t1,
+                   "residual_s": time.perf_counter() - t2}
+    solved = SolvedTrap(geometry, pset, solutions, cond, diagnostics)
     if cache_dir:
         _cache_save(cache_dir, solved, digest)
     return solved
@@ -371,8 +503,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #   bytes 4:8    uint32 format version (1)
 #   bytes 8:16   uint64 header length H
 #   bytes 16:16+H JSON header: signature, electrode names, n_panels,
-#                 cond_estimate, residuals, payload sha256 and the solution
-#                 digest (_solution_digest)
+#                 cond_estimate, mirror_group, block_sizes, residuals,
+#                 payload sha256 and the solution digest (_solution_digest)
 #   remainder    one float64[n_panels] '<f8' charge-density block per
 #                 electrode, in header order
 
@@ -403,6 +535,8 @@ def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
         "electrodes": names,
         "n_panels": solved.pset.n,
         "cond_estimate": solved.cond_estimate,
+        "mirror_group": solved.diagnostics["mirror_group"],
+        "block_sizes": solved.diagnostics["block_sizes"],
         "residuals": {n: solved.solutions[n].residual_max for n in names},
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "digest": digest,
@@ -446,7 +580,10 @@ def _cache_load(cache_dir, geometry, pset, digest):
             name: UnitSolution(name, sigmas[i].copy(), header["residuals"][name])
             for i, name in enumerate(header["electrodes"])
         }
-        return SolvedTrap(geometry, pset, solutions, header["cond_estimate"])
+        diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
+                       "block_sizes": header["block_sizes"]}
+        return SolvedTrap(geometry, pset, solutions, header["cond_estimate"],
+                          diagnostics)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         warnings.warn(f"ignoring corrupt solver cache {path}: {exc}")
         return None

@@ -32,7 +32,8 @@ _ROLES = (ROLE_RF, ROLE_DC, ROLE_GROUND)
 
 # mesh grading: target panel edge grows as 0.5 * distance from the fine box
 _GROWTH = 0.5
-# hard cap; a dense n x n solve matrix above this would not fit in memory
+# hard cap on the mesher's output, so a runaway grading stops early; the
+# solver's memory guard is bem.SOLVE_MEMORY_BUDGET
 MAX_PANELS = 30000
 
 

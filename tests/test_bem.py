@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import scipy.linalg as sla
+
 from iontrap import (
     BemRfField,
     Box3,
@@ -22,6 +24,7 @@ from iontrap import (
     MeshParams,
     Rect,
     TrapGeometry,
+    build_default,
     build_surface_trap,
     default_surface_params,
     solve_unit_excitations,
@@ -255,14 +258,151 @@ def test_solved_trap_field_is_superposition_of_units():
 def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
     g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),), 100.0)
 
-    def nan_potential(pset, sigma, points):
-        return np.full((np.atleast_2d(points).shape[0],) + np.shape(sigma)[1:],
-                       np.nan)
+    def nan_potential(group, rows, sigma):
+        return np.full_like(sigma, np.nan)
 
-    monkeypatch.setattr(bem, "potential_of", nan_potential)
+    monkeypatch.setattr(bem._MirrorGroup, "potential", nan_potential)
     with pytest.raises(SolverError, match="residual"):
         solve_unit_excitations(g, cache_dir=tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+def _dense_sigma(solved):
+    """sigma of every unit excitation from the whole matrix and one LU."""
+    pset = solved.pset
+    A = bem.potential_matrix(pset, pset.centers)
+    names = solved.geometry.electrode_names
+    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
+    return sla.lu_solve(sla.lu_factor(A), B)
+
+
+def _sigma(solved):
+    return np.column_stack([solved.solutions[n].sigma
+                            for n in solved.geometry.electrode_names])
+
+
+FULL_GROUP = ["x=0", "z=0", "x=0 & z=0"]
+
+
+@pytest.mark.parametrize("design,h_um,fine_um", [
+    ("surface", None, 80.0), ("gnd-surface", 200.0, 80.0), ("cross-rf", 200.0, 40.0)])
+def test_symmetric_solve_matches_the_dense_solve(design, h_um, fine_um):
+    solved = solve_unit_excitations(build_default(design, h_um=h_um, fine_um=fine_um))
+    diag = solved.diagnostics
+    assert diag["mirror_group"] == FULL_GROUP
+    assert len(diag["block_sizes"]) == 4 and sum(diag["block_sizes"]) == solved.pset.n
+    dense = _dense_sigma(solved)
+    assert np.abs(_sigma(solved) - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def _rect(name, x0, z0, dx, dz, y=0.0):
+    return Electrode(name, "dc", (Rect((x0, y, z0), (dx, 0.0, 0.0), (0.0, 0.0, dz)),))
+
+
+@pytest.mark.parametrize("electrodes,group", [
+    # no symmetry: the trivial group, one block, the dense system
+    ((_rect("a", 10.0, -50.0, 300.0, 200.0), _rect("b", -250.0, 30.0, 200.0, 100.0, 50.0)),
+     []),
+    # mirrors that swap two electrodes, so the excitations are not symmetric
+    ((_rect("a", 20.0, -100.0, 200.0, 250.0), _rect("b", -220.0, -100.0, 200.0, 250.0)),
+     ["x=0"]),
+    ((_rect("a", -100.0, 20.0, 250.0, 200.0), _rect("b", -100.0, -220.0, 250.0, 200.0)),
+     ["z=0"]),
+    ((_rect("a", -150.0, 20.0, 300.0, 200.0), _rect("b", -150.0, -220.0, 300.0, 200.0)),
+     FULL_GROUP),
+    # a half turn about the y axis without either mirror
+    ((_rect("a", 20.0, 10.0, 200.0, 100.0), _rect("b", -220.0, -110.0, 200.0, 100.0)),
+     ["x=0 & z=0"]),
+])
+def test_custom_layouts_detect_their_group_and_match_the_dense_solve(electrodes, group):
+    solved = solve_unit_excitations(_custom_geometry(electrodes, 50.0))
+    assert solved.diagnostics["mirror_group"] == group
+    assert sum(solved.diagnostics["block_sizes"]) == solved.pset.n
+    dense = _dense_sigma(solved)
+    assert np.abs(_sigma(solved) - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert solved.residual_max <= bem.RESIDUAL_LIMIT
+
+
+def test_a_mirror_must_map_panel_corners_not_only_centers():
+    g = build_default("surface", fine_um=80.0)
+    origins, eu, ev, eidx = g.arrays_m()
+    assert bem._MirrorGroup(bem.PanelSet(origins, eu, ev, eidx)).names == FULL_GROUP
+    j = int(np.argmax(np.linalg.norm(eu, axis=1)))  # a panel off the mirror planes
+    assert abs(origins[j, 0] + 0.5 * eu[j, 0]) > 1e-6
+
+    def group_of(o, u, v):
+        return bem._MirrorGroup(bem.PanelSet(o, u, v, eidx)).names
+
+    # shifted along x by a millionth of its edge, far past the merge tolerance
+    shifted = origins.copy()
+    shifted[j, 0] += 1e-6 * eu[j, 0]
+    assert group_of(shifted, eu, ev) == []
+    # a shift well inside the tolerance keeps the group
+    shifted[j, 0] = origins[j, 0] + 1e-15 * eu[j, 0]
+    assert group_of(shifted, eu, ev) == FULL_GROUP
+    # the same center with half the edges: centers still map onto centers
+    shrunk_o, shrunk_u, shrunk_v = origins.copy(), eu.copy(), ev.copy()
+    shrunk_o[j] += 0.25 * (eu[j] + ev[j])
+    shrunk_u[j] *= 0.5
+    shrunk_v[j] *= 0.5
+    assert np.allclose(bem.PanelSet(shrunk_o, shrunk_u, shrunk_v, eidx).centers,
+                       bem.PanelSet(origins, eu, ev, eidx).centers, rtol=0, atol=1e-18)
+    assert group_of(shrunk_o, shrunk_u, shrunk_v) == []
+
+
+def test_public_potential_meets_the_boundary_values_on_every_collocation_row(
+        surface_solved):
+    pset = surface_solved.pset
+    names = surface_solved.geometry.electrode_names
+    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
+    phi = bem.potential_of(pset, _sigma(surface_solved), pset.centers)
+    assert np.abs(phi - B).max() <= bem.RESIDUAL_LIMIT
+
+
+def test_solve_over_the_memory_budget_fails_before_assembly(monkeypatch):
+    g = _custom_geometry((_plate(400.0, 50.0, 0.0, "a", "rf"),), 50.0)
+    need = bem._MirrorGroup(bem.PanelSet(*g.arrays_m())).solve_bytes
+    assemblies = []
+    monkeypatch.setattr(bem, "potential_matrix", lambda *a, **k: assemblies.append(1))
+    monkeypatch.setattr(bem, "SOLVE_MEMORY_BUDGET", need // 2)
+    with pytest.raises(SolverError, match="budget") as err:
+        solve_unit_excitations(g)
+    assert f"{need / 1e6:.3g} MB" in str(err.value)
+    assert f"{need // 2 / 1e6:.3g} MB" in str(err.value)
+    assert not assemblies
+
+
+def _panel_grid(n, per_row=120, edge=10e-6):
+    """n square panels on a grid at x, z > 0 of the y = 0 plane: no mirror."""
+    m = np.arange(n)
+    origins = np.column_stack([edge * (0.3 + m % per_row), 0.0 * m,
+                               edge * (0.7 + m // per_row)])
+    eu = np.tile([edge, 0.0, 0.0], (n, 1))
+    ev = np.tile([0.0, 0.0, edge], (n, 1))
+    return bem.PanelSet(origins, eu, ev, np.zeros(n, dtype=int))
+
+
+def test_memory_budget_admits_an_asymmetric_layout_up_to_its_stated_size():
+    # the trivial group keeps the n x n rows R and one n x n block, 16 n^2
+    # bytes in all: 11585 panels fit the 2 GiB budget and 11586 do not
+    fits, over = bem._MirrorGroup(_panel_grid(11585)), bem._MirrorGroup(_panel_grid(11586))
+    assert (fits.names, fits.block_sizes) == ([], [11585])
+    assert fits.solve_bytes == 16 * 11585**2 <= bem.SOLVE_MEMORY_BUDGET
+    assert over.solve_bytes == 16 * 11586**2 > bem.SOLVE_MEMORY_BUDGET
+
+
+def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
+    g = _custom_geometry((_plate(400.0, 100.0, 0.0, "a", "rf"),
+                          _plate(400.0, 100.0, 50.0, "b", "ground")), 100.0)
+    off = solve_unit_excitations(g).diagnostics
+    miss = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
+    hit = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
+    assert (off["cache"], miss["cache"], hit["cache"]) == ("off", "miss", "hit")
+    for diag in (off, miss, hit):
+        assert diag["mirror_group"] == FULL_GROUP
+        assert diag["block_sizes"] == [8, 8, 8, 8]
+    for key in ("assembly_s", "factor_s", "residual_s"):
+        assert miss[key] >= 0.0 and key not in hit
 
 
 def test_sigma_for_unknown_electrode_raises():

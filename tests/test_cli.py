@@ -160,6 +160,22 @@ def test_report_surface_values_and_determinism(tmp_path, surface_solved, cache_d
     assert csv_path.read_bytes() == csv_bytes
 
 
+def test_report_manifest_records_how_the_solve_ran(tmp_path):
+    args = ("--cache-dir", tmp_path / "cache", "report", "--design", "surface",
+            "--mesh-fine-um", 80, "--out", tmp_path / "coarse")
+    solvers = []
+    for _ in range(2):  # solved, then loaded from the cache
+        assert run_cli(*args) == 0
+        manifest = json.loads((tmp_path / "coarse.json.manifest.json").read_text())
+        solvers.append(manifest["diagnostics"]["solver"])
+    miss, hit = solvers
+    assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+    for solver in solvers:
+        assert solver["mirror_group"] == ["x=0", "z=0", "x=0 & z=0"]
+        assert sum(solver["block_sizes"]) == manifest["diagnostics"]["n_panels"] == 580
+    assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
+
+
 def test_report_with_reference_design(tmp_path, surface_solved, cross_solved_105, cache_dir):
     prefix = tmp_path / "cross"
     assert run_cli("--cache-dir", cache_dir, "report", "--design", "cross-rf",

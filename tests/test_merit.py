@@ -190,6 +190,12 @@ def test_find_rf_null_raises_on_ambiguous_minima():
     ps = PseudoField(_TwoWellField(60e-6, 120e-6), species=CA40, drive=DRIVE)
     with pytest.raises(NullAmbiguityError, match="minima"):
         find_rf_null(ps, (-10.0, 30.0, 0.0), (10.0, 150.0, 0.0), scan_um=5.0)
+    # a zero at y = 125 um, 13 scan steps from the other and between the
+    # samples y = 110 and 150 um that a scan of every 8th point would take
+    ps = PseudoField(_TwoWellField(60e-6, 125e-6), species=CA40, drive=DRIVE)
+    with pytest.raises(NullAmbiguityError) as err:
+        find_rf_null(ps, (0.0, 30.0, 0.0), (0.0, 150.0, 0.0), scan_um=5.0)
+    assert err.value.candidates == [(0.0, 60.0, 0.0), (0.0, 125.0, 0.0)]
 
 
 class _FlatWellsField:

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 
-from iontrap import constants, merit, validate
+from iontrap import bem, constants, merit, validate
 from iontrap.validate import (
     CHECKS,
     CheckResult,
+    check_bem_residual,
     check_kernel_far_field,
     check_kernel_self_potential,
     check_quartic_projection,
@@ -87,6 +88,18 @@ def test_misplaced_interpolation_nodes_trip_quartic_projection(monkeypatch):
     monkeypatch.setattr(merit, "chebpts2",
                         lambda n: 0.5 * np.polynomial.chebyshev.chebpts2(n))
     passed, detail = check_quartic_projection()
+    assert not passed, detail
+
+
+def test_public_evaluator_fault_trips_bem_residual(monkeypatch):
+    passed, detail = check_bem_residual()
+    assert passed, detail
+    # the solver checks its residual from the assembled rows; a fault of the
+    # public evaluator alone must still turn the check red
+    potential_of = bem.potential_of
+    monkeypatch.setattr(bem, "potential_of",
+                        lambda pset, sigma, points: 1.000001 * potential_of(pset, sigma, points))
+    passed, detail = check_bem_residual()
     assert not passed, detail
 
 
