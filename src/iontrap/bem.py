@@ -20,9 +20,21 @@ builds this corner table on first use. Corners merge after rounding to 1e-9
 of the median panel edge, the tolerance of the coincident-center check, as
 neighbours compute a shared corner only to within an ulp. One blocked loop
 serves the four public evaluators and evaluates each (point, corner) pair
-once, _BLOCK_PAIRS pairs per block. Charges are folded into corner weights
-w = C sigma (C the +/-1 corner-to-panel map), so a block is one dense
-(points x corners) @ (corners x k) product.
+once, in blocks of _BLOCK_PAIRS (point, corner) pairs laid out as (block
+points x group corners). Charges are folded into corner weights w = C sigma
+(C the +/-1 corner-to-panel map), and each point's weighted sum runs along
+its own row of corners, so a point gets the same bits in any batch and at
+any place in it.
+
+The blocks run on a pool of _WORKERS threads, one per CPU in this process's
+affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
+it), since numpy releases the interpreter lock inside the ufuncs that
+dominate a block. One block, or one CPU, runs inline. Each worker computes
+its blocks in _SCRATCH arrays of _BLOCK_PAIRS doubles (0.4 MB each) that it
+allocates once, so the kernel's working set is workers x 4 MB (5 MB for
+potential_matrix, whose panel gathers come on top): small beside
+SOLVE_MEMORY_BUDGET, which bounds the solver's kernel rows and symmetry
+blocks.
 
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for the unit excitations (1 V on one
@@ -46,8 +58,10 @@ import json
 import math
 import os
 import struct
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +72,16 @@ from .errors import InvalidGeometryError, SolverError
 from .geometry import TrapGeometry
 
 _TINY = 1e-300
-# target number of (point, corner) pairs held in memory per evaluation block
-_BLOCK_PAIRS = 4_000_000
+# (point, corner) pairs per evaluation block, 0.4 MB per kernel array: on the
+# surface mesh, 250 k pairs ran the kernel about 20 % slower on two threads
+# and 100 k as fast, but slower on one thread and with more resident memory
+_BLOCK_PAIRS = 50_000
+# threads that evaluate blocks: the CPUs this process may run on (all of
+# them where the platform has no affinity mask)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # their ThreadPoolExecutor, created at the first multi-block call
+_pool_lock = threading.Lock()
 # positions closer than this fraction of the median panel edge coincide
 _MERGE_REL = 1e-9
 # hard limit on the 1-norm condition estimate of the collocation operator
@@ -140,37 +162,96 @@ class _CornerGroup:
         return w
 
 
-def _ln_sum(v, r, du):
-    """ln(v + r), through (u^2+z^2)/(r - v) where v <= 0; du = u^2 + z^2."""
-    rv = np.maximum(r + np.abs(v), _TINY)
-    return np.log(np.where(v > 0.0, rv, np.maximum(du, _TINY) / rv))
+# The kernel writes every (block points x group corners) array into scratch
+# arrays that each task allocates once and reuses for all of its blocks. The
+# first two hold u and v; terms(u, v, z, s, mask) leaves its k terms in
+# s[:k] and uses s[k:] as scratch. Blocks that allocated their temporaries
+# instead would have the allocator hand the pages back to the system after
+# each block and fault them in again for the next.
+_SCRATCH = 10
 
 
-def _field_terms(u, v, z):
+def _ln_sum(v, r, du, out, mask):
+    """out = ln(v + r), through du / (r - v) where v <= 0; du = u^2 + z^2 is
+    overwritten."""
+    np.abs(v, out=out)
+    out += r
+    np.maximum(out, _TINY, out=out)
+    np.maximum(du, _TINY, out=du)
+    du /= out
+    np.greater(v, 0.0, out=mask)
+    np.copyto(du, out, where=mask)
+    np.log(du, out=out)
+
+
+def _field_terms(u, v, z, s, mask):
     """ln(v + r), ln(u + r) and sign(z) atan(u v / (|z| r)) of each corner."""
+    lv, lu, at, du, dv, r = s[:6]
     z2 = z * z
-    du = u * u + z2
-    dv = v * v + z2
-    r = np.sqrt(du + v * v)
-    return (_ln_sum(v, r, du), _ln_sum(u, r, dv),
-            np.sign(z) * np.arctan2(u * v, np.abs(z) * r))
+    np.multiply(u, u, out=du)
+    du += z2
+    np.multiply(v, v, out=dv)
+    dv += z2
+    np.multiply(v, v, out=r)
+    r += du
+    np.sqrt(r, out=r)
+    np.multiply(u, v, out=at)
+    np.multiply(np.abs(z), r, out=lu)
+    np.arctan2(at, lu, out=at)
+    at *= np.sign(z)
+    _ln_sum(v, r, du, lv, mask)
+    _ln_sum(u, r, dv, lu, mask)
+    return lv, lu, at
 
 
-def _potential_terms(u, v, z):
-    lv, lu, at = _field_terms(u, v, z)
-    return (u * lv + v * lu - z * at,)
+def _potential_terms(u, v, z, s, mask):
+    """u ln(v + r) + v ln(u + r) - z atan(u v / (z r)) of each corner."""
+    lv, lu, at = _field_terms(u, v, z, s, mask)
+    lv *= u
+    lu *= v
+    lv += lu
+    at *= z
+    lv -= at
+    return (lv,)
 
 
-def _jacobian_terms(u, v, z):
-    """jxx, jxy, jxz, jyy, jyz, jzz of each corner."""
+def _jacobian_terms(u, v, z, s, mask):
+    """jxx, jxy, jxz, jyy, jyz, jzz of each corner: u a, 1/r, z a, v b, z b
+    and u v (r^2 + z^2) / (r du dv), with a = (r - v) / (r du),
+    b = (r - u) / (r dv), du = u^2 + z^2, dv = v^2 + z^2 and r, du and dv
+    at least _TINY."""
+    jxx, r, a, jyy, b, jzz, du, dv = s[:8]
     z2 = z * z
-    r = np.maximum(np.sqrt(u * u + v * v + z2), _TINY)
-    du = np.maximum(u * u + z2, _TINY)
-    dv = np.maximum(v * v + z2, _TINY)
-    a = (r - v) / (r * du)
-    b = (r - u) / (r * dv)
-    return (u * a, 1.0 / r, z * a, v * b, z * b,
-            u * v * (r * r + z2) / (r * du * dv))
+    np.multiply(u, u, out=r)
+    np.multiply(v, v, out=du)
+    r += du
+    r += z2
+    np.sqrt(r, out=r)
+    np.maximum(r, _TINY, out=r)
+    np.multiply(u, u, out=du)
+    du += z2
+    np.maximum(du, _TINY, out=du)
+    np.multiply(v, v, out=dv)
+    dv += z2
+    np.maximum(dv, _TINY, out=dv)
+    np.multiply(u, v, out=jzz)
+    np.multiply(r, r, out=jxx)
+    jxx += z2
+    jzz *= jxx
+    np.multiply(r, du, out=jxx)
+    np.subtract(r, v, out=a)
+    a /= jxx
+    jxx *= dv
+    jzz /= jxx
+    np.multiply(r, dv, out=jxx)
+    np.subtract(r, u, out=b)
+    b /= jxx
+    np.multiply(u, a, out=jxx)
+    a *= z
+    np.multiply(v, b, out=jyy)
+    b *= z
+    np.divide(1.0, r, out=r)
+    return jxx, r, a, jyy, b, jzz
 
 
 # Jacobian sums -> symmetric dE_a/dx_b in the frame (uhat, vhat, nhat)
@@ -178,54 +259,102 @@ _JAC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
+def _weighted_sums(t, w, tmp):
+    """sum_c t[i, c] w[c] of every row i, one column per column of w; tmp is
+    scratch shaped like t.
+
+    Each row is reduced along its own contiguous corner axis, so a point's
+    value does not depend on which other points share its block.
+    """
+    if w.ndim == 1:
+        return np.multiply(t, w, out=tmp).sum(axis=1)
+    return np.stack([np.multiply(t, wj, out=tmp).sum(axis=1) for wj in w.T], axis=1)
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="iontrap-kernel")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to reset
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
     """The blocked loop behind the public evaluators, out (m,) + shape.
 
-    For every block of points and corner group, terms(u, v, z) gives the
-    corner terms, each (group corners, block points), and emit(out[rows],
-    group, w, terms) adds their part, w the group's corner weights of sigma
-    (None without sigma). out is scaled by 1/(4 pi eps0) at the end.
+    For every block of points and corner group, terms(u, v, z, s, mask)
+    gives the corner terms, each (block points, group corners), and
+    emit(out[rows], group, w, terms, s) adds their part, w the group's corner
+    weights of sigma (None without sigma) and s the scratch arrays the terms
+    left free. The blocks are dealt round-robin to one task per worker of the
+    kernel pool, at most one per block; a single task runs inline. A block
+    writes only its own rows of out, so the result does not depend on the
+    schedule. out is scaled by 1/(4 pi eps0) at the end.
     """
     p = np.atleast_2d(np.asarray(points, float))
     out = np.zeros((p.shape[0],) + tuple(shape))
     groups = pset.corner_groups
     w = [None if sigma is None else g.fold(np.asarray(sigma, float)) for g in groups]
     step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
-    for i0 in range(0, p.shape[0], step):
-        rows = slice(i0, i0 + step)
-        for g, wg in zip(groups, w):
-            loc = p[rows] @ g.frame.T
-            emit(out[rows], g, wg, terms(g.cu[:, None] - loc[:, 0],
-                                         g.cv[:, None] - loc[:, 1],
-                                         loc[:, 2] - g.offset))
+    starts = range(0, p.shape[0], step)
+    tasks = min(_WORKERS, len(starts))
+    size = min(step, p.shape[0]) * max(g.cu.size for g in groups)
+
+    def task(first):
+        flat, flat_mask = np.empty((_SCRATCH, size)), np.empty(size, bool)
+        for i0 in starts[first::tasks]:
+            rows = p[i0:i0 + step]
+            for g, wg in zip(groups, w):
+                n = rows.shape[0] * g.cu.size
+                u, v, *s = (f[:n].reshape(rows.shape[0], -1) for f in flat)
+                mask = flat_mask[:n].reshape(u.shape)
+                x, y, z = ((rows * f).sum(axis=1)[:, None] for f in g.frame)
+                np.subtract(g.cu, x, out=u)
+                np.subtract(g.cv, y, out=v)
+                t = terms(u, v, z - g.offset, s, mask)
+                emit(out[i0:i0 + step], g, wg, t, s[len(t):])
+
+    for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
+        pass
     out *= 1.0 / (4.0 * np.pi * constants.EPS0)
     return out
 
 
 def potential_matrix(pset: PanelSet, points):
     """Potential at each point per unit charge density of each panel, (m, n)."""
-    def emit(dst, g, w, terms):
+    def emit(dst, g, w, terms, s):
         F, c = terms[0], g.idx
-        dst[:, g.panels] = (F[c[0]] - F[c[1]] - F[c[2]] + F[c[3]]).T
+        dst[:, g.panels] = F[:, c[0]] - F[:, c[1]] - F[:, c[2]] + F[:, c[3]]
     return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
 
 
 def potential_of(pset: PanelSet, sigma, points):
-    def emit(dst, g, w, terms):
-        dst += terms[0].T @ w
+    def emit(dst, g, w, terms, s):
+        dst += _weighted_sums(terms[0], w, s[0])
     return _evaluate(pset, points, sigma, _potential_terms, emit, np.shape(sigma)[1:])
 
 
 def field_of(pset: PanelSet, sigma, points):
-    def emit(dst, g, w, terms):
-        dst += np.stack([t.T @ w for t in terms], axis=1) @ g.frame
+    def emit(dst, g, w, terms, s):
+        for t, f in zip(terms, g.frame):
+            dst += _weighted_sums(t, w, s[0])[:, None] * f
     return _evaluate(pset, points, sigma, _field_terms, emit, (3,))
 
 
 def jacobian_of(pset: PanelSet, sigma, points):
     """dE_i/dx_j of the superposed field, (m, 3, 3); trace is zero (Laplace)."""
-    def emit(dst, g, w, terms):
-        sums = np.stack([t.T @ w for t in terms], axis=1)
+    def emit(dst, g, w, terms, s):
+        sums = np.stack([_weighted_sums(t, w, s[0]) for t in terms], axis=1)
         dst += g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame
     return _evaluate(pset, points, sigma, _jacobian_terms, emit, (3, 3))
 
@@ -381,9 +510,11 @@ class SolvedTrap:
 
     diagnostics records how the solve ran: cache ("hit", "miss", or "off"
     without a cache directory), mirror_group (the symmetries found besides
-    the identity), block_sizes, and, when solved here rather than loaded,
-    the seconds of assembly_s (symmetry detection and kernel rows), factor_s
-    (blocks, LU, condition estimate and solve) and residual_s.
+    the identity), block_sizes, how this process evaluates the kernel
+    (kernel_workers threads, kernel_block_pairs pairs per block) and, when
+    solved here rather than loaded, the seconds of assembly_s (symmetry
+    detection and kernel rows), factor_s (blocks, LU, condition estimate and
+    solve) and residual_s.
     """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet,
@@ -428,6 +559,10 @@ class SolvedTrap:
         """Charge on the rf electrodes with every rf rail at 1 V, in F."""
         volts = self.rf_voltages()
         return sum(self.charge(n, volts) for n in volts)
+
+
+def _kernel_diagnostics():
+    return {"kernel_workers": _WORKERS, "kernel_block_pairs": _BLOCK_PAIRS}
 
 
 def solve_unit_excitations(geometry: TrapGeometry,
@@ -488,6 +623,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     diagnostics = {"cache": "miss" if cache_dir else "off",
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
+                   **_kernel_diagnostics(),
                    "assembly_s": t1 - t0, "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
     solved = SolvedTrap(geometry, pset, solutions, cond, diagnostics)
@@ -581,7 +717,7 @@ def _cache_load(cache_dir, geometry, pset, digest):
             for i, name in enumerate(header["electrodes"])
         }
         diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
-                       "block_sizes": header["block_sizes"]}
+                       "block_sizes": header["block_sizes"], **_kernel_diagnostics()}
         return SolvedTrap(geometry, pset, solutions, header["cond_estimate"],
                           diagnostics)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

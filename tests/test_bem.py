@@ -9,6 +9,13 @@ plate and the ideal parallel-plate formula.
 """
 
 import math
+import multiprocessing
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ from iontrap import bem
 from iontrap.constants import EPS0
 from iontrap.errors import SolverError
 from iontrap.geometry import _mesh_electrodes
+from iontrap.pseudo import _grid_axis
 
 RNG = np.random.default_rng(20210814)
 
@@ -207,6 +215,136 @@ def test_corner_sharing_telescopes_to_the_unsplit_rectangles():
         ref = evaluate(whole, density, pts)
         got = evaluate(meshed, density[pe], pts)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), evaluate
+
+
+def _trap_points(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform((-200e-6, 10e-6, -200e-6), (200e-6, 200e-6, 200e-6), (n, 3))
+
+
+def _evaluators(solved):
+    ps = solved.pset
+    sigma = solved.sigma_for(solved.rf_voltages())
+    units = np.stack([s.sigma for s in list(solved.solutions.values())[:2]], axis=1)
+    return {"potential_of": lambda p: bem.potential_of(ps, sigma, p),
+            "potential_of 2-D sigma": lambda p: bem.potential_of(ps, units, p),
+            "field_of": lambda p: bem.field_of(ps, sigma, p),
+            "jacobian_of": lambda p: bem.jacobian_of(ps, sigma, p)}
+
+
+def test_a_point_evaluates_bitwise_alike_in_every_batch(surface_solved):
+    # each row is reduced along its own corners, so a point's value must not
+    # depend on the size of its batch or on where it sits in its block
+    corners = sum(g.cu.size for g in surface_solved.pset.corner_groups)
+    several_blocks = 3 * bem._BLOCK_PAIRS // corners + 5
+    sizes = (2, 3, 5, 21, 22, 43, 999, several_blocks)
+    probe, others = _trap_points(1, 11), _trap_points(max(sizes), 12)
+    for name, evaluate in _evaluators(surface_solved).items():
+        alone = evaluate(probe)[0]
+        for m in sizes:
+            batch = evaluate(np.vstack([probe, others[:m - 2], probe]))
+            assert batch.shape[0] == m
+            assert np.array_equal(batch[0], alone), (name, m)
+            assert np.array_equal(batch[-1], alone), (name, m)
+
+
+def _map_points():
+    """The points of `iontrap map --center-um 0,90,0 --span-um 300,160,0 --res-um 3`."""
+    axes = [_grid_axis(c, s, 3.0) for c, s in zip((0.0, 90.0, 0.0), (300.0, 160.0, 0.0))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3) * 1e-6
+
+
+def test_one_kernel_worker_gives_the_pool_output_bitwise(surface_solved, monkeypatch):
+    ps = surface_solved.pset
+    sigma = surface_solved.sigma_for(surface_solved.rf_voltages())
+    pts = _map_points()
+    reps = ps.centers[bem._MirrorGroup(ps).reps]
+    assert pts.shape == (5454, 3)
+    # the threaded path runs even on a host with one CPU
+    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
+    pooled = bem.field_of(ps, sigma, pts), bem.potential_matrix(ps, reps)
+    monkeypatch.setattr(bem, "_WORKERS", 1)
+    serial = bem.field_of(ps, sigma, pts), bem.potential_matrix(ps, reps)
+    # more workers than CPUs, switching threads as often as the interpreter can
+    monkeypatch.setattr(bem, "_WORKERS", 4 * len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(bem, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = bem.field_of(ps, sigma, pts), bem.potential_matrix(ps, reps)
+    finally:
+        sys.setswitchinterval(interval)
+        bem._pool.shutdown()
+    for a, b, c in zip(pooled, serial, crowded):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_kernel_blocks_reuse_their_scratch_memory():
+    # blocks that allocated their temporaries would have the allocator hand
+    # them back to the system after each block and fault them in again for
+    # the next; a fresh process shows it, before anything has raised the
+    # allocator's trim threshold
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from iontrap import bem
+        bem._WORKERS = 1
+        m = np.arange(3000)
+        ps = bem.PanelSet(np.column_stack([1e-5 * (m % 120), 0.0 * m, 1e-5 * (m // 120)]),
+                          np.tile([1e-5, 0.0, 0.0], (m.size, 1)),
+                          np.tile([0.0, 0.0, 1e-5], (m.size, 1)), 0 * m)
+        pts = np.random.default_rng(16).uniform(1e-5, 1e-3, (2000, 3))
+        bem.field_of(ps, np.ones(ps.n), pts)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        bem.field_of(ps, np.ones(ps.n), pts)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        pairs = pts.shape[0] * sum(g.cu.size for g in ps.corner_groups)
+        print(faults * resource.getpagesize() / (bem._SCRATCH * 8 * pairs))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    # the share of the blocks' arrays that had to be faulted in
+    assert float(run.stdout) < 0.05
+
+
+def test_an_error_in_a_kernel_worker_reaches_the_caller(monkeypatch):
+    ps = _panel_grid(400)
+    pts = _trap_points(2000, 13)
+    terms, threads = bem._field_terms, []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise FloatingPointError("injected kernel fault")
+        return terms(*args)
+
+    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
+    monkeypatch.setattr(bem, "_field_terms", failing)
+    with pytest.raises(FloatingPointError, match="injected kernel fault"):
+        bem.field_of(ps, np.ones(ps.n), pts)
+    assert any(t is not threading.main_thread() for t in threads)
+
+
+def test_a_forked_child_evaluates_on_a_pool_of_its_own(monkeypatch):
+    # `iontrap sweep --jobs N` forks after the parent has used the pool; a
+    # child that kept the parent's pool object would wait forever on it
+    ps = _panel_grid(400)
+    sigma = np.random.default_rng(14).uniform(-1.0, 1.0, ps.n)
+    pts = _trap_points(2000, 15)
+    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
+    parent = bem.field_of(ps, sigma, pts)
+    assert bem._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(bem.field_of(ps, sigma, pts)))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's field_of did not return"
+        assert np.array_equal(recv.recv(), parent)
+    finally:
+        child.kill()
+        child.join()
 
 
 # -- solver ------------------------------------------------------------------
@@ -401,6 +539,8 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
     for diag in (off, miss, hit):
         assert diag["mirror_group"] == FULL_GROUP
         assert diag["block_sizes"] == [8, 8, 8, 8]
+        assert diag["kernel_workers"] == len(os.sched_getaffinity(0))
+        assert diag["kernel_block_pairs"] == bem._BLOCK_PAIRS
     for key in ("assembly_s", "factor_s", "residual_s"):
         assert miss[key] >= 0.0 and key not in hit
 
