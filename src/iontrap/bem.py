@@ -31,10 +31,9 @@ affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
 it), since numpy releases the interpreter lock inside the ufuncs that
 dominate a block. One block, or one CPU, runs inline. Each worker computes
 its blocks in _SCRATCH arrays of _BLOCK_PAIRS doubles (0.4 MB each) that it
-allocates once, so the kernel's working set is workers x 4 MB (5 MB for
-potential_matrix, whose panel gathers come on top): small beside
-SOLVE_MEMORY_BUDGET, which bounds the solver's kernel rows and symmetry
-blocks.
+allocates once, potential_matrix's panel gathers included, so the kernel's
+working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET, which
+bounds the solver's kernel rows and symmetry blocks.
 
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for the unit excitations (1 V on one
@@ -261,11 +260,12 @@ _JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 def _weighted_sums(t, w, tmp):
     """sum_c t[i, c] w[c] of every row i, one column per column of w; tmp is
-    scratch shaped like t.
+    1-D scratch of at least t.size.
 
     Each row is reduced along its own contiguous corner axis, so a point's
     value does not depend on which other points share its block.
     """
+    tmp = tmp[:t.size].reshape(t.shape)
     if w.ndim == 1:
         return np.multiply(t, w, out=tmp).sum(axis=1)
     return np.stack([np.multiply(t, wj, out=tmp).sum(axis=1) for wj in w.T], axis=1)
@@ -295,11 +295,13 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
     For every block of points and corner group, terms(u, v, z, s, mask)
     gives the corner terms, each (block points, group corners), and
     emit(out[rows], group, w, terms, s) adds their part, w the group's corner
-    weights of sigma (None without sigma) and s the scratch arrays the terms
-    left free. The blocks are dealt round-robin to one task per worker of the
-    kernel pool, at most one per block; a single task runs inline. A block
-    writes only its own rows of out, so the result does not depend on the
-    schedule. out is scaled by 1/(4 pi eps0) at the end.
+    weights of sigma (None without sigma) and s the 1-D scratch arrays the
+    terms left free, each large enough for (block points x group corners)
+    or (block points x group panels). The blocks are dealt round-robin to
+    one task per worker of the kernel pool, at most one per block; a single
+    task runs inline. A block writes only its own rows of out, so the result
+    does not depend on the schedule. out is scaled by 1/(4 pi eps0) at the
+    end.
     """
     p = np.atleast_2d(np.asarray(points, float))
     out = np.zeros((p.shape[0],) + tuple(shape))
@@ -308,7 +310,7 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
     step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
     starts = range(0, p.shape[0], step)
     tasks = min(_WORKERS, len(starts))
-    size = min(step, p.shape[0]) * max(g.cu.size for g in groups)
+    size = min(step, p.shape[0]) * max(max(g.cu.size, g.panels.size) for g in groups)
 
     def task(first):
         flat, flat_mask = np.empty((_SCRATCH, size)), np.empty(size, bool)
@@ -322,7 +324,7 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
                 np.subtract(g.cu, x, out=u)
                 np.subtract(g.cv, y, out=v)
                 t = terms(u, v, z - g.offset, s, mask)
-                emit(out[i0:i0 + step], g, wg, t, s[len(t):])
+                emit(out[i0:i0 + step], g, wg, t, flat[2 + len(t):])
 
     for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
         pass
@@ -333,8 +335,14 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
 def potential_matrix(pset: PanelSet, points):
     """Potential at each point per unit charge density of each panel, (m, n)."""
     def emit(dst, g, w, terms, s):
+        # ((F0 - F1) - F2) + F3 over each panel's four corners, gathered
+        # into scratch; take buffers out= unless mode is "clip" or "wrap"
         F, c = terms[0], g.idx
-        dst[:, g.panels] = F[:, c[0]] - F[:, c[1]] - F[:, c[2]] + F[:, c[3]]
+        a, b = (x[:F.shape[0] * g.panels.size].reshape(F.shape[0], -1) for x in s[:2])
+        np.take(F, c[0], axis=1, out=a, mode="clip")
+        for op, i in ((np.subtract, c[1]), (np.subtract, c[2]), (np.add, c[3])):
+            op(a, np.take(F, i, axis=1, out=b, mode="clip"), out=a)
+        dst[:, g.panels] = a
     return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
 
 

@@ -336,7 +336,8 @@ def flood_fill_escape(values: np.ndarray, start):
     Dijkstra-style bottleneck search: dist(c) = min over paths of the max
     value along the path (endpoints included). pass_cell is the cell where
     that max is attained; boundary_limited means the max sits on the boundary
-    itself (no interior barrier).
+    itself (no interior barrier). values needs only shape, ndim and
+    values[cell], so an ndarray and the lazily evaluated depth grid both do.
     """
     shape = values.shape
     start = tuple(start)
@@ -368,6 +369,41 @@ def flood_fill_escape(values: np.ndarray, start):
     raise DepthError("no path from start to the grid boundary")
 
 
+DEPTH_TILE = 8   # nodes per side of the tiles the depth grid evaluates at once
+
+
+class _LazyGrid:
+    """psi on the nodes xs x ys (um) at axial coordinate z (m), evaluated on
+    first read one tile at a time. Tiles are DEPTH_TILE nodes a side; the
+    last tile along each axis also takes the remainder, so that no tile is a
+    sliver of one kernel block, which the kernel would run on the calling
+    thread and whose scratch the allocator would then keep. A node's value
+    is that of a dense psi call over the whole grid, bitwise, because psi of
+    a point does not depend on the batch it is evaluated in."""
+
+    ndim = 2
+
+    def __init__(self, pseudo: PseudoField, xs, ys, z):
+        self.pseudo, self.xs, self.ys, self.z = pseudo, xs, ys, z
+        self.shape = (len(xs), len(ys))
+        self.values = np.empty(self.shape)
+        self.done = np.zeros([max(n // DEPTH_TILE, 1) for n in self.shape], bool)
+        self.points = 0
+
+    def __getitem__(self, cell):
+        t = tuple(min(c // DEPTH_TILE, k - 1) for c, k in zip(cell, self.done.shape))
+        if not self.done[t]:
+            sl = tuple(slice(i * DEPTH_TILE, None if i == k - 1 else (i + 1) * DEPTH_TILE)
+                       for i, k in zip(t, self.done.shape))
+            X, Y = np.meshgrid(self.xs[sl[0]], self.ys[sl[1]], indexing="ij")
+            pts = np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
+                                   np.full(X.size, self.z)])
+            self.values[sl] = self.pseudo.psi(pts).reshape(X.shape)
+            self.done[t] = True
+            self.points += X.size
+        return self.values[cell]
+
+
 @dataclass
 class DepthResult:
     depth_J: float
@@ -376,6 +412,8 @@ class DepthResult:
     boundary_limited: bool
     polished: bool
     grid_level_J: float
+    grid_points: int                # psi evaluations the flood fill asked for
+    grid_cells: int                 # nodes of the depth box
     hessian_eigs: np.ndarray | None = None
 
     @property
@@ -394,7 +432,9 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
     near the trap center, so escape is radial). The grid only locates the
     pass; the depth value comes from an in-plane Newton polish of the saddle
     (grad psi = 0), so the default resolution adapts to the box height
-    rather than chasing grid accuracy.
+    rather than chasing grid accuracy. psi is evaluated only on the grid
+    tiles the flood fill reaches (see _LazyGrid), which gives the same
+    result as the whole grid.
     """
     p0 = null.position
     if y_hi_um is None:
@@ -404,20 +444,18 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
     xs = _grid_axis_um(-x_half_um, x_half_um, res_um)
     ys = _grid_axis_um(y_lo_um, y_hi_um, res_um)
     z0 = p0[2]
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
-                           np.full(X.size, z0)])
-    vals = pseudo.psi(pts).reshape(X.shape)
+    vals = _LazyGrid(pseudo, xs, ys, z0)
 
     i0 = int(np.argmin(np.abs(xs - p0[0] * 1e6)))
     j0 = int(np.argmin(np.abs(ys - p0[1] * 1e6)))
     level, cell, on_bnd = flood_fill_escape(vals, (i0, j0))
     grid_level = float(level)
+    counts = dict(grid_points=vals.points, grid_cells=xs.size * ys.size)
 
     if on_bnd:
         return DepthResult(depth_J=grid_level - null.psi_J, saddle=None,
                            escape_direction=None, boundary_limited=True,
-                           polished=False, grid_level_J=grid_level)
+                           polished=False, grid_level_J=grid_level, **counts)
 
     def step(xy):
         q = np.append(xy, z0)[None, :]
@@ -442,7 +480,7 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
     return DepthResult(depth_J=level - null.psi_J, saddle=p,
                        escape_direction=direction, boundary_limited=False,
                        polished=polished, grid_level_J=grid_level,
-                       hessian_eigs=eigs)
+                       hessian_eigs=eigs, **counts)
 
 
 def _grid_axis_um(lo, hi, res):

@@ -279,6 +279,23 @@ def test_one_kernel_worker_gives_the_pool_output_bitwise(surface_solved, monkeyp
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
+def test_potential_matrix_of_more_panels_than_corners():
+    # the 36 overlapping rectangles spanned by a 4 x 4 lattice share 16
+    # corners, so the panel gathers need more scratch than the corner terms
+    lattice = 10e-6 * np.arange(4)
+    spans = [(a, b) for a in lattice for b in lattice if a < b]
+    origins = np.array([(x0, 0.0, z0) for x0, _ in spans for z0, _ in spans])
+    eu = np.array([(x1 - x0, 0.0, 0.0) for x0, x1 in spans for _ in spans])
+    ev = np.array([(0.0, 0.0, z1 - z0) for _ in spans for z0, z1 in spans])
+    ps = bem.PanelSet(origins, eu, ev, np.zeros(len(origins), dtype=int))
+    assert [(g.cu.size, g.panels.size) for g in ps.corner_groups] == [(16, 36)]
+    pts = _trap_points(40, 17)
+    R = bem.potential_matrix(ps, pts)
+    for j in range(ps.n):
+        np.testing.assert_allclose(R[:, j], bem.panel_potential(origins[j], eu[j], ev[j], pts),
+                                   rtol=1e-12)
+
+
 def test_kernel_blocks_reuse_their_scratch_memory():
     # blocks that allocated their temporaries would have the allocator hand
     # them back to the system after each block and fault them in again for

@@ -48,7 +48,8 @@ from iontrap import (
     stability_q,
     trap_depth,
 )
-from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES
+from iontrap import merit
+from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES, _grid_axis_um
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
@@ -673,3 +674,60 @@ def test_trap_depth_value_independent_of_grid_resolution():
     d2 = trap_depth(pseudo, null, y_hi_um=250.0, res_um=9.0)
     assert d1.polished and d2.polished
     assert d1.depth_J == pytest.approx(d2.depth_J, rel=1e-10)
+
+
+def _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch):
+    """trap_depth over box = (x_half, y_lo, y_hi, res) in um equals, bitwise,
+    the flood fill of a dense psi grid on the same axes and trap_depth with
+    one tile over the whole box (a single psi call on every node)."""
+    x_half, y_lo, y_hi, res = box
+    lazy = trap_depth(pseudo, null, x_half, y_lo, y_hi, res)
+    xs, ys = _grid_axis_um(-x_half, x_half, res), _grid_axis_um(y_lo, y_hi, res)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    vals = pseudo.psi(np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
+                                       np.full(X.size, null.position[2])]))
+    start = (int(np.argmin(np.abs(xs - null.position[0] * 1e6))),
+             int(np.argmin(np.abs(ys - null.position[1] * 1e6))))
+    level, _, on_bnd = flood_fill_escape(vals.reshape(X.shape), start)
+    with monkeypatch.context() as m:
+        m.setattr(merit, "DEPTH_TILE", max(X.shape))
+        dense = trap_depth(pseudo, null, x_half, y_lo, y_hi, res)
+    assert dense.grid_points == dense.grid_cells == lazy.grid_cells == X.size
+    assert 0 < lazy.grid_points <= lazy.grid_cells
+    assert lazy.grid_level_J == dense.grid_level_J == level
+    assert lazy.boundary_limited == dense.boundary_limited == on_bnd
+    assert lazy.depth_J == dense.depth_J
+    assert lazy.polished == dense.polished
+    for a, b in ((lazy.saddle, dense.saddle), (lazy.hessian_eigs, dense.hessian_eigs)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    return lazy
+
+
+@pytest.mark.parametrize("solved", ["surface_solved", "gnd_solved_200",
+                                    "cross_solved_200"])
+def test_lazy_depth_grid_gives_the_dense_depth_bitwise(solved, request, monkeypatch):
+    # the box of full_report; the flood reaches only part of it
+    solved = request.getfixturevalue(solved)
+    pseudo = PseudoField(BemRfField(solved), species=CA40, drive=DRIVE)
+    top = solved.geometry.top_um
+    null = find_rf_null(pseudo, (0.0, 5.0, 0.0),
+                        (0.0, 300.0 if top is None else top - 5.0, 0.0))
+    y_hi = null.height_um + 300.0 if top is None else min(top - 2.0, null.height_um + 300.0)
+    box = (300.0, 2.0, y_hi, max(2.0, min(8.0, (y_hi - 2.0) / 12.0)))
+    depth = _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch)
+    assert depth.grid_points < depth.grid_cells
+
+
+def test_lazy_depth_grid_gives_the_dense_depth_on_analytic_fields(monkeypatch):
+    # the boundary-limited quadrupole bowl floods most of its grid
+    ps = _offset_quad(center=(0.0, 100e-6, 0.0))
+    null = find_rf_null(ps, (-20.0, 60.0, 0.0), (20.0, 140.0, 0.0), scan_um=5.0)
+    bowl = _assert_lazy_depth_is_dense(ps, null, (120.0, 20.0, 180.0, 8.0), monkeypatch)
+    assert bowl.boundary_limited
+    assert bowl.grid_points > bowl.grid_cells // 2
+    # the polished saddle of the quadrupole + hexapole field
+    pseudo = PseudoField(_HexQuadField(100e-6, 0.4, 100e-6), species=CA40, drive=DRIVE)
+    null = find_rf_null(pseudo, (-40.0, 60.0, 0.0), (40.0, 140.0, 0.0), scan_um=5.0)
+    saddle = _assert_lazy_depth_is_dense(pseudo, null, (300.0, 2.0, 250.0, 8.0),
+                                         monkeypatch)
+    assert saddle.polished and not saddle.boundary_limited

@@ -161,6 +161,25 @@ def test_bem_rf_field_voltage_override(surface_solved):
     assert not np.allclose(single.field(pts), default.field(pts))
 
 
+def test_psi_of_a_point_is_bitwise_alike_in_every_batch(surface_pseudo):
+    # the trap depth evaluates its grid tile by tile and must read the values
+    # of one psi call over the whole grid; here a grid the size of the
+    # surface trap's depth grid, 76 x 50 nodes about 8 um apart
+    X, Y = np.meshgrid(np.linspace(-300.0, 300.0, 76), np.linspace(2.0, 394.0, 50),
+                       indexing="ij")
+    grid = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)]) * 1e-6
+    whole = surface_pseudo.psi(grid)
+    others = grid[np.random.default_rng(11).permutation(grid.shape[0])[:62]]
+    for i in (0, 37, 1234, 2011, grid.shape[0] - 1):
+        probe = grid[i:i + 1]
+        alone = surface_pseudo.psi(probe)[0]
+        assert whole[i] == alone, i
+        for m in (2, 5, 64):
+            batch = surface_pseudo.psi(np.vstack([probe, others[:m - 2], probe]))
+            assert batch.shape[0] == m
+            assert batch[0] == alone and batch[-1] == alone, (i, m)
+
+
 # -- property: psi is non-negative for any drive/field ------------------------
 
 
