@@ -34,7 +34,6 @@ from .geometry import (
 from .bem import (
     PanelSet,
     SolvedTrap,
-    UnitSolution,
     solve_unit_excitations,
 )
 from .pseudo import (
@@ -81,7 +80,7 @@ __all__ = [
     "build_default", "refine_mesh", "DEFAULT_H_UM",
     "default_surface_params", "default_gnd_surface_params",
     "default_cross_rf_params", "five_wire_null_seed_um",
-    "PanelSet", "SolvedTrap", "UnitSolution", "solve_unit_excitations",
+    "PanelSet", "SolvedTrap", "solve_unit_excitations",
     "DriveParams", "DEFAULT_DRIVE", "BemRfField", "QuadrupoleField",
     "PseudoField", "PseudoMap", "pseudo_map",
     "NullResult", "AxisFit", "FitAxes", "HarmonicityResult", "DepthResult",

@@ -61,7 +61,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -504,17 +503,12 @@ class _MirrorGroup:
         return phi
 
 
-@dataclass
-class UnitSolution:
-    """Charge densities for 1 V on one electrode, all others grounded."""
-
-    electrode: str
-    sigma: np.ndarray
-    residual_max: float
-
-
 class SolvedTrap:
     """All unit excitations of a geometry; pseudo.BemRfField evaluates them.
+
+    sigma[:, j] is the charge density (n_panels,) for 1 V on electrode j of
+    geometry.electrode_names, all others grounded, and residuals[j] its
+    largest boundary residual in volts.
 
     diagnostics records how the solve ran: cache ("hit", "miss", or "off"
     without a cache directory), mirror_group (the symmetries found besides
@@ -525,26 +519,27 @@ class SolvedTrap:
     solve) and residual_s.
     """
 
-    def __init__(self, geometry: TrapGeometry, pset: PanelSet,
-                 solutions: dict[str, UnitSolution], cond_estimate: float,
-                 diagnostics: dict):
+    def __init__(self, geometry: TrapGeometry, pset: PanelSet, sigma: np.ndarray,
+                 residuals: np.ndarray, cond_estimate: float, diagnostics: dict):
         self.geometry = geometry
         self.pset = pset
-        self.solutions = solutions
+        self.sigma = sigma
+        self.residuals = residuals
         self.cond_estimate = cond_estimate
         self.diagnostics = diagnostics
 
     @property
     def residual_max(self) -> float:
-        return max(s.residual_max for s in self.solutions.values())
+        return float(self.residuals.max())
 
     def sigma_for(self, voltages: dict[str, float]) -> np.ndarray:
+        names = self.geometry.electrode_names
         sig = np.zeros(self.pset.n)
         for name, volt in voltages.items():
-            if name not in self.solutions:
+            if name not in names:
                 raise KeyError(f"no electrode named {name!r}")
             if volt:
-                sig += volt * self.solutions[name].sigma
+                sig += volt * self.sigma[:, names.index(name)]
         return sig
 
     def rf_voltages(self, amplitude: float = 1.0) -> dict[str, float]:
@@ -560,8 +555,8 @@ class SolvedTrap:
     def capacitance_matrix(self):
         """Maxwell capacitance matrix in F: C[i, j] = Q_i under unit excitation j."""
         names = self.geometry.electrode_names
-        return names, np.array([[self.charge(ni, {nj: 1.0}) for nj in names]
-                                for ni in names])
+        on = self.pset.electrode_idx[:, None] == np.arange(len(names))
+        return names, on.T @ (self.sigma * self.pset.areas[:, None])
 
     def rf_capacitance(self) -> float:
         """Charge on the rf electrodes with every rf rail at 1 V, in F."""
@@ -619,22 +614,19 @@ def solve_unit_excitations(geometry: TrapGeometry,
     t2 = time.perf_counter()
 
     # every collocation point must sit on its prescribed voltage
-    phi = group.potential(R, S)
-    solutions = {}
-    for j, name in enumerate(names):
-        res = float(np.abs(phi[:, j] - B[:, j]).max())
+    residuals = np.abs(group.potential(R, S) - B).max(axis=0)
+    for name, res in zip(names, residuals):
         if not res <= RESIDUAL_LIMIT:  # a NaN residual fails too
             raise SolverError(
                 f"boundary residual {res:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
                 f"for electrode {name!r} of {geometry.design!r}")
-        solutions[name] = UnitSolution(name, np.ascontiguousarray(S[:, j]), res)
 
     diagnostics = {"cache": "miss" if cache_dir else "off",
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
                    **_kernel_diagnostics(),
                    "assembly_s": t1 - t0, "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
-    solved = SolvedTrap(geometry, pset, solutions, cond, diagnostics)
+    solved = SolvedTrap(geometry, pset, S, residuals, cond, diagnostics)
     if cache_dir:
         _cache_save(cache_dir, solved, digest)
     return solved
@@ -649,8 +641,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #   bytes 16:16+H JSON header: signature, electrode names, n_panels,
 #                 cond_estimate, mirror_group, block_sizes, residuals,
 #                 payload sha256 and the solution digest (_solution_digest)
-#   remainder    one float64[n_panels] '<f8' charge-density block per
-#                 electrode, in header order
+#   remainder    sigma.T as '<f8': the n_panels charge densities of each
+#                 electrode's unit excitation, electrodes in header order
 
 
 def _cache_path(cache_dir, signature):
@@ -670,18 +662,15 @@ def _solution_digest(pset: PanelSet) -> str:
 
 def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
     os.makedirs(cache_dir, exist_ok=True)
-    names = list(solved.solutions)
-    payload = b"".join(
-        np.ascontiguousarray(solved.solutions[n].sigma, dtype="<f8").tobytes()
-        for n in names)
+    payload = np.ascontiguousarray(solved.sigma.T, dtype="<f8").tobytes()
     header = json.dumps({
         "signature": solved.geometry.signature(),
-        "electrodes": names,
+        "electrodes": solved.geometry.electrode_names,
         "n_panels": solved.pset.n,
         "cond_estimate": solved.cond_estimate,
         "mirror_group": solved.diagnostics["mirror_group"],
         "block_sizes": solved.diagnostics["block_sizes"],
-        "residuals": {n: solved.solutions[n].residual_max for n in names},
+        "residuals": solved.residuals.tolist(),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "digest": digest,
     }, sort_keys=True).encode()
@@ -719,15 +708,13 @@ def _cache_load(cache_dir, geometry, pset, digest):
             raise ValueError("payload checksum mismatch")
         if header["n_panels"] != pset.n:
             raise ValueError("panel count mismatch")
-        sigmas = np.frombuffer(payload, dtype="<f8").reshape(len(header["electrodes"]), -1)
-        solutions = {
-            name: UnitSolution(name, sigmas[i].copy(), header["residuals"][name])
-            for i, name in enumerate(header["electrodes"])
-        }
+        k = len(header["electrodes"])
+        sigma = np.frombuffer(payload, dtype="<f8").reshape(k, pset.n).T.copy()
+        residuals = np.array(header["residuals"], dtype=float)
         diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
                        "block_sizes": header["block_sizes"], **_kernel_diagnostics()}
-        return SolvedTrap(geometry, pset, solutions, header["cond_estimate"],
-                          diagnostics)
+        return SolvedTrap(geometry, pset, sigma, residuals,
+                          header["cond_estimate"], diagnostics)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         warnings.warn(f"ignoring corrupt solver cache {path}: {exc}")
         return None

@@ -82,12 +82,17 @@ def _species_arg(name: str):
         raise InvalidInputError(str(exc.args[0])) from exc
 
 
-def _drive_args(ns) -> DriveParams:
-    if ns.voltage_V < 0:
-        raise InvalidInputError(f"--voltage-V must be >= 0, got {ns.voltage_V}")
-    if ns.freq_MHz <= 0:
-        raise InvalidInputError(f"--freq-MHz must be > 0, got {ns.freq_MHz}")
-    return DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
+def _drive(voltage_V, freq_MHz, keys=("--voltage-V", "--freq-MHz")) -> DriveParams:
+    """The rf drive of a voltage >= 0 and a frequency > 0, each a number
+    that is not a bool; keys name the two values in error messages."""
+    for key, value in zip(keys, (voltage_V, freq_MHz)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidInputError(f"{key} must be a number, got {value!r}")
+    if not voltage_V >= 0:
+        raise InvalidInputError(f"{keys[0]} must be >= 0, got {voltage_V}")
+    if not freq_MHz > 0:
+        raise InvalidInputError(f"{keys[1]} must be > 0, got {freq_MHz}")
+    return DriveParams.from_mhz(voltage_V, freq_MHz)
 
 
 def _load_or_build_geometry(ns) -> geometry.TrapGeometry:
@@ -153,7 +158,7 @@ def _reference_report(ns, drive, species):
 
 def cmd_report(ns) -> int:
     geom = _load_or_build_geometry(ns)
-    drive = _drive_args(ns)
+    drive = _drive(ns.voltage_V, ns.freq_MHz)
     species = _species_arg(ns.species)
     reference = _reference_report(ns, drive, species)
     solved = _solve(geom, ns)
@@ -219,9 +224,11 @@ def _sweep_row(design, h, drive, species, fine_um, cache_dir, reference):
 
 
 def cmd_sweep(ns) -> int:
+    if ns.jobs < 1:
+        raise InvalidInputError(f"--jobs must be >= 1, got {ns.jobs}")
     spec = _load_sweep_spec(ns.spec)
-    drive = DriveParams.from_mhz(spec.get("voltage_V", 10.0),
-                                 spec.get("freq_MHz", 20.0))
+    drive = _drive(spec.get("voltage_V", 10.0), spec.get("freq_MHz", 20.0),
+                   ("sweep spec 'voltage_V'", "sweep spec 'freq_MHz'"))
     species = _species_arg(spec.get("species", "Ca40"))
     mesh = spec.get("mesh", {})
     fine_um = mesh.get("fine_um", geometry.DEFAULT_FINE_UM)
@@ -242,9 +249,11 @@ def cmd_sweep(ns) -> int:
 
     rest = (drive, species, fine_um, ns.cache_dir, reference)
     calls = [lambda h=h: _sweep_row(spec["design"], h, *rest) for h in hs]
-    if ns.jobs > 1:
+    # a fork-started pool launches all its workers at the first submit
+    jobs = min(ns.jobs, len(hs))
+    if jobs > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=ns.jobs) as ex:
+        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
             calls = [ex.submit(_sweep_row, spec["design"], h, *rest).result
                      for h in hs]
     for h, call in zip(hs, calls):
@@ -298,7 +307,7 @@ def _check_domain(geom, center, span):
 
 def cmd_map(ns) -> int:
     geom = _load_or_build_geometry(ns)
-    drive = _drive_args(ns)
+    drive = _drive(ns.voltage_V, ns.freq_MHz)
     species = _species_arg(ns.species)
     center = _vec3(ns.center_um, "--center-um")
     span = _vec3(ns.span_um, "--span-um")
@@ -385,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="figures of merit vs wafer separation")
     s.add_argument("--spec", required=True, help="sweep spec JSON")
     s.add_argument("--jobs", type=int, default=1,
-                   help="parallel solves (output order follows input order)")
+                   help="parallel solves, at most one per row (output order "
+                        "follows input order)")
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(fn=cmd_sweep)
 

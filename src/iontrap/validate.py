@@ -145,9 +145,8 @@ def check_bem_residual():
     point, so the public evaluator must agree with the assembled rows."""
     solved = bem.solve_unit_excitations(_parallel_plate_geometry())
     pset, names = solved.pset, solved.geometry.electrode_names
-    sigma = np.column_stack([solved.solutions[n].sigma for n in names])
     boundary = pset.electrode_idx[:, None] == np.arange(len(names))
-    public = float(np.abs(bem.potential_of(pset, sigma, pset.centers) - boundary).max())
+    public = float(np.abs(bem.potential_of(pset, solved.sigma, pset.centers) - boundary).max())
     r = max(solved.residual_max, public)
     return r < 1e-8, f"max residual {r:.2e} V (limit 1e-8)"
 

@@ -225,9 +225,8 @@ def _trap_points(n, seed):
 def _evaluators(solved):
     ps = solved.pset
     sigma = solved.sigma_for(solved.rf_voltages())
-    units = np.stack([s.sigma for s in list(solved.solutions.values())[:2]], axis=1)
     return {"potential_of": lambda p: bem.potential_of(ps, sigma, p),
-            "potential_of 2-D sigma": lambda p: bem.potential_of(ps, units, p),
+            "potential_of 2-D sigma": lambda p: bem.potential_of(ps, solved.sigma[:, :2], p),
             "field_of": lambda p: bem.field_of(ps, sigma, p),
             "jacobian_of": lambda p: bem.jacobian_of(ps, sigma, p)}
 
@@ -417,8 +416,9 @@ def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
         return np.full_like(sigma, np.nan)
 
     monkeypatch.setattr(bem._MirrorGroup, "potential", nan_potential)
-    with pytest.raises(SolverError, match="residual"):
+    with pytest.raises(SolverError, match="residual") as err:
         solve_unit_excitations(g, cache_dir=tmp_path)
+    assert "electrode 'a'" in str(err.value)
     assert not list(tmp_path.iterdir())
 
 
@@ -429,11 +429,6 @@ def _dense_sigma(solved):
     names = solved.geometry.electrode_names
     B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
     return sla.lu_solve(sla.lu_factor(A), B)
-
-
-def _sigma(solved):
-    return np.column_stack([solved.solutions[n].sigma
-                            for n in solved.geometry.electrode_names])
 
 
 FULL_GROUP = ["x=0", "z=0", "x=0 & z=0"]
@@ -447,7 +442,7 @@ def test_symmetric_solve_matches_the_dense_solve(design, h_um, fine_um):
     assert diag["mirror_group"] == FULL_GROUP
     assert len(diag["block_sizes"]) == 4 and sum(diag["block_sizes"]) == solved.pset.n
     dense = _dense_sigma(solved)
-    assert np.abs(_sigma(solved) - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 def _rect(name, x0, z0, dx, dz, y=0.0):
@@ -474,7 +469,7 @@ def test_custom_layouts_detect_their_group_and_match_the_dense_solve(electrodes,
     assert solved.diagnostics["mirror_group"] == group
     assert sum(solved.diagnostics["block_sizes"]) == solved.pset.n
     dense = _dense_sigma(solved)
-    assert np.abs(_sigma(solved) - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
     assert solved.residual_max <= bem.RESIDUAL_LIMIT
 
 
@@ -510,7 +505,7 @@ def test_public_potential_meets_the_boundary_values_on_every_collocation_row(
     pset = surface_solved.pset
     names = surface_solved.geometry.electrode_names
     B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
-    phi = bem.potential_of(pset, _sigma(surface_solved), pset.centers)
+    phi = bem.potential_of(pset, surface_solved.sigma, pset.centers)
     assert np.abs(phi - B).max() <= bem.RESIDUAL_LIMIT
 
 
@@ -596,6 +591,21 @@ def test_parallel_plate_mutual_capacitance_in_fringing_band():
     assert ideal < mutual < 1.15 * ideal
 
 
+def _assert_capacitance_is_the_unit_charges(solved):
+    # C[i, j] is the charge on electrode i under 1 V on electrode j alone
+    names, C = solved.capacitance_matrix()
+    assert names == solved.geometry.electrode_names
+    charges = [[solved.charge(ni, {nj: 1.0}) for nj in names] for ni in names]
+    np.testing.assert_allclose(C, charges, rtol=1e-12, atol=0.0)
+
+
+def test_capacitance_matrix_is_the_charge_of_each_unit_excitation(surface_solved):
+    _assert_capacitance_is_the_unit_charges(surface_solved)
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),
+                          _plate(300.0, 100.0, 60.0, "b", "ground")), 100.0)
+    _assert_capacitance_is_the_unit_charges(solve_unit_excitations(g))
+
+
 def test_capacitance_matrix_is_nearly_reciprocal(surface_solved):
     names, C = surface_solved.capacitance_matrix()
     assert len(names) == len(surface_solved.geometry.electrode_names)
@@ -651,9 +661,10 @@ def test_cache_round_trip_is_exact(tmp_path):
     files = list(tmp_path.glob("*.itsc"))
     assert len(files) == 1
     second = solve_unit_excitations(g, cache_dir=tmp_path)
-    for name in g.electrode_names:
-        np.testing.assert_array_equal(first.solutions[name].sigma,
-                                      second.solutions[name].sigma)
+    assert second.diagnostics["cache"] == "hit"
+    assert second.sigma.shape == (second.pset.n, len(g.electrode_names))
+    np.testing.assert_array_equal(first.sigma, second.sigma)
+    np.testing.assert_array_equal(first.residuals, second.residuals)
     assert second.cond_estimate == first.cond_estimate
 
 
@@ -666,8 +677,7 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.warns(UserWarning, match="corrupt"):
         again = solve_unit_excitations(g, cache_dir=tmp_path)
-    np.testing.assert_allclose(again.solutions["a"].sigma,
-                               first.solutions["a"].sigma, rtol=1e-12)
+    np.testing.assert_allclose(again.sigma, first.sigma, rtol=1e-12)
 
 
 def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
@@ -690,8 +700,7 @@ def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
     monkeypatch.setattr(bem, "_solution_digest", lambda pset: "other")
     again = solve_unit_excitations(g, cache_dir=tmp_path)
     assert len(assemblies) == 2
-    np.testing.assert_array_equal(again.solutions["a"].sigma,
-                                  first.solutions["a"].sigma)
+    np.testing.assert_array_equal(again.sigma, first.sigma)
     solve_unit_excitations(g, cache_dir=tmp_path)
     assert len(assemblies) == 2  # the overwritten entry hits
     monkeypatch.setattr(bem, "_solution_digest", digest)
@@ -724,8 +733,7 @@ def test_cache_save_ignores_a_stale_shared_temp_file(tmp_path):
         [f"{g.signature()}.itsc", stale.name])
     assert stale.read_bytes() == b"left behind by a crashed writer"
     second = solve_unit_excitations(g, cache_dir=tmp_path)
-    np.testing.assert_array_equal(first.solutions["a"].sigma,
-                                  second.solutions["a"].sigma)
+    np.testing.assert_array_equal(first.sigma, second.sigma)
 
 
 def test_failed_cache_write_removes_its_temp_file(tmp_path, monkeypatch):

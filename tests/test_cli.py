@@ -6,6 +6,7 @@ pointed at the shared test cache, so these tests exercise the full pipeline
 for boundary-element solves already done by the physics tests.
 """
 
+import concurrent.futures
 import importlib.resources
 import json
 import os
@@ -277,6 +278,65 @@ def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     rc = run_cli("sweep", "--spec", path, "--out", tmp_path / "s.csv")
     assert rc == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, fragment", [
+    ("voltage_V", -1, "sweep spec 'voltage_V' must be >= 0, got -1"),
+    ("voltage_V", True, "sweep spec 'voltage_V' must be a number, got True"),
+    ("freq_MHz", "20", "sweep spec 'freq_MHz' must be a number, got '20'"),
+    ("freq_MHz", 0, "sweep spec 'freq_MHz' must be > 0, got 0"),
+])
+def test_sweep_spec_with_a_bad_drive_exits_2(tmp_path, capsys, key, value, fragment):
+    path = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105.0],
+                                 "reference": None, key: value})
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--spec", path, "--out", out) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    path = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105.0],
+                                 "reference": None})
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--spec", path, "--jobs", jobs, "--out", out) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch):
+    workers = []
+
+    class InlineExecutor:
+        """Records the pool size and runs each row in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    # rails 100 um wide fit neither h = 80 nor 90 um: the rows fail before a solve
+    for hs in ([80, 90], [90]):
+        spec = write_spec(tmp_path, {"design": "cross-rf", "h_um": hs,
+                                     "reference": None})
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", spec, "--jobs", 64, "--out", out) == 1
+        assert csv_data_lines(out)[-1] == "90,nan,nan,nan,nan,nan,nan"
+    assert workers == [2]  # one row runs serially
 
 
 def test_sweep_malformed_spec_json(tmp_path, capsys):
