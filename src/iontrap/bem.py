@@ -43,11 +43,14 @@ onto the corners of a panel (all three built-in meshes: the whole group) and
 splits the system by the characters of that group (Bossavit, CMAME 56, 167
 (1986); Allgower et al., SIAM J. Numer. Anal. 29, 534 (1992)). It assembles
 the rows R of one collocation point per panel orbit, about n/4 x n, forms
-one block per character in the orthonormal symmetry basis, factors each by
-LU, and expands the block solutions back to sigma. R also gives A sigma on
-every collocation point, one product per group element, for the residual
-check. A geometry without symmetry is the trivial group: one block, the
-dense matrix.
+one block per character in the orthonormal symmetry basis, gathered by rows
+of R one group element at a time, factors each by LU, and expands the block
+solutions back to sigma. R also gives A sigma on every collocation point,
+one product per group element, for the residual check. A geometry without
+symmetry is the trivial group: one block, the dense matrix. The solve holds
+R and at most two blocks at once, the bytes SOLVE_MEMORY_BUDGET is checked
+against, besides its n x n_electrodes right-hand sides and 64-column slices
+of a block.
 """
 
 from __future__ import annotations
@@ -94,6 +97,23 @@ _CACHE_MAGIC = b"ITSC"
 _CACHE_VERSION = 1
 
 
+def _unique_rows(a):
+    """(first, inverse) of the distinct rows of the 2-D integer array a, in
+    the order numpy's unique(a, axis=0, return_index=True,
+    return_inverse=True) gives them: distinct rows in lexicographic order,
+    first the lowest index of each, and a[first][inverse] == a. One lexsort
+    of the columns; unique along an axis sorts a structured view of the
+    rows, about ten times slower."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.empty(len(a), bool)
+    new[:1] = True
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(a), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 class PanelSet:
     """Panel arrays (meters) with precomputed local frames."""
 
@@ -129,7 +149,7 @@ class PanelSet:
             on = np.einsum("ij,ij->i", self.origins, self.nhat)
             key = np.column_stack([np.round(frames.reshape(-1, 9) / _MERGE_REL),
                                    self.merge_keys(on)]).astype(np.int64)
-            which = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+            which = _unique_rows(key)[1]
             self._groups = [_CornerGroup(self, np.flatnonzero(which == g), frames, on)
                             for g in range(which.max() + 1)]
         return self._groups
@@ -146,8 +166,7 @@ class _CornerGroup:
         self.offset = on[panels[0]]
         o, eu, ev = pset.origins[panels], pset.edge_u[panels], pset.edge_v[panels]
         uv = (np.stack([o + eu + ev, o + ev, o + eu, o]) @ self.frame[:2].T).reshape(-1, 2)
-        _, keep, idx = np.unique(pset.merge_keys(uv), axis=0,
-                                 return_index=True, return_inverse=True)
+        keep, idx = _unique_rows(pset.merge_keys(uv))
         self.cu, self.cv = uv[keep].T
         self.idx = idx.reshape(4, -1)
 
@@ -426,9 +445,8 @@ class _MirrorGroup:
         keys = pset.merge_keys(np.stack([o, o + eu, o + ev, o + eu + ev], axis=1))
         # rounding is odd, so the key of a mirrored corner is the negated key
         flat = (keys * _MIRROR_SIGNS[:, None, None]).reshape(-1, 3)
-        corner = np.unique(flat, axis=0, return_inverse=True)[1].reshape(-1, 4)
-        panel = np.unique(np.sort(corner, axis=1), axis=0,
-                          return_inverse=True)[1].reshape(4, n)
+        corner = _unique_rows(flat)[1].reshape(-1, 4)
+        panel = _unique_rows(np.sort(corner, axis=1))[1].reshape(4, n)
         where = np.full(4 * n, -1)
         where[panel[0]] = np.arange(n)
         perms = where[panel]  # -1 where a mirrored panel is no panel
@@ -440,13 +458,14 @@ class _MirrorGroup:
         self.stab = fixed.sum(axis=0)
         table = np.array([[a ** (e & 1) * b ** (e >> 1) for e in elements]
                           for a in (1, -1) for b in (1, -1)])
-        chars = table[np.sort(np.unique(table, axis=0, return_index=True)[1])]
+        chars = table[np.sort(_unique_rows(table)[0])]
         keep = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
         self.chars = np.array([c for c, k in zip(chars, keep) if k.size])
         self.keep = [k for k in keep if k.size]
         self.block_sizes = [int(k.size) for k in self.keep]
         # the kept rows R, the largest block and, when the group has more
-        # than the identity, the term being added to it
+        # than the identity, the term being added to it or the block's
+        # Fortran-order copy; the trivial group copies R once, in that order
         blocks = 2 if len(elements) > 1 else 1
         self.solve_bytes = 8 * (self.reps.size * n + blocks * max(self.block_sizes) ** 2)
 
@@ -465,7 +484,10 @@ class _MirrorGroup:
         for c, k in enumerate(self.keep):
             s = np.sqrt(self.stab[k])[:, None]
             M = self._block(R, c)
-            mnorm = float(np.abs(M).sum(axis=0).max())
+            # the 1-norm from column sums of a few columns at a time, not
+            # from a block-sized |M|
+            mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
+                        for j in range(0, M.shape[1], 64))
             lu, piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
             rcond, info = sla.lapack.dgecon(lu, mnorm, norm="1")
             if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
@@ -474,25 +496,40 @@ class _MirrorGroup:
             y = sla.lu_solve((lu, piv), Bc[c, k] / (s * math.sqrt(order)),
                              check_finite=False)
             X[c, k] = y * s / math.sqrt(order)
+            del M, lu  # before the next block is gathered
         S = np.empty_like(B)
         S[self.perms[:, self.reps]] = np.einsum("cg,cmk->gmk", self.chars, X)
         return S, anorm * ainv
 
     def _block(self, R, c):
-        """Block c in Fortran order, gathered one group element at a time."""
+        """Block c in Fortran order, for lu_factor to overwrite.
+
+        Each group element's columns of R are gathered by rows into one
+        reused array and added in element order; then the rows of the orbits
+        that character c drops go, and one copy turns the block to Fortran
+        order. Two blocks at most are alive at once.
+        """
         k = self.keep[c]
         cols = self.perms[:, self.reps[k]]
-        M = R.T[np.ix_(cols[0], k)].T
-        for g in range(1, len(cols)):
-            term = R.T[np.ix_(cols[g], k)].T
-            if self.chars[c, g] > 0:
-                M += term
-            else:
-                M -= term
+        if len(cols) == 1:
+            # the identity alone: every panel is an orbit and the block is R
+            M = np.array(R, order="F")
+        else:
+            M = np.take(R, cols[0], axis=1)
+            term = np.empty_like(M)
+            for g in range(1, len(cols)):
+                np.take(R, cols[g], axis=1, out=term, mode="clip")
+                if self.chars[c, g] > 0:
+                    M += term
+                else:
+                    M -= term
+            del term
+            if k.size < M.shape[0]:
+                M = M[k]
         s = np.sqrt(self.stab[k])
         M /= s[:, None]
         M /= s
-        return M
+        return np.asfortranarray(M)
 
     def potential(self, R, sigma):
         """A sigma on every collocation point from the kept rows: row g.i of
@@ -514,9 +551,9 @@ class SolvedTrap:
     without a cache directory), mirror_group (the symmetries found besides
     the identity), block_sizes, how this process evaluates the kernel
     (kernel_workers threads, kernel_block_pairs pairs per block) and, when
-    solved here rather than loaded, the seconds of assembly_s (symmetry
-    detection and kernel rows), factor_s (blocks, LU, condition estimate and
-    solve) and residual_s.
+    solved here rather than loaded, the seconds of symmetry_s (mirror group
+    detection), assembly_s (kernel rows), factor_s (blocks, LU, condition
+    estimate and solve) and residual_s.
     """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet, sigma: np.ndarray,
@@ -586,12 +623,13 @@ def solve_unit_excitations(geometry: TrapGeometry,
         if cached is not None:
             return cached
 
-    if np.unique(pset.merge_keys(pset.centers), axis=0).shape[0] != pset.n:
+    if _unique_rows(pset.merge_keys(pset.centers))[0].size != pset.n:
         raise InvalidGeometryError(
             "coincident panel centers detected (overlapping electrodes?)")
 
     t0 = time.perf_counter()
     group = _MirrorGroup(pset)
+    t_group = time.perf_counter()
     if group.solve_bytes > SOLVE_MEMORY_BUDGET:
         raise SolverError(
             f"solving {geometry.design!r} ({pset.n} panels, blocks "
@@ -624,7 +662,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
     diagnostics = {"cache": "miss" if cache_dir else "off",
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
                    **_kernel_diagnostics(),
-                   "assembly_s": t1 - t0, "factor_s": t2 - t1,
+                   "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
+                   "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
     solved = SolvedTrap(geometry, pset, S, residuals, cond, diagnostics)
     if cache_dir:

@@ -16,9 +16,13 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 import scipy.linalg as sla
@@ -541,6 +545,82 @@ def test_memory_budget_admits_an_asymmetric_layout_up_to_its_stated_size():
     assert over.solve_bytes == 16 * 11586**2 > bem.SOLVE_MEMORY_BUDGET
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                  elements=st.integers(-3, 3)))
+def test_unique_rows_orders_as_numpy_unique_along_rows(a):
+    first, inverse = bem._unique_rows(a)
+    _, want_first, want_inverse = np.unique(a, axis=0, return_index=True,
+                                            return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(a[first][inverse], a)
+
+
+def _column_gathered_block(group, R, c):
+    """Block c gathered column by column through R.T: the reference that
+    _MirrorGroup._block must match bitwise."""
+    k = group.keep[c]
+    cols = group.perms[:, group.reps[k]]
+    M = R.T[np.ix_(cols[0], k)].T
+    for g in range(1, len(cols)):
+        term = R.T[np.ix_(cols[g], k)].T
+        if group.chars[c, g] > 0:
+            M += term
+        else:
+            M -= term
+    s = np.sqrt(group.stab[k])
+    M /= s[:, None]
+    M /= s
+    return M
+
+
+@pytest.mark.parametrize("layout", ["surface", "z-only", "trivial"])
+def test_row_gathered_blocks_equal_the_column_gather_bitwise(layout):
+    if layout == "surface":
+        pset = bem.PanelSet(*build_default("surface", fine_um=80.0).arrays_m())
+    elif layout == "z-only":
+        g = _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
+                              _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
+        pset = bem.PanelSet(*g.arrays_m())
+    else:
+        pset = _panel_grid(300)
+    group = bem._MirrorGroup(pset)
+    assert group.names == {"surface": FULL_GROUP, "z-only": ["z=0"], "trivial": []}[layout]
+    if layout == "surface":  # orbits of panels cut by a mirror plane
+        assert set(group.stab) == {1, 2}
+    R = bem.potential_matrix(pset, pset.centers[group.reps])
+    for c in range(len(group.keep)):
+        M = group._block(R, c)
+        assert M.flags.f_contiguous
+        want = _column_gathered_block(group, R, c)
+        assert M.shape == want.shape and M.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["surface", "trivial"])
+def test_solve_holds_no_more_than_its_memory_count(layout):
+    pset = (bem.PanelSet(*build_default("surface").arrays_m()) if layout == "surface"
+            else _panel_grid(1500))
+    group = bem._MirrorGroup(pset)
+    assert len(group.names) == (3 if layout == "surface" else 0)
+    R = bem.potential_matrix(pset, pset.centers[group.reps])
+    k = int(pset.electrode_idx.max()) + 1
+    B = (pset.electrode_idx[:, None] == np.arange(k)).astype(float)
+    tracemalloc.start()
+    try:
+        S, cond = group.solve(R, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(cond) and S.shape == B.shape
+    # besides the blocks solve_bytes counts: at most four n x k arrays (the
+    # gathered and projected right-hand sides, the block solutions, sigma)
+    # and, per block, a 64-column slab of |M|, the pivots and the condition
+    # estimate's work vectors
+    vectors = 8 * pset.n * (4 * k + 72)
+    assert peak <= group.solve_bytes - R.nbytes + vectors
+
+
 def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
     g = _custom_geometry((_plate(400.0, 100.0, 0.0, "a", "rf"),
                           _plate(400.0, 100.0, 50.0, "b", "ground")), 100.0)
@@ -553,7 +633,7 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
         assert diag["block_sizes"] == [8, 8, 8, 8]
         assert diag["kernel_workers"] == len(os.sched_getaffinity(0))
         assert diag["kernel_block_pairs"] == bem._BLOCK_PAIRS
-    for key in ("assembly_s", "factor_s", "residual_s"):
+    for key in ("symmetry_s", "assembly_s", "factor_s", "residual_s"):
         assert miss[key] >= 0.0 and key not in hit
 
 
