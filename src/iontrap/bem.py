@@ -87,6 +87,9 @@ _pool_lock = threading.Lock()
 _MERGE_REL = 1e-9
 # hard limit on the 1-norm condition estimate of the collocation operator
 COND_LIMIT = 1e12
+# significant digits the condition estimate is stored with: dgecon's last
+# bits follow where the process placed its buffers
+COND_DIGITS = 12
 # boundary-condition residual each unit solve must satisfy, in volts
 RESIDUAL_LIMIT = 1e-8
 # bytes a solve may allocate for its kernel rows and symmetry blocks
@@ -647,6 +650,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
         raise SolverError(
             f"BEM system for {geometry.design!r} is ill-conditioned "
             f"(cond ~ {cond:.2e} > {COND_LIMIT:.0e}); check the mesh")
+    cond = float(f"{cond:.{COND_DIGITS}g}")
     if not np.isfinite(S).all():
         raise SolverError(f"non-finite charge densities for {geometry.design!r}")
     t2 = time.perf_counter()

@@ -174,6 +174,7 @@ def cmd_report(ns) -> int:
     manifest = _write_manifest(
         [ns.out, json_path, csv_path][1:], ns, _geometry_inputs(ns, geom),
         {"solver_cond": report.solver_cond,
+         "geometry": geom.mesh_diagnostics(),
          "solver": solved.diagnostics,
          "solver_residual_V": report.solver_residual_V,
          "n_panels": report.n_panels})

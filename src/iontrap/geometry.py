@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -150,7 +151,8 @@ class TrapGeometry:
     """Meshed electrode set ready for the field solver.
 
     Panels are stored as flat arrays (origin, edge_u, edge_v in um plus the
-    owning electrode index); construction meshes the electrodes immediately.
+    owning electrode index); construction meshes the electrodes immediately
+    and records the seconds it took as mesh_s.
     """
 
     def __init__(self, design: str, params: GeometryParams, electrodes: Iterable[Electrode]):
@@ -165,7 +167,9 @@ class TrapGeometry:
         _check_no_overlap(self.electrodes)
         self.mesh = params.mesh
         self._warn_if_fine_region_outside()
+        t0 = time.perf_counter()
         po, pu, pv, pe = _mesh_electrodes(self.electrodes, self.mesh)
+        self.mesh_s = time.perf_counter() - t0
         self.panel_origin_um = po
         self.panel_u_um = pu
         self.panel_v_um = pv
@@ -191,6 +195,18 @@ class TrapGeometry:
         idx = self.electrode_names.index(name)
         sel = self.panel_electrode == idx
         return float(self.panel_areas_um2()[sel].sum())
+
+    def mesh_diagnostics(self) -> dict:
+        """How the mesh came out: panels per electrode, the shortest and
+        longest panel edge in um (a panel's edge is its longer side, the one
+        the grading bounds) and mesh_s."""
+        edges = np.maximum(np.linalg.norm(self.panel_u_um, axis=1),
+                           np.linalg.norm(self.panel_v_um, axis=1))
+        counts = np.bincount(self.panel_electrode, minlength=len(self.electrodes))
+        return {"panels_per_electrode": dict(zip(self.electrode_names, counts.tolist())),
+                "finest_edge_um": float(edges.min()),
+                "coarsest_edge_um": float(edges.max()),
+                "mesh_s": self.mesh_s}
 
     def arrays_m(self):
         """Panel arrays in meters: (origins, edge_u, edge_v, electrode_idx)."""
@@ -341,69 +357,69 @@ def refine_mesh(geometry: TrapGeometry, mesh: MeshParams) -> TrapGeometry:
 # -- meshing ---------------------------------------------------------------
 
 
-def _dist_to_box(cx, cy, cz, lo, hi):
-    dx = max(lo[0] - cx, 0.0, cx - hi[0])
-    dy = max(lo[1] - cy, 0.0, cy - hi[1])
-    dz = max(lo[2] - cz, 0.0, cz - hi[2])
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+def _norm(a):
+    # row lengths summed x, then y, then z: the panels' bits depend on it
+    return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
 
 
 def _mesh_electrodes(electrodes, mesh):
+    """Graded panels of every electrode rect: (origins, edge_u, edge_v) in um
+    and the owning electrode index, in electrode/rect order.
+
+    A panel is bisected across its longer edge (u on a tie) until both edges
+    are within its target: fine_um where its bounding box meets the fine
+    region, else _GROWTH times its centre's distance from that region,
+    clamped to [fine_um, coarse_um]. The bisection runs level by level over
+    row arrays: every open row is tested at once and a row that fails is
+    replaced in place by its two halves, first half first. So the panels
+    come out in depth-first order, first half before second, each with the
+    bits of a one-panel-at-a-time recursion. The row count never falls, so
+    a level that would exceed MAX_PANELS raises before it is built.
+    """
     fine, coarse = mesh.fine_um, mesh.coarse_um
-    lo, hi = mesh.fine_region.lo, mesh.fine_region.hi
-    origins, us, vs, eidx = [], [], [], []
+    lo, hi = np.array(mesh.fine_region.lo), np.array(mesh.fine_region.hi)
+    rects = [(ei, r) for ei, e in enumerate(electrodes) for r in e.rects]
+    o = np.array([r.origin for _, r in rects], float)
+    u = np.array([r.edge_u for _, r in rects], float)
+    v = np.array([r.edge_v for _, r in rects], float)
+    eidx = np.array([ei for ei, _ in rects], np.int32)
+    open_ = np.ones(len(rects), bool)
 
-    for ei, elec in enumerate(electrodes):
-        for rect in elec.rects:
-            stack = [(rect.origin, rect.edge_u, rect.edge_v)]
-            while stack:
-                o, u, v = stack.pop()
-                lu = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-                lv = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-                # panel AABB; intersecting the fine box forces the fine target
-                xs = (o[0], o[0] + u[0] + v[0], o[0] + u[0], o[0] + v[0])
-                ys = (o[1], o[1] + u[1] + v[1], o[1] + u[1], o[1] + v[1])
-                zs = (o[2], o[2] + u[2] + v[2], o[2] + u[2], o[2] + v[2])
-                amin = (min(xs), min(ys), min(zs))
-                amax = (max(xs), max(ys), max(zs))
-                hits_box = all(amin[i] <= hi[i] and amax[i] >= lo[i] for i in range(3))
-                if hits_box:
-                    target = fine
-                else:
-                    cx = o[0] + 0.5 * (u[0] + v[0])
-                    cy = o[1] + 0.5 * (u[1] + v[1])
-                    cz = o[2] + 0.5 * (u[2] + v[2])
-                    d = _dist_to_box(cx, cy, cz, lo, hi)
-                    target = min(coarse, max(fine, _GROWTH * d))
-                tol = target * (1.0 + 1e-9)
-                if lu <= tol and lv <= tol:
-                    origins.append(o)
-                    us.append(u)
-                    vs.append(v)
-                    eidx.append(ei)
-                    if len(origins) > MAX_PANELS:
-                        raise InvalidGeometryError(
-                            f"mesh exceeds {MAX_PANELS} panels; "
-                            "coarsen fine_um or shrink fine_region"
-                        )
-                    continue
-                if lu >= lv:  # split the longer edge, first half processed first
-                    hu = (0.5 * u[0], 0.5 * u[1], 0.5 * u[2])
-                    stack.append(((o[0] + hu[0], o[1] + hu[1], o[2] + hu[2]), hu, v))
-                    stack.append((o, hu, v))
-                else:
-                    hv = (0.5 * v[0], 0.5 * v[1], 0.5 * v[2])
-                    stack.append(((o[0] + hv[0], o[1] + hv[1], o[2] + hv[2]), u, hv))
-                    stack.append((o, u, hv))
-
-    if not origins:
-        raise InvalidGeometryError("mesh produced zero panels")
-    return (
-        np.asarray(origins, float),
-        np.asarray(us, float),
-        np.asarray(vs, float),
-        np.asarray(eidx, np.int32),
-    )
+    while True:
+        rows = np.flatnonzero(open_)
+        ro, ru, rv = o[rows], u[rows], v[rows]
+        lu, lv = _norm(ru), _norm(rv)
+        # panel AABB; intersecting the fine box forces the fine target
+        corners = (ro, (ro + ru) + rv, ro + ru, ro + rv)
+        amin = np.minimum.reduce(corners)
+        amax = np.maximum.reduce(corners)
+        hits_box = ((amin <= hi) & (amax >= lo)).all(axis=1)
+        c = ro + 0.5 * (ru + rv)
+        dxyz = np.maximum(np.maximum(lo - c, 0.0), c - hi)
+        d = _norm(dxyz)
+        target = np.where(hits_box, fine,
+                          np.minimum(coarse, np.maximum(fine, _GROWTH * d)))
+        tol = target * (1.0 + 1e-9)
+        split = ~((lu <= tol) & (lv <= tol))
+        open_[rows] = split
+        if len(o) + int(split.sum()) > MAX_PANELS:
+            raise InvalidGeometryError(
+                f"mesh exceeds {MAX_PANELS} panels; "
+                "coarsen fine_um or shrink fine_region"
+            )
+        if not split.any():
+            return o, u, v, eidx
+        counts = np.ones(len(o), np.intp)
+        counts[rows[split]] = 2
+        # each split row becomes its halves (o, h, .) then (o + h, h, .)
+        first = (np.cumsum(counts) - counts)[rows[split]]
+        along_u = (lu >= lv)[split]
+        o, u, v, eidx, open_ = (np.repeat(a, counts, axis=0)
+                                for a in (o, u, v, eidx, open_))
+        half = 0.5 * np.where(along_u[:, None], u[first], v[first])
+        u[first[along_u]] = u[first[along_u] + 1] = half[along_u]
+        v[first[~along_u]] = v[first[~along_u] + 1] = half[~along_u]
+        o[first + 1] = o[first] + half
 
 
 def _check_no_overlap(electrodes):

@@ -426,6 +426,30 @@ def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_condition_estimate_ignores_the_last_bits_of_dgecon(monkeypatch):
+    # dgecon's last bit follows buffer placement; the stored estimate must not.
+    # One ulp less is absorbed by the product on this mesh; four move the
+    # unrounded estimate from 894.2426947384369 to ...376
+    g = build_default("surface", fine_um=80.0)
+    first = solve_unit_excitations(g)
+    assert first.cond_estimate == float(f"{first.cond_estimate:.{bem.COND_DIGITS}g}")
+    dgecon = sla.lapack.dgecon
+    calls = []
+
+    def four_ulps_lower(*args, **kwargs):
+        rcond, info = dgecon(*args, **kwargs)
+        calls.append(rcond)
+        for _ in range(4):
+            rcond = np.nextafter(rcond, 0.0)
+        return rcond, info
+
+    monkeypatch.setattr(sla.lapack, "dgecon", four_ulps_lower)
+    second = solve_unit_excitations(g)
+    assert len(calls) == len(second.diagnostics["block_sizes"])
+    assert second.cond_estimate == first.cond_estimate
+    np.testing.assert_array_equal(second.sigma, first.sigma)
+
+
 def _dense_sigma(solved):
     """sigma of every unit excitation from the whole matrix and one LU."""
     pset = solved.pset

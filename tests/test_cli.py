@@ -177,6 +177,25 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
 
 
+def test_report_manifest_describes_the_mesh(tmp_path, surface_solved, cache_dir):
+    blocks = {}
+    for fine in (14, 10):
+        prefix = tmp_path / f"fine{fine}"
+        assert run_cli("--cache-dir", cache_dir, "report", "--design", "surface",
+                       "--mesh-fine-um", fine, "--out", prefix) == 0
+        manifest = json.loads((tmp_path / f"fine{fine}.json.manifest.json").read_text())
+        diag = manifest["diagnostics"]
+        block = blocks[fine] = diag["geometry"]
+        assert sorted(block["panels_per_electrode"]) == sorted(
+            geometry.build_default("surface").electrode_names)
+        assert sum(block["panels_per_electrode"].values()) == diag["n_panels"]
+        assert block["finest_edge_um"] <= fine < block["coarsest_edge_um"]
+        assert block["mesh_s"] > 0.0
+    # 14 um and 10 um give the same mesh: the report shows it
+    assert blocks[14]["finest_edge_um"] == blocks[10]["finest_edge_um"]
+    assert blocks[14]["panels_per_electrode"] == blocks[10]["panels_per_electrode"]
+
+
 def test_report_with_reference_design(tmp_path, surface_solved, cross_solved_105, cache_dir):
     prefix = tmp_path / "cross"
     assert run_cli("--cache-dir", cache_dir, "report", "--design", "cross-rf",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iontrap import (
     Box3,
@@ -341,3 +343,148 @@ def test_gnd_surface_build_meshes_once(monkeypatch):
     monkeypatch.setattr(geometry, "_mesh_electrodes", counting)
     build_default("gnd-surface")
     assert len(calls) == 1
+
+
+# -- the mesher against a one-panel-at-a-time oracle -------------------------
+
+
+def _bisect_one_panel_at_a_time(electrodes, mesh):
+    """The mesher as a per-panel stack loop: the oracle of _mesh_electrodes,
+    which must give the same panels in the same order, bit for bit."""
+    fine, coarse = mesh.fine_um, mesh.coarse_um
+    lo, hi = mesh.fine_region.lo, mesh.fine_region.hi
+    origins, us, vs, eidx = [], [], [], []
+    for ei, elec in enumerate(electrodes):
+        for rect in elec.rects:
+            stack = [(rect.origin, rect.edge_u, rect.edge_v)]
+            while stack:
+                o, u, v = stack.pop()
+                lu = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+                lv = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+                xs = (o[0], o[0] + u[0] + v[0], o[0] + u[0], o[0] + v[0])
+                ys = (o[1], o[1] + u[1] + v[1], o[1] + u[1], o[1] + v[1])
+                zs = (o[2], o[2] + u[2] + v[2], o[2] + u[2], o[2] + v[2])
+                amin = (min(xs), min(ys), min(zs))
+                amax = (max(xs), max(ys), max(zs))
+                if all(amin[i] <= hi[i] and amax[i] >= lo[i] for i in range(3)):
+                    target = fine
+                else:
+                    c = [o[i] + 0.5 * (u[i] + v[i]) for i in range(3)]
+                    dx, dy, dz = (max(lo[i] - c[i], 0.0, c[i] - hi[i]) for i in range(3))
+                    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    target = min(coarse, max(fine, 0.5 * d))
+                tol = target * (1.0 + 1e-9)
+                if lu <= tol and lv <= tol:
+                    origins.append(o)
+                    us.append(u)
+                    vs.append(v)
+                    eidx.append(ei)
+                    if len(origins) > geometry.MAX_PANELS:
+                        raise InvalidGeometryError(
+                            f"mesh exceeds {geometry.MAX_PANELS} panels")
+                    continue
+                if lu >= lv:  # split the longer edge, first half processed first
+                    hu = (0.5 * u[0], 0.5 * u[1], 0.5 * u[2])
+                    stack.append(((o[0] + hu[0], o[1] + hu[1], o[2] + hu[2]), hu, v))
+                    stack.append((o, hu, v))
+                else:
+                    hv = (0.5 * v[0], 0.5 * v[1], 0.5 * v[2])
+                    stack.append(((o[0] + hv[0], o[1] + hv[1], o[2] + hv[2]), u, hv))
+                    stack.append((o, u, hv))
+    return (np.asarray(origins, float), np.asarray(us, float),
+            np.asarray(vs, float), np.asarray(eidx, np.int32))
+
+
+def _assert_same_panels(electrodes, mesh):
+    got = geometry._mesh_electrodes(electrodes, mesh)
+    want = _bisect_one_panel_at_a_time(electrodes, mesh)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("design, h_um, fine_um", [
+    ("surface", None, 5.0), ("surface", None, 10.0), ("surface", None, 14.0),
+    *[("gnd-surface", h, 10.0) for h in (105.0, 200.0, 400.0, 800.0, 2500.0)],
+    *[("cross-rf", h, 10.0) for h in (105.0, 200.0, 400.0, 800.0, 1000.0)],
+])
+def test_builtin_meshes_equal_the_per_panel_bisection_bitwise(design, h_um, fine_um):
+    geom = build_default(design, h_um=h_um, fine_um=fine_um)
+    _assert_same_panels(geom.electrodes, geom.mesh)
+
+
+_coord = st.floats(-300.0, 300.0, allow_nan=False)
+_edge = st.floats(1.0, 120.0, allow_nan=False)
+
+
+@st.composite
+def _rects(draw):
+    """A rect in one of the three axis planes, edges of either sign; half
+    of them square, so the tie-break (split u) is exercised."""
+    normal = draw(st.integers(0, 2))
+    a, b = [k for k in range(3) if k != normal]
+    if draw(st.booleans()):
+        a, b = b, a
+    lu = draw(_edge)
+    lv = lu if draw(st.booleans()) else draw(_edge)
+    u, v = [0.0] * 3, [0.0] * 3
+    u[a] = lu * draw(st.sampled_from((1.0, -1.0)))
+    v[b] = lv * draw(st.sampled_from((1.0, -1.0)))
+    origin = tuple(draw(_coord) for _ in range(3))
+    return Rect(origin, tuple(u), tuple(v))
+
+
+@st.composite
+def _layouts(draw):
+    electrodes = [Electrode(f"e{i}", "dc", tuple(draw(st.lists(_rects(), min_size=1,
+                                                                max_size=3))))
+                  for i in range(draw(st.integers(1, 3)))]
+    fine = draw(st.floats(4.0, 40.0))
+    coarse = fine * draw(st.floats(1.0, 8.0))
+    # a fine box inside, straddling or outside the layout, possibly flat
+    box = Box3(tuple(draw(_coord) for _ in range(3)),
+               tuple(draw(st.floats(0.0, 400.0)) for _ in range(3)))
+    return electrodes, MeshParams(coarse_um=coarse, fine_um=fine, fine_region=box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts())
+def test_random_layouts_mesh_as_the_per_panel_bisection_bitwise(layout):
+    _assert_same_panels(*layout)
+
+
+def test_mesh_keeps_the_solver_cache_digest():
+    # an entry solved from the per-panel mesh still hits for the same source
+    from iontrap.bem import PanelSet, _solution_digest
+    geom = build_default("surface")
+    want = _bisect_one_panel_at_a_time(geom.electrodes, geom.mesh)
+    um = 1e-6
+    oracle = PanelSet(want[0] * um, want[1] * um, want[2] * um, want[3])
+    assert _solution_digest(PanelSet(*geom.arrays_m())) == _solution_digest(oracle)
+
+
+@pytest.mark.parametrize("fine_um", [2.0, 3.0])
+def test_a_runaway_mesh_stops_at_the_panel_cap(fine_um):
+    with pytest.raises(InvalidGeometryError, match="30000"):
+        build_default("surface", fine_um=fine_um)
+
+
+def test_the_panel_cap_raises_exactly_when_the_per_panel_loop_would(monkeypatch):
+    geom = _coarse_surface()
+    n = geom.n_panels
+    monkeypatch.setattr(geometry, "MAX_PANELS", n)
+    _assert_same_panels(geom.electrodes, geom.mesh)
+    monkeypatch.setattr(geometry, "MAX_PANELS", n - 1)
+    for mesher in (geometry._mesh_electrodes, _bisect_one_panel_at_a_time):
+        with pytest.raises(InvalidGeometryError, match=f"exceeds {n - 1} panels"):
+            mesher(geom.electrodes, geom.mesh)
+
+
+def test_mesh_diagnostics_describe_the_panels():
+    geom = _coarse_surface()
+    diag = geom.mesh_diagnostics()
+    counts = diag["panels_per_electrode"]
+    assert list(counts) == list(geom.electrode_names)
+    assert sum(counts.values()) == geom.n_panels
+    assert diag["finest_edge_um"] <= 80.0 < diag["coarsest_edge_um"] <= 500.0
+    assert diag["mesh_s"] > 0.0
