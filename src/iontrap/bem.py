@@ -26,14 +26,31 @@ points x group corners). Charges are folded into corner weights w = C sigma
 its own row of corners, so a point gets the same bits in any batch and at
 any place in it.
 
+The weighted evaluators read fewer corners on the mirror planes of a solved
+trap. The solve keeps its mirror group with the panels (PanelSet.group, also
+in the cache), and the elements H of that group that fix a point, the x
+mirror when x == 0.0 and the z mirror when z == 0.0, fix its value:
+K(p, h.j) = K(h.p, j) = K(p, j). So phi(p) = sum_r w_r K(p, r) over one
+panel r per H-orbit, w_r = sum_h sigma[h.r] / stab_r, with the sign each h
+gives a field component (or the product of two for a Jacobian entry) in the
+sum for that output. That holds for any sigma. A point on a mirror plane
+reads the corners of half the panels and a point on x = z = 0 of a quarter;
+the points of each stabilizer class run the same blocked loop over the
+corner table of the class, taken from the whole table by index, and a point
+off the planes, or of a trap without symmetry, reads the whole table with
+sigma. ChargeWeights folds a sigma once per class and counts the points of
+each class.
+
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
 it), since numpy releases the interpreter lock inside the ufuncs that
-dominate a block. One block, or one CPU, runs inline. Each worker computes
-its blocks in _SCRATCH arrays of _BLOCK_PAIRS doubles (0.4 MB each) that it
-allocates once, potential_matrix's panel gathers included, so the kernel's
-working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET, which
-bounds the solver's kernel rows and symmetry blocks.
+dominate a block. A call of one block of the whole table, or one CPU, runs
+inline. Each thread computes its blocks in _SCRATCH arrays of about
+_BLOCK_PAIRS doubles (0.4 MB each) that it keeps from call to call and grows
+when a call needs more, potential_matrix's panel gathers included, so the
+kernel's working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET,
+which bounds the solver's kernel rows and symmetry blocks. A solve drops the
+scratch before it assembles and again before it factors.
 
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for the unit excitations (1 V on one
@@ -55,6 +72,7 @@ of a block.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -62,6 +80,7 @@ import os
 import struct
 import threading
 import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,6 +102,7 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # their ThreadPoolExecutor, created at the first multi-block call
 _pool_lock = threading.Lock()
+_scratch = {}  # thread ident -> its kernel scratch (_thread_scratch)
 # positions closer than this fraction of the median panel edge coincide
 _MERGE_REL = 1e-9
 # hard limit on the 1-norm condition estimate of the collocation operator
@@ -97,7 +117,7 @@ SOLVE_MEMORY_BUDGET = 2 * 1024**3
 
 CACHE_ENV = "IONTRAP_CACHE_DIR"
 _CACHE_MAGIC = b"ITSC"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def _unique_rows(a):
@@ -135,6 +155,10 @@ class PanelSet:
         self.centers = self.origins + 0.5 * (self.edge_u + self.edge_v)
         self.areas = self.a * self.b
         self._groups = None
+        # the _MirrorGroup the solver found for these panels, or None: then
+        # every point reads the whole corner table
+        self.group = None
+        self._classes = {}
 
     @property
     def n(self):
@@ -157,6 +181,32 @@ class PanelSet:
                             for g in range(which.max() + 1)]
         return self._groups
 
+    def classes_of(self, points):
+        """[(stabilizer class, indices of its points or None for all)] of
+        the (m, 3) points: a point's class is the elements of self.group
+        that fix it, the x mirror when x == 0.0 and the z mirror when
+        z == 0.0 (exact compares)."""
+        if self.group is None:
+            return [(self._stabilizer_class((0,)), None)]
+        # bit 0: on x = 0, bit 1: on z = 0; an element fixes the points whose
+        # key holds every axis it flips
+        key = (points[:, 0] == 0.0) + 2 * (points[:, 2] == 0.0)
+        present = np.flatnonzero(np.bincount(key, minlength=4))
+        keys = {}
+        for k in present:
+            keys.setdefault(tuple(np.flatnonzero((self.group.elements & ~k) == 0)), []).append(k)
+        if len(keys) == 1:
+            return [(self._stabilizer_class(next(iter(keys))), None)]
+        return [(self._stabilizer_class(rows), np.flatnonzero(np.isin(key, ks)))
+                for rows, ks in keys.items()]
+
+    def _stabilizer_class(self, rows):
+        """The _StabilizerClass of the group elements rows (indices into
+        self.group.perms), built on first use; (0,) is the identity."""
+        if rows not in self._classes:
+            self._classes[rows] = _StabilizerClass(self, rows)
+        return self._classes[rows]
+
 
 class _CornerGroup:
     """Panels of one frame and plane and their distinct corners (cu, cv):
@@ -173,6 +223,18 @@ class _CornerGroup:
         self.cu, self.cv = uv[keep].T
         self.idx = idx.reshape(4, -1)
 
+    def subset(self, keep):
+        """The group of the panels panels[keep] and of the corners they use,
+        in this group's order, taken by index."""
+        sub = object.__new__(_CornerGroup)
+        sub.panels, sub.frame, sub.offset = self.panels[keep], self.frame, self.offset
+        idx = self.idx[:, keep]
+        used = np.zeros(self.cu.size, bool)
+        used[idx] = True
+        sub.cu, sub.cv = self.cu[used], self.cv[used]
+        sub.idx = (np.cumsum(used) - 1)[idx]
+        return sub
+
     def fold(self, sigma):
         """Corner weights w = C sigma of this group's panels, (corners[, k])."""
         s = sigma[self.panels]
@@ -182,12 +244,117 @@ class _CornerGroup:
         return w
 
 
+class _StabilizerClass:
+    """What a point fixed by the mirror group elements `rows` reads.
+
+    Those elements H map the point onto itself, so K(p, h.j) = K(h.p, j) =
+    K(p, j) and the point needs one panel per H-orbit: reps, the lowest
+    panel of each, and the corner table of the reps (panels that no rep
+    uses drop out, a half of the panels on a mirror plane and a quarter on
+    the line x = z = 0). images[h, r] is the panel element h maps rep r
+    to and stab[r] the number of elements that fix it. The identity alone
+    reads the whole table.
+    """
+
+    def __init__(self, pset: PanelSet, rows):
+        group = pset.group
+        self.elements = np.zeros(1, int) if group is None else group.elements[list(rows)]
+        self.name = ", ".join(_MIRROR_NAMES[e] for e in self.elements[1:]) or "identity"
+        if len(rows) == 1:
+            self.images = None
+            self.groups = pset.corner_groups
+        else:
+            images = group.perms[list(rows)]
+            first = images.min(axis=0) == np.arange(pset.n)
+            self.reps = np.flatnonzero(first)
+            self.images = images[:, self.reps]
+            self.stab = (self.images == self.reps).sum(axis=0)
+            subsets = (g.subset(first[g.panels]) for g in pset.corner_groups)
+            self.groups = [g for g in subsets if g.panels.size]
+        self.corners = sum(g.cu.size for g in self.groups)
+
+    def characters(self, parity):
+        """The distinct characters that outputs of the given parities take on
+        these elements, (C, elements) of +/-1, and the column of each output.
+
+        Parity bit 0 is set when the x mirror flips the output's sign, bit 1
+        when the z mirror does.
+        """
+        flips = np.bitwise_and.outer(parity.ravel(), self.elements)
+        signs = 1 - 2 * ((flips ^ (flips >> 1)) & 1)
+        first, col = _unique_rows(signs)
+        return signs[first].astype(float), col.reshape(parity.shape)
+
+
+class ChargeWeights:
+    """Charge densities sigma (n[, k]) of a PanelSet folded into corner
+    weights, once per stabilizer class and output on first use. Pass it for
+    sigma to evaluate one sigma many times.
+
+    A point of class H reads the reps r of its orbits with the weights
+    w_r = sum_h chi(h) sigma[h.r] / stab_r, chi the sign each element gives
+    the output: 1 for the potential, the x and z mirror signs of a field
+    component, their products for a Jacobian entry. This holds for any
+    sigma, symmetric or not. evaluations[class name] counts the points
+    evaluated in each class and the corners the class reads.
+    """
+
+    def __init__(self, pset: PanelSet, sigma):
+        self.pset = pset
+        self.sigma = np.asarray(sigma, float)
+        self.evaluations = {}
+        self._folded = {}
+
+    def folded(self, cls: _StabilizerClass, output):
+        """[(layers, column)] of each of cls's corner groups for the output
+        ("potential", "field" or "jacobian").
+
+        A layer holds one weight array per kernel term, the corner weights
+        (corners[, k]) of one character or None where the term adds to no
+        output of it. When each term adds to outputs of one character, as in
+        every axis-aligned frame, one layer holds them all and column is
+        None; otherwise there is a layer per character and output o takes
+        its value from layer column[o].
+        """
+        key = (cls, output)
+        if key not in self._folded:
+            self._folded[key] = self._fold(cls, output)
+        return self._folded[key]
+
+    def _fold(self, cls, output):
+        parity, reach = _OUTPUTS[output]
+        chars, col = cls.characters(parity)
+        if cls.images is None:
+            # the identity: every panel is its own orbit
+            omega = self.sigma[:, None]
+        else:
+            s = np.tensordot(chars, self.sigma[cls.images], axes=1)
+            s /= cls.stab.reshape((-1,) + (1,) * (s.ndim - 2))
+            omega = np.zeros((self.pset.n,) + s.shape[:1] + s.shape[2:])
+            omega[cls.reps] = np.moveaxis(s, 0, 1)
+        out = []
+        for g in cls.groups:
+            w = [g.fold(omega[:, c]) for c in range(len(chars))]
+            term_chars = [set(col.ravel()[r]) for r in reach(g.frame).reshape(-1, col.size)]
+            if all(len(tc) <= 1 for tc in term_chars):
+                out.append(([[w[min(tc)] if tc else None for tc in term_chars]], None))
+            else:
+                out.append(([[w[c] if c in tc else None for tc in term_chars]
+                             for c in range(len(w))], col))
+        return out
+
+    def count(self, cls: _StabilizerClass, points: int):
+        seen = self.evaluations.setdefault(cls.name, {"points": 0, "corners": cls.corners})
+        seen["points"] += points
+
+
 # The kernel writes every (block points x group corners) array into scratch
-# arrays that each task allocates once and reuses for all of its blocks. The
-# first two hold u and v; terms(u, v, z, s, mask) leaves its k terms in
-# s[:k] and uses s[k:] as scratch. Blocks that allocated their temporaries
-# instead would have the allocator hand the pages back to the system after
-# each block and fault them in again for the next.
+# arrays that each thread allocates once and reuses for all of its blocks,
+# call after call (_thread_scratch). The first two hold u and v;
+# terms(u, v, z, s, mask) leaves its k terms in s[:k] and uses s[k:] as
+# scratch. Blocks that allocated their temporaries instead would have the
+# allocator hand the pages back to the system after each block and fault
+# them in again for the next.
 _SCRATCH = 10
 
 
@@ -279,6 +446,24 @@ _JAC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
+# x and z parity of each output: bit 0 is set when the x mirror flips its
+# sign, bit 1 when the z mirror does; reach(frame)[t, o] says whether term t
+# adds to output o in a group of that frame (axis-aligned frames skip the
+# sums they would multiply by an exact zero)
+_FIELD_PARITY = np.array([1, 0, 2])
+
+
+def _jacobian_reach(frame):
+    nz = frame != 0.0
+    pairs = nz[:, None, :, None] & nz[None, :, None, :]  # [s, t, a, b]
+    return np.array([pairs[_JAC_INDEX == k].any(axis=0) for k in range(6)])
+
+
+_OUTPUTS = {"potential": (np.zeros(1, int), lambda frame: np.ones((1, 1), bool)),
+            "field": (_FIELD_PARITY, lambda frame: frame != 0.0),
+            "jacobian": (_FIELD_PARITY[:, None] ^ _FIELD_PARITY, _jacobian_reach)}
+
+
 def _weighted_sums(t, w, tmp):
     """sum_c t[i, c] w[c] of every row i, one column per column of w; tmp is
     1-D scratch of at least t.size.
@@ -300,41 +485,84 @@ def _executor():
         return _pool
 
 
+def _thread_scratch(size):
+    """The calling thread's _SCRATCH kernel arrays of at least size doubles
+    and its mask, kept for its next call and grown when a call needs more."""
+    me = threading.get_ident()
+    have = _scratch.get(me)
+    if have is None or have[1].size < size:
+        del have  # freed before its successor is allocated
+        _scratch.pop(me, None)
+        have = _scratch[me] = (np.empty((_SCRATCH, size)), np.empty(size, bool))
+    return have
+
+
+def _release_scratch():
+    """Drop every thread's kernel scratch, e.g. before a solve factors."""
+    _scratch.clear()
+
+
 def _forget_pool():
     """A forked child inherits the pool object but none of its threads."""
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
+    _scratch.clear()
 
 
 if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to reset
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
+def _evaluate(pset: PanelSet, points, charge, output, terms, emit, shape):
     """The blocked loop behind the public evaluators, out (m,) + shape.
 
-    For every block of points and corner group, terms(u, v, z, s, mask)
-    gives the corner terms, each (block points, group corners), and
-    emit(out[rows], group, w, terms, s) adds their part, w the group's corner
-    weights of sigma (None without sigma) and s the 1-D scratch arrays the
-    terms left free, each large enough for (block points x group corners)
-    or (block points x group panels). The blocks are dealt round-robin to
-    one task per worker of the kernel pool, at most one per block; a single
-    task runs inline. A block writes only its own rows of out, so the result
-    does not depend on the schedule. out is scaled by 1/(4 pi eps0) at the
-    end.
+    Without a charge (potential_matrix) every point reads the whole corner
+    table. Otherwise the points are split by stabilizer class, and each
+    class runs _blocks over its own corner table with charge's weights of
+    that class for the output ("potential", "field" or "jacobian"). out is
+    scaled by 1/(4 pi eps0) at the end.
     """
     p = np.atleast_2d(np.asarray(points, float))
     out = np.zeros((p.shape[0],) + tuple(shape))
-    groups = pset.corner_groups
-    w = [None if sigma is None else g.fold(np.asarray(sigma, float)) for g in groups]
+    # a call of at most one block of the whole table runs inline, so the
+    # calling thread's scratch stays that size; larger calls, even of one
+    # block of a smaller class table, run on the pool
+    inline = _WORKERS == 1 or p.shape[0] <= max(
+        8, _BLOCK_PAIRS // sum(g.cu.size for g in pset.corner_groups))
+    if charge is None:
+        groups = pset.corner_groups
+        _blocks(p, out, groups, [None] * len(groups), terms, emit, inline)
+    else:
+        for cls, rows in pset.classes_of(p):
+            w = charge.folded(cls, output)
+            if rows is None:
+                _blocks(p, out, cls.groups, w, terms, emit, inline)
+            else:
+                part = np.zeros((rows.size,) + tuple(shape))
+                _blocks(p[rows], part, cls.groups, w, terms, emit, inline)
+                out[rows] = part
+            charge.count(cls, p.shape[0] if rows is None else rows.size)
+    out *= 1.0 / (4.0 * np.pi * constants.EPS0)
+    return out
+
+
+def _blocks(p, out, groups, w, terms, emit, inline):
+    """For every block of points and corner group, terms(u, v, z, s, mask)
+    gives the corner terms, each (block points, group corners), and
+    emit(out[rows], group, wg, terms, s) adds their part, wg the group's
+    entry of w and s the 1-D scratch arrays the terms left free, each large
+    enough for (block points x group corners) or (block points x group
+    panels). The blocks are dealt round-robin to one task per worker of the
+    kernel pool, at most one per block, or run inline. A block writes only
+    its own rows of out, so the result does not depend on the schedule.
+    """
     step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
     starts = range(0, p.shape[0], step)
     tasks = min(_WORKERS, len(starts))
     size = min(step, p.shape[0]) * max(max(g.cu.size, g.panels.size) for g in groups)
 
     def task(first):
-        flat, flat_mask = np.empty((_SCRATCH, size)), np.empty(size, bool)
+        flat, flat_mask = _thread_scratch(size)
         for i0 in starts[first::tasks]:
             rows = p[i0:i0 + step]
             for g, wg in zip(groups, w):
@@ -347,10 +575,8 @@ def _evaluate(pset: PanelSet, points, sigma, terms, emit, shape):
                 t = terms(u, v, z - g.offset, s, mask)
                 emit(out[i0:i0 + step], g, wg, t, flat[2 + len(t):])
 
-    for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
+    for _ in (map if inline else _executor().map)(task, range(tasks)):
         pass
-    out *= 1.0 / (4.0 * np.pi * constants.EPS0)
-    return out
 
 
 def potential_matrix(pset: PanelSet, points):
@@ -364,28 +590,54 @@ def potential_matrix(pset: PanelSet, points):
         for op, i in ((np.subtract, c[1]), (np.subtract, c[2]), (np.add, c[3])):
             op(a, np.take(F, i, axis=1, out=b, mode="clip"), out=a)
         dst[:, g.panels] = a
-    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
+    return _evaluate(pset, points, None, None, _potential_terms, emit, (pset.n,))
+
+
+def _charge(pset, sigma) -> ChargeWeights:
+    if not isinstance(sigma, ChargeWeights):
+        return ChargeWeights(pset, sigma)
+    if sigma.pset is not pset:
+        raise ValueError("charge weights of another panel set")
+    return sigma
 
 
 def potential_of(pset: PanelSet, sigma, points):
+    """Potential of the densities sigma (n[, k]) or ChargeWeights, (m[, k])."""
     def emit(dst, g, w, terms, s):
-        dst += _weighted_sums(terms[0], w, s[0])
-    return _evaluate(pset, points, sigma, _potential_terms, emit, np.shape(sigma)[1:])
+        layers, _ = w  # one layer of one term
+        dst += _weighted_sums(terms[0], layers[0][0], s[0])
+    charge = _charge(pset, sigma)
+    return _evaluate(pset, points, charge, "potential", _potential_terms, emit,
+                     charge.sigma.shape[1:])
 
 
 def field_of(pset: PanelSet, sigma, points):
+    """Field of the densities sigma (n,) or ChargeWeights, (m, 3)."""
     def emit(dst, g, w, terms, s):
-        for t, f in zip(terms, g.frame):
-            dst += _weighted_sums(t, w, s[0])[:, None] * f
-    return _evaluate(pset, points, sigma, _field_terms, emit, (3,))
+        layers, col = w
+        outs = [dst] if col is None else [np.zeros_like(dst) for _ in layers]
+        for out, weights in zip(outs, layers):
+            for t, f, wt in zip(terms, g.frame, weights):
+                if wt is not None:
+                    out += _weighted_sums(t, wt, s[0])[:, None] * f
+        if col is not None:
+            dst += np.choose(col, outs)
+    return _evaluate(pset, points, _charge(pset, sigma), "field", _field_terms, emit, (3,))
 
 
 def jacobian_of(pset: PanelSet, sigma, points):
     """dE_i/dx_j of the superposed field, (m, 3, 3); trace is zero (Laplace)."""
     def emit(dst, g, w, terms, s):
-        sums = np.stack([_weighted_sums(t, w, s[0]) for t in terms], axis=1)
-        dst += g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame
-    return _evaluate(pset, points, sigma, _jacobian_terms, emit, (3, 3))
+        layers, col = w
+        J = []
+        for weights in layers:
+            sums = np.stack([np.zeros(t.shape[0]) if wt is None
+                             else _weighted_sums(t, wt, s[0])
+                             for t, wt in zip(terms, weights)], axis=1)
+            J.append(g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame)
+        dst += J[0] if col is None else np.choose(col, J)
+    return _evaluate(pset, points, _charge(pset, sigma), "jacobian", _jacobian_terms,
+                     emit, (3, 3))
 
 
 # -- single-panel helpers (testing / inspection) ----------------------------
@@ -439,27 +691,34 @@ class _MirrorGroup:
     character; block c keeps the orbits keep[c] (into reps) whose stabilizer
     it fixes and is written in the orthonormal symmetry basis,
     M_c[i, r] = sum_g chars[c, g] A[rep_i, g.rep_r] / sqrt(stab_i stab_r).
-    The trivial group has one block, the dense matrix.
+    The trivial group has one block, the dense matrix. elements holds each
+    element's code into _MIRROR_SIGNS, the identity (0) first.
+
+    found = (elements, perms) takes a group found before, from a cache
+    entry, instead of detecting it again.
     """
 
-    def __init__(self, pset: PanelSet):
+    def __init__(self, pset: PanelSet, found=None):
         n = pset.n
-        o, eu, ev = pset.origins, pset.edge_u, pset.edge_v
-        keys = pset.merge_keys(np.stack([o, o + eu, o + ev, o + eu + ev], axis=1))
-        # rounding is odd, so the key of a mirrored corner is the negated key
-        flat = (keys * _MIRROR_SIGNS[:, None, None]).reshape(-1, 3)
-        corner = _unique_rows(flat)[1].reshape(-1, 4)
-        panel = _unique_rows(np.sort(corner, axis=1))[1].reshape(4, n)
-        where = np.full(4 * n, -1)
-        where[panel[0]] = np.arange(n)
-        perms = where[panel]  # -1 where a mirrored panel is no panel
-        elements = np.flatnonzero((perms >= 0).all(axis=1))
-        self.names = [_MIRROR_NAMES[e] for e in elements[1:]]
-        self.perms = perms[elements]
+        if found is None:
+            o, eu, ev = pset.origins, pset.edge_u, pset.edge_v
+            keys = pset.merge_keys(np.stack([o, o + eu, o + ev, o + eu + ev], axis=1))
+            # rounding is odd, so the key of a mirrored corner is the negated key
+            flat = (keys * _MIRROR_SIGNS[:, None, None]).reshape(-1, 3)
+            corner = _unique_rows(flat)[1].reshape(-1, 4)
+            panel = _unique_rows(np.sort(corner, axis=1))[1].reshape(4, n)
+            where = np.full(4 * n, -1)
+            where[panel[0]] = np.arange(n)
+            perms = where[panel]  # -1 where a mirrored panel is no panel
+            elements = np.flatnonzero((perms >= 0).all(axis=1))
+            found = elements, perms[elements]
+        elements, self.perms = found
+        self.elements = np.asarray(elements)
+        self.names = [_MIRROR_NAMES[e] for e in self.elements[1:]]
         self.reps = np.flatnonzero(self.perms.min(axis=0) == np.arange(n))
         fixed = self.perms[:, self.reps] == self.reps
         self.stab = fixed.sum(axis=0)
-        table = np.array([[a ** (e & 1) * b ** (e >> 1) for e in elements]
+        table = np.array([[a ** (e & 1) * b ** (e >> 1) for e in self.elements]
                           for a in (1, -1) for b in (1, -1)])
         chars = table[np.sort(_unique_rows(table)[0])]
         keep = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
@@ -469,7 +728,7 @@ class _MirrorGroup:
         # the kept rows R, the largest block and, when the group has more
         # than the identity, the term being added to it or the block's
         # Fortran-order copy; the trivial group copies R once, in that order
-        blocks = 2 if len(elements) > 1 else 1
+        blocks = 2 if len(self.elements) > 1 else 1
         self.solve_bytes = 8 * (self.reps.size * n + blocks * max(self.block_sizes) ** 2)
 
     def solve(self, R, B):
@@ -557,6 +816,9 @@ class SolvedTrap:
     solved here rather than loaded, the seconds of symmetry_s (mirror group
     detection), assembly_s (kernel rows), factor_s (blocks, LU, condition
     estimate and solve) and residual_s.
+
+    pset.group is the mirror group of the solve, found here or read from
+    the cache; the evaluators read it on the mirror planes.
     """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet, sigma: np.ndarray,
@@ -626,12 +888,15 @@ def solve_unit_excitations(geometry: TrapGeometry,
         if cached is not None:
             return cached
 
+    # the scratch of earlier evaluations is not held through the solve: freed
+    # here, its memory serves the solve's own temporaries
+    _release_scratch()
     if _unique_rows(pset.merge_keys(pset.centers))[0].size != pset.n:
         raise InvalidGeometryError(
             "coincident panel centers detected (overlapping electrodes?)")
 
     t0 = time.perf_counter()
-    group = _MirrorGroup(pset)
+    group = pset.group = _MirrorGroup(pset)
     t_group = time.perf_counter()
     if group.solve_bytes > SOLVE_MEMORY_BUDGET:
         raise SolverError(
@@ -639,6 +904,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
             f"{group.block_sizes}) needs {group.solve_bytes / 1e6:.3g} MB, more "
             f"than the {SOLVE_MEMORY_BUDGET / 1e6:.3g} MB budget; coarsen the mesh")
     R = potential_matrix(pset, pset.centers[group.reps])
+    _release_scratch()  # the assembly's, not held through the factorization
     t1 = time.perf_counter()
 
     names = geometry.electrode_names
@@ -679,25 +945,63 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #
 # File layout (all integers little endian):
 #   bytes 0:4    magic "ITSC"
-#   bytes 4:8    uint32 format version (1)
+#   bytes 4:8    uint32 format version (2)
 #   bytes 8:16   uint64 header length H
 #   bytes 16:16+H JSON header: signature, electrode names, n_panels,
 #                 cond_estimate, mirror_group, block_sizes, residuals,
 #                 payload sha256 and the solution digest (_solution_digest)
-#   remainder    sigma.T as '<f8': the n_panels charge densities of each
-#                 electrode's unit excitation, electrodes in header order
+#   remainder    the payload: sigma.T as '<f8', the n_panels charge densities
+#                 of each electrode's unit excitation, electrodes in header
+#                 order; then the mirror group's perms as '<i4', one row of
+#                 n_panels per element, the identity and then mirror_group
+#                 order
+# An entry of another format version is a miss, solved again and overwritten.
+
+# what a solve runs: a solution cached by another version of any of these is
+# solved again (_solution_digest); the evaluators are not among them
+_SOLVER_CODE = (_unique_rows, PanelSet.__init__, PanelSet.n.fget, PanelSet.merge_keys,
+                PanelSet.corner_groups.fget, _CornerGroup.__init__, _ln_sum,
+                _field_terms, _potential_terms, _executor, _thread_scratch,
+                _release_scratch, _evaluate, _blocks, potential_matrix,
+                _MirrorGroup.__init__, _MirrorGroup.solve, _MirrorGroup._block,
+                _MirrorGroup.potential, SolvedTrap.__init__, _kernel_diagnostics,
+                solve_unit_excitations)
+# and the constants they read
+_SOLVER_CONSTANTS = (_TINY, _MERGE_REL, COND_LIMIT, COND_DIGITS, RESIDUAL_LIMIT,
+                     _MIRROR_SIGNS.tolist())
 
 
 def _cache_path(cache_dir, signature):
     return os.path.join(cache_dir, f"{signature}.itsc")
 
 
+def _code_lines(code):
+    """The line numbers of code and of the code nested in it."""
+    lines = [code.co_firstlineno] + [n for *_, n in code.co_lines() if n is not None]
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            lines += _code_lines(c)
+    return lines
+
+
+@functools.cache
+def _solver_source():
+    """The source of _SOLVER_CODE, each function from its def to the last
+    line of its body, and the repr of _SOLVER_CONSTANTS. Cut from the file
+    by line numbers: inspect.getsource tokenizes each function, 20 ms."""
+    with open(__file__, encoding="utf-8") as f:
+        text = f.readlines()
+    parts = []
+    for fn in _SOLVER_CODE:
+        lines = _code_lines(fn.__code__)
+        parts.append("".join(text[min(lines) - 1:max(lines)]))
+    return "\n".join(parts + [repr(_SOLVER_CONSTANTS)]).encode()
+
+
 def _solution_digest(pset: PanelSet) -> str:
     """SHA-256 of what a solution depends on besides the geometry signature:
-    the panel arrays and the source of this module (kernel and solver)."""
-    h = hashlib.sha256()
-    with open(__file__, "rb") as f:
-        h.update(f.read())
+    the panel arrays and the source of the code in _SOLVER_CODE."""
+    h = hashlib.sha256(_solver_source())
     for a in (pset.origins, pset.edge_u, pset.edge_v, pset.electrode_idx):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
@@ -705,7 +1009,8 @@ def _solution_digest(pset: PanelSet) -> str:
 
 def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
     os.makedirs(cache_dir, exist_ok=True)
-    payload = np.ascontiguousarray(solved.sigma.T, dtype="<f8").tobytes()
+    payload = (np.ascontiguousarray(solved.sigma.T, dtype="<f8").tobytes()
+               + np.ascontiguousarray(solved.pset.group.perms, dtype="<i4").tobytes())
     header = json.dumps({
         "signature": solved.geometry.signature(),
         "electrodes": solved.geometry.electrode_names,
@@ -740,7 +1045,7 @@ def _cache_load(cache_dir, geometry, pset, digest):
                 raise ValueError("bad magic")
             version, hlen = struct.unpack("<IQ", f.read(12))
             if version != _CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {version}")
+                return None  # written in another format
             header = json.loads(f.read(hlen))
             payload = f.read()
         if header["signature"] != geometry.signature():
@@ -752,7 +1057,13 @@ def _cache_load(cache_dir, geometry, pset, digest):
         if header["n_panels"] != pset.n:
             raise ValueError("panel count mismatch")
         k = len(header["electrodes"])
-        sigma = np.frombuffer(payload, dtype="<f8").reshape(k, pset.n).T.copy()
+        elements = [0] + [_MIRROR_NAMES.index(e) for e in header["mirror_group"]]
+        if len(payload) != pset.n * (8 * k + 4 * len(elements)):
+            raise ValueError("payload size mismatch")
+        sigma = np.frombuffer(payload, dtype="<f8", count=k * pset.n)
+        sigma = sigma.reshape(k, pset.n).T.copy()
+        perms = np.frombuffer(payload, dtype="<i4", offset=8 * k * pset.n)
+        pset.group = _MirrorGroup(pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
         residuals = np.array(header["residuals"], dtype=float)
         diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
                        "block_sizes": header["block_sizes"], **_kernel_diagnostics()}

@@ -177,7 +177,8 @@ def cmd_report(ns) -> int:
          "geometry": geom.mesh_diagnostics(),
          "solver": solved.diagnostics,
          "solver_residual_V": report.solver_residual_V,
-         "n_panels": report.n_panels})
+         "n_panels": report.n_panels,
+         "field_evaluations": report.field_evaluations})
     print(f"wrote {json_path}, {csv_path} (manifest {manifest})")
     print(TrapReport.CSV_HEADER)
     print(report.csv_row())
@@ -316,7 +317,8 @@ def cmd_map(ns) -> int:
         raise InvalidInputError(f"--res-um must be > 0, got {ns.res_um}")
     _check_domain(geom, center, span)
     solved = _solve(geom, ns)
-    pseudo = PseudoField(BemRfField(solved), species=species, drive=drive)
+    rf = BemRfField(solved)
+    pseudo = PseudoField(rf, species=species, drive=drive)
     grid = pseudo_map(pseudo, center, span, ns.res_um,
                       meta={"design": geom.design,
                             "geometry_signature": geom.signature()})
@@ -325,7 +327,8 @@ def cmd_map(ns) -> int:
         [ns.out], ns, _geometry_inputs(ns, geom),
         {"shape": [len(grid.xs_um), len(grid.ys_um), len(grid.zs_um)],
          "psi_min_meV": float(np.min(grid.values_meV)),
-         "psi_max_meV": float(np.max(grid.values_meV))})
+         "psi_max_meV": float(np.max(grid.values_meV)),
+         "field_evaluations": rf.evaluations})
     print(f"wrote {ns.out} ({grid.values_meV.size} points; manifest {manifest})")
     return 0
 

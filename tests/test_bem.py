@@ -17,6 +17,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -237,18 +238,129 @@ def _evaluators(solved):
 
 def test_a_point_evaluates_bitwise_alike_in_every_batch(surface_solved):
     # each row is reduced along its own corners, so a point's value must not
-    # depend on the size of its batch or on where it sits in its block
+    # depend on the size of its batch or on where it sits in its block; the
+    # probes on a mirror plane and on x = z = 0 read the corner tables of
+    # their stabilizer classes, and the batches mix the classes
     corners = sum(g.cu.size for g in surface_solved.pset.corner_groups)
     several_blocks = 3 * bem._BLOCK_PAIRS // corners + 5
     sizes = (2, 3, 5, 21, 22, 43, 999, several_blocks)
-    probe, others = _trap_points(1, 11), _trap_points(max(sizes), 12)
-    for name, evaluate in _evaluators(surface_solved).items():
-        alone = evaluate(probe)[0]
-        for m in sizes:
-            batch = evaluate(np.vstack([probe, others[:m - 2], probe]))
-            assert batch.shape[0] == m
-            assert np.array_equal(batch[0], alone), (name, m)
-            assert np.array_equal(batch[-1], alone), (name, m)
+    others = _trap_points(max(sizes), 12)
+    others[::3, 2] = 0.0
+    others[::5, 0] = 0.0
+    for probe in _trap_points(1, 11) * [[1, 1, 1], [1, 1, 0], [0, 1, 0]]:
+        for name, evaluate in _evaluators(surface_solved).items():
+            alone = evaluate(probe[None])[0]
+            for m in sizes:
+                batch = evaluate(np.vstack([probe, others[:m - 2], probe]))
+                assert batch.shape[0] == m
+                assert np.array_equal(batch[0], alone), (name, probe, m)
+                assert np.array_equal(batch[-1], alone), (name, probe, m)
+
+
+def _whole_table(pset):
+    """The same panels without their mirror group: every point reads every
+    corner with sigma."""
+    return bem.PanelSet(pset.origins, pset.edge_u, pset.edge_v, pset.electrode_idx)
+
+
+def _plane_points(seed):
+    """Points on x = 0, on z = 0, on both, and off the planes, 20 of each."""
+    pts = _trap_points(20, seed)
+    return np.vstack([pts * [0, 1, 1], pts * [1, 1, 0], pts * [0, 1, 0], pts])
+
+
+@pytest.mark.parametrize("fixture", ["surface_solved", "gnd_solved_200", "cross_solved_200"])
+def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
+    solved = request.getfixturevalue(fixture)
+    pset, whole = solved.pset, _whole_table(solved.pset)
+    assert pset.group.names == FULL_GROUP and whole.group is None
+    pts = _plane_points(21)
+    first_rf = solved.geometry.electrodes_with_role("rf")[0]
+    sigmas = {"rf": solved.sigma_for(solved.rf_voltages()),
+              first_rf: solved.sigma_for({first_rf: 1.0}),
+              "random": np.random.default_rng(22).uniform(-1.0, 1.0, pset.n)}
+    for label, sigma in sigmas.items():
+        # a random sigma has no smooth field: its corner sums cancel more, so
+        # the rounding of each is a larger share of the result
+        rel = 1e-11 if label == "random" else 1e-12
+        for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+            got, want = evaluate(pset, sigma, pts), evaluate(whole, sigma, pts)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= rel * scale, (label, evaluate)
+            # off the planes both read the whole table with sigma
+            assert np.array_equal(got[60:], want[60:]), (label, evaluate)
+    charge = bem.ChargeWeights(pset, sigmas["rf"])
+    bem.field_of(pset, charge, pts)
+    every = sum(g.cu.size for g in pset.corner_groups)
+    seen = charge.evaluations
+    assert {name: c["points"] for name, c in seen.items()} == {
+        "x=0": 20, "z=0": 20, "x=0, z=0, x=0 & z=0": 20, "identity": 20}
+    assert seen["identity"]["corners"] == every
+    assert max(seen["x=0"]["corners"], seen["z=0"]["corners"]) < 0.6 * every
+    assert seen["x=0, z=0, x=0 & z=0"]["corners"] < 0.3 * every
+
+
+def test_tilted_panels_take_each_field_component_from_its_character():
+    # panels whose frame mixes x or y with z: under the z mirror one kernel
+    # term adds to outputs of both of its characters
+    tilted = (Electrode("a", "rf", (Rect((0.0, 0.0, 10.0), (100.0, 0.0, 100.0),
+                                         (0.0, 100.0, 0.0)),)),
+              Electrode("b", "dc", (Rect((0.0, 0.0, -10.0), (100.0, 0.0, -100.0),
+                                         (0.0, 100.0, 0.0)),)))
+    g = _custom_geometry(tilted, 25.0)
+    pset = bem.PanelSet(*g.arrays_m())
+    pset.group = bem._MirrorGroup(pset)
+    assert pset.group.names == ["z=0"]
+    rng = np.random.default_rng(23)
+    pts = rng.uniform((-50e-6, -50e-6, -80e-6), (150e-6, 150e-6, 80e-6), (30, 3))
+    pts[:20, 2] = 0.0
+    sigma = rng.uniform(-1.0, 1.0, pset.n)
+    charge = bem.ChargeWeights(pset, sigma)
+    for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+        got, want = evaluate(pset, charge, pts), evaluate(_whole_table(pset), sigma, pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
+        assert np.array_equal(got[20:], want[20:]), evaluate
+    (off, _), (cls, rows) = pset.classes_of(pts)
+    assert (off.name, cls.name, rows.tolist()) == ("identity", "z=0", list(range(20)))
+    # one layer per character where a term reaches both
+    assert all(col is not None for _, col in charge.folded(cls, "field"))
+    assert all(col is not None for _, col in charge.folded(cls, "jacobian"))
+
+
+def test_a_second_identical_call_allocates_no_kernel_scratch():
+    ps = _panel_grid(400)
+    sigma = np.ones(ps.n)
+    corners = sum(g.cu.size for g in ps.corner_groups)
+    for m in (2000, 3):  # blocks on the pool, then one block inline
+        bem._release_scratch()
+        pts = _trap_points(m, 24)
+        scratch = 8 * bem._SCRATCH * min(m, bem._BLOCK_PAIRS // corners) * corners
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                bem.field_of(ps, sigma, pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the first call's peak holds the scratch, the second's does not
+        assert peaks[0] - peaks[1] >= scratch > peaks[1], (m, peaks)
+
+
+def test_a_solve_holds_no_kernel_scratch_through_its_factorization(monkeypatch):
+    g = _custom_geometry((_plate(400.0, 50.0, 0.0, "a", "rf"),), 50.0)
+    bem.field_of(_panel_grid(400), np.ones(400), _trap_points(2000, 25))
+    assert bem._scratch
+    held = []
+    factor = sla.lu_factor
+
+    def watching_factor(*args, **kwargs):
+        held.append(len(bem._scratch))
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", watching_factor)
+    solve_unit_excitations(g)
+    assert held and not any(held)
 
 
 def _map_points():
@@ -770,6 +882,68 @@ def test_cache_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(first.sigma, second.sigma)
     np.testing.assert_array_equal(first.residuals, second.residuals)
     assert second.cond_estimate == first.cond_estimate
+    # the solver's mirror group comes back with the entry, not detected again
+    solved, loaded = first.pset.group, second.pset.group
+    assert loaded.names == solved.names == FULL_GROUP
+    np.testing.assert_array_equal(loaded.elements, solved.elements)
+    np.testing.assert_array_equal(loaded.perms, solved.perms)
+    pts = _plane_points(26)
+    for a, b in ((first, second), (second, first)):
+        np.testing.assert_array_equal(bem.field_of(a.pset, a.sigma[:, 0], pts),
+                                      bem.field_of(b.pset, b.sigma[:, 0], pts))
+
+
+def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(
+        tmp_path, monkeypatch):
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    first = solve_unit_excitations(g, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.itsc"))
+    raw = bytearray(path.read_bytes())
+    assert bytes(raw[4:8]) == bem._CACHE_VERSION.to_bytes(4, "little") == b"\x02\0\0\0"
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = solve_unit_excitations(g, cache_dir=tmp_path)
+    assert again.diagnostics["cache"] == "miss"
+    np.testing.assert_array_equal(again.sigma, first.sigma)
+    assert path.read_bytes()[4:8] == b"\x02\0\0\0"  # overwritten in format 2
+    assert solve_unit_excitations(g, cache_dir=tmp_path).diagnostics["cache"] == "hit"
+
+
+def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
+    # every bem function a solve enters, on any thread, must be in
+    # _SOLVER_CODE (or be nested in one that is)
+    listed = {f.__qualname__ for f in bem._SOLVER_CODE}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == bem.__name__:
+            entered.add(frame.f_code.co_qualname)
+
+    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
+    monkeypatch.setattr(bem, "_pool", None)  # new threads take the profile
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        solve_unit_excitations(build_default("surface", fine_um=80.0))
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        bem._pool.shutdown()
+    assert "_blocks.<locals>.task" in entered and "_MirrorGroup._block" in entered
+
+    def covered(qualname):
+        parts = qualname.split(".")
+        return any(".".join(parts[:i]) in listed for i in range(1, len(parts) + 1))
+
+    assert sorted(q for q in entered if not covered(q)) == []
+    # the evaluators are not part of it: editing them keeps every entry
+    source = bem._solver_source().decode()
+    assert "def potential_matrix(" in source and "def _block(self, R, c):" in source
+    for name in ("def potential_of(", "def field_of(", "def jacobian_of(",
+                 "class ChargeWeights", "def _weighted_sums("):
+        assert name not in source
 
 
 def test_corrupt_cache_is_ignored_with_warning(tmp_path):

@@ -175,6 +175,14 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
         assert solver["mirror_group"] == ["x=0", "z=0", "x=0 & z=0"]
         assert sum(solver["block_sizes"]) == manifest["diagnostics"]["n_panels"] == 580
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
+    # the null scan runs on x = z = 0 and the depth grid on z = 0; the
+    # Hessian's z steps leave z = 0, at the null onto x = 0
+    report = json.loads((tmp_path / "coarse.json").read_text())
+    seen = manifest["diagnostics"]["field_evaluations"]
+    assert seen == report["field_evaluations"]
+    assert set(seen) == {"identity", "x=0", "z=0", "x=0, z=0, x=0 & z=0"}
+    assert seen["x=0, z=0, x=0 & z=0"]["points"] > seen["x=0"]["points"] > 0
+    assert seen["z=0"]["corners"] < seen["identity"]["corners"] / 1.6
 
 
 def test_report_manifest_describes_the_mesh(tmp_path, surface_solved, cache_dir):
@@ -423,6 +431,13 @@ def test_map_zero_voltage_is_identically_zero(tmp_path, surface_solved, cache_di
     manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
     assert manifest["diagnostics"]["shape"] == [3, 3, 1]
     assert manifest["diagnostics"]["psi_max_meV"] == 0.0
+    # the z = 0 map reads half the corners, its x = 0 column a quarter
+    every = sum(g.cu.size for g in surface_solved.pset.corner_groups)
+    seen = manifest["diagnostics"]["field_evaluations"]
+    assert {name: c["points"] for name, c in seen.items()} == {
+        "z=0": 6, "x=0, z=0, x=0 & z=0": 3}
+    assert seen["z=0"]["corners"] < 0.6 * every
+    assert seen["x=0, z=0, x=0 & z=0"]["corners"] < 0.3 * every
 
 
 def test_map_res_halving_reproduces_shared_points(tmp_path, surface_solved, cache_dir):
