@@ -27,19 +27,20 @@ its own row of corners, so a point gets the same bits in any batch and at
 any place in it.
 
 The weighted evaluators read fewer corners on the mirror planes of a solved
-trap. The solve keeps its mirror group with the panels (PanelSet.group, also
-in the cache), and the elements H of that group that fix a point, the x
-mirror when x == 0.0 and the z mirror when z == 0.0, fix its value:
-K(p, h.j) = K(h.p, j) = K(p, j). So phi(p) = sum_r w_r K(p, r) over one
-panel r per H-orbit, w_r = sum_h sigma[h.r] / stab_r, with the sign each h
-gives a field component (or the product of two for a Jacobian entry) in the
-sum for that output. That holds for any sigma. A point on a mirror plane
-reads the corners of half the panels and a point on x = z = 0 of a quarter;
-the points of each stabilizer class run the same blocked loop over the
-corner table of the class, taken from the whole table by index, and a point
-off the planes, or of a trap without symmetry, reads the whole table with
-sigma. ChargeWeights folds a sigma once per class and counts the points of
-each class.
+trap. A PanelSet's mirror group (PanelSet.group) is the identity until the
+solve finds the group or a cache load brings it back. The subgroup H of it
+that fixes a point, the x mirror when x == 0.0 and the z mirror when
+z == 0.0, fixes its value: K(p, h.j) = K(h.p, j) = K(p, j). So phi(p) =
+sum_r w_r K(p, r) over one panel r per H-orbit, w_r = sum_h sigma[h.r] /
+stab_r, with the sign each h gives a field component (or the product of two
+for a Jacobian entry) in the sum for that output. That holds for any sigma.
+A point on a mirror plane reads the corners of half the panels and a point
+on x = z = 0 of a quarter. The points of each stabilizer class H, built by
+the solver's _MirrorGroup code, run the same blocked loop over the corner
+table of H's orbit representatives, taken from the whole table by index; a
+point off the planes, or of a trap without symmetry, reads the whole table
+with sigma. ChargeWeights, the one field object, folds a sigma once per
+class and counts the points of each class.
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
@@ -155,10 +156,9 @@ class PanelSet:
         self.centers = self.origins + 0.5 * (self.edge_u + self.edge_v)
         self.areas = self.a * self.b
         self._groups = None
-        # the _MirrorGroup the solver found for these panels, or None: then
-        # every point reads the whole corner table
-        self.group = None
-        self._classes = {}
+        # the mirror group of these panels: the identity until the solve or a
+        # cache load puts the group it found
+        self.group = _MirrorGroup(self, (np.zeros(1, int), np.arange(self.n)[None]))
 
     @property
     def n(self):
@@ -181,32 +181,6 @@ class PanelSet:
                             for g in range(which.max() + 1)]
         return self._groups
 
-    def classes_of(self, points):
-        """[(stabilizer class, indices of its points or None for all)] of
-        the (m, 3) points: a point's class is the elements of self.group
-        that fix it, the x mirror when x == 0.0 and the z mirror when
-        z == 0.0 (exact compares)."""
-        if self.group is None:
-            return [(self._stabilizer_class((0,)), None)]
-        # bit 0: on x = 0, bit 1: on z = 0; an element fixes the points whose
-        # key holds every axis it flips
-        key = (points[:, 0] == 0.0) + 2 * (points[:, 2] == 0.0)
-        present = np.flatnonzero(np.bincount(key, minlength=4))
-        keys = {}
-        for k in present:
-            keys.setdefault(tuple(np.flatnonzero((self.group.elements & ~k) == 0)), []).append(k)
-        if len(keys) == 1:
-            return [(self._stabilizer_class(next(iter(keys))), None)]
-        return [(self._stabilizer_class(rows), np.flatnonzero(np.isin(key, ks)))
-                for rows, ks in keys.items()]
-
-    def _stabilizer_class(self, rows):
-        """The _StabilizerClass of the group elements rows (indices into
-        self.group.perms), built on first use; (0,) is the identity."""
-        if rows not in self._classes:
-            self._classes[rows] = _StabilizerClass(self, rows)
-        return self._classes[rows]
-
 
 class _CornerGroup:
     """Panels of one frame and plane and their distinct corners (cu, cv):
@@ -225,7 +199,9 @@ class _CornerGroup:
 
     def subset(self, keep):
         """The group of the panels panels[keep] and of the corners they use,
-        in this group's order, taken by index."""
+        in this group's order, taken by index; this group when it keeps all."""
+        if keep.all():
+            return self
         sub = object.__new__(_CornerGroup)
         sub.panels, sub.frame, sub.offset = self.panels[keep], self.frame, self.offset
         idx = self.idx[:, keep]
@@ -244,59 +220,19 @@ class _CornerGroup:
         return w
 
 
-class _StabilizerClass:
-    """What a point fixed by the mirror group elements `rows` reads.
-
-    Those elements H map the point onto itself, so K(p, h.j) = K(h.p, j) =
-    K(p, j) and the point needs one panel per H-orbit: reps, the lowest
-    panel of each, and the corner table of the reps (panels that no rep
-    uses drop out, a half of the panels on a mirror plane and a quarter on
-    the line x = z = 0). images[h, r] is the panel element h maps rep r
-    to and stab[r] the number of elements that fix it. The identity alone
-    reads the whole table.
-    """
-
-    def __init__(self, pset: PanelSet, rows):
-        group = pset.group
-        self.elements = np.zeros(1, int) if group is None else group.elements[list(rows)]
-        self.name = ", ".join(_MIRROR_NAMES[e] for e in self.elements[1:]) or "identity"
-        if len(rows) == 1:
-            self.images = None
-            self.groups = pset.corner_groups
-        else:
-            images = group.perms[list(rows)]
-            first = images.min(axis=0) == np.arange(pset.n)
-            self.reps = np.flatnonzero(first)
-            self.images = images[:, self.reps]
-            self.stab = (self.images == self.reps).sum(axis=0)
-            subsets = (g.subset(first[g.panels]) for g in pset.corner_groups)
-            self.groups = [g for g in subsets if g.panels.size]
-        self.corners = sum(g.cu.size for g in self.groups)
-
-    def characters(self, parity):
-        """The distinct characters that outputs of the given parities take on
-        these elements, (C, elements) of +/-1, and the column of each output.
-
-        Parity bit 0 is set when the x mirror flips the output's sign, bit 1
-        when the z mirror does.
-        """
-        flips = np.bitwise_and.outer(parity.ravel(), self.elements)
-        signs = 1 - 2 * ((flips ^ (flips >> 1)) & 1)
-        first, col = _unique_rows(signs)
-        return signs[first].astype(float), col.reshape(parity.shape)
-
-
 class ChargeWeights:
     """Charge densities sigma (n[, k]) of a PanelSet folded into corner
-    weights, once per stabilizer class and output on first use. Pass it for
-    sigma to evaluate one sigma many times.
+    weights, once per stabilizer class and output on first use: the one
+    field object. potential, field and jacobian evaluate it; pass it for
+    sigma to the module's evaluators to evaluate one sigma many times.
 
-    A point of class H reads the reps r of its orbits with the weights
-    w_r = sum_h chi(h) sigma[h.r] / stab_r, chi the sign each element gives
-    the output: 1 for the potential, the x and z mirror signs of a field
-    component, their products for a Jacobian entry. This holds for any
-    sigma, symmetric or not. evaluations[class name] counts the points
-    evaluated in each class and the corners the class reads.
+    A point of class H (the subgroup of pset.group that fixes it) reads the
+    reps r of its orbits with the weights w_r = sum_h chi(h) sigma[h.r] /
+    stab_r, chi the sign each element gives the output: 1 for the
+    potential, the x and z mirror signs of a field component, their
+    products for a Jacobian entry. This holds for any sigma, symmetric or
+    not. evaluations[class name] counts the points evaluated in each class
+    and the corners the class reads.
     """
 
     def __init__(self, pset: PanelSet, sigma):
@@ -305,7 +241,18 @@ class ChargeWeights:
         self.evaluations = {}
         self._folded = {}
 
-    def folded(self, cls: _StabilizerClass, output):
+    # the module's evaluators are looked up at each call, so a wrapper put
+    # on them (a tracer, say) sees these calls too
+    def potential(self, points):
+        return potential_of(self.pset, self, points)
+
+    def field(self, points):
+        return field_of(self.pset, self, points)
+
+    def jacobian(self, points):
+        return jacobian_of(self.pset, self, points)
+
+    def folded(self, cls: _MirrorGroup, output):
         """[(layers, column)] of each of cls's corner groups for the output
         ("potential", "field" or "jacobian").
 
@@ -323,15 +270,14 @@ class ChargeWeights:
 
     def _fold(self, cls, output):
         parity, reach = _OUTPUTS[output]
-        chars, col = cls.characters(parity)
-        if cls.images is None:
-            # the identity: every panel is its own orbit
-            omega = self.sigma[:, None]
-        else:
-            s = np.tensordot(chars, self.sigma[cls.images], axes=1)
-            s /= cls.stab.reshape((-1,) + (1,) * (s.ndim - 2))
-            omega = np.zeros((self.pset.n,) + s.shape[:1] + s.shape[2:])
-            omega[cls.reps] = np.moveaxis(s, 0, 1)
+        # the distinct characters of the outputs on cls and each output's column
+        signs = cls._signs(parity.ravel())
+        first, col = _unique_rows(signs)
+        chars, col = signs[first].astype(float), col.reshape(parity.shape)
+        s = np.tensordot(chars, self.sigma[cls.images], axes=1)
+        s /= cls.stab.reshape((-1,) + (1,) * (s.ndim - 2))
+        omega = np.zeros((self.pset.n,) + s.shape[:1] + s.shape[2:])
+        omega[cls.reps] = np.moveaxis(s, 0, 1)
         out = []
         for g in cls.groups:
             w = [g.fold(omega[:, c]) for c in range(len(chars))]
@@ -343,8 +289,9 @@ class ChargeWeights:
                              for c in range(len(w))], col))
         return out
 
-    def count(self, cls: _StabilizerClass, points: int):
-        seen = self.evaluations.setdefault(cls.name, {"points": 0, "corners": cls.corners})
+    def count(self, cls: _MirrorGroup, points: int):
+        seen = self.evaluations.setdefault(
+            cls.name, {"points": 0, "corners": sum(g.cu.size for g in cls.groups)})
         seen["points"] += points
 
 
@@ -533,7 +480,7 @@ def _evaluate(pset: PanelSet, points, charge, output, terms, emit, shape):
         groups = pset.corner_groups
         _blocks(p, out, groups, [None] * len(groups), terms, emit, inline)
     else:
-        for cls, rows in pset.classes_of(p):
+        for cls, rows in pset.group.classes_of(pset, p):
             w = charge.folded(cls, output)
             if rows is None:
                 _blocks(p, out, cls.groups, w, terms, emit, inline)
@@ -686,16 +633,19 @@ class _MirrorGroup:
     panel, at the merge tolerance, onto the corners of some panel; then it
     maps collocation points onto collocation points and A[g.i, g.j] = A[i, j].
     perms[g, j] is the panel that element g maps panel j to, reps the lowest
-    panel of each orbit, stab the order of each rep's stabilizer. The
-    characters chars[c, g] = +/-1 split the system into one block per
-    character; block c keeps the orbits keep[c] (into reps) whose stabilizer
-    it fixes and is written in the orthonormal symmetry basis,
-    M_c[i, r] = sum_g chars[c, g] A[rep_i, g.rep_r] / sqrt(stab_i stab_r).
-    The trivial group has one block, the dense matrix. elements holds each
-    element's code into _MIRROR_SIGNS, the identity (0) first.
+    panel of each orbit, images[g, r] = perms[g, reps[r]] and stab the order
+    of each rep's stabilizer. The characters chars[c, g] = +/-1 split the
+    system into one block per character; block c keeps the orbits keep[c]
+    (into reps) whose stabilizer it fixes and is written in the orthonormal
+    symmetry basis, M_c[i, r] = sum_g chars[c, g] A[rep_i, g.rep_r] /
+    sqrt(stab_i stab_r). The trivial group has one block, the dense matrix.
+    elements holds each element's code into _MIRROR_SIGNS, the identity (0)
+    first.
 
     found = (elements, perms) takes a group found before, from a cache
-    entry, instead of detecting it again.
+    entry or a subset of another group's rows, instead of detecting it.
+    A subgroup that classes_of returns also has groups, the corner table of
+    its reps.
     """
 
     def __init__(self, pset: PanelSet, found=None):
@@ -715,11 +665,13 @@ class _MirrorGroup:
         elements, self.perms = found
         self.elements = np.asarray(elements)
         self.names = [_MIRROR_NAMES[e] for e in self.elements[1:]]
+        self.name = ", ".join(self.names) or "identity"
         self.reps = np.flatnonzero(self.perms.min(axis=0) == np.arange(n))
-        fixed = self.perms[:, self.reps] == self.reps
+        self.images = self.perms[:, self.reps]
+        fixed = self.images == self.reps
         self.stab = fixed.sum(axis=0)
-        table = np.array([[a ** (e & 1) * b ** (e >> 1) for e in self.elements]
-                          for a in (1, -1) for b in (1, -1)])
+        # rows (+, +), (+, -), (-, +), (-, -) of the x and z mirror signs
+        table = self._signs(np.array([0, 2, 1, 3]))
         chars = table[np.sort(_unique_rows(table)[0])]
         keep = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
         self.chars = np.array([c for c, k in zip(chars, keep) if k.size])
@@ -730,6 +682,44 @@ class _MirrorGroup:
         # Fortran-order copy; the trivial group copies R once, in that order
         blocks = 2 if len(self.elements) > 1 else 1
         self.solve_bytes = 8 * (self.reps.size * n + blocks * max(self.block_sizes) ** 2)
+        self._subgroups = {}
+
+    def _signs(self, parity):
+        """The sign +/-1 each element gives an output of each parity,
+        (outputs, elements): parity bit 0 is set when the x mirror flips the
+        output's sign, bit 1 when the z mirror does."""
+        flips = np.bitwise_and.outer(parity, self.elements)
+        return 1 - 2 * ((flips ^ (flips >> 1)) & 1)
+
+    def classes_of(self, pset: PanelSet, points):
+        """[(stabilizer class, indices of its points or None for all)] of
+        the (m, 3) points: a point's class is the subgroup of the elements
+        that fix it, the x mirror when x == 0.0 and the z mirror when
+        z == 0.0 (exact compares)."""
+        # bit 0: on x = 0, bit 1: on z = 0; an element fixes the points whose
+        # key holds every axis it flips
+        key = (points[:, 0] == 0.0) + 2 * (points[:, 2] == 0.0)
+        present = np.flatnonzero(np.bincount(key, minlength=4))
+        keys = {}
+        for k in present:
+            keys.setdefault(tuple(np.flatnonzero((self.elements & ~k) == 0)), []).append(k)
+        if len(keys) == 1:
+            return [(self._subgroup(pset, next(iter(keys))), None)]
+        return [(self._subgroup(pset, rows), np.flatnonzero(np.isin(key, ks)))
+                for rows, ks in keys.items()]
+
+    def _subgroup(self, pset, rows):
+        """The subgroup of the elements rows (indices into perms) with the
+        corner table of its reps, built on first use. pset is passed, not
+        kept: a group that held its panel set would make a reference cycle."""
+        if rows not in self._subgroups:
+            sub = _MirrorGroup(pset, (self.elements[list(rows)], self.perms[list(rows)]))
+            rep = np.zeros(pset.n, bool)
+            rep[sub.reps] = True
+            subsets = (g.subset(rep[g.panels]) for g in pset.corner_groups)
+            sub.groups = [g for g in subsets if g.panels.size]
+            self._subgroups[rows] = sub
+        return self._subgroups[rows]
 
     def solve(self, R, B):
         """sigma of A sigma = B from the kept rows R = A[reps], and the 1-norm
@@ -740,7 +730,7 @@ class _MirrorGroup:
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
         """
         order = self.perms.shape[0]
-        Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.perms[:, self.reps]])
+        Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.images])
         X = np.zeros_like(Bc)
         anorm = ainv = 0.0
         for c, k in enumerate(self.keep):
@@ -760,7 +750,7 @@ class _MirrorGroup:
             X[c, k] = y * s / math.sqrt(order)
             del M, lu  # before the next block is gathered
         S = np.empty_like(B)
-        S[self.perms[:, self.reps]] = np.einsum("cg,cmk->gmk", self.chars, X)
+        S[self.images] = np.einsum("cg,cmk->gmk", self.chars, X)
         return S, anorm * ainv
 
     def _block(self, R, c):
@@ -772,7 +762,7 @@ class _MirrorGroup:
         order. Two blocks at most are alive at once.
         """
         k = self.keep[c]
-        cols = self.perms[:, self.reps[k]]
+        cols = self.images[:, k]
         if len(cols) == 1:
             # the identity alone: every panel is an orbit and the block is R
             M = np.array(R, order="F")
@@ -797,8 +787,8 @@ class _MirrorGroup:
         """A sigma on every collocation point from the kept rows: row g.i of
         A is row i of R with its columns permuted by g."""
         phi = np.empty_like(sigma)
-        for p in self.perms:
-            phi[p[self.reps]] = R @ sigma[p]
+        for p, image in zip(self.perms, self.images):
+            phi[image] = R @ sigma[p]
         return phi
 
 
@@ -963,9 +953,9 @@ _SOLVER_CODE = (_unique_rows, PanelSet.__init__, PanelSet.n.fget, PanelSet.merge
                 PanelSet.corner_groups.fget, _CornerGroup.__init__, _ln_sum,
                 _field_terms, _potential_terms, _executor, _thread_scratch,
                 _release_scratch, _evaluate, _blocks, potential_matrix,
-                _MirrorGroup.__init__, _MirrorGroup.solve, _MirrorGroup._block,
-                _MirrorGroup.potential, SolvedTrap.__init__, _kernel_diagnostics,
-                solve_unit_excitations)
+                _MirrorGroup.__init__, _MirrorGroup._signs, _MirrorGroup.solve,
+                _MirrorGroup._block, _MirrorGroup.potential, SolvedTrap.__init__,
+                _kernel_diagnostics, solve_unit_excitations)
 # and the constants they read
 _SOLVER_CONSTANTS = (_TINY, _MERGE_REL, COND_LIMIT, COND_DIGITS, RESIDUAL_LIMIT,
                      _MIRROR_SIGNS.tolist())
@@ -1043,11 +1033,16 @@ def _cache_load(cache_dir, geometry, pset, digest):
         with open(path, "rb") as f:
             if f.read(4) != _CACHE_MAGIC:
                 raise ValueError("bad magic")
-            version, hlen = struct.unpack("<IQ", f.read(12))
+            head = f.read(12)
+            if len(head) != 12:
+                raise ValueError("truncated header")
+            version, hlen = struct.unpack("<IQ", head)
             if version != _CACHE_VERSION:
                 return None  # written in another format
             header = json.loads(f.read(hlen))
             payload = f.read()
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
         if header["signature"] != geometry.signature():
             raise ValueError("signature mismatch")
         if header.get("digest") != digest:

@@ -208,7 +208,8 @@ def _load_sweep_spec(path) -> dict:
             f"sweep spec 'design' must be {' or '.join(two_wafer)}, got {design!r}")
     hs = spec.get("h_um")
     if (not isinstance(hs, list) or not hs
-            or not all(isinstance(h, (int, float)) for h in hs)):
+            or not all(isinstance(h, (int, float)) and not isinstance(h, bool)
+                       for h in hs)):
         raise InvalidInputError("sweep spec 'h_um' must be a nonempty number list")
     if any(h <= 0 for h in hs):
         raise InvalidInputError("sweep spec 'h_um' values must be positive")
@@ -233,7 +234,13 @@ def cmd_sweep(ns) -> int:
                    ("sweep spec 'voltage_V'", "sweep spec 'freq_MHz'"))
     species = _species_arg(spec.get("species", "Ca40"))
     mesh = spec.get("mesh", {})
+    if not isinstance(mesh, dict):
+        raise InvalidInputError(f"sweep spec 'mesh' must be an object, got {mesh!r}")
     fine_um = mesh.get("fine_um", geometry.DEFAULT_FINE_UM)
+    if (isinstance(fine_um, bool) or not isinstance(fine_um, (int, float))
+            or not 0 < fine_um < math.inf):
+        raise InvalidInputError(
+            f"sweep spec 'mesh.fine_um' must be a positive number, got {fine_um!r}")
     ref_name = spec.get("reference", "surface")
     reference = None
     if ref_name:

@@ -524,7 +524,7 @@ class TrapReport:
     solver_residual_V: float
     n_panels: int
     # points the rf field was evaluated at in each stabilizer class, and the
-    # corners each class reads (BemRfField.evaluations)
+    # corners each class reads: a copy of BemRfField.evaluations
     field_evaluations: dict
 
     CSV_HEADER = "geometry,d_um,k,q,omega_MHz,V_kV,Omega_MHz,P_norm"
@@ -631,5 +631,5 @@ def full_report(solved, species: IonSpecies = CA40,
         solver_cond=solved.cond_estimate,
         solver_residual_V=solved.residual_max,
         n_panels=geom.n_panels,
-        field_evaluations=rf.evaluations,
+        field_evaluations={name: dict(seen) for name, seen in rf.evaluations.items()},
     )

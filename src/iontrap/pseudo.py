@@ -52,36 +52,20 @@ DEFAULT_DRIVE = DriveParams.from_mhz(10.0, 20.0)
 HESSIAN_STEP_M = 1e-7   # central-difference step of the Jacobian in hessian
 
 
-class BemRfField:
-    """Potential, field and field Jacobian of a solved trap under any voltage
-    pattern {electrode: volts}, by default 1 V on every rf electrode.
-
-    The charge densities are folded into corner weights once per stabilizer
-    class (bem.ChargeWeights); evaluations counts the points evaluated in
-    each class and the corners that class reads.
+class BemRfField(bem.ChargeWeights):
+    """The charge weights of a solved trap under any voltage pattern
+    {electrode: volts}, by default 1 V on every rf electrode: potential,
+    field, field Jacobian and evaluations come from bem.ChargeWeights.
     """
 
     def __init__(self, solved: bem.SolvedTrap, voltages: dict | None = None):
         self.solved = solved
         self.voltages = voltages or solved.rf_voltages()
-        self._charge = bem.ChargeWeights(solved.pset, solved.sigma_for(self.voltages))
+        super().__init__(solved.pset, solved.sigma_for(self.voltages))
 
     @property
     def signature(self) -> str:
         return self.solved.geometry.signature()
-
-    @property
-    def evaluations(self) -> dict:
-        return {name: dict(seen) for name, seen in self._charge.evaluations.items()}
-
-    def potential(self, points):
-        return bem.potential_of(self.solved.pset, self._charge, points)
-
-    def field(self, points):
-        return bem.field_of(self.solved.pset, self._charge, points)
-
-    def jacobian(self, points):
-        return bem.jacobian_of(self.solved.pset, self._charge, points)
 
 
 class QuadrupoleField:

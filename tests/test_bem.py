@@ -12,11 +12,13 @@ import math
 import multiprocessing
 import os
 import resource
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -273,7 +275,7 @@ def _plane_points(seed):
 def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
     solved = request.getfixturevalue(fixture)
     pset, whole = solved.pset, _whole_table(solved.pset)
-    assert pset.group.names == FULL_GROUP and whole.group is None
+    assert pset.group.names == FULL_GROUP and whole.group.names == []
     pts = _plane_points(21)
     first_rf = solved.geometry.electrodes_with_role("rf")[0]
     sigmas = {"rf": solved.sigma_for(solved.rf_voltages()),
@@ -320,11 +322,98 @@ def test_tilted_panels_take_each_field_component_from_its_character():
         got, want = evaluate(pset, charge, pts), evaluate(_whole_table(pset), sigma, pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
         assert np.array_equal(got[20:], want[20:]), evaluate
-    (off, _), (cls, rows) = pset.classes_of(pts)
+    (off, _), (cls, rows) = pset.group.classes_of(pset, pts)
     assert (off.name, cls.name, rows.tolist()) == ("identity", "z=0", list(range(20)))
     # one layer per character where a term reaches both
     assert all(col is not None for _, col in charge.folded(cls, "field"))
     assert all(col is not None for _, col in charge.folded(cls, "jacobian"))
+
+
+def _orbits(perms):
+    """reps, images and stab of the panel permutations perms, each orbit
+    closed by applying every permutation until it grows no more."""
+    n = perms.shape[1]
+    seen = np.zeros(n, bool)
+    reps = []
+    for j in range(n):
+        if seen[j]:
+            continue
+        orbit, todo = {j}, [j]
+        while todo:
+            i = todo.pop()
+            for p in perms:
+                if p[i] not in orbit:
+                    orbit.add(int(p[i]))
+                    todo.append(int(p[i]))
+        seen[list(orbit)] = True
+        reps.append(min(orbit))
+    images = np.array([[p[r] for r in reps] for p in perms])
+    stab = np.array([sum(p[r] == r for p in perms) for r in reps])
+    return np.array(reps), images, stab
+
+
+@pytest.mark.parametrize("layout", ["surface_solved", "gnd_solved_200", "cross_solved_200",
+                                    "z-only", "tilted"])
+def test_stabilizer_classes_are_the_subgroups_that_fix_their_points(layout, request):
+    if layout == "z-only":
+        g = _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
+                              _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
+    elif layout == "tilted":  # the plates of the tilted-panel test above
+        g = _custom_geometry(
+            (Electrode("a", "rf", (Rect((0.0, 0.0, 10.0), (100.0, 0.0, 100.0),
+                                        (0.0, 100.0, 0.0)),)),
+             Electrode("b", "dc", (Rect((0.0, 0.0, -10.0), (100.0, 0.0, -100.0),
+                                        (0.0, 100.0, 0.0)),))), 25.0)
+    if layout in ("z-only", "tilted"):
+        pset = bem.PanelSet(*g.arrays_m())
+        pset.group = bem._MirrorGroup(pset)
+        assert pset.group.names == ["z=0"]
+    else:
+        pset = request.getfixturevalue(layout).pset
+        assert pset.group.names == FULL_GROUP
+    group = pset.group
+    pts = _plane_points(27)
+    classes = group.classes_of(pset, pts)
+    points = np.zeros(len(pts), int)
+    for sub, rows in classes:
+        rows = np.arange(len(pts)) if rows is None else rows
+        points[rows] += 1
+        # the class is the subgroup of the elements that fix each of its points
+        for p in pts[rows]:
+            fixing = [e for e in group.elements if np.array_equal(p * bem._MIRROR_SIGNS[e], p)]
+            assert sub.elements.tolist() == fixing
+        reps, images, stab = _orbits(group.perms[np.isin(group.elements, sub.elements)])
+        np.testing.assert_array_equal(sub.reps, reps)
+        np.testing.assert_array_equal(sub.images, images)
+        np.testing.assert_array_equal(sub.stab, stab)
+        # its corner table holds the panels of the reps, the whole table for
+        # the identity
+        panels = np.sort(np.concatenate([g.panels for g in sub.groups]))
+        np.testing.assert_array_equal(panels, reps)
+        if sub.name == "identity":
+            assert sub.groups == pset.corner_groups
+    assert (points == 1).all()
+    # each subgroup is built once and kept on the group
+    again = group.classes_of(pset, pts)
+    assert [a is b for (a, _), (b, _) in zip(classes, again)] == [True] * len(classes)
+
+
+def test_a_fresh_panel_set_has_the_identity_group_and_reads_the_whole_table(
+        surface_solved):
+    pset = _whole_table(surface_solved.pset)
+    group = pset.group
+    assert (group.names, group.elements.tolist(), group.block_sizes) == ([], [0], [pset.n])
+    np.testing.assert_array_equal(group.perms, np.arange(pset.n)[None])
+    charge = bem.ChargeWeights(pset, surface_solved.sigma[:, 0])
+    pts = _plane_points(28)
+    np.testing.assert_array_equal(charge.field(pts), bem.field_of(pset, charge.sigma, pts))
+    every = sum(g.cu.size for g in pset.corner_groups)
+    assert charge.evaluations == {"identity": {"points": 80, "corners": every}}
+    # one class, the whole table, whose weights are sigma's, bit for bit
+    ((cls, rows),) = group.classes_of(pset, pts)
+    assert rows is None and cls.groups == pset.corner_groups
+    for g, (layers, col) in zip(pset.corner_groups, charge.folded(cls, "potential")):
+        assert col is None and layers[0][0].tobytes() == g.fold(charge.sigma).tobytes()
 
 
 def test_a_second_identical_call_allocates_no_kernel_scratch():
@@ -911,15 +1000,24 @@ def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(
     assert solve_unit_excitations(g, cache_dir=tmp_path).diagnostics["cache"] == "hit"
 
 
+def _nested_code(code):
+    """code and the code objects nested in it, at any depth."""
+    yield code
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            yield from _nested_code(c)
+
+
 def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
     # every bem function a solve enters, on any thread, must be in
-    # _SOLVER_CODE (or be nested in one that is)
-    listed = {f.__qualname__ for f in bem._SOLVER_CODE}
+    # _SOLVER_CODE (or be nested in one that is); code objects are compared,
+    # not names, which is exact where names repeat
+    listed = {c for f in bem._SOLVER_CODE for c in _nested_code(f.__code__)}
     entered = set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_globals.get("__name__") == bem.__name__:
-            entered.add(frame.f_code.co_qualname)
+            entered.add(frame.f_code)
 
     monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
     monkeypatch.setattr(bem, "_pool", None)  # new threads take the profile
@@ -931,13 +1029,9 @@ def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
         sys.setprofile(None)
         threading.setprofile(None)
         bem._pool.shutdown()
-    assert "_blocks.<locals>.task" in entered and "_MirrorGroup._block" in entered
-
-    def covered(qualname):
-        parts = qualname.split(".")
-        return any(".".join(parts[:i]) in listed for i in range(1, len(parts) + 1))
-
-    assert sorted(q for q in entered if not covered(q)) == []
+    task = next(c for c in _nested_code(bem._blocks.__code__) if c.co_name == "task")
+    assert task in entered and bem._MirrorGroup._block.__code__ in entered
+    assert sorted(f"{c.co_name} (line {c.co_firstlineno})" for c in entered - listed) == []
     # the evaluators are not part of it: editing them keeps every entry
     source = bem._solver_source().decode()
     assert "def potential_matrix(" in source and "def _block(self, R, c):" in source
@@ -952,10 +1046,17 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
     path = next(tmp_path.glob("*.itsc"))
     raw = bytearray(path.read_bytes())
     raw[-5] ^= 0xFF  # flip a payload byte; checksum must catch it
-    path.write_bytes(bytes(raw))
-    with pytest.warns(UserWarning, match="corrupt"):
-        again = solve_unit_excitations(g, cache_dir=tmp_path)
-    np.testing.assert_allclose(again.sigma, first.sigma, rtol=1e-12)
+    not_an_object = b"[1,2]"
+    for bad, reason in (
+            (bytes(raw), "payload checksum mismatch"),
+            (bytes(raw[:10]), "truncated header"),  # cut inside the first 16 bytes
+            (bem._CACHE_MAGIC + struct.pack("<IQ", bem._CACHE_VERSION, len(not_an_object))
+             + not_an_object, "header is not a JSON object")):
+        path.write_bytes(bad)
+        with pytest.warns(UserWarning, match=f"corrupt solver cache .*: {reason}"):
+            again = solve_unit_excitations(g, cache_dir=tmp_path)
+        np.testing.assert_allclose(again.sigma, first.sigma, rtol=1e-12)
+        assert again.diagnostics["cache"] == "miss"
 
 
 def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):

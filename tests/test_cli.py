@@ -299,6 +299,15 @@ def test_sweep_single_row_matches_library_report(tmp_path, cross_solved_105, cac
     ({"design": "cross-rf", "h_um": [105.0], "reference": "bogus"},
      "must be null or one of"),
     ([105.0], "must be a JSON object"),
+    ({"design": "cross-rf", "h_um": [True]}, "'h_um' must be a nonempty number list"),
+    ({"design": "cross-rf", "h_um": [105.0], "mesh": 5},
+     "sweep spec 'mesh' must be an object, got 5"),
+    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": "x"}},
+     "sweep spec 'mesh.fine_um' must be a positive number, got 'x'"),
+    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": True}},
+     "sweep spec 'mesh.fine_um' must be a positive number, got True"),
+    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": 0}},
+     "sweep spec 'mesh.fine_um' must be a positive number, got 0"),
 ])
 def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     path = write_spec(tmp_path, spec)

@@ -7,6 +7,7 @@ x = 10 um, giving psi = 6.1240444391e-22 J = 3.8223278939 meV for Ca40 at
 V = 10 V, Omega = 2 pi x 20 MHz.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from iontrap import (
     get_species,
     pseudo_map,
 )
+from iontrap import bem, merit
 from iontrap.constants import ECHARGE
 
 RNG = np.random.default_rng(7)
@@ -159,6 +161,26 @@ def test_bem_rf_field_voltage_override(surface_solved):
     np.testing.assert_array_equal(default.field(pts), explicit.field(pts))
     single = BemRfField(surface_solved, voltages={"rf_left": 1.0})
     assert not np.allclose(single.field(pts), default.field(pts))
+
+
+def test_the_rf_field_is_the_charge_weights_and_a_report_keeps_a_snapshot(
+        surface_solved, monkeypatch):
+    rf = BemRfField(surface_solved)
+    assert isinstance(rf, bem.ChargeWeights) and rf.pset is surface_solved.pset
+    made = []
+
+    class Recorded(BemRfField):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(merit, "BemRfField", Recorded)
+    report = merit.full_report(surface_solved)
+    (field,) = made
+    snapshot = copy.deepcopy(report.field_evaluations)
+    assert snapshot == field.evaluations
+    field.field(np.array([[0.0, 90e-6, 0.0], [1e-6, 90e-6, 2e-6]]))
+    assert report.field_evaluations == snapshot != field.evaluations
 
 
 def test_psi_of_a_point_is_bitwise_alike_in_every_batch(surface_pseudo):
