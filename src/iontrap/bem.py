@@ -40,7 +40,19 @@ the solver's _MirrorGroup code, run the same blocked loop over the corner
 table of H's orbit representatives, taken from the whole table by index; a
 point off the planes, or of a trap without symmetry, reads the whole table
 with sigma. ChargeWeights, the one field object, folds a sigma once per
-class and counts the points of each class.
+class and counts the points evaluated in each class.
+
+A point off the planes has the value of its mirror image when the mirror
+leaves sigma unchanged, up to the sign the mirror gives each output. A
+ChargeWeights finds once which of the x and z mirrors of pset.group permute
+sigma onto itself bit for bit (sigma[perm] == sigma, every column); on the
+built-in traps the rf charge keeps both, or z alone for cross-rf. Each call
+then takes |x| and |z| on those axes as the representative of each point,
+evaluates the distinct representatives through the stabilizer classes,
+and gives every point its representative's value times the element's sign
+of each output: a symmetric map over x in [-a, a] evaluates its x >= 0
+half. A call without a negative coordinate on those axes evaluates its
+points as they are, and the solve never takes this step.
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
@@ -231,13 +243,23 @@ class ChargeWeights:
     stab_r, chi the sign each element gives the output: 1 for the
     potential, the x and z mirror signs of a field component, their
     products for a Jacobian entry. This holds for any sigma, symmetric or
-    not. evaluations[class name] counts the points evaluated in each class
-    and the corners the class reads.
+    not.
+
+    mirror_axes holds the coordinates (0 for x, 2 for z) whose mirror in
+    pset.group leaves sigma unchanged bit for bit, in every column. A call
+    evaluates each point's orbit representative under them, the point with
+    those coordinates made non-negative, once, and gives the other points
+    of the orbit its value with the signs of chi. evaluations[class name]
+    counts the representatives evaluated in each class and the corners the
+    class reads.
     """
 
     def __init__(self, pset: PanelSet, sigma):
         self.pset = pset
         self.sigma = np.asarray(sigma, float)
+        group, s = pset.group, self.sigma.reshape(pset.n, -1)
+        same = {e for e, perm in zip(group.elements, group.perms) if np.array_equal(s[perm], s)}
+        self.mirror_axes = [ax for e, ax in _MIRROR_AXES if e in same]
         self.evaluations = {}
         self._folded = {}
 
@@ -548,13 +570,38 @@ def _charge(pset, sigma) -> ChargeWeights:
     return sigma
 
 
+def _by_orbit(pset, charge: ChargeWeights, points, output, terms, emit, shape):
+    """_evaluate with charge at one representative of each orbit of the
+    points under charge.mirror_axes: the point with those coordinates made
+    non-negative, -0.0 included. Each point takes its representative's value
+    times the sign that the mirrors mapping it there give each output, so a
+    point gets the same bits in any batch. A call without a negative
+    coordinate on those axes evaluates its points as they are."""
+    p = np.atleast_2d(np.asarray(points, float))
+    axes = charge.mirror_axes
+    flip = np.signbit(p[:, axes])
+    if not flip.any():
+        return _evaluate(pset, p, charge, output, terms, emit, shape)
+    rep = p.copy()
+    rep[:, axes] = np.abs(rep[:, axes])
+    first, inverse = _unique_rows(rep.view(np.int64))
+    out = _evaluate(pset, rep[first], charge, output, terms, emit, shape)[inverse]
+    parity = _OUTPUTS[output][0]
+    if parity.any():  # the potential never flips
+        group = pset.group
+        element = flip @ [e for e, ax in _MIRROR_AXES if ax in axes]
+        signs = group._signs(parity.ravel())[:, np.searchsorted(group.elements, element)]
+        out *= signs.T.reshape((-1,) + parity.shape)
+    return out
+
+
 def potential_of(pset: PanelSet, sigma, points):
     """Potential of the densities sigma (n[, k]) or ChargeWeights, (m[, k])."""
     def emit(dst, g, w, terms, s):
         layers, _ = w  # one layer of one term
         dst += _weighted_sums(terms[0], layers[0][0], s[0])
     charge = _charge(pset, sigma)
-    return _evaluate(pset, points, charge, "potential", _potential_terms, emit,
+    return _by_orbit(pset, charge, points, "potential", _potential_terms, emit,
                      charge.sigma.shape[1:])
 
 
@@ -569,7 +616,7 @@ def field_of(pset: PanelSet, sigma, points):
                     out += _weighted_sums(t, wt, s[0])[:, None] * f
         if col is not None:
             dst += np.choose(col, outs)
-    return _evaluate(pset, points, _charge(pset, sigma), "field", _field_terms, emit, (3,))
+    return _by_orbit(pset, _charge(pset, sigma), points, "field", _field_terms, emit, (3,))
 
 
 def jacobian_of(pset: PanelSet, sigma, points):
@@ -583,7 +630,7 @@ def jacobian_of(pset: PanelSet, sigma, points):
                              for t, wt in zip(terms, weights)], axis=1)
             J.append(g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame)
         dst += J[0] if col is None else np.choose(col, J)
-    return _evaluate(pset, points, _charge(pset, sigma), "jacobian", _jacobian_terms,
+    return _by_orbit(pset, _charge(pset, sigma), points, "jacobian", _jacobian_terms,
                      emit, (3, 3))
 
 
@@ -623,6 +670,7 @@ def panel_field(origin, edge_u, edge_v, points):
 # group element e flips x when e & 1 and z when e & 2
 _MIRROR_SIGNS = np.array([(1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, -1)])
 _MIRROR_NAMES = ("identity", "x=0", "z=0", "x=0 & z=0")
+_MIRROR_AXES = ((1, 0), (2, 2))  # each single mirror and the coordinate it negates
 
 
 class _MirrorGroup:
@@ -644,8 +692,8 @@ class _MirrorGroup:
 
     found = (elements, perms) takes a group found before, from a cache
     entry or a subset of another group's rows, instead of detecting it.
-    A subgroup that classes_of returns also has groups, the corner table of
-    its reps.
+    A subgroup that classes_of returns has only elements, name, reps, images
+    and stab, and groups, the corner table of its reps.
     """
 
     def __init__(self, pset: PanelSet, found=None):
@@ -710,10 +758,18 @@ class _MirrorGroup:
 
     def _subgroup(self, pset, rows):
         """The subgroup of the elements rows (indices into perms) with the
-        corner table of its reps, built on first use. pset is passed, not
-        kept: a group that held its panel set would make a reference cycle."""
+        corner table of its reps, built on first use. It holds only what an
+        evaluation reads: elements, name, reps, images, stab and groups.
+        pset is passed, not kept: a group that held its panel set would make
+        a reference cycle."""
         if rows not in self._subgroups:
-            sub = _MirrorGroup(pset, (self.elements[list(rows)], self.perms[list(rows)]))
+            sub = object.__new__(_MirrorGroup)
+            perms = self.perms[list(rows)]
+            sub.elements = self.elements[list(rows)]
+            sub.name = ", ".join(_MIRROR_NAMES[e] for e in sub.elements[1:]) or "identity"
+            sub.reps = np.flatnonzero(perms.min(axis=0) == np.arange(pset.n))
+            sub.images = perms[:, sub.reps]
+            sub.stab = (sub.images == sub.reps).sum(axis=0)
             rep = np.zeros(pset.n, bool)
             rep[sub.reps] = True
             subsets = (g.subset(rep[g.panels]) for g in pset.corner_groups)
@@ -1043,6 +1099,13 @@ def _cache_load(cache_dir, geometry, pset, digest):
             payload = f.read()
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
+        for key, kind in (("electrodes", list), ("mirror_group", list), ("block_sizes", list),
+                          ("residuals", list), ("n_panels", int), ("cond_estimate", float)):
+            value = header[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"header {key!r} is not of type {kind.__name__}")
+        if not math.isfinite(header["cond_estimate"]):
+            raise ValueError("header 'cond_estimate' is not finite")
         if header["signature"] != geometry.signature():
             raise ValueError("signature mismatch")
         if header.get("digest") != digest:

@@ -211,8 +211,8 @@ def _load_sweep_spec(path) -> dict:
             or not all(isinstance(h, (int, float)) and not isinstance(h, bool)
                        for h in hs)):
         raise InvalidInputError("sweep spec 'h_um' must be a nonempty number list")
-    if any(h <= 0 for h in hs):
-        raise InvalidInputError("sweep spec 'h_um' values must be positive")
+    if not all(0 < h < math.inf for h in hs):  # NaN fails too
+        raise InvalidInputError("sweep spec 'h_um' values must be positive and finite")
     if sorted(hs) != list(hs) or len(set(hs)) != len(hs):
         raise InvalidInputError("sweep spec 'h_um' must be strictly ascending")
     return spec

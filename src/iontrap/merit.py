@@ -135,9 +135,12 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
     """Locate the pseudopotential minimum on the segment from start to end.
 
     Scan of the segment (spacing about scan_um) followed by Gauss-Newton
-    iteration in 3D on E(r) = 0 using the analytic field Jacobian. The
-    segment must cross exactly one minimum: a scan minimum at either end
-    raises NullNotFoundError, several separated minima raise
+    iteration in 3D on E(r) = 0 using the analytic field Jacobian. A
+    coordinate of the scan minimum that is exactly 0 on one of the field's
+    mirror_axes (a mirror that leaves the charge unchanged) takes no step,
+    so the null stays on that plane; fields without mirror_axes step in all
+    three. The segment must cross exactly one minimum: a scan minimum at
+    either end raises NullNotFoundError, several separated minima raise
     NullAmbiguityError.
     """
     pts_um = _grid_axis_um(start_um, end_um, scan_um)
@@ -161,12 +164,20 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
             f"{len(firsts)} equal pseudopotential minima on the segment",
             [tuple(float(c) for c in pts_um[i]) for i in firsts])
 
+    # a coordinate on a mirror plane of the rf charge stays there: its field
+    # component vanishes by symmetry, and a step would move it by roundoff
+    p0 = pts_um[i_min] * 1e-6
+    mirrors = getattr(pseudo.rf_field, "mirror_axes", [])
+    free = [ax for ax in range(3) if not (ax in mirrors and p0[ax] == 0.0)]
+
     def step(p):
         E = pseudo.rf_field.field(p[None, :])[0]
         J = pseudo.rf_field.jacobian(p[None, :])[0]
-        return np.linalg.lstsq(J, -E, rcond=1e-9)[0]
+        delta = np.zeros(3)
+        delta[free] = np.linalg.lstsq(J[np.ix_(free, free)], -E[free], rcond=1e-9)[0]
+        return delta
 
-    p, converged, it = _newton(step, pts_um[i_min] * 1e-6, 2.0 * scan_um * 1e-6)
+    p, converged, it = _newton(step, p0, 2.0 * scan_um * 1e-6)
 
     grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
     psi0 = float(pseudo.psi(p[None, :])[0])
@@ -523,8 +534,8 @@ class TrapReport:
     solver_cond: float
     solver_residual_V: float
     n_panels: int
-    # points the rf field was evaluated at in each stabilizer class, and the
-    # corners each class reads: a copy of BemRfField.evaluations
+    # orbit representatives the rf field was evaluated at in each stabilizer
+    # class, and the corners each class reads: a copy of BemRfField.evaluations
     field_evaluations: dict
 
     CSV_HEADER = "geometry,d_um,k,q,omega_MHz,V_kV,Omega_MHz,P_norm"

@@ -9,6 +9,7 @@ for boundary-element solves already done by the physics tests.
 import concurrent.futures
 import importlib.resources
 import json
+import math
 import os
 
 import pytest
@@ -308,6 +309,10 @@ def test_sweep_single_row_matches_library_report(tmp_path, cross_solved_105, cac
      "sweep spec 'mesh.fine_um' must be a positive number, got True"),
     ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": 0}},
      "sweep spec 'mesh.fine_um' must be a positive number, got 0"),
+    ({"design": "cross-rf", "h_um": [math.nan]},
+     "sweep spec 'h_um' values must be positive and finite"),
+    ({"design": "cross-rf", "h_um": [105.0, math.inf]},
+     "sweep spec 'h_um' values must be positive and finite"),
 ])
 def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     path = write_spec(tmp_path, spec)
@@ -443,10 +448,30 @@ def test_map_zero_voltage_is_identically_zero(tmp_path, surface_solved, cache_di
     # the z = 0 map reads half the corners, its x = 0 column a quarter
     every = sum(g.cu.size for g in surface_solved.pset.corner_groups)
     seen = manifest["diagnostics"]["field_evaluations"]
+    # (the rf charge keeps the x mirror, so x = -10 takes the values of x = 10)
     assert {name: c["points"] for name, c in seen.items()} == {
-        "z=0": 6, "x=0, z=0, x=0 & z=0": 3}
+        "z=0": 3, "x=0, z=0, x=0 & z=0": 3}
     assert seen["z=0"]["corners"] < 0.6 * every
     assert seen["x=0, z=0, x=0 & z=0"]["corners"] < 0.3 * every
+
+
+def test_a_symmetric_map_evaluates_one_point_per_mirror_pair(tmp_path, surface_solved,
+                                                             cache_dir):
+    out = tmp_path / "map.csv"
+    assert run_cli("--cache-dir", cache_dir, "map", "--design", "surface",
+                   "--center-um", "0,90,0", "--span-um", "300,160,0", "--res-um", 3,
+                   "--out", out) == 0
+    manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
+    assert manifest["diagnostics"]["shape"] == [101, 54, 1]
+    # x in [-150, 150] um: the 50 columns of x > 0 and the x = 0 column are
+    # evaluated, the 50 columns of x < 0 are their mirror images
+    seen = manifest["diagnostics"]["field_evaluations"]
+    assert {name: c["points"] for name, c in seen.items()} == {
+        "z=0": 2700, "x=0, z=0, x=0 & z=0": 54}
+    psi = {tuple(map(float, row[:3])): row[3]
+           for row in (line.split(",") for line in csv_data_lines(out)[1:])}
+    assert len(psi) == 5454
+    assert all(value == psi[(-x, y, z)] for (x, y, z), value in psi.items())
 
 
 def test_map_res_halving_reproduces_shared_points(tmp_path, surface_solved, cache_dir):

@@ -38,6 +38,7 @@ from iontrap import (
     fit_axis_harmonicity,
     fit_harmonicity,
     flood_fill_escape,
+    full_report,
     get_species,
     heating_norm,
     max_frequency,
@@ -156,6 +157,20 @@ def test_find_rf_null_exact_on_quadrupole():
     assert res.height_um == pytest.approx(80.0, abs=1e-6)
     assert res.psi_J == pytest.approx(0.0, abs=1e-30)
     assert res.grad_norm == pytest.approx(0.0, abs=1e-18)
+
+
+def test_the_null_stays_on_the_mirror_plane_of_the_rf_charge(cross_solved_200):
+    # the cross-rf rf charge keeps z -> -z but not x -> -x: the scan minimum
+    # is on z = 0, the Newton step leaves z there, and the depth grid laid
+    # at the null's z reads the z = 0 corner table
+    rf = BemRfField(cross_solved_200)
+    assert rf.mirror_axes == [2]
+    null = find_rf_null(PseudoField(rf, species=CA40, drive=DRIVE),
+                        (0.0, 5.0, 0.0), (0.0, 195.0, 0.0))
+    assert null.converged and null.position[2] == 0.0
+    assert null.height_um == pytest.approx(100.0, abs=1e-6)
+    seen = full_report(cross_solved_200).field_evaluations
+    assert seen["identity"]["points"] <= 16 < seen["z=0"]["points"]
 
 
 def test_find_rf_null_raises_when_minimum_on_boundary():
