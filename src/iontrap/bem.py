@@ -98,7 +98,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import constants
 from .errors import InvalidGeometryError, SolverError
@@ -785,6 +784,9 @@ class _MirrorGroup:
         right-hand side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
         """
+        # here, not at the top: a cache hit, a report or a map never loads it
+        import scipy.linalg as sla
+
         order = self.perms.shape[0]
         Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.images])
         X = np.zeros_like(Bc)

@@ -26,8 +26,7 @@ from . import __version__, bem, geometry
 from .constants import get_species
 from .errors import InvalidInputError, IonTrapError, SolverError
 from .merit import DEFAULT_TARGET_OMEGA, TrapReport, full_report
-from .pseudo import BemRfField, DriveParams, PseudoField, pseudo_map
-from .validate import format_scoreboard, run_validation
+from .pseudo import BemRfField, DriveParams, PseudoField, check_grid, pseudo_map
 
 _DESIGNS = tuple(geometry.DESIGNS)
 
@@ -157,6 +156,8 @@ def _reference_report(ns, drive, species):
 
 
 def cmd_report(ns) -> int:
+    if not 0 < ns.target_MHz < math.inf:  # NaN fails too
+        raise InvalidInputError(f"--target-MHz must be > 0 and finite, got {ns.target_MHz}")
     geom = _load_or_build_geometry(ns)
     drive = _drive(ns.voltage_V, ns.freq_MHz)
     species = _species_arg(ns.species)
@@ -320,8 +321,10 @@ def cmd_map(ns) -> int:
     species = _species_arg(ns.species)
     center = _vec3(ns.center_um, "--center-um")
     span = _vec3(ns.span_um, "--span-um")
-    if ns.res_um <= 0:
-        raise InvalidInputError(f"--res-um must be > 0, got {ns.res_um}")
+    try:
+        check_grid(center, span, ns.res_um, ("--center-um", "--span-um", "--res-um"))
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from exc
     _check_domain(geom, center, span)
     solved = _solve(geom, ns)
     rf = BemRfField(solved)
@@ -344,6 +347,8 @@ def cmd_map(ns) -> int:
 
 
 def cmd_validate(ns) -> int:
+    from .validate import format_scoreboard, run_validation
+
     results = run_validation()
     print(format_scoreboard(results))
     return 0 if all(r.passed for r in results) else 1

@@ -170,6 +170,22 @@ class PseudoMap:
             f.write(self.csv_text())
 
 
+def check_grid(center_um, span_um, res_um, names=("center_um", "span_um", "res_um")):
+    """Raise ValueError unless each centre component is finite, each span is
+    >= 0 and finite and the step is > 0 and finite; names name the three
+    in the message."""
+    if not all(math.isfinite(c) for c in center_um):
+        raise ValueError(f"{names[0]} must be finite, got {_fmt(center_um)}")
+    if not all(0.0 <= s < math.inf for s in span_um):  # NaN fails too
+        raise ValueError(f"{names[1]} must be >= 0 and finite, got {_fmt(span_um)}")
+    if not 0.0 < res_um < math.inf:
+        raise ValueError(f"{names[2]} must be > 0 and finite, got {res_um:g}")
+
+
+def _fmt(vec):
+    return ",".join(f"{float(v):g}" for v in vec)
+
+
 def _grid_axis(center, span, res):
     if span <= 0.0:
         return np.array([center])
@@ -180,9 +196,9 @@ def _grid_axis(center, span, res):
 
 def pseudo_map(pseudo: PseudoField, center_um, span_um, res_um: float,
                meta: dict | None = None) -> PseudoMap:
-    """Sample psi on a regular grid; axes with zero span collapse to a point."""
-    if res_um <= 0.0:
-        raise ValueError("res_um must be > 0")
+    """Sample psi on a regular grid; axes with zero span collapse to a point.
+    Raises ValueError for a grid that check_grid rejects."""
+    check_grid(center_um, span_um, res_um)
     axes = [_grid_axis(c, s, res_um) for c, s in zip(center_um, span_um)]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts_m = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()]) * 1e-6

@@ -1169,6 +1169,41 @@ def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("*.itsc"))) == 1
 
 
+def test_scipy_loads_only_when_a_solve_factors(tmp_path):
+    # a fresh process: importing the package, a cache hit, a report and a
+    # map never load scipy.linalg; a solve that misses the cache does
+    geo = tmp_path / "coarse.json"
+    build_surface_trap(default_surface_params(fine_um=240.0)).save(geo)
+    cache = tmp_path / "cache"
+    code = textwrap.dedent(f"""
+        import json, sys
+        loaded = lambda: "scipy.linalg" in sys.modules
+        steps = {{}}
+        import iontrap, iontrap.cli
+        steps["import"] = loaded()
+        g = iontrap.TrapGeometry.load({str(geo)!r})
+        solved = iontrap.solve_unit_excitations(g, cache_dir={str(cache)!r})
+        iontrap.full_report(solved)
+        steps["hit"] = solved.diagnostics["cache"]
+        steps["report"] = loaded()
+        rc = iontrap.cli.main(["--cache-dir", {str(cache)!r}, "map", "--geometry",
+                               {str(geo)!r}, "--center-um", "0,90,0", "--span-um",
+                               "40,40,0", "--res-um", "10",
+                               "--out", {str(tmp_path / "m.csv")!r}])
+        steps["map"] = (rc, loaded())
+        iontrap.solve_unit_excitations(g)
+        steps["cold"] = loaded()
+        print(json.dumps(steps))
+    """)
+    solve_unit_excitations(TrapGeometry.load(geo), cache_dir=cache)  # fill the cache
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    steps = json.loads(run.stdout.splitlines()[-1])
+    assert steps == {"import": False, "hit": "hit", "report": False,
+                     "map": [0, False], "cold": True}
+
+
 def test_cache_dir_expands_the_home_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from iontrap import cli, geometry
+from iontrap import cli, geometry, validate
 from iontrap.cli import SWEEP_CSV_HEADER, _sha256_file
 from iontrap.errors import SolverError
 from iontrap.merit import full_report
@@ -240,6 +240,16 @@ def test_report_negative_voltage(tmp_path, capsys):
                  "--out", tmp_path / "r")
     assert rc == 2
     assert "--voltage-V must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-1", "0"])
+def test_report_rejects_a_target_frequency_that_is_not_positive_and_finite(
+        tmp_path, capsys, target):
+    rc = run_cli("report", "--design", "surface", "--target-MHz", target,
+                 "--out", tmp_path / "r")
+    assert rc == 2
+    assert "--target-MHz must be > 0 and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_geometry_json(tmp_path, capsys):
@@ -533,11 +543,26 @@ def test_map_bounds_of_a_custom_layout_come_from_its_electrodes(tmp_path, capsys
      "must be 'x,y,z' numbers"),
     (("--center-um", "0,90,0", "--span-um", "0,0,0", "--res-um", 0),
      "--res-um must be > 0"),
+    (("--center-um", "0,90,0", "--span-um", "30,16,0", "--res-um", "nan"),
+     "--res-um must be > 0 and finite, got nan"),
+    (("--center-um", "0,90,0", "--span-um", "30,16,0", "--res-um", "inf"),
+     "--res-um must be > 0 and finite, got inf"),
+    (("--center-um", "0,90,0", "--span-um", "30,nan,0", "--res-um", 4),
+     "--span-um must be >= 0 and finite, got 30,nan,0"),
+    (("--center-um", "0,90,0", "--span-um", "30,-16,0", "--res-um", 4),
+     "--span-um must be >= 0 and finite, got 30,-16,0"),
+    (("--center-um", "0,90,0", "--span-um", "inf,16,0", "--res-um", 4),
+     "--span-um must be >= 0 and finite, got inf,16,0"),
+    (("--center-um", "nan,90,0", "--span-um", "30,16,0", "--res-um", 4),
+     "--center-um must be finite, got nan,90,0"),
+    (("--center-um", "0,-inf,0", "--span-um", "30,16,0", "--res-um", 4),
+     "--center-um must be finite, got 0,-inf,0"),
 ])
 def test_map_argument_errors(tmp_path, capsys, args, fragment):
     rc = run_cli("map", "--design", "surface", *args, "--out", tmp_path / "m.csv")
     assert rc == 2
     assert fragment in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_dir_env_fallback(tmp_path, monkeypatch):
@@ -569,7 +594,7 @@ def test_validate_green_scoreboard(capsys):
 
 def test_validate_failing_scoreboard_exits_1(monkeypatch, capsys):
     fake = [CheckResult("synthetic", False, "injected failure", 0.0)]
-    monkeypatch.setattr(cli, "run_validation", lambda: fake)
+    monkeypatch.setattr(validate, "run_validation", lambda: fake)
     assert run_cli("validate") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "0/1 checks passed" in out

@@ -250,6 +250,20 @@ def test_pseudo_map_rejects_bad_resolution():
         pseudo_map(_quad_pseudo(), (0.0, 0.0, 0.0), (10.0, 10.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("center, span, res, message", [
+    ((0.0, 0.0, 0.0), (10.0, 10.0, 0.0), math.nan, "res_um must be > 0 and finite"),
+    ((0.0, 0.0, 0.0), (10.0, 10.0, 0.0), math.inf, "res_um must be > 0 and finite"),
+    ((0.0, 0.0, 0.0), (10.0, -10.0, 0.0), 5.0, "span_um must be >= 0 and finite"),
+    ((0.0, 0.0, 0.0), (10.0, math.nan, 0.0), 5.0, "span_um must be >= 0 and finite"),
+    ((0.0, 0.0, 0.0), (math.inf, 10.0, 0.0), 5.0, "span_um must be >= 0 and finite"),
+    ((math.nan, 0.0, 0.0), (10.0, 10.0, 0.0), 5.0, "center_um must be finite"),
+    ((0.0, 0.0, -math.inf), (10.0, 10.0, 0.0), 5.0, "center_um must be finite"),
+])
+def test_pseudo_map_rejects_a_bad_grid(center, span, res, message):
+    with pytest.raises(ValueError, match=message):
+        pseudo_map(_quad_pseudo(), center, span, res)
+
+
 def test_pseudo_map_csv_round_trip():
     ps = _quad_pseudo()
     grid = pseudo_map(ps, (0.0, 10.0, 0.0), (10.0, 0.0, 0.0), 5.0)
