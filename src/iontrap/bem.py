@@ -26,41 +26,40 @@ points x group corners). Charges are folded into corner weights w = C sigma
 its own row of corners, so a point gets the same bits in any batch and at
 any place in it.
 
-The weighted evaluators read fewer corners on the mirror planes of a solved
-trap. A PanelSet's mirror group (PanelSet.group) is the identity until the
-solve finds the group or a cache load brings it back. The subgroup H of it
-that fixes a point, the x mirror when x == 0.0 and the z mirror when
-z == 0.0, fixes its value: K(p, h.j) = K(h.p, j) = K(p, j). So phi(p) =
-sum_r w_r K(p, r) over one panel r per H-orbit, w_r = sum_h sigma[h.r] /
-stab_r, with the sign each h gives a field component (or the product of two
-for a Jacobian entry) in the sum for that output. That holds for any sigma.
-A point on a mirror plane reads the corners of half the panels and a point
-on x = z = 0 of a quarter. The points of each stabilizer class H, built by
-the solver's _MirrorGroup code, run the same blocked loop over the corner
-table of H's orbit representatives, taken from the whole table by index; a
-point off the planes, or of a trap without symmetry, reads the whole table
-with sigma. ChargeWeights, the one field object, folds a sigma once per
-class and counts the points evaluated in each class.
+Every PanelSet has a mirror group (PanelSet.group): the elements of
+{identity, x -> -x, z -> -z, both} that map its panels onto themselves, the
+identity until the solve finds the group or a cache load brings it back. For
+such a group G, with one rep panel r per orbit, stab_r the order of its
+stabilizer and S_g the sign g gives an output (the product of two for a
+Jacobian entry),
 
-A point off the planes has the value of its mirror image when the mirror
-leaves sigma unchanged, up to the sign the mirror gives each output. A
-ChargeWeights finds once which of the x and z mirrors of pset.group permute
-sigma onto itself bit for bit (sigma[perm] == sigma, every column); on the
-built-in traps the rf charge keeps both, or z alone for cross-rf. Each call
-then takes |x| and |z| on those axes as the representative of each point,
-evaluates the distinct representatives through the stabilizer classes,
-and gives every point its representative's value times the element's sign
-of each output: a symmetric map over x in [-a, a] evaluates its x >= 0
-half. A call without a negative coordinate on those axes evaluates its
-points as they are, and the solve never takes this step.
+    sum_j sigma_j K(p, j) = sum_g S_g sum_r (sigma[g.r] / stab_r) K(g.p, r)
+
+(Bossavit, CMAME 56, 167 (1986); Allgower et al., SIAM J. Numer. Anal. 29,
+534 (1992)), for any sigma. Every evaluation runs through it. The points are
+mapped to their |G| images, and images with the same float bits (-0.0 taken
+as 0.0) are evaluated once, against the corner table of the rep panels only
+(about n / |G| panels), with one weight column per distinct sigma[images[g]]
+/ stab. Each point then sums S_g times the value of its image g.p in the
+column of g, in a butterfly over the mirrors: pairs along one mirror first,
+then the pair sums along the next. The images of a point on a mirror plane
+coincide, and a point shares its images with its mirror image, so a point on
+a plane, or a map symmetric about one, costs a fraction of the kernel work.
+Where a mirror maps sigma onto itself bit for bit (ChargeWeights.mirror_axes)
+the butterfly adds the same pairs for a point and its mirror image, so their
+values are equal to the bit up to the signs of the mirror. The trivial group
+has every panel for a rep: its table is the PanelSet's own, its weights are
+sigma and each point is its only image. ChargeWeights, the one field object,
+folds a sigma into its weight columns once and counts the points, distinct
+images and rep corners of its evaluations.
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
 it), since numpy releases the interpreter lock inside the ufuncs that
-dominate a block. A call of one block of the whole table, or one CPU, runs
-inline. Each thread computes its blocks in _SCRATCH arrays of about
-_BLOCK_PAIRS doubles (0.4 MB each) that it keeps from call to call and grows
-when a call needs more, potential_matrix's panel gathers included, so the
+dominate a block. A call of one block, or on one CPU, runs inline. Each
+thread computes its blocks in _SCRATCH arrays of about _BLOCK_PAIRS doubles
+(0.4 MB each) that it keeps from call to call and grows when a call needs
+more, potential_matrix's panel gathers included, so the
 kernel's working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET,
 which bounds the solver's kernel rows and symmetry blocks. A solve drops the
 scratch before it assembles and again before it factors.
@@ -68,19 +67,19 @@ scratch before it assembles and again before it factors.
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for the unit excitations (1 V on one
 electrode, 0 V elsewhere) of every electrode at once. The solver finds which
-of the mirrors x -> -x, z -> -z and their product map every panel's corners
-onto the corners of a panel (all three built-in meshes: the whole group) and
-splits the system by the characters of that group (Bossavit, CMAME 56, 167
-(1986); Allgower et al., SIAM J. Numer. Anal. 29, 534 (1992)). It assembles
-the rows R of one collocation point per panel orbit, about n/4 x n, forms
-one block per character in the orthonormal symmetry basis, gathered by rows
-of R one group element at a time, factors each by LU, and expands the block
-solutions back to sigma. R also gives A sigma on every collocation point,
-one product per group element, for the residual check. A geometry without
-symmetry is the trivial group: one block, the dense matrix. The solve holds
-R and at most two blocks at once, the bytes SOLVE_MEMORY_BUDGET is checked
-against, besides its n x n_electrodes right-hand sides and 64-column slices
-of a block.
+of the mirrors map every panel's corners onto the corners of a panel (all
+three built-in meshes: the whole group) and splits the system by the
+characters of that group. By the identity above, A[rep_i, g.rep_j] =
+K(g.c_i, rep_j) for the rep centres c_i: one potential_matrix call at the
+distinct images of the rep centres against the rep panels gives Q, about
+n x n/|G|, and block c in the orthonormal symmetry basis is the signed row sum
+M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] / sqrt(stab_i stab_j) over the orbits
+it keeps. Each block is factored by LU and the block solutions are expanded
+back to sigma; Q also gives A sigma on every collocation point for the
+residual check. A geometry without symmetry is the trivial group: one block,
+the dense matrix. The solve holds Q and the rows of at most two blocks at
+once, the bytes SOLVE_MEMORY_BUDGET is checked against, besides its
+n x n_electrodes right-hand sides and 64-column slices of a block.
 """
 
 from __future__ import annotations
@@ -208,20 +207,6 @@ class _CornerGroup:
         self.cu, self.cv = uv[keep].T
         self.idx = idx.reshape(4, -1)
 
-    def subset(self, keep):
-        """The group of the panels panels[keep] and of the corners they use,
-        in this group's order, taken by index; this group when it keeps all."""
-        if keep.all():
-            return self
-        sub = object.__new__(_CornerGroup)
-        sub.panels, sub.frame, sub.offset = self.panels[keep], self.frame, self.offset
-        idx = self.idx[:, keep]
-        used = np.zeros(self.cu.size, bool)
-        used[idx] = True
-        sub.cu, sub.cv = self.cu[used], self.cv[used]
-        sub.idx = (np.cumsum(used) - 1)[idx]
-        return sub
-
     def fold(self, sigma):
         """Corner weights w = C sigma of this group's panels, (corners[, k])."""
         s = sigma[self.panels]
@@ -232,35 +217,35 @@ class _CornerGroup:
 
 
 class ChargeWeights:
-    """Charge densities sigma (n[, k]) of a PanelSet folded into corner
-    weights, once per stabilizer class and output on first use: the one
-    field object. potential, field and jacobian evaluate it; pass it for
-    sigma to the module's evaluators to evaluate one sigma many times.
+    """Charge densities sigma (n[, k]) of a PanelSet folded into the corner
+    weights of its mirror group's rep table, on first use: the one field
+    object. potential, field and jacobian evaluate it; pass it for sigma to
+    the module's evaluators to evaluate one sigma many times.
 
-    A point of class H (the subgroup of pset.group that fixes it) reads the
-    reps r of its orbits with the weights w_r = sum_h chi(h) sigma[h.r] /
-    stab_r, chi the sign each element gives the output: 1 for the
-    potential, the x and z mirror signs of a field component, their
-    products for a Jacobian entry. This holds for any sigma, symmetric or
-    not.
-
-    mirror_axes holds the coordinates (0 for x, 2 for z) whose mirror in
-    pset.group leaves sigma unchanged bit for bit, in every column. A call
-    evaluates each point's orbit representative under them, the point with
-    those coordinates made non-negative, once, and gives the other points
-    of the orbit its value with the signs of chi. evaluations[class name]
-    counts the representatives evaluated in each class and the corners the
-    class reads.
+    Element g of pset.group weighs rep r by sigma[images[g, r]] / stab_r;
+    columns holds the distinct weight columns, bit for bit, and column[g]
+    the one of element g (a single column when every mirror keeps sigma).
+    mirror_axes holds the coordinates (0 for x, 2 for z) whose mirror e in
+    pset.group leaves sigma unchanged bit for bit, in every column of it:
+    the mirrors with column[g] == column[g.e] for every g. evaluations
+    counts the points evaluated, their distinct images and the corners of
+    the rep table each image reads.
     """
 
     def __init__(self, pset: PanelSet, sigma):
         self.pset = pset
         self.sigma = np.asarray(sigma, float)
-        group, s = pset.group, self.sigma.reshape(pset.n, -1)
-        same = {e for e, perm in zip(group.elements, group.perms) if np.array_equal(s[perm], s)}
-        self.mirror_axes = [ax for e, ax in _MIRROR_AXES if e in same]
-        self.evaluations = {}
-        self._folded = {}
+        group = pset.group
+        w = self.sigma.reshape(pset.n, -1)[group.images] / group.stab[:, None]
+        keys = [x.tobytes() for x in w]
+        first = {}
+        self.column = [first.setdefault(key, len(first)) for key in keys]
+        self.columns = w[[keys.index(key) for key in first]]
+        at = dict(zip(group.elements.tolist(), self.column))
+        self.mirror_axes = [ax for e, ax in _MIRROR_AXES
+                            if e in at and all(at[g] == at[g ^ e] for g in at)]
+        self.evaluations = {"points": 0, "images": 0, "corners": 0}
+        self._weights = None
 
     # the module's evaluators are looked up at each call, so a wrapper put
     # on them (a tracer, say) sees these calls too
@@ -273,47 +258,14 @@ class ChargeWeights:
     def jacobian(self, points):
         return jacobian_of(self.pset, self, points)
 
-    def folded(self, cls: _MirrorGroup, output):
-        """[(layers, column)] of each of cls's corner groups for the output
-        ("potential", "field" or "jacobian").
-
-        A layer holds one weight array per kernel term, the corner weights
-        (corners[, k]) of one character or None where the term adds to no
-        output of it. When each term adds to outputs of one character, as in
-        every axis-aligned frame, one layer holds them all and column is
-        None; otherwise there is a layer per character and output o takes
-        its value from layer column[o].
-        """
-        key = (cls, output)
-        if key not in self._folded:
-            self._folded[key] = self._fold(cls, output)
-        return self._folded[key]
-
-    def _fold(self, cls, output):
-        parity, reach = _OUTPUTS[output]
-        # the distinct characters of the outputs on cls and each output's column
-        signs = cls._signs(parity.ravel())
-        first, col = _unique_rows(signs)
-        chars, col = signs[first].astype(float), col.reshape(parity.shape)
-        s = np.tensordot(chars, self.sigma[cls.images], axes=1)
-        s /= cls.stab.reshape((-1,) + (1,) * (s.ndim - 2))
-        omega = np.zeros((self.pset.n,) + s.shape[:1] + s.shape[2:])
-        omega[cls.reps] = np.moveaxis(s, 0, 1)
-        out = []
-        for g in cls.groups:
-            w = [g.fold(omega[:, c]) for c in range(len(chars))]
-            term_chars = [set(col.ravel()[r]) for r in reach(g.frame).reshape(-1, col.size)]
-            if all(len(tc) <= 1 for tc in term_chars):
-                out.append(([[w[min(tc)] if tc else None for tc in term_chars]], None))
-            else:
-                out.append(([[w[c] if c in tc else None for tc in term_chars]
-                             for c in range(len(w))], col))
-        return out
-
-    def count(self, cls: _MirrorGroup, points: int):
-        seen = self.evaluations.setdefault(
-            cls.name, {"points": 0, "corners": sum(g.cu.size for g in cls.groups)})
-        seen["points"] += points
+    def weights(self):
+        """The corner weights (corners, columns x k) of each corner group of
+        the rep table of pset.group."""
+        if self._weights is None:
+            table = self.pset.group.table(self.pset)
+            w = np.moveaxis(self.columns, 0, 1).reshape(table.n, -1)
+            self._weights = [g.fold(w) for g in table.corner_groups]
+        return self._weights
 
 
 # The kernel writes every (block points x group corners) array into scratch
@@ -414,35 +366,19 @@ _JAC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _JAC_SIGN = np.array([[-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
-# x and z parity of each output: bit 0 is set when the x mirror flips its
-# sign, bit 1 when the z mirror does; reach(frame)[t, o] says whether term t
-# adds to output o in a group of that frame (axis-aligned frames skip the
-# sums they would multiply by an exact zero)
-_FIELD_PARITY = np.array([1, 0, 2])
-
-
-def _jacobian_reach(frame):
-    nz = frame != 0.0
-    pairs = nz[:, None, :, None] & nz[None, :, None, :]  # [s, t, a, b]
-    return np.array([pairs[_JAC_INDEX == k].any(axis=0) for k in range(6)])
-
-
-_OUTPUTS = {"potential": (np.zeros(1, int), lambda frame: np.ones((1, 1), bool)),
-            "field": (_FIELD_PARITY, lambda frame: frame != 0.0),
-            "jacobian": (_FIELD_PARITY[:, None] ^ _FIELD_PARITY, _jacobian_reach)}
-
-
-def _weighted_sums(t, w, tmp):
-    """sum_c t[i, c] w[c] of every row i, one column per column of w; tmp is
-    1-D scratch of at least t.size.
+def _weighted_sums(t, w, tmp, out=None):
+    """out[i, j] = sum_c t[i, c] w[c, j] of every row i and column j of the
+    2-D w, into a new (rows, columns) array without out; tmp is 1-D scratch
+    of at least t.size.
 
     Each row is reduced along its own contiguous corner axis, so a point's
     value does not depend on which other points share its block.
     """
     tmp = tmp[:t.size].reshape(t.shape)
-    if w.ndim == 1:
-        return np.multiply(t, w, out=tmp).sum(axis=1)
-    return np.stack([np.multiply(t, wj, out=tmp).sum(axis=1) for wj in w.T], axis=1)
+    out = np.empty((t.shape[0], w.shape[1])) if out is None else out
+    for j, wj in enumerate(w.T):
+        np.multiply(t, wj, out=tmp).sum(axis=1, out=out[:, j])
+    return out
 
 
 def _executor():
@@ -481,49 +417,24 @@ if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to re
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _evaluate(pset: PanelSet, points, charge, output, terms, emit, shape):
-    """The blocked loop behind the public evaluators, out (m,) + shape.
+def _evaluate(pset: PanelSet, points, w, terms, emit, shape):
+    """The blocked loop behind the public evaluators, out (m,) + shape: the
+    points against pset's corner table, scaled by 1/(4 pi eps0) at the end.
 
-    Without a charge (potential_matrix) every point reads the whole corner
-    table. Otherwise the points are split by stabilizer class, and each
-    class runs _blocks over its own corner table with charge's weights of
-    that class for the output ("potential", "field" or "jacobian"). out is
-    scaled by 1/(4 pi eps0) at the end.
+    For every block of points and corner group, terms(u, v, z, s, mask)
+    gives the corner terms, each (block points, group corners), and
+    emit(out[rows], group, wg, terms, s) adds their part, wg the group's
+    entry of w (None for all without weights) and s the 1-D scratch arrays
+    the terms left free, each large enough for (block points x group
+    corners) or (block points x group panels). The blocks are dealt
+    round-robin to one task per worker of the kernel pool, at most one per
+    block; a call of one block, or on one CPU, runs inline. A block writes
+    only its own rows of out, so the result does not depend on the schedule.
     """
     p = np.atleast_2d(np.asarray(points, float))
     out = np.zeros((p.shape[0],) + tuple(shape))
-    # a call of at most one block of the whole table runs inline, so the
-    # calling thread's scratch stays that size; larger calls, even of one
-    # block of a smaller class table, run on the pool
-    inline = _WORKERS == 1 or p.shape[0] <= max(
-        8, _BLOCK_PAIRS // sum(g.cu.size for g in pset.corner_groups))
-    if charge is None:
-        groups = pset.corner_groups
-        _blocks(p, out, groups, [None] * len(groups), terms, emit, inline)
-    else:
-        for cls, rows in pset.group.classes_of(pset, p):
-            w = charge.folded(cls, output)
-            if rows is None:
-                _blocks(p, out, cls.groups, w, terms, emit, inline)
-            else:
-                part = np.zeros((rows.size,) + tuple(shape))
-                _blocks(p[rows], part, cls.groups, w, terms, emit, inline)
-                out[rows] = part
-            charge.count(cls, p.shape[0] if rows is None else rows.size)
-    out *= 1.0 / (4.0 * np.pi * constants.EPS0)
-    return out
-
-
-def _blocks(p, out, groups, w, terms, emit, inline):
-    """For every block of points and corner group, terms(u, v, z, s, mask)
-    gives the corner terms, each (block points, group corners), and
-    emit(out[rows], group, wg, terms, s) adds their part, wg the group's
-    entry of w and s the 1-D scratch arrays the terms left free, each large
-    enough for (block points x group corners) or (block points x group
-    panels). The blocks are dealt round-robin to one task per worker of the
-    kernel pool, at most one per block, or run inline. A block writes only
-    its own rows of out, so the result does not depend on the schedule.
-    """
+    groups = pset.corner_groups
+    w = [None] * len(groups) if w is None else w
     step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
     starts = range(0, p.shape[0], step)
     tasks = min(_WORKERS, len(starts))
@@ -543,8 +454,10 @@ def _blocks(p, out, groups, w, terms, emit, inline):
                 t = terms(u, v, z - g.offset, s, mask)
                 emit(out[i0:i0 + step], g, wg, t, flat[2 + len(t):])
 
-    for _ in (map if inline else _executor().map)(task, range(tasks)):
+    for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
         pass
+    out *= 1.0 / (4.0 * np.pi * constants.EPS0)
+    return out
 
 
 def potential_matrix(pset: PanelSet, points):
@@ -558,7 +471,34 @@ def potential_matrix(pset: PanelSet, points):
         for op, i in ((np.subtract, c[1]), (np.subtract, c[2]), (np.add, c[3])):
             op(a, np.take(F, i, axis=1, out=b, mode="clip"), out=a)
         dst[:, g.panels] = a
-    return _evaluate(pset, points, None, None, _potential_terms, emit, (pset.n,))
+    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
+
+
+def _quotient(pset: PanelSet, charge: ChargeWeights, points, sign, terms, emit, shape):
+    """sum_j sigma_j K(p, j) of each point p by the group identity, (m,) +
+    shape: the distinct images g.p of the points are evaluated once against
+    the rep table, one output per weight column of the charge, and each
+    point sums sign(_MIRROR_SIGNS[g]) times its image g.p's value in the
+    column of g. The sum is a butterfly: the terms of g and g.b are added
+    for the lowest element b besides the identity, then the pair sums
+    likewise, so a point gets the same bits in any batch, and the mirror
+    image of a point under mirrors that keep sigma its value with their
+    signs."""
+    group, p = pset.group, np.atleast_2d(np.asarray(points, float))
+    images, index = group.images_of(p)
+    table = group.table(pset)
+    values = _evaluate(table, images, charge.weights(), terms, emit,
+                       (len(charge.columns),) + tuple(shape))
+    seen = charge.evaluations
+    seen["points"] += p.shape[0]
+    seen["images"] += images.shape[0]
+    seen["corners"] = sum(g.cu.size for g in table.corner_groups)
+    sums = {e: values[i, c] * sign(_MIRROR_SIGNS[e])
+            for e, i, c in zip(group.elements.tolist(), index, charge.column)}
+    while len(sums) > 1:
+        b = sorted(sums)[1]
+        sums = {e: sums[e] + sums[e ^ b] for e in sums if e < e ^ b}
+    return sums[0]
 
 
 def _charge(pset, sigma) -> ChargeWeights:
@@ -569,68 +509,33 @@ def _charge(pset, sigma) -> ChargeWeights:
     return sigma
 
 
-def _by_orbit(pset, charge: ChargeWeights, points, output, terms, emit, shape):
-    """_evaluate with charge at one representative of each orbit of the
-    points under charge.mirror_axes: the point with those coordinates made
-    non-negative, -0.0 included. Each point takes its representative's value
-    times the sign that the mirrors mapping it there give each output, so a
-    point gets the same bits in any batch. A call without a negative
-    coordinate on those axes evaluates its points as they are."""
-    p = np.atleast_2d(np.asarray(points, float))
-    axes = charge.mirror_axes
-    flip = np.signbit(p[:, axes])
-    if not flip.any():
-        return _evaluate(pset, p, charge, output, terms, emit, shape)
-    rep = p.copy()
-    rep[:, axes] = np.abs(rep[:, axes])
-    first, inverse = _unique_rows(rep.view(np.int64))
-    out = _evaluate(pset, rep[first], charge, output, terms, emit, shape)[inverse]
-    parity = _OUTPUTS[output][0]
-    if parity.any():  # the potential never flips
-        group = pset.group
-        element = flip @ [e for e, ax in _MIRROR_AXES if ax in axes]
-        signs = group._signs(parity.ravel())[:, np.searchsorted(group.elements, element)]
-        out *= signs.T.reshape((-1,) + parity.shape)
-    return out
-
-
 def potential_of(pset: PanelSet, sigma, points):
     """Potential of the densities sigma (n[, k]) or ChargeWeights, (m[, k])."""
     def emit(dst, g, w, terms, s):
-        layers, _ = w  # one layer of one term
-        dst += _weighted_sums(terms[0], layers[0][0], s[0])
+        dst += _weighted_sums(terms[0], w, s[0]).reshape(dst.shape)
     charge = _charge(pset, sigma)
-    return _by_orbit(pset, charge, points, "potential", _potential_terms, emit,
+    return _quotient(pset, charge, points, lambda s: 1.0, _potential_terms, emit,
                      charge.sigma.shape[1:])
 
 
 def field_of(pset: PanelSet, sigma, points):
     """Field of the densities sigma (n,) or ChargeWeights, (m, 3)."""
     def emit(dst, g, w, terms, s):
-        layers, col = w
-        outs = [dst] if col is None else [np.zeros_like(dst) for _ in layers]
-        for out, weights in zip(outs, layers):
-            for t, f, wt in zip(terms, g.frame, weights):
-                if wt is not None:
-                    out += _weighted_sums(t, wt, s[0])[:, None] * f
-        if col is not None:
-            dst += np.choose(col, outs)
-    return _by_orbit(pset, _charge(pset, sigma), points, "field", _field_terms, emit, (3,))
+        for t, f in zip(terms, g.frame):
+            dst += _weighted_sums(t, w, s[0])[:, :, None] * f
+    return _quotient(pset, _charge(pset, sigma), points, lambda s: s, _field_terms, emit,
+                     (3,))
 
 
 def jacobian_of(pset: PanelSet, sigma, points):
     """dE_i/dx_j of the superposed field, (m, 3, 3); trace is zero (Laplace)."""
     def emit(dst, g, w, terms, s):
-        layers, col = w
-        J = []
-        for weights in layers:
-            sums = np.stack([np.zeros(t.shape[0]) if wt is None
-                             else _weighted_sums(t, wt, s[0])
-                             for t, wt in zip(terms, weights)], axis=1)
-            J.append(g.frame.T @ (sums[:, _JAC_INDEX] * _JAC_SIGN) @ g.frame)
-        dst += J[0] if col is None else np.choose(col, J)
-    return _by_orbit(pset, _charge(pset, sigma), points, "jacobian", _jacobian_terms,
-                     emit, (3, 3))
+        sums = np.empty(dst.shape[:2] + (len(terms),))
+        for k, t in enumerate(terms):
+            _weighted_sums(t, w, s[0], sums[:, :, k])
+        dst += g.frame.T @ (sums[..., _JAC_INDEX] * _JAC_SIGN) @ g.frame
+    return _quotient(pset, _charge(pset, sigma), points, lambda s: s[:, None] * s,
+                     _jacobian_terms, emit, (3, 3))
 
 
 # -- single-panel helpers (testing / inspection) ----------------------------
@@ -690,9 +595,7 @@ class _MirrorGroup:
     first.
 
     found = (elements, perms) takes a group found before, from a cache
-    entry or a subset of another group's rows, instead of detecting it.
-    A subgroup that classes_of returns has only elements, name, reps, images
-    and stab, and groups, the corner table of its reps.
+    entry, instead of detecting it.
     """
 
     def __init__(self, pset: PanelSet, found=None):
@@ -712,76 +615,58 @@ class _MirrorGroup:
         elements, self.perms = found
         self.elements = np.asarray(elements)
         self.names = [_MIRROR_NAMES[e] for e in self.elements[1:]]
-        self.name = ", ".join(self.names) or "identity"
         self.reps = np.flatnonzero(self.perms.min(axis=0) == np.arange(n))
         self.images = self.perms[:, self.reps]
         fixed = self.images == self.reps
         self.stab = fixed.sum(axis=0)
         # rows (+, +), (+, -), (-, +), (-, -) of the x and z mirror signs
-        table = self._signs(np.array([0, 2, 1, 3]))
+        flips = np.bitwise_and.outer([0, 2, 1, 3], self.elements)
+        table = 1 - 2 * ((flips ^ (flips >> 1)) & 1)
         chars = table[np.sort(_unique_rows(table)[0])]
         keep = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
         self.chars = np.array([c for c, k in zip(chars, keep) if k.size])
         self.keep = [k for k in keep if k.size]
         self.block_sizes = [int(k.size) for k in self.keep]
-        # the kept rows R, the largest block and, when the group has more
-        # than the identity, the term being added to it or the block's
-        # Fortran-order copy; the trivial group copies R once, in that order
+        # Q, at most |G| rows per rep, and the rows of the block being summed
+        # and of the term being added to it or of the block's kept columns;
+        # the trivial group gathers one block and adds no term
         blocks = 2 if len(self.elements) > 1 else 1
-        self.solve_bytes = 8 * (self.reps.size * n + blocks * max(self.block_sizes) ** 2)
-        self._subgroups = {}
+        self.solve_bytes = 8 * (len(self.elements) * self.reps.size ** 2
+                                + blocks * max(self.block_sizes) ** 2)
+        self._table = None
 
-    def _signs(self, parity):
-        """The sign +/-1 each element gives an output of each parity,
-        (outputs, elements): parity bit 0 is set when the x mirror flips the
-        output's sign, bit 1 when the z mirror does."""
-        flips = np.bitwise_and.outer(parity, self.elements)
-        return 1 - 2 * ((flips ^ (flips >> 1)) & 1)
+    def images_of(self, points):
+        """The distinct images g.p of the (m, 3) points under the elements,
+        by their float bits once -0.0 is taken as 0.0, and index[g, i], the
+        row of g.p_i among them."""
+        p = np.atleast_2d(points) * _MIRROR_SIGNS[self.elements][:, None] + 0.0
+        first, inverse = _unique_rows(p.reshape(-1, 3).view(np.int64))
+        return p.reshape(-1, 3)[first], inverse.reshape(len(self.elements), -1)
 
-    def classes_of(self, pset: PanelSet, points):
-        """[(stabilizer class, indices of its points or None for all)] of
-        the (m, 3) points: a point's class is the subgroup of the elements
-        that fix it, the x mirror when x == 0.0 and the z mirror when
-        z == 0.0 (exact compares)."""
-        # bit 0: on x = 0, bit 1: on z = 0; an element fixes the points whose
-        # key holds every axis it flips
-        key = (points[:, 0] == 0.0) + 2 * (points[:, 2] == 0.0)
-        present = np.flatnonzero(np.bincount(key, minlength=4))
-        keys = {}
-        for k in present:
-            keys.setdefault(tuple(np.flatnonzero((self.elements & ~k) == 0)), []).append(k)
-        if len(keys) == 1:
-            return [(self._subgroup(pset, next(iter(keys))), None)]
-        return [(self._subgroup(pset, rows), np.flatnonzero(np.isin(key, ks)))
-                for rows, ks in keys.items()]
+    def table(self, pset: PanelSet) -> PanelSet:
+        """The rep panels as a PanelSet of their own, in the order of reps,
+        built on first use; pset itself when every panel is a rep. pset is
+        passed, not kept: a group that held its panel set would make a
+        reference cycle."""
+        if self.reps.size == pset.n:
+            return pset
+        if self._table is None:
+            r = self.reps
+            self._table = PanelSet(pset.origins[r], pset.edge_u[r], pset.edge_v[r],
+                                   pset.electrode_idx[r])
+        return self._table
 
-    def _subgroup(self, pset, rows):
-        """The subgroup of the elements rows (indices into perms) with the
-        corner table of its reps, built on first use. It holds only what an
-        evaluation reads: elements, name, reps, images, stab and groups.
-        pset is passed, not kept: a group that held its panel set would make
-        a reference cycle."""
-        if rows not in self._subgroups:
-            sub = object.__new__(_MirrorGroup)
-            perms = self.perms[list(rows)]
-            sub.elements = self.elements[list(rows)]
-            sub.name = ", ".join(_MIRROR_NAMES[e] for e in sub.elements[1:]) or "identity"
-            sub.reps = np.flatnonzero(perms.min(axis=0) == np.arange(pset.n))
-            sub.images = perms[:, sub.reps]
-            sub.stab = (sub.images == sub.reps).sum(axis=0)
-            rep = np.zeros(pset.n, bool)
-            rep[sub.reps] = True
-            subsets = (g.subset(rep[g.panels]) for g in pset.corner_groups)
-            sub.groups = [g for g in subsets if g.panels.size]
-            self._subgroups[rows] = sub
-        return self._subgroups[rows]
+    def solve(self, Q, index, B):
+        """sigma of A sigma = B from Q, the kernel of the distinct images of
+        the rep centres against the rep panels (index[g, i] the row of
+        g.c_i), and the 1-norm condition estimate of the block-diagonal
+        operator (NaN on failure).
 
-    def solve(self, R, B):
-        """sigma of A sigma = B from the kept rows R = A[reps], and the 1-norm
-        condition estimate of the block-diagonal operator (NaN on failure).
-
-        Block c solves M_c y = sqrt(|G| / stab_i) b_i for the projected
-        right-hand side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
+        A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
+        the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
+        order, and LU factors it in place and solves the transpose. Block c
+        solves M_c y = sqrt(|G| / stab_i) b_i for the projected right-hand
+        side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
         """
         # here, not at the top: a cache hit, a report or a map never loads it
@@ -792,61 +677,47 @@ class _MirrorGroup:
         X = np.zeros_like(Bc)
         anorm = ainv = 0.0
         for c, k in enumerate(self.keep):
-            s = np.sqrt(self.stab[k])[:, None]
-            M = self._block(R, c)
+            M, term = np.take(Q, index[0, k], axis=0), None
+            for chi, rows in zip(self.chars[c, 1:], index[1:, k]):
+                term = np.take(Q, rows, axis=0, out=term, mode="clip")
+                (np.add if chi > 0 else np.subtract)(M, term, out=M)
+            del term
+            if k.size < M.shape[1]:
+                M = np.take(M, k, axis=1)
+            s = np.sqrt(self.stab[k])
+            M /= s[:, None]
+            M /= s
             # the 1-norm from column sums of a few columns at a time, not
             # from a block-sized |M|
             mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
                         for j in range(0, M.shape[1], 64))
-            lu, piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
-            rcond, info = sla.lapack.dgecon(lu, mnorm, norm="1")
+            lu, piv = sla.lu_factor(M.T, overwrite_a=True, check_finite=False)
+            # the infinity norm of M.T is the 1-norm of M
+            rcond, info = sla.lapack.dgecon(lu, mnorm, norm="I")
             if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
                 return None, math.nan
             anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
-            y = sla.lu_solve((lu, piv), Bc[c, k] / (s * math.sqrt(order)),
-                             check_finite=False)
-            X[c, k] = y * s / math.sqrt(order)
-            del M, lu  # before the next block is gathered
+            y = sla.lu_solve((lu, piv), Bc[c, k] / (s[:, None] * math.sqrt(order)),
+                             trans=1, check_finite=False)
+            X[c, k] = y * s[:, None] / math.sqrt(order)
+            del M, lu  # before the next block is summed
         S = np.empty_like(B)
         S[self.images] = np.einsum("cg,cmk->gmk", self.chars, X)
         return S, anorm * ainv
 
-    def _block(self, R, c):
-        """Block c in Fortran order, for lu_factor to overwrite.
-
-        Each group element's columns of R are gathered by rows into one
-        reused array and added in element order; then the rows of the orbits
-        that character c drops go, and one copy turns the block to Fortran
-        order. Two blocks at most are alive at once.
-        """
-        k = self.keep[c]
-        cols = self.images[:, k]
-        if len(cols) == 1:
-            # the identity alone: every panel is an orbit and the block is R
-            M = np.array(R, order="F")
-        else:
-            M = np.take(R, cols[0], axis=1)
-            term = np.empty_like(M)
-            for g in range(1, len(cols)):
-                np.take(R, cols[g], axis=1, out=term, mode="clip")
-                if self.chars[c, g] > 0:
-                    M += term
-                else:
-                    M -= term
-            del term
-            if k.size < M.shape[0]:
-                M = M[k]
-        s = np.sqrt(self.stab[k])
-        M /= s[:, None]
-        M /= s
-        return np.asfortranarray(M)
-
-    def potential(self, R, sigma):
-        """A sigma on every collocation point from the kept rows: row g.i of
-        A is row i of R with its columns permuted by g."""
+    def potential(self, Q, index, sigma):
+        """A sigma on every collocation point from Q: by the group identity
+        at g.c_i, row g.rep_i is sum_h Q[index[h g, i]] @ sigma[images[h]] /
+        stab."""
+        # one product for every element's weights, so Q is read once, and
+        # as W.T Q.T: BLAS packs a copy of Q for Q @ W (12 MB more resident
+        # on the surface trap)
+        W = np.concatenate([sigma[image] / self.stab[:, None] for image in self.images], axis=1)
+        P = np.split((W.T @ Q.T).T, len(self.images), axis=1)
+        product = np.searchsorted(self.elements, self.elements[:, None] ^ self.elements)
         phi = np.empty_like(sigma)
-        for p, image in zip(self.perms, self.images):
-            phi[image] = R @ sigma[p]
+        for g, image in enumerate(self.images):
+            phi[image] = sum(P[h][index[hg]] for h, hg in enumerate(product[:, g]))
         return phi
 
 
@@ -862,11 +733,11 @@ class SolvedTrap:
     the identity), block_sizes, how this process evaluates the kernel
     (kernel_workers threads, kernel_block_pairs pairs per block) and, when
     solved here rather than loaded, the seconds of symmetry_s (mirror group
-    detection), assembly_s (kernel rows), factor_s (blocks, LU, condition
-    estimate and solve) and residual_s.
+    detection), assembly_s (rep table and kernel rows), factor_s (blocks,
+    LU, condition estimate and solve) and residual_s.
 
     pset.group is the mirror group of the solve, found here or read from
-    the cache; the evaluators read it on the mirror planes.
+    the cache; every evaluation runs through it.
     """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet, sigma: np.ndarray,
@@ -943,6 +814,9 @@ def solve_unit_excitations(geometry: TrapGeometry,
         raise InvalidGeometryError(
             "coincident panel centers detected (overlapping electrodes?)")
 
+    # loaded before the first timer, so factor_s times no import
+    import scipy.linalg  # noqa: F401
+
     t0 = time.perf_counter()
     group = pset.group = _MirrorGroup(pset)
     t_group = time.perf_counter()
@@ -951,13 +825,14 @@ def solve_unit_excitations(geometry: TrapGeometry,
             f"solving {geometry.design!r} ({pset.n} panels, blocks "
             f"{group.block_sizes}) needs {group.solve_bytes / 1e6:.3g} MB, more "
             f"than the {SOLVE_MEMORY_BUDGET / 1e6:.3g} MB budget; coarsen the mesh")
-    R = potential_matrix(pset, pset.centers[group.reps])
+    points, index = group.images_of(pset.centers[group.reps])
+    Q = potential_matrix(group.table(pset), points)
     _release_scratch()  # the assembly's, not held through the factorization
     t1 = time.perf_counter()
 
     names = geometry.electrode_names
     B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
-    S, cond = group.solve(R, B)
+    S, cond = group.solve(Q, index, B)
     if not np.isfinite(cond):
         raise SolverError(f"condition estimate failed for {geometry.design}")
     if cond > COND_LIMIT:
@@ -970,7 +845,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
     t2 = time.perf_counter()
 
     # every collocation point must sit on its prescribed voltage
-    residuals = np.abs(group.potential(R, S) - B).max(axis=0)
+    residuals = np.abs(group.potential(Q, index, S) - B).max(axis=0)
     for name, res in zip(names, residuals):
         if not res <= RESIDUAL_LIMIT:  # a NaN residual fails too
             raise SolverError(
@@ -1010,10 +885,10 @@ def solve_unit_excitations(geometry: TrapGeometry,
 _SOLVER_CODE = (_unique_rows, PanelSet.__init__, PanelSet.n.fget, PanelSet.merge_keys,
                 PanelSet.corner_groups.fget, _CornerGroup.__init__, _ln_sum,
                 _field_terms, _potential_terms, _executor, _thread_scratch,
-                _release_scratch, _evaluate, _blocks, potential_matrix,
-                _MirrorGroup.__init__, _MirrorGroup._signs, _MirrorGroup.solve,
-                _MirrorGroup._block, _MirrorGroup.potential, SolvedTrap.__init__,
-                _kernel_diagnostics, solve_unit_excitations)
+                _release_scratch, _evaluate, potential_matrix, _MirrorGroup.__init__,
+                _MirrorGroup.images_of, _MirrorGroup.table, _MirrorGroup.solve,
+                _MirrorGroup.potential, SolvedTrap.__init__, _kernel_diagnostics,
+                solve_unit_excitations)
 # and the constants they read
 _SOLVER_CONSTANTS = (_TINY, _MERGE_REL, COND_LIMIT, COND_DIGITS, RESIDUAL_LIMIT,
                      _MIRROR_SIGNS.tolist())

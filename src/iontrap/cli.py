@@ -82,11 +82,13 @@ def _species_arg(name: str):
 
 
 def _drive(voltage_V, freq_MHz, keys=("--voltage-V", "--freq-MHz")) -> DriveParams:
-    """The rf drive of a voltage >= 0 and a frequency > 0, each a number
-    that is not a bool; keys name the two values in error messages."""
+    """The rf drive of a voltage >= 0 and a frequency > 0, each a finite
+    number that is not a bool; keys name the two values in error messages."""
     for key, value in zip(keys, (voltage_V, freq_MHz)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidInputError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{key} must be finite, got {value}")
     if not voltage_V >= 0:
         raise InvalidInputError(f"{keys[0]} must be >= 0, got {voltage_V}")
     if not freq_MHz > 0:

@@ -534,8 +534,8 @@ class TrapReport:
     solver_cond: float
     solver_residual_V: float
     n_panels: int
-    # orbit representatives the rf field was evaluated at in each stabilizer
-    # class, and the corners each class reads: a copy of BemRfField.evaluations
+    # the points the rf field was evaluated at, their distinct mirror images
+    # and the rep corners each image reads: a copy of BemRfField.evaluations
     field_evaluations: dict
 
     CSV_HEADER = "geometry,d_um,k,q,omega_MHz,V_kV,Omega_MHz,P_norm"
@@ -642,5 +642,5 @@ def full_report(solved, species: IonSpecies = CA40,
         solver_cond=solved.cond_estimate,
         solver_residual_V=solved.residual_max,
         n_panels=geom.n_panels,
-        field_evaluations={name: dict(seen) for name, seen in rf.evaluations.items()},
+        field_evaluations=dict(rf.evaluations),
     )

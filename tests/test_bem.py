@@ -242,8 +242,8 @@ def _evaluators(solved):
 def test_a_point_evaluates_bitwise_alike_in_every_batch(surface_solved):
     # each row is reduced along its own corners, so a point's value must not
     # depend on the size of its batch or on where it sits in its block; the
-    # probes on a mirror plane and on x = z = 0 read the corner tables of
-    # their stabilizer classes, and the batches mix the classes
+    # images of the probes on a mirror plane and on x = z = 0 coincide, and
+    # the batches mix points on and off the planes
     corners = sum(g.cu.size for g in surface_solved.pset.corner_groups)
     several_blocks = 3 * bem._BLOCK_PAIRS // corners + 5
     sizes = (2, 3, 5, 21, 22, 43, 999, several_blocks)
@@ -279,39 +279,39 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
     assert pset.group.names == FULL_GROUP and whole.group.names == []
     pts = _plane_points(21)
     first_rf = solved.geometry.electrodes_with_role("rf")[0]
-    sigmas = {"rf": solved.sigma_for(solved.rf_voltages()),
-              first_rf: solved.sigma_for({first_rf: 1.0}),
-              "random": np.random.default_rng(22).uniform(-1.0, 1.0, pset.n)}
+    rf = solved.sigma_for(solved.rf_voltages())
+    rough = np.random.default_rng(22).uniform(-1.0, 1.0, pset.n)
+    sigmas = {"rf": rf, first_rf: solved.sigma_for({first_rf: 1.0}), "random": rough,
+              "columns": np.column_stack([rf, rough])}
     # bit for bit, every solved charge keeps the z mirror, the rf charge of a
-    # planar trap also the x mirror, and a random charge neither
+    # planar trap also the x mirror, and a random charge neither; a 2-D
+    # charge keeps a mirror only if each of its columns does
     keeps = {"rf": [2] if solved.geometry.design == "cross-rf" else [0, 2],
-             first_rf: [2], "random": []}
+             first_rf: [2], "random": [], "columns": []}
     for label, sigma in sigmas.items():
-        axes = bem.ChargeWeights(pset, sigma).mirror_axes
-        assert axes == keeps[label], label
-        # a point is its own orbit representative unless a mirror that keeps
-        # sigma negates one of its coordinates
-        own = ~np.signbit(pts[:, axes]).any(axis=1)
+        charge = bem.ChargeWeights(pset, sigma)
+        assert charge.mirror_axes == keeps[label], label
+        # one weight column per element, but one for the mirrors that keep sigma
+        assert len(charge.columns) == 4 // 2 ** len(keeps[label]), label
         # a random sigma has no smooth field: its corner sums cancel more, so
         # the rounding of each is a larger share of the result
-        rel = 1e-11 if label == "random" else 1e-12
-        for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+        rel = 1e-12 if label in ("rf", first_rf) else 1e-11
+        evaluators = ((bem.potential_of,) if sigma.ndim == 2
+                      else (bem.potential_of, bem.field_of, bem.jacobian_of))
+        for evaluate in evaluators:
             got, want = evaluate(pset, sigma, pts), evaluate(whole, sigma, pts)
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= rel * scale, (label, evaluate)
-            # off the planes both read the whole table with sigma; a mirrored
-            # point takes its representative's value instead
-            assert np.array_equal(got[60:][own[60:]], want[60:][own[60:]]), (label, evaluate)
-        _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
+        if sigma.ndim == 1:
+            _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
+    # the 80 points have 20 + 2 * 40 + 4 * 20 distinct images, each read
+    # against the corners of one panel per orbit
     charge = bem.ChargeWeights(pset, sigmas["rf"])
     bem.field_of(pset, charge, pts)
     every = sum(g.cu.size for g in pset.corner_groups)
-    seen = charge.evaluations
-    assert {name: c["points"] for name, c in seen.items()} == {
-        "x=0": 20, "z=0": 20, "x=0, z=0, x=0 & z=0": 20, "identity": 20}
-    assert seen["identity"]["corners"] == every
-    assert max(seen["x=0"]["corners"], seen["z=0"]["corners"]) < 0.6 * every
-    assert seen["x=0, z=0, x=0 & z=0"]["corners"] < 0.3 * every
+    reps = sum(g.cu.size for g in pset.group.table(pset).corner_groups)
+    assert charge.evaluations == {"points": 80, "images": 180, "corners": reps}
+    assert reps < 0.3 * every
 
 
 def _assert_mirror_images_are_signed_bitwise(pset, sigma, pts):
@@ -350,28 +350,11 @@ def test_mirror_images_of_a_symmetric_charge_on_tilted_plates_take_the_signed_ou
     _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
 
 
-def test_a_charge_without_mirrors_evaluates_every_point_as_it_is(surface_solved,
-                                                                 monkeypatch):
-    pset = surface_solved.pset
-    rough = np.random.default_rng(33).uniform(-1.0, 1.0, pset.n)
-    # a 2-D charge keeps a mirror only if each of its columns does
-    columns = np.column_stack([surface_solved.sigma_for(surface_solved.rf_voltages()), rough])
-    assert bem.ChargeWeights(pset, rough).mirror_axes == []
-    assert bem.ChargeWeights(pset, columns).mirror_axes == []
-    cases = [(bem.potential_of, rough), (bem.field_of, rough), (bem.jacobian_of, rough),
-             (bem.potential_of, columns)]
-    pts = _plane_points(34)
-    got = [evaluate(pset, sigma, pts) for evaluate, sigma in cases]
-    # every point through the stabilizer classes, without the orbit step
-    monkeypatch.setattr(bem, "_by_orbit", lambda pset, charge, points, *rest:
-                        bem._evaluate(pset, points, charge, *rest))
-    want = [evaluate(pset, sigma, pts) for evaluate, sigma in cases]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 def test_tilted_panels_take_each_field_component_from_its_character():
-    # panels whose frame mixes x or y with z: under the z mirror one kernel
-    # term adds to outputs of both of its characters
+    # panels whose frame mixes x or y with z: a kernel term adds to the z
+    # component, which the z mirror flips, and to x or y, which it keeps;
+    # a charge that is not z-symmetric weighs each point's mirror image by
+    # a column of its own
     pset = bem.PanelSet(*_tilted_plates().arrays_m())
     pset.group = bem._MirrorGroup(pset)
     assert pset.group.names == ["z=0"]
@@ -380,15 +363,12 @@ def test_tilted_panels_take_each_field_component_from_its_character():
     pts[:20, 2] = 0.0
     sigma = rng.uniform(-1.0, 1.0, pset.n)
     charge = bem.ChargeWeights(pset, sigma)
+    assert len(charge.columns) == 2 and charge.mirror_axes == []
     for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
         got, want = evaluate(pset, charge, pts), evaluate(_whole_table(pset), sigma, pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
-        assert np.array_equal(got[20:], want[20:]), evaluate
-    (off, _), (cls, rows) = pset.group.classes_of(pset, pts)
-    assert (off.name, cls.name, rows.tolist()) == ("identity", "z=0", list(range(20)))
-    # one layer per character where a term reaches both
-    assert all(col is not None for _, col in charge.folded(cls, "field"))
-    assert all(col is not None for _, col in charge.folded(cls, "jacobian"))
+    # each point off the plane has two images, each on it one
+    assert charge.evaluations["images"] == 3 * (20 + 2 * 10)
 
 
 def _orbits(perms):
@@ -414,19 +394,17 @@ def _orbits(perms):
     return np.array(reps), images, stab
 
 
+def _z_only_layout():
+    """Two plates mirror images of each other under z alone."""
+    return _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
+                             _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
+
+
 @pytest.mark.parametrize("layout", ["surface_solved", "gnd_solved_200", "cross_solved_200",
                                     "z-only", "tilted"])
-def test_stabilizer_classes_are_the_subgroups_that_fix_their_points(layout, request):
-    if layout == "z-only":
-        g = _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
-                              _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
-    elif layout == "tilted":  # the plates of the tilted-panel test above
-        g = _custom_geometry(
-            (Electrode("a", "rf", (Rect((0.0, 0.0, 10.0), (100.0, 0.0, 100.0),
-                                        (0.0, 100.0, 0.0)),)),
-             Electrode("b", "dc", (Rect((0.0, 0.0, -10.0), (100.0, 0.0, -100.0),
-                                        (0.0, 100.0, 0.0)),))), 25.0)
+def test_the_rep_table_holds_the_panels_of_the_orbit_reps(layout, request):
     if layout in ("z-only", "tilted"):
+        g = _z_only_layout() if layout == "z-only" else _tilted_plates()
         pset = bem.PanelSet(*g.arrays_m())
         pset.group = bem._MirrorGroup(pset)
         assert pset.group.names == ["z=0"]
@@ -434,30 +412,46 @@ def test_stabilizer_classes_are_the_subgroups_that_fix_their_points(layout, requ
         pset = request.getfixturevalue(layout).pset
         assert pset.group.names == FULL_GROUP
     group = pset.group
-    pts = _plane_points(27)
-    classes = group.classes_of(pset, pts)
-    points = np.zeros(len(pts), int)
-    for sub, rows in classes:
-        rows = np.arange(len(pts)) if rows is None else rows
-        points[rows] += 1
-        # the class is the subgroup of the elements that fix each of its points
-        for p in pts[rows]:
-            fixing = [e for e in group.elements if np.array_equal(p * bem._MIRROR_SIGNS[e], p)]
-            assert sub.elements.tolist() == fixing
-        reps, images, stab = _orbits(group.perms[np.isin(group.elements, sub.elements)])
-        np.testing.assert_array_equal(sub.reps, reps)
-        np.testing.assert_array_equal(sub.images, images)
-        np.testing.assert_array_equal(sub.stab, stab)
-        # its corner table holds the panels of the reps, the whole table for
-        # the identity
-        panels = np.sort(np.concatenate([g.panels for g in sub.groups]))
-        np.testing.assert_array_equal(panels, reps)
-        if sub.name == "identity":
-            assert sub.groups == pset.corner_groups
-    assert (points == 1).all()
-    # each subgroup is built once and kept on the group
-    again = group.classes_of(pset, pts)
-    assert [a is b for (a, _), (b, _) in zip(classes, again)] == [True] * len(classes)
+    reps, images, stab = _orbits(group.perms)
+    np.testing.assert_array_equal(group.reps, reps)
+    np.testing.assert_array_equal(group.images, images)
+    np.testing.assert_array_equal(group.stab, stab)
+    # the table is the rep panels, in the order of reps, with their corners
+    table = group.table(pset)
+    assert table.n == reps.size < pset.n
+    for a in ("origins", "edge_u", "edge_v", "electrode_idx"):
+        np.testing.assert_array_equal(getattr(table, a), getattr(pset, a)[reps])
+    panels = np.sort(np.concatenate([g.panels for g in table.corner_groups]))
+    np.testing.assert_array_equal(panels, np.arange(reps.size))
+    # built once and kept on the group
+    assert group.table(pset) is table
+
+
+def test_images_of_a_point_are_its_distinct_mirror_images(surface_solved):
+    group = surface_solved.pset.group
+    pts = _plane_points(35)
+    images, index = group.images_of(pts)
+    assert index.shape == (4, 80)
+    for e, rows in zip(group.elements, index):
+        np.testing.assert_array_equal(images[rows], pts * bem._MIRROR_SIGNS[e] + 0.0)
+    assert len(images) == 20 * 1 + 40 * 2 + 20 * 4
+    assert not np.signbit(images[images == 0.0]).any()
+
+
+def test_a_negative_zero_coordinate_gives_the_bits_of_a_positive_one(surface_solved):
+    pts = _plane_points(36)
+    negative = pts.copy()
+    negative[pts == 0.0] = -0.0
+    assert np.signbit(negative).any()
+    solved = [surface_solved.pset, _whole_table(surface_solved.pset)]
+    for pset in solved:
+        # -0.0 and 0.0 are one image
+        images = pset.group.images_of(negative)[0]
+        assert images.tobytes() == pset.group.images_of(pts)[0].tobytes()
+        sigma = surface_solved.sigma_for(surface_solved.rf_voltages())
+        for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+            assert (evaluate(pset, sigma, negative).tobytes()
+                    == evaluate(pset, sigma, pts).tobytes()), (pset.group.names, evaluate)
 
 
 def test_a_fresh_panel_set_has_the_identity_group_and_reads_the_whole_table(
@@ -470,12 +464,12 @@ def test_a_fresh_panel_set_has_the_identity_group_and_reads_the_whole_table(
     pts = _plane_points(28)
     np.testing.assert_array_equal(charge.field(pts), bem.field_of(pset, charge.sigma, pts))
     every = sum(g.cu.size for g in pset.corner_groups)
-    assert charge.evaluations == {"identity": {"points": 80, "corners": every}}
-    # one class, the whole table, whose weights are sigma's, bit for bit
-    ((cls, rows),) = group.classes_of(pset, pts)
-    assert rows is None and cls.groups == pset.corner_groups
-    for g, (layers, col) in zip(pset.corner_groups, charge.folded(cls, "potential")):
-        assert col is None and layers[0][0].tobytes() == g.fold(charge.sigma).tobytes()
+    assert charge.evaluations == {"points": 80, "images": 80, "corners": every}
+    # the table is the panel set itself, and the one weight column sigma's,
+    # bit for bit
+    assert group.table(pset) is pset and len(charge.columns) == 1
+    for g, w in zip(pset.corner_groups, charge.weights()):
+        assert w.tobytes() == g.fold(charge.sigma).tobytes()
 
 
 def test_a_second_identical_call_allocates_no_kernel_scratch():
@@ -679,7 +673,7 @@ def test_solved_trap_field_is_superposition_of_units():
 def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
     g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),), 100.0)
 
-    def nan_potential(group, rows, sigma):
+    def nan_potential(group, Q, index, sigma):
         return np.full_like(sigma, np.nan)
 
     monkeypatch.setattr(bem._MirrorGroup, "potential", nan_potential)
@@ -762,6 +756,12 @@ def test_custom_layouts_detect_their_group_and_match_the_dense_solve(electrodes,
     dense = _dense_sigma(solved)
     assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
     assert solved.residual_max <= bem.RESIDUAL_LIMIT
+    # the evaluators through the group give the whole table's values
+    pts = _plane_points(37)
+    for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+        got = evaluate(solved.pset, solved.sigma[:, 0], pts)
+        want = evaluate(_whole_table(solved.pset), solved.sigma[:, 0], pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
 
 
 def test_a_mirror_must_map_panel_corners_not_only_centers():
@@ -844,58 +844,61 @@ def test_unique_rows_orders_as_numpy_unique_along_rows(a):
     assert np.array_equal(a[first][inverse], a)
 
 
-def _column_gathered_block(group, R, c):
-    """Block c gathered column by column through R.T: the reference that
-    _MirrorGroup._block must match bitwise."""
-    k = group.keep[c]
-    cols = group.perms[:, group.reps[k]]
-    M = R.T[np.ix_(cols[0], k)].T
-    for g in range(1, len(cols)):
-        term = R.T[np.ix_(cols[g], k)].T
-        if group.chars[c, g] > 0:
-            M += term
-        else:
-            M -= term
-    s = np.sqrt(group.stab[k])
-    M /= s[:, None]
-    M /= s
-    return M
+def _assemble(pset):
+    """The group of pset and the solve's Q and index: the kernel of the
+    distinct images of the rep centres against the rep panels."""
+    group = bem._MirrorGroup(pset)
+    points, index = group.images_of(pset.centers[group.reps])
+    return group, bem.potential_matrix(group.table(pset), points), index
 
 
 @pytest.mark.parametrize("layout", ["surface", "z-only", "trivial"])
-def test_row_gathered_blocks_equal_the_column_gather_bitwise(layout):
+def test_quotient_blocks_equal_the_blocks_of_the_dense_matrix(layout, monkeypatch):
     if layout == "surface":
         pset = bem.PanelSet(*build_default("surface", fine_um=80.0).arrays_m())
     elif layout == "z-only":
-        g = _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
-                              _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
-        pset = bem.PanelSet(*g.arrays_m())
+        pset = bem.PanelSet(*_z_only_layout().arrays_m())
     else:
         pset = _panel_grid(300)
-    group = bem._MirrorGroup(pset)
+    group, Q, index = _assemble(pset)
     assert group.names == {"surface": FULL_GROUP, "z-only": ["z=0"], "trivial": []}[layout]
     if layout == "surface":  # orbits of panels cut by a mirror plane
         assert set(group.stab) == {1, 2}
-    R = bem.potential_matrix(pset, pset.centers[group.reps])
-    for c in range(len(group.keep)):
-        M = group._block(R, c)
-        assert M.flags.f_contiguous
-        want = _column_gathered_block(group, R, c)
-        assert M.shape == want.shape and M.tobytes() == want.tobytes()
+    # the blocks as the solve hands them to the factorization, which takes
+    # the transpose of each in Fortran order
+    blocks, factor = [], sla.lu_factor
+
+    def watching_factor(a, *args, **kwargs):
+        assert a.flags.f_contiguous
+        blocks.append(a.T.copy())
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", watching_factor)
+    B = (pset.electrode_idx[:, None] == np.arange(pset.electrode_idx.max() + 1)).astype(float)
+    group.solve(Q, index, B)
+    A = bem.potential_matrix(pset, pset.centers)
+    assert len(blocks) == len(group.keep)
+    for c, (k, M) in enumerate(zip(group.keep, blocks)):
+        rows = group.reps[k]
+        want = sum(chi * A[np.ix_(rows, group.images[g, k])]
+                   for g, chi in enumerate(group.chars[c]))
+        s = np.sqrt(group.stab[k])
+        want /= s[:, None] * s
+        assert M.shape == want.shape
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max(), c
 
 
 @pytest.mark.parametrize("layout", ["surface", "trivial"])
 def test_solve_holds_no_more_than_its_memory_count(layout):
     pset = (bem.PanelSet(*build_default("surface").arrays_m()) if layout == "surface"
             else _panel_grid(1500))
-    group = bem._MirrorGroup(pset)
+    group, Q, index = _assemble(pset)
     assert len(group.names) == (3 if layout == "surface" else 0)
-    R = bem.potential_matrix(pset, pset.centers[group.reps])
     k = int(pset.electrode_idx.max()) + 1
     B = (pset.electrode_idx[:, None] == np.arange(k)).astype(float)
     tracemalloc.start()
     try:
-        S, cond = group.solve(R, B)
+        S, cond = group.solve(Q, index, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -905,7 +908,7 @@ def test_solve_holds_no_more_than_its_memory_count(layout):
     # and, per block, a 64-column slab of |M|, the pivots and the condition
     # estimate's work vectors
     vectors = 8 * pset.n * (4 * k + 72)
-    assert peak <= group.solve_bytes - R.nbytes + vectors
+    assert peak <= group.solve_bytes - Q.nbytes + vectors
 
 
 def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
@@ -1073,7 +1076,11 @@ def _nested_code(code):
 def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
     # every bem function a solve enters, on any thread, must be in
     # _SOLVER_CODE (or be nested in one that is); code objects are compared,
-    # not names, which is exact where names repeat
+    # not names, which is exact where names repeat. The layouts have groups
+    # of order 4, 2 and 1, so a branch on the order is entered too
+    layouts = {4: build_default("surface", fine_um=80.0), 2: _z_only_layout(),
+               1: _custom_geometry((_rect("a", 10.0, -50.0, 300.0, 200.0),
+                                    _rect("b", -250.0, 30.0, 200.0, 100.0, 50.0)), 50.0)}
     listed = {c for f in bem._SOLVER_CODE for c in _nested_code(f.__code__)}
     entered = set()
 
@@ -1083,21 +1090,25 @@ def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
 
     monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
     monkeypatch.setattr(bem, "_pool", None)  # new threads take the profile
-    threading.setprofile(profile)
-    sys.setprofile(profile)
-    try:
-        solve_unit_excitations(build_default("surface", fine_um=80.0))
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-        bem._pool.shutdown()
-    task = next(c for c in _nested_code(bem._blocks.__code__) if c.co_name == "task")
-    assert task in entered and bem._MirrorGroup._block.__code__ in entered
-    assert sorted(f"{c.co_name} (line {c.co_firstlineno})" for c in entered - listed) == []
+    for order, geometry in layouts.items():
+        entered.clear()
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            solved = solve_unit_excitations(geometry)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        assert len(solved.pset.group.elements) == order
+        task = next(c for c in _nested_code(bem._evaluate.__code__) if c.co_name == "task")
+        assert task in entered and bem._MirrorGroup.solve.__code__ in entered
+        assert sorted(f"{c.co_name} (line {c.co_firstlineno})"
+                      for c in entered - listed) == [], order
+    bem._pool.shutdown()
     # the evaluators are not part of it: editing them keeps every entry
     source = bem._solver_source().decode()
-    assert "def potential_matrix(" in source and "def _block(self, R, c):" in source
-    for name in ("def potential_of(", "def field_of(", "def jacobian_of(",
+    assert "def potential_matrix(" in source and "def solve(self, " in source
+    for name in ("def potential_of(", "def field_of(", "def jacobian_of(", "def _quotient(",
                  "class ChargeWeights", "def _weighted_sums("):
         assert name not in source
 
@@ -1171,7 +1182,8 @@ def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
 
 def test_scipy_loads_only_when_a_solve_factors(tmp_path):
     # a fresh process: importing the package, a cache hit, a report and a
-    # map never load scipy.linalg; a solve that misses the cache does
+    # map never load scipy.linalg; a solve that misses the cache does, and
+    # before its assembly, so its factor_s does not time the import
     geo = tmp_path / "coarse.json"
     build_surface_trap(default_surface_params(fine_um=240.0)).save(geo)
     cache = tmp_path / "cache"
@@ -1191,8 +1203,15 @@ def test_scipy_loads_only_when_a_solve_factors(tmp_path):
                                "40,40,0", "--res-um", "10",
                                "--out", {str(tmp_path / "m.csv")!r}])
         steps["map"] = (rc, loaded())
+        assemble, seen = iontrap.bem.potential_matrix, []
+
+        def watching_matrix(*args, **kwargs):
+            seen.append(loaded())
+            return assemble(*args, **kwargs)
+
+        iontrap.bem.potential_matrix = watching_matrix
         iontrap.solve_unit_excitations(g)
-        steps["cold"] = loaded()
+        steps["cold"] = (seen, loaded())
         print(json.dumps(steps))
     """)
     solve_unit_excitations(TrapGeometry.load(geo), cache_dir=cache)  # fill the cache
@@ -1201,7 +1220,7 @@ def test_scipy_loads_only_when_a_solve_factors(tmp_path):
                          text=True, timeout=120, check=True)
     steps = json.loads(run.stdout.splitlines()[-1])
     assert steps == {"import": False, "hit": "hit", "report": False,
-                     "map": [0, False], "cold": True}
+                     "map": [0, False], "cold": [[True], True]}
 
 
 def test_cache_dir_expands_the_home_directory(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from iontrap import cli, geometry, validate
+from iontrap import bem, cli, geometry, validate
 from iontrap.cli import SWEEP_CSV_HEADER, _sha256_file
 from iontrap.errors import SolverError
 from iontrap.merit import full_report
@@ -176,14 +176,16 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
         assert solver["mirror_group"] == ["x=0", "z=0", "x=0 & z=0"]
         assert sum(solver["block_sizes"]) == manifest["diagnostics"]["n_panels"] == 580
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
-    # the null scan runs on x = z = 0 and the depth grid on z = 0; the
-    # Hessian's z steps leave z = 0, at the null onto x = 0
+    # the null scan runs on x = z = 0, where a point is its only image, and
+    # the depth grid on z = 0, where it has two; only the Hessian's z steps
+    # leave z = 0. Every image reads the corners of the rep panels
     report = json.loads((tmp_path / "coarse.json").read_text())
     seen = manifest["diagnostics"]["field_evaluations"]
     assert seen == report["field_evaluations"]
-    assert set(seen) == {"identity", "x=0", "z=0", "x=0, z=0, x=0 & z=0"}
-    assert seen["x=0, z=0, x=0 & z=0"]["points"] > seen["x=0"]["points"] > 0
-    assert seen["z=0"]["corners"] < seen["identity"]["corners"] / 1.6
+    assert set(seen) == {"points", "images", "corners"}
+    assert seen["points"] < seen["images"] < 2 * seen["points"]
+    pset = bem.PanelSet(*geometry.build_default("surface", fine_um=80.0).arrays_m())
+    assert seen["corners"] < sum(g.cu.size for g in pset.corner_groups) / 3
 
 
 def test_report_manifest_describes_the_mesh(tmp_path, surface_solved, cache_dir):
@@ -240,6 +242,20 @@ def test_report_negative_voltage(tmp_path, capsys):
                  "--out", tmp_path / "r")
     assert rc == 2
     assert "--voltage-V must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "map"])
+@pytest.mark.parametrize("flag, value", [("--voltage-V", "inf"), ("--voltage-V", "nan"),
+                                         ("--freq-MHz", "inf"), ("--freq-MHz", "-inf"),
+                                         ("--freq-MHz", "nan")])
+def test_a_drive_that_is_not_finite_exits_2_without_output(tmp_path, capsys, command,
+                                                           flag, value):
+    grid = ("--center-um", "0,90,0", "--span-um", "20,20,0", "--res-um", 10)
+    rc = run_cli(command, "--design", "surface", f"{flag}={value}",
+                 *(grid if command == "map" else ()), "--out", tmp_path / "out")
+    assert rc == 2
+    assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-1", "0"])
@@ -336,6 +352,9 @@ def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     ("voltage_V", True, "sweep spec 'voltage_V' must be a number, got True"),
     ("freq_MHz", "20", "sweep spec 'freq_MHz' must be a number, got '20'"),
     ("freq_MHz", 0, "sweep spec 'freq_MHz' must be > 0, got 0"),
+    ("voltage_V", math.inf, "sweep spec 'voltage_V' must be finite, got inf"),
+    ("voltage_V", math.nan, "sweep spec 'voltage_V' must be finite, got nan"),
+    ("freq_MHz", math.inf, "sweep spec 'freq_MHz' must be finite, got inf"),
 ])
 def test_sweep_spec_with_a_bad_drive_exits_2(tmp_path, capsys, key, value, fragment):
     path = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105.0],
@@ -455,14 +474,12 @@ def test_map_zero_voltage_is_identically_zero(tmp_path, surface_solved, cache_di
     manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
     assert manifest["diagnostics"]["shape"] == [3, 3, 1]
     assert manifest["diagnostics"]["psi_max_meV"] == 0.0
-    # the z = 0 map reads half the corners, its x = 0 column a quarter
+    # the images of the z = 0 map are its own points (x = -10 and x = 10 are
+    # each other's), each read against the rep corners, a quarter or less
     every = sum(g.cu.size for g in surface_solved.pset.corner_groups)
     seen = manifest["diagnostics"]["field_evaluations"]
-    # (the rf charge keeps the x mirror, so x = -10 takes the values of x = 10)
-    assert {name: c["points"] for name, c in seen.items()} == {
-        "z=0": 3, "x=0, z=0, x=0 & z=0": 3}
-    assert seen["z=0"]["corners"] < 0.6 * every
-    assert seen["x=0, z=0, x=0 & z=0"]["corners"] < 0.3 * every
+    assert {key: seen[key] for key in ("points", "images")} == {"points": 9, "images": 9}
+    assert seen["corners"] < 0.3 * every
 
 
 def test_a_symmetric_map_evaluates_one_point_per_mirror_pair(tmp_path, surface_solved,
@@ -473,11 +490,13 @@ def test_a_symmetric_map_evaluates_one_point_per_mirror_pair(tmp_path, surface_s
                    "--out", out) == 0
     manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
     assert manifest["diagnostics"]["shape"] == [101, 54, 1]
-    # x in [-150, 150] um: the 50 columns of x > 0 and the x = 0 column are
-    # evaluated, the 50 columns of x < 0 are their mirror images
+    # x in [-150, 150] um: a point at x and its mirror image at -x share
+    # their two images, so the kernel reads as many images as points, each
+    # against the rep corners: a pair costs one point of the whole table
+    every = sum(g.cu.size for g in surface_solved.pset.corner_groups)
     seen = manifest["diagnostics"]["field_evaluations"]
-    assert {name: c["points"] for name, c in seen.items()} == {
-        "z=0": 2700, "x=0, z=0, x=0 & z=0": 54}
+    assert {key: seen[key] for key in ("points", "images")} == {"points": 5454, "images": 5454}
+    assert seen["corners"] < 0.3 * every
     psi = {tuple(map(float, row[:3])): row[3]
            for row in (line.split(",") for line in csv_data_lines(out)[1:])}
     assert len(psi) == 5454
@@ -557,6 +576,10 @@ def test_map_bounds_of_a_custom_layout_come_from_its_electrodes(tmp_path, capsys
      "--center-um must be finite, got nan,90,0"),
     (("--center-um", "0,-inf,0", "--span-um", "30,16,0", "--res-um", 4),
      "--center-um must be finite, got 0,-inf,0"),
+    (("--center-um", "0,90,0", "--span-um", "300,160,0", "--res-um", "1e-300"),
+     "has inf points, more than the 1048576 a map may hold"),
+    (("--center-um", "0,90,0", "--span-um", "300,160,40", "--res-um", "0.1"),
+     "has 1.927e+09 points, more than the 1048576 a map may hold"),
 ])
 def test_map_argument_errors(tmp_path, capsys, args, fragment):
     rc = run_cli("map", "--design", "surface", *args, "--out", tmp_path / "m.csv")

@@ -24,7 +24,7 @@ from iontrap import (
     get_species,
     pseudo_map,
 )
-from iontrap import bem, merit
+from iontrap import bem, merit, pseudo
 from iontrap.constants import ECHARGE
 
 RNG = np.random.default_rng(7)
@@ -262,6 +262,25 @@ def test_pseudo_map_rejects_bad_resolution():
 def test_pseudo_map_rejects_a_bad_grid(center, span, res, message):
     with pytest.raises(ValueError, match=message):
         pseudo_map(_quad_pseudo(), center, span, res)
+
+
+def test_the_point_budget_counts_the_grid_as_the_map_lays_it():
+    budget = pseudo.MAP_POINT_BUDGET
+    assert budget == 2**20 == bem.SOLVE_MEMORY_BUDGET // pseudo.MAP_BYTES_PER_POINT
+    # the map of `iontrap map --span-um 300,160,0 --res-um 3`, 101 x 54 points,
+    # is far inside the budget
+    assert 101 * 54 * 100 < budget
+    pseudo.check_grid((0.0, 90.0, 0.0), (300.0, 160.0, 0.0), 3.0)
+    # budget points along x, and one more
+    pseudo.check_grid((0.0, 0.0, 0.0), (budget - 1.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match=f"has 1.049e\\+06 points, more than the {budget}"):
+        pseudo.check_grid((0.0, 0.0, 0.0), (float(budget), 0.0, 0.0), 1.0)
+    # 1024 x 1024 fits, 1024 x 1025 does not
+    pseudo.check_grid((0.0, 0.0, 0.0), (1023.0, 1023.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="more than"):
+        pseudo.check_grid((0.0, 0.0, 0.0), (1023.0, 1024.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="span_um 300,160,0 in steps of res_um 1e-300 has inf"):
+        pseudo.check_grid((0.0, 90.0, 0.0), (300.0, 160.0, 0.0), 1e-300)
 
 
 def test_pseudo_map_csv_round_trip():
