@@ -81,27 +81,57 @@ def _species_arg(name: str):
         raise InvalidInputError(str(exc.args[0])) from exc
 
 
-def _drive(voltage_V, freq_MHz, keys=("--voltage-V", "--freq-MHz")) -> DriveParams:
-    """The rf drive of a voltage >= 0 and a frequency > 0, each a finite
-    number that is not a bool; keys name the two values in error messages."""
-    for key, value in zip(keys, (voltage_V, freq_MHz)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidInputError(f"{key} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{key} must be finite, got {value}")
-    if not voltage_V >= 0:
-        raise InvalidInputError(f"{keys[0]} must be >= 0, got {voltage_V}")
-    if not freq_MHz > 0:
-        raise InvalidInputError(f"{keys[1]} must be > 0, got {freq_MHz}")
-    return DriveParams.from_mhz(voltage_V, freq_MHz)
+# -- input rules -------------------------------------------------------------
+# Every numeric flag and sweep-spec field is read through one of these rules:
+# rule(raw, name) takes a JSON value, or the numbers of a flag's text, and
+# returns it as a float (an int for _count, a tuple for a 3-vector) or raises.
+
+
+def _rule(wording, ok, size=None, cast=float):
+    def rule(raw, name):
+        values = raw if size else (raw,)
+        if ((size is None or isinstance(raw, tuple) and len(raw) == size)
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)
+                        for v in values)):
+            return tuple(map(cast, values)) if size else cast(raw)
+        raise InvalidInputError(f"{name} must be {wording}, got {raw!r}")
+    return rule
+
+
+_nonnegative = _rule(">= 0 and finite", lambda v: 0 <= v < math.inf)
+_positive = _rule("> 0 and finite", lambda v: 0 < v < math.inf)
+_mesh_size = _rule(f"> 0 and <= {geometry.DEFAULT_COARSE_UM:g}, the coarse mesh size",
+                   lambda v: 0 < v <= geometry.DEFAULT_COARSE_UM)
+_count = _rule("an integer >= 1", lambda v: v >= 1 and float(v).is_integer(), cast=int)
+_vector = _rule("3 finite numbers x,y,z", math.isfinite, size=3)
+_span = _rule("3 numbers x,y,z, each >= 0 and finite", lambda v: 0 <= v < math.inf, size=3)
+
+
+def _flag(p, flag, rule, **kw):
+    """Declare a numeric flag: its text, a number or comma-separated numbers,
+    is read through rule (as itself if it is not numbers). argparse lets the
+    rule's InvalidInputError through to main, which returns 2."""
+    def read(text):
+        try:
+            raw = tuple(float(part) for part in text.split(","))
+        except ValueError:
+            raw = (text,)
+        return rule(raw if len(raw) > 1 else raw[0], flag)
+    p.add_argument(flag, type=read, **kw)
+
+
+def _given(ns, *keys) -> dict:
+    """The flags among keys that the command line gave, by dest."""
+    return {k: getattr(ns, k) for k in keys if getattr(ns, k) is not None}
 
 
 def _load_or_build_geometry(ns) -> geometry.TrapGeometry:
-    if getattr(ns, "geometry", None):
+    if ns.geometry:
+        if _given(ns, "design", "h_um", "fine_um"):
+            raise InvalidInputError("--geometry excludes --design, --h-um and --mesh-fine-um")
         return geometry.TrapGeometry.load(ns.geometry)
-    if getattr(ns, "design", None):
-        return geometry.build_default(ns.design, h_um=ns.h_um,
-                                      fine_um=ns.mesh_fine_um)
+    if ns.design:
+        return geometry.build_default(ns.design, **_given(ns, "h_um", "fine_um"))
     raise InvalidInputError("provide --geometry FILE or --design NAME")
 
 
@@ -125,10 +155,8 @@ def _geometry_inputs(ns, geom) -> dict:
 
 
 def cmd_build(ns) -> int:
-    dims = {k: getattr(ns, k) for k in ("center_width_um", "rf_width_um", "gap_um")
-            if getattr(ns, k) is not None}
-    geom = geometry.build_default(ns.design, h_um=ns.h_um,
-                                  fine_um=ns.mesh_fine_um, **dims)
+    geom = geometry.build_default(ns.design, **_given(
+        ns, "h_um", "fine_um", "center_width_um", "rf_width_um", "gap_um"))
     os.makedirs(os.path.dirname(os.path.abspath(ns.out)), exist_ok=True)
     geom.save(ns.out)
     _write_manifest([ns.out], ns, {"design": ns.design},
@@ -141,31 +169,28 @@ def cmd_build(ns) -> int:
 # -- report ------------------------------------------------------------------
 
 
-def _reference_report(ns, drive, species):
+def _reference_report(ns, drive):
     ref = getattr(ns, "reference", None)
     if not ref:
         return None
     if os.path.exists(ref):
         geom = geometry.TrapGeometry.load(ref)
     elif ref in _DESIGNS:
-        geom = geometry.build_default(ref, h_um=None, fine_um=ns.mesh_fine_um)
+        geom = geometry.build_default(ref, **_given(ns, "fine_um"))
     else:
         raise InvalidInputError(
             f"--reference must be a geometry file or one of {_DESIGNS}, got {ref!r}")
     solved = _solve(geom, ns)
-    return full_report(solved, species=species, drive=drive,
+    return full_report(solved, species=ns.species, drive=drive,
                        target_omega=2e6 * math.pi * ns.target_MHz)
 
 
 def cmd_report(ns) -> int:
-    if not 0 < ns.target_MHz < math.inf:  # NaN fails too
-        raise InvalidInputError(f"--target-MHz must be > 0 and finite, got {ns.target_MHz}")
     geom = _load_or_build_geometry(ns)
-    drive = _drive(ns.voltage_V, ns.freq_MHz)
-    species = _species_arg(ns.species)
-    reference = _reference_report(ns, drive, species)
+    drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
+    reference = _reference_report(ns, drive)
     solved = _solve(geom, ns)
-    report = full_report(solved, species=species, drive=drive,
+    report = full_report(solved, species=ns.species, drive=drive,
                          target_omega=2e6 * math.pi * ns.target_MHz,
                          reference=reference)
 
@@ -191,7 +216,17 @@ def cmd_report(ns) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _load_sweep_spec(path) -> dict:
+_SPEC_KEYS = ("design", "h_um", "voltage_V", "freq_MHz", "species", "mesh", "reference")
+
+
+def _field(spec, key, rule, default):
+    """The sweep-spec field key, or default if it is absent, read through rule."""
+    return rule(spec.get(key, default), f"sweep spec '{key}'")
+
+
+def _load_sweep_spec(path) -> tuple:
+    """The design, h_um, drive, species, fine_um and reference of the sweep
+    spec at path, every field checked and its default filled in."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             spec = json.load(f)
@@ -203,6 +238,15 @@ def _load_sweep_spec(path) -> dict:
             f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(spec, dict):
         raise InvalidInputError("sweep spec must be a JSON object")
+    mesh = spec.get("mesh", {})
+    if not isinstance(mesh, dict):
+        raise InvalidInputError(f"sweep spec 'mesh' must be an object, got {mesh!r}")
+    unknown = [k for k in spec if k not in _SPEC_KEYS]
+    unknown += [f"mesh.{k}" for k in mesh if k != "fine_um"]
+    if unknown:
+        raise InvalidInputError(f"sweep spec has unknown keys {unknown}; it takes "
+                                f"{', '.join(_SPEC_KEYS)} and mesh.fine_um")
+    spec = {**spec, **{f"mesh.{key}": value for key, value in mesh.items()}}
     design = spec.get("design")
     two_wafer = [n for n, (params, _) in geometry.DESIGNS.items()
                  if params().h_um is not None]
@@ -210,15 +254,18 @@ def _load_sweep_spec(path) -> dict:
         raise InvalidInputError(
             f"sweep spec 'design' must be {' or '.join(two_wafer)}, got {design!r}")
     hs = spec.get("h_um")
-    if (not isinstance(hs, list) or not hs
-            or not all(isinstance(h, (int, float)) and not isinstance(h, bool)
-                       for h in hs)):
+    if not isinstance(hs, list) or not hs:
         raise InvalidInputError("sweep spec 'h_um' must be a nonempty number list")
-    if not all(0 < h < math.inf for h in hs):  # NaN fails too
-        raise InvalidInputError("sweep spec 'h_um' values must be positive and finite")
-    if sorted(hs) != list(hs) or len(set(hs)) != len(hs):
+    hs = [_positive(h, f"sweep spec 'h_um[{i}]'") for i, h in enumerate(hs)]
+    if sorted(hs) != hs or len(set(hs)) != len(hs):
         raise InvalidInputError("sweep spec 'h_um' must be strictly ascending")
-    return spec
+    reference = spec.get("reference", "surface")
+    if reference is not None and reference not in _DESIGNS:
+        raise InvalidInputError(f"sweep 'reference' must be null or one of {_DESIGNS}")
+    drive = DriveParams.from_mhz(_field(spec, "voltage_V", _nonnegative, 10.0),
+                                 _field(spec, "freq_MHz", _positive, 20.0))
+    return (design, hs, drive, _species_arg(spec.get("species", "Ca40")),
+            _field(spec, "mesh.fine_um", _mesh_size, geometry.DEFAULT_FINE_UM), reference)
 
 
 def _sweep_row(design, h, drive, species, fine_um, cache_dir, reference):
@@ -230,43 +277,25 @@ def _sweep_row(design, h, drive, species, fine_um, cache_dir, reference):
 
 
 def cmd_sweep(ns) -> int:
-    if ns.jobs < 1:
-        raise InvalidInputError(f"--jobs must be >= 1, got {ns.jobs}")
-    spec = _load_sweep_spec(ns.spec)
-    drive = _drive(spec.get("voltage_V", 10.0), spec.get("freq_MHz", 20.0),
-                   ("sweep spec 'voltage_V'", "sweep spec 'freq_MHz'"))
-    species = _species_arg(spec.get("species", "Ca40"))
-    mesh = spec.get("mesh", {})
-    if not isinstance(mesh, dict):
-        raise InvalidInputError(f"sweep spec 'mesh' must be an object, got {mesh!r}")
-    fine_um = mesh.get("fine_um", geometry.DEFAULT_FINE_UM)
-    if (isinstance(fine_um, bool) or not isinstance(fine_um, (int, float))
-            or not 0 < fine_um < math.inf):
-        raise InvalidInputError(
-            f"sweep spec 'mesh.fine_um' must be a positive number, got {fine_um!r}")
-    ref_name = spec.get("reference", "surface")
+    design, hs, drive, species, fine_um, ref_name = _load_sweep_spec(ns.spec)
     reference = None
     if ref_name:
-        if ref_name not in _DESIGNS:
-            raise InvalidInputError(
-                f"sweep 'reference' must be null or one of {_DESIGNS}")
         ref_geom = geometry.build_default(ref_name, fine_um=fine_um)
         reference = full_report(bem.solve_unit_excitations(ref_geom,
                                                            cache_dir=ns.cache_dir),
                                 species=species, drive=drive)
 
-    hs = spec["h_um"]
     results: list[str] = []
     errors: list[str] = []
 
     rest = (drive, species, fine_um, ns.cache_dir, reference)
-    calls = [lambda h=h: _sweep_row(spec["design"], h, *rest) for h in hs]
+    calls = [lambda h=h: _sweep_row(design, h, *rest) for h in hs]
     # a fork-started pool launches all its workers at the first submit
     jobs = min(ns.jobs, len(hs))
     if jobs > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-            calls = [ex.submit(_sweep_row, spec["design"], h, *rest).result
+            calls = [ex.submit(_sweep_row, design, h, *rest).result
                      for h in hs]
     for h, call in zip(hs, calls):
         try:
@@ -290,16 +319,6 @@ def cmd_sweep(ns) -> int:
 # -- map ---------------------------------------------------------------------
 
 
-def _vec3(text, what):
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError(f"{what} must be 'x,y,z' numbers, got {text!r}") from exc
-    if len(parts) != 3:
-        raise InvalidInputError(f"{what} must have 3 components, got {len(parts)}")
-    return tuple(parts)
-
-
 def _check_domain(geom, center, span):
     lo = [c - s / 2 for c, s in zip(center, span)]
     hi = [c + s / 2 for c, s in zip(center, span)]
@@ -319,19 +338,16 @@ def _check_domain(geom, center, span):
 
 def cmd_map(ns) -> int:
     geom = _load_or_build_geometry(ns)
-    drive = _drive(ns.voltage_V, ns.freq_MHz)
-    species = _species_arg(ns.species)
-    center = _vec3(ns.center_um, "--center-um")
-    span = _vec3(ns.span_um, "--span-um")
+    drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
     try:
-        check_grid(center, span, ns.res_um, ("--center-um", "--span-um", "--res-um"))
+        check_grid(ns.center_um, ns.span_um, ns.res_um, ("--center-um", "--span-um", "--res-um"))
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
-    _check_domain(geom, center, span)
+    _check_domain(geom, ns.center_um, ns.span_um)
     solved = _solve(geom, ns)
     rf = BemRfField(solved)
-    pseudo = PseudoField(rf, species=species, drive=drive)
-    grid = pseudo_map(pseudo, center, span, ns.res_um,
+    pseudo = PseudoField(rf, species=ns.species, drive=drive)
+    grid = pseudo_map(pseudo, ns.center_um, ns.span_um, ns.res_um,
                       meta={"design": geom.design,
                             "geometry_signature": geom.signature()})
     _write_output(ns.out, _manifest_ref(ns.out) + grid.csv_text())
@@ -359,23 +375,20 @@ def cmd_validate(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common_geometry_flags(p):
-    p.add_argument("--geometry", help="geometry JSON file")
-    p.add_argument("--design", choices=_DESIGNS,
-                   help="build a calibrated default design instead")
-    p.add_argument("--h-um", type=float, default=None,
-                   help="wafer separation for multi-wafer designs (um)")
-    p.add_argument("--mesh-fine-um", type=float,
-                   default=geometry.DEFAULT_FINE_UM,
-                   help="fine mesh element size (um)")
+def _add_design_flags(p, **design):
+    p.add_argument("--design", choices=_DESIGNS, **design)
+    _flag(p, "--h-um", _positive, help="wafer separation for multi-wafer designs (um)")
+    _flag(p, "--mesh-fine-um", _mesh_size, dest="fine_um", metavar="MESH_FINE_UM",
+          help=f"fine mesh element size (um, default {geometry.DEFAULT_FINE_UM:g})")
 
 
-def _add_drive_flags(p):
-    p.add_argument("--voltage-V", type=float, default=10.0,
-                   help="rf drive amplitude (V)")
-    p.add_argument("--freq-MHz", type=float, default=20.0,
-                   help="rf drive frequency (MHz)")
-    p.add_argument("--species", default="Ca40", help="ion species name")
+def _add_trap_flags(p):
+    """The flags of report and map: the trap, from a file or a design, and its drive."""
+    p.add_argument("--geometry", help="geometry JSON file; excludes the next three")
+    _add_design_flags(p, help="build a calibrated default design instead")
+    _flag(p, "--voltage-V", _nonnegative, default=10.0, help="rf drive amplitude (V)")
+    _flag(p, "--freq-MHz", _positive, default=20.0, help="rf drive frequency (MHz)")
+    p.add_argument("--species", default="Ca40", type=_species_arg, help="ion species name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,21 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a calibrated default geometry JSON")
-    b.add_argument("--design", choices=_DESIGNS, required=True)
-    b.add_argument("--h-um", type=float, default=None)
-    b.add_argument("--center-width-um", type=float, default=None)
-    b.add_argument("--rf-width-um", type=float, default=None)
-    b.add_argument("--gap-um", type=float, default=None)
-    b.add_argument("--mesh-fine-um", type=float, default=geometry.DEFAULT_FINE_UM)
+    _add_design_flags(b, required=True)
+    for flag in ("--center-width-um", "--rf-width-um", "--gap-um"):
+        _flag(b, flag, _positive)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
 
     r = sub.add_parser("report", help="figures of merit of one trap")
-    _add_common_geometry_flags(r)
-    _add_drive_flags(r)
-    r.add_argument("--target-MHz", type=float,
-                   default=DEFAULT_TARGET_OMEGA / (2e6 * math.pi),
-                   help="target secular frequency (MHz)")
+    _add_trap_flags(r)
+    _flag(r, "--target-MHz", _positive, default=DEFAULT_TARGET_OMEGA / (2e6 * math.pi),
+          help="target secular frequency (MHz)")
     r.add_argument("--reference", default=None,
                    help="geometry file or design name for heating/power norms")
     r.add_argument("--out", required=True,
@@ -411,19 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="figures of merit vs wafer separation")
     s.add_argument("--spec", required=True, help="sweep spec JSON")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="parallel solves, at most one per row (output order "
-                        "follows input order)")
+    _flag(s, "--jobs", _count, default=1,
+          help="parallel solves, at most one per row; rows keep the spec's order")
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(fn=cmd_sweep)
 
     m = sub.add_parser("map", help="pseudopotential grid CSV")
-    _add_common_geometry_flags(m)
-    _add_drive_flags(m)
-    m.add_argument("--center-um", required=True, help="grid center 'x,y,z' (um)")
-    m.add_argument("--span-um", required=True,
-                   help="grid span 'sx,sy,sz' (um); 0 collapses an axis")
-    m.add_argument("--res-um", type=float, required=True, help="grid step (um)")
+    _add_trap_flags(m)
+    _flag(m, "--center-um", _vector, required=True, help="grid center 'x,y,z' (um)")
+    _flag(m, "--span-um", _span, required=True,
+          help="grid span 'sx,sy,sz' (um); 0 collapses an axis")
+    _flag(m, "--res-um", _positive, required=True, help="grid step (um)")
     m.add_argument("--out", required=True, help="output CSV path")
     m.set_defaults(fn=cmd_map)
 
@@ -434,10 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser().parse_args(argv)
-    ns.argv = argv
     try:
+        ns = build_parser().parse_args(argv)
+        ns.argv = argv
         return ns.fn(ns)
+    except SystemExit as exc:  # argparse: 2 for a command line it cannot parse, 0 for --help
+        return exc.code
     except InvalidInputError as exc:
         print(f"error (invalid input): {exc}", file=sys.stderr)
         return 2

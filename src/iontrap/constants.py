@@ -49,9 +49,6 @@ CA40 = SPECIES["Ca40"]
 
 
 def get_species(name: str) -> IonSpecies:
-    try:
+    if isinstance(name, str) and name in SPECIES:
         return SPECIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown species {name!r}; known: {', '.join(sorted(SPECIES))}"
-        ) from None
+    raise KeyError(f"unknown species {name!r}; known: {', '.join(sorted(SPECIES))}")

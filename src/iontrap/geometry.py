@@ -50,6 +50,10 @@ class Rect:
     edge_v: tuple[float, float, float]
 
     def __post_init__(self):
+        if not np.isfinite([self.origin, self.edge_u, self.edge_v]).all():
+            raise InvalidGeometryError(
+                f"rect origin and edges must be finite, got {self.origin}, "
+                f"{self.edge_u}, {self.edge_v}")
         u, v = np.asarray(self.edge_u, float), np.asarray(self.edge_v, float)
         lu, lv = np.linalg.norm(u), np.linalg.norm(v)
         if lu <= 0.0 or lv <= 0.0:
@@ -96,8 +100,11 @@ class Box3:
     size: tuple[float, float, float]
 
     def __post_init__(self):
-        if any(s < 0 for s in self.size):
-            raise InvalidGeometryError("box size components must be >= 0")
+        if not np.isfinite(self.center).all():
+            raise InvalidGeometryError(f"box center must be finite, got {self.center}")
+        if not all(0 <= s < math.inf for s in self.size):  # NaN fails too
+            raise InvalidGeometryError(
+                f"box size components must be >= 0 and finite, got {self.size}")
 
     @property
     def lo(self):
@@ -121,10 +128,11 @@ class MeshParams:
     fine_region: Box3
 
     def __post_init__(self):
-        if not (self.fine_um > 0.0):
-            raise InvalidGeometryError("fine_um must be > 0")
-        if self.coarse_um < self.fine_um:
-            raise InvalidGeometryError("coarse_um must be >= fine_um")
+        if not 0.0 < self.fine_um < math.inf:
+            raise InvalidGeometryError(f"fine_um must be > 0 and finite, got {self.fine_um}")
+        if not self.fine_um <= self.coarse_um < math.inf:
+            raise InvalidGeometryError(
+                f"coarse_um must be >= fine_um and finite, got {self.coarse_um}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,9 @@ class GeometryParams:
     def _require_positive(self, *names):
         for n in names:
             v = getattr(self, n)
-            if v is None or not (v > 0.0):
-                raise InvalidGeometryError(f"{self.design}: {n} must be > 0, got {v}")
+            if v is None or not 0.0 < v < math.inf:
+                raise InvalidGeometryError(
+                    f"{self.design}: {n} must be > 0 and finite, got {v}")
 
 
 class TrapGeometry:

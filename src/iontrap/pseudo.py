@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bem
 from .constants import CA40, IonSpecies
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,14 @@ class PseudoField:
         self.drive = drive
         q, m = species.charge, species.mass
         # psi = coef * |E_unit|^2 with E_unit the 1 V field
-        self.coef = (q * drive.voltage) ** 2 / (4.0 * m * drive.omega_rf**2)
+        try:
+            self.coef = (q * drive.voltage) ** 2 / (4.0 * m * drive.omega_rf**2)
+        except (OverflowError, ZeroDivisionError):  # Python's float ** and / raise
+            self.coef = math.inf
+        if not math.isfinite(self.coef):
+            raise InvalidInputError(
+                f"the pseudopotential of {drive.voltage:g} V at {drive.freq_MHz:g} MHz "
+                f"on {species.name} is out of floating-point range")
 
     def psi(self, points) -> np.ndarray:
         """Pseudopotential energy in J."""

@@ -6,7 +6,9 @@ pointed at the shared test cache, so these tests exercise the full pipeline
 for boundary-element solves already done by the physics tests.
 """
 
+import argparse
 import concurrent.futures
+import copy
 import importlib.resources
 import json
 import math
@@ -90,9 +92,12 @@ def test_build_cross_rejects_planar_flags(tmp_path, capsys):
     assert "cross-rf takes only" in capsys.readouterr().err
 
 
+# a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("args, fragment", [
     (("--design", "surface", "--h-um", 100), "surface takes only its own dimensions"),
-    (("--design", "cross-rf", "--h-um", 0), "h_um must be > 0"),
+    pytest.param(("--design", "cross-rf", "--h-um", 0), "--h-um must be > 0 and finite, got 0.0",
+                 id="args1-h_um must be > 0"),
+    (("--design", "gnd-surface", "--h-um", "inf"), "--h-um must be > 0 and finite, got inf"),
 ])
 def test_build_rejects_a_height_the_design_cannot_take(tmp_path, capsys, args, fragment):
     # neither is replaced by a default: surface has no top plane, and a zero
@@ -100,6 +105,16 @@ def test_build_rejects_a_height_the_design_cannot_take(tmp_path, capsys, args, f
     assert run_cli("build", *args, "--out", tmp_path / "g.json") == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists()
+
+
+def test_a_huge_finite_height_writes_strict_json(tmp_path):
+    out = tmp_path / "g.json"
+    assert run_cli("build", "--design", "gnd-surface", "--h-um", "1e300", "--out", out) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert json.loads(out.read_text(), parse_constant=reject)["params"]["h_um"] == 1e300
 
 
 def test_bundled_geometries_match_builders():
@@ -254,7 +269,8 @@ def test_a_drive_that_is_not_finite_exits_2_without_output(tmp_path, capsys, com
     rc = run_cli(command, "--design", "surface", f"{flag}={value}",
                  *(grid if command == "map" else ()), "--out", tmp_path / "out")
     assert rc == 2
-    assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    rule = ">= 0" if flag == "--voltage-V" else "> 0"
+    assert f"{flag} must be {rule} and finite, got {float(value)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -275,6 +291,35 @@ def test_malformed_geometry_json(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("part, value", [("origin", math.nan), ("u", math.inf)])
+def test_a_geometry_file_with_a_non_finite_rect_exits_2_without_output(tmp_path, capsys,
+                                                                        part, value):
+    d = geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0)).to_dict()
+    d["electrodes"][0]["rects"][0][part][0] = value
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("report", "--geometry", tmp_path / "bad.json", "--out", out / "r") == 2
+    assert "rect origin and edges must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["report", "map"])
+@pytest.mark.parametrize("flag", [("--design", "cross-rf"), ("--h-um", 300),
+                                  ("--mesh-fine-um", 50)])
+def test_geometry_file_excludes_the_design_flags(tmp_path, capsys, command, flag):
+    geo = tmp_path / "coarse.json"
+    geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0)).save(geo)
+    out = tmp_path / "out"
+    out.mkdir()
+    grid = ("--center-um", "0,90,0", "--span-um", "0,0,0", "--res-um", 5)
+    rc = run_cli(command, "--geometry", geo, *flag, *(grid if command == "map" else ()),
+                 "--out", out / "o")
+    assert rc == 2
+    assert "--geometry excludes --design, --h-um and --mesh-fine-um" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_solver_error_maps_to_exit_3(tmp_path, monkeypatch, capsys):
@@ -316,45 +361,68 @@ def test_sweep_single_row_matches_library_report(tmp_path, cross_solved_105, cac
     assert manifest["diagnostics"] == {"n_rows": 1, "n_errors": 0}
 
 
+# a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("spec, fragment", [
     ({"design": "surface", "h_um": [100.0]}, "gnd-surface or cross-rf"),
     ({"design": "cross-rf", "h_um": []}, "nonempty number list"),
     ({"design": "cross-rf", "h_um": "105"}, "nonempty number list"),
-    ({"design": "cross-rf", "h_um": [-5.0, 100.0]}, "must be positive"),
+    pytest.param({"design": "cross-rf", "h_um": [-5.0, 100.0]},
+                 "sweep spec 'h_um[0]' must be > 0 and finite, got -5.0",
+                 id='spec3-must be positive'),
     ({"design": "cross-rf", "h_um": [200.0, 105.0]}, "strictly ascending"),
     ({"design": "cross-rf", "h_um": [105.0, 105.0]}, "strictly ascending"),
     ({"design": "cross-rf", "h_um": [105.0], "reference": "bogus"},
      "must be null or one of"),
     ([105.0], "must be a JSON object"),
-    ({"design": "cross-rf", "h_um": [True]}, "'h_um' must be a nonempty number list"),
+    pytest.param({"design": "cross-rf", "h_um": [True]},
+                 "'h_um[0]' must be > 0 and finite, got True",
+                 id="spec8-'h_um' must be a nonempty number list"),
     ({"design": "cross-rf", "h_um": [105.0], "mesh": 5},
      "sweep spec 'mesh' must be an object, got 5"),
-    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": "x"}},
-     "sweep spec 'mesh.fine_um' must be a positive number, got 'x'"),
-    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": True}},
-     "sweep spec 'mesh.fine_um' must be a positive number, got True"),
-    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": 0}},
-     "sweep spec 'mesh.fine_um' must be a positive number, got 0"),
-    ({"design": "cross-rf", "h_um": [math.nan]},
-     "sweep spec 'h_um' values must be positive and finite"),
-    ({"design": "cross-rf", "h_um": [105.0, math.inf]},
-     "sweep spec 'h_um' values must be positive and finite"),
+    pytest.param({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": "x"}},
+                 "sweep spec 'mesh.fine_um' must be > 0 and <= 500, the coarse mesh size, got 'x'",
+                 id="spec10-sweep spec 'mesh.fine_um' must be a positive number, got 'x'"),
+    pytest.param({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": True}},
+                 "sweep spec 'mesh.fine_um' must be > 0 and <= 500, the coarse mesh size, "
+                 "got True",
+                 id="spec11-sweep spec 'mesh.fine_um' must be a positive number, got True"),
+    pytest.param({"design": "cross-rf", "h_um": [105.0], "mesh": {"fine_um": 0}},
+                 "sweep spec 'mesh.fine_um' must be > 0 and <= 500, the coarse mesh size, got 0",
+                 id="spec12-sweep spec 'mesh.fine_um' must be a positive number, got 0"),
+    pytest.param({"design": "cross-rf", "h_um": [math.nan]},
+                 "sweep spec 'h_um[0]' must be > 0 and finite, got nan",
+                 id="spec13-sweep spec 'h_um' values must be positive and finite"),
+    pytest.param({"design": "cross-rf", "h_um": [105.0, math.inf]},
+                 "sweep spec 'h_um[1]' must be > 0 and finite, got inf",
+                 id="spec14-sweep spec 'h_um' values must be positive and finite"),
+    ({"design": "cross-rf", "h_um": [200], "reference": None, "voltage": 50},
+     "sweep spec has unknown keys ['voltage']"),
+    ({"design": "cross-rf", "h_um": [105.0], "mesh": {"coarse_um": 5}},
+     "sweep spec has unknown keys ['mesh.coarse_um']"),
+    ({"design": "cross-rf", "h_um": [105.0], "reference": None, "mesh": {"fine_um": 1e300}},
+     "sweep spec 'mesh.fine_um' must be > 0 and <= 500, the coarse mesh size, got 1e+300"),
+    ({"design": "cross-rf", "h_um": [105.0], "reference": None, "species": ["Ca40"]},
+     "unknown species ['Ca40']"),
+    ({"design": "cross-rf", "h_um": [105.0], "reference": ""}, "must be null or one of"),
 ])
 def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     path = write_spec(tmp_path, spec)
     rc = run_cli("sweep", "--spec", path, "--out", tmp_path / "s.csv")
     assert rc == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
+# a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("key, value, fragment", [
-    ("voltage_V", -1, "sweep spec 'voltage_V' must be >= 0, got -1"),
-    ("voltage_V", True, "sweep spec 'voltage_V' must be a number, got True"),
-    ("freq_MHz", "20", "sweep spec 'freq_MHz' must be a number, got '20'"),
-    ("freq_MHz", 0, "sweep spec 'freq_MHz' must be > 0, got 0"),
-    ("voltage_V", math.inf, "sweep spec 'voltage_V' must be finite, got inf"),
-    ("voltage_V", math.nan, "sweep spec 'voltage_V' must be finite, got nan"),
-    ("freq_MHz", math.inf, "sweep spec 'freq_MHz' must be finite, got inf"),
+    ("voltage_V", -1, "sweep spec 'voltage_V' must be >= 0 and finite, got -1"),
+    ("voltage_V", True, "sweep spec 'voltage_V' must be >= 0 and finite, got True"),
+    pytest.param("freq_MHz", "20", "sweep spec 'freq_MHz' must be > 0 and finite, got '20'",
+                 id="freq_MHz-20-sweep spec 'freq_MHz' must be a number, got '20'"),
+    ("freq_MHz", 0, "sweep spec 'freq_MHz' must be > 0 and finite, got 0"),
+    ("voltage_V", math.inf, "sweep spec 'voltage_V' must be >= 0 and finite, got inf"),
+    ("voltage_V", math.nan, "sweep spec 'voltage_V' must be >= 0 and finite, got nan"),
+    ("freq_MHz", math.inf, "sweep spec 'freq_MHz' must be > 0 and finite, got inf"),
 ])
 def test_sweep_spec_with_a_bad_drive_exits_2(tmp_path, capsys, key, value, fragment):
     path = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105.0],
@@ -371,7 +439,7 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
                                  "reference": None})
     out = tmp_path / "s.csv"
     assert run_cli("sweep", "--spec", path, "--jobs", jobs, "--out", out) == 2
-    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert f"--jobs must be an integer >= 1, got {float(jobs)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -555,27 +623,35 @@ def test_map_bounds_of_a_custom_layout_come_from_its_electrodes(tmp_path, capsys
     assert "outside the modeled region in z" in capsys.readouterr().err
 
 
+# a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("args, fragment", [
-    (("--center-um", "1,2", "--span-um", "0,0,0", "--res-um", 5),
-     "must have 3 components"),
-    (("--center-um", "a,b,c", "--span-um", "0,0,0", "--res-um", 5),
-     "must be 'x,y,z' numbers"),
+    pytest.param(("--center-um", "1,2", "--span-um", "0,0,0", "--res-um", 5),
+                 "--center-um must be 3 finite numbers x,y,z, got (1.0, 2.0)",
+                 id='args0-must have 3 components'),
+    pytest.param(("--center-um", "a,b,c", "--span-um", "0,0,0", "--res-um", 5),
+                 "--center-um must be 3 finite numbers x,y,z, got 'a,b,c'",
+                 id="args1-must be 'x,y,z' numbers"),
     (("--center-um", "0,90,0", "--span-um", "0,0,0", "--res-um", 0),
      "--res-um must be > 0"),
     (("--center-um", "0,90,0", "--span-um", "30,16,0", "--res-um", "nan"),
      "--res-um must be > 0 and finite, got nan"),
     (("--center-um", "0,90,0", "--span-um", "30,16,0", "--res-um", "inf"),
      "--res-um must be > 0 and finite, got inf"),
-    (("--center-um", "0,90,0", "--span-um", "30,nan,0", "--res-um", 4),
-     "--span-um must be >= 0 and finite, got 30,nan,0"),
-    (("--center-um", "0,90,0", "--span-um", "30,-16,0", "--res-um", 4),
-     "--span-um must be >= 0 and finite, got 30,-16,0"),
-    (("--center-um", "0,90,0", "--span-um", "inf,16,0", "--res-um", 4),
-     "--span-um must be >= 0 and finite, got inf,16,0"),
-    (("--center-um", "nan,90,0", "--span-um", "30,16,0", "--res-um", 4),
-     "--center-um must be finite, got nan,90,0"),
-    (("--center-um", "0,-inf,0", "--span-um", "30,16,0", "--res-um", 4),
-     "--center-um must be finite, got 0,-inf,0"),
+    pytest.param(("--center-um", "0,90,0", "--span-um", "30,nan,0", "--res-um", 4),
+                 "--span-um must be 3 numbers x,y,z, each >= 0 and finite, got (30.0, nan, 0.0)",
+                 id='args5---span-um must be >= 0 and finite, got 30,nan,0'),
+    pytest.param(("--center-um", "0,90,0", "--span-um", "30,-16,0", "--res-um", 4),
+                 "--span-um must be 3 numbers x,y,z, each >= 0 and finite, got (30.0, -16.0, 0.0)",
+                 id='args6---span-um must be >= 0 and finite, got 30,-16,0'),
+    pytest.param(("--center-um", "0,90,0", "--span-um", "inf,16,0", "--res-um", 4),
+                 "--span-um must be 3 numbers x,y,z, each >= 0 and finite, got (inf, 16.0, 0.0)",
+                 id='args7---span-um must be >= 0 and finite, got inf,16,0'),
+    pytest.param(("--center-um", "nan,90,0", "--span-um", "30,16,0", "--res-um", 4),
+                 "--center-um must be 3 finite numbers x,y,z, got (nan, 90.0, 0.0)",
+                 id='args8---center-um must be finite, got nan,90,0'),
+    pytest.param(("--center-um", "0,-inf,0", "--span-um", "30,16,0", "--res-um", 4),
+                 "--center-um must be 3 finite numbers x,y,z, got (0.0, -inf, 0.0)",
+                 id='args9---center-um must be finite, got 0,-inf,0'),
     (("--center-um", "0,90,0", "--span-um", "300,160,0", "--res-um", "1e-300"),
      "has inf points, more than the 1048576 a map may hold"),
     (("--center-um", "0,90,0", "--span-um", "300,160,40", "--res-um", "0.1"),
@@ -630,3 +706,121 @@ def test_help_lists_all_subcommands():
     text = cli.build_parser().format_help()
     for name in ("build", "report", "sweep", "map", "validate"):
         assert name in text
+
+
+def test_main_returns_the_exit_code_of_argparse(tmp_path, capsys):
+    # a command line argparse cannot parse exits 2, --help exits 0, and
+    # neither raises SystemExit in the caller's process
+    assert run_cli("map", "--design", "surface", "--out", tmp_path / "m.csv") == 2
+    assert "the following arguments are required: --center-um" in capsys.readouterr().err
+    assert run_cli("report", "--design", "ring", "--out", tmp_path / "r") == 2
+    assert run_cli("report", "--help") == 0
+    assert "--target-MHz" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- every numeric input -------------------------------------------------
+
+
+BAD_TEXT = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "x", "true")
+BAD_JSON = (math.nan, math.inf, -math.inf, -1, 0, 1e-300, 1e300, "x", "true", True)
+
+# each numeric flag, with the arguments it is given beside: the drive and grid
+# flags run on the coarse trap's file, --h-um and --mesh-fine-um on a coarse
+# built-in design; "flag[i]" sets component i of a vector flag, and {root}
+# is the directory of the coarse_trap fixture
+COARSE_FILE = ("--geometry", "{root}/coarse.json")
+COARSE_DESIGN = ("--design", "gnd-surface", "--mesh-fine-um", "240")
+GRID = ("--center-um", "0,50,0", "--span-um", "20,20,0", "--res-um", "10")
+FLAG_SLOTS = [
+    *(("build", ("--design", "gnd-surface"), flag)
+      for flag in ("--h-um", "--center-width-um", "--rf-width-um", "--gap-um",
+                   "--mesh-fine-um")),
+    *(("report", COARSE_DESIGN, flag) for flag in ("--h-um", "--mesh-fine-um")),
+    *(("report", COARSE_FILE, flag) for flag in ("--voltage-V", "--freq-MHz", "--target-MHz")),
+    *(("map", COARSE_DESIGN + GRID, flag) for flag in ("--h-um", "--mesh-fine-um")),
+    *(("map", COARSE_FILE + GRID, flag)
+      for flag in ("--voltage-V", "--freq-MHz", "--res-um", "--center-um[0]",
+                   "--center-um[1]", "--center-um[2]", "--span-um[0]", "--span-um[1]",
+                   "--span-um[2]")),
+    ("sweep", ("--spec", "{root}/one_row.json"), "--jobs"),
+]
+# each numeric sweep-spec field of a one-row spec; "key[i]" sets element i
+SPEC_SLOTS = ["h_um[0]", "voltage_V", "freq_MHz", "mesh.fine_um"]
+ONE_ROW_SPEC = {"design": "gnd-surface", "h_um": [200], "reference": None,
+                "mesh": {"fine_um": 240}}
+
+
+@pytest.fixture(scope="module")
+def coarse_trap(tmp_path_factory):
+    """A directory with a coarse surface trap's file, a cache that holds its
+    solve and the one-row sweep spec."""
+    root = tmp_path_factory.mktemp("coarse")
+    geom = geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0))
+    geom.save(root / "coarse.json")
+    bem.solve_unit_excitations(geom, cache_dir=root / "cache")
+    (root / "one_row.json").write_text(json.dumps(ONE_ROW_SPEC))
+    return root
+
+
+def _set(value, slot, new):
+    """value with slot ('name', or 'name[i]' for element i of a list or of
+    comma-separated text) set to new."""
+    index = slot.partition("[")[2]
+    if not index:
+        return new
+    parts = value.split(",") if isinstance(value, str) else list(value)
+    parts[int(index[:-1])] = new
+    return ",".join(parts) if isinstance(value, str) else parts
+
+
+def _exits_cleanly(coarse_trap, out, command, *args):
+    """Run a command into the empty directory out: it must return a
+    documented exit code, and write nothing when it returns 2."""
+    out.mkdir()
+    rc = cli.main(["--cache-dir", str(coarse_trap / "cache"), command,
+                   *(str(a).format(root=coarse_trap) for a in args), "--out", str(out / "o")])
+    assert rc in (0, 1, 2, 3), args
+    if rc == 2:
+        assert list(out.iterdir()) == [], args
+
+
+@pytest.mark.parametrize("command, base, slot", FLAG_SLOTS,
+                         ids=[f"{c} {s}" for c, _, s in FLAG_SLOTS])
+def test_every_bad_value_of_a_numeric_flag_exits_cleanly(coarse_trap, tmp_path, monkeypatch,
+                                                         command, base, slot):
+    # a one-row sweep never starts a pool, whatever --jobs says
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    flag = slot.partition("[")[0]
+    valid = dict(zip(base[::2], base[1::2])).get(flag)
+    for i, text in enumerate(BAD_TEXT):
+        _exits_cleanly(coarse_trap, tmp_path / f"out{i}", command, *base,
+                       f"{flag}={_set(valid, slot, text)}")
+
+
+@pytest.mark.parametrize("slot", SPEC_SLOTS)
+def test_every_bad_value_of_a_numeric_spec_field_exits_cleanly(coarse_trap, tmp_path,
+                                                               monkeypatch, slot):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    outer, _, key = slot.rpartition(".")
+    name = key.partition("[")[0]
+    for i, value in enumerate(BAD_JSON):
+        spec = copy.deepcopy(ONE_ROW_SPEC)
+        fields = spec[outer] if outer else spec
+        fields[name] = _set(fields.get(name), key, value)
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        _exits_cleanly(coarse_trap, tmp_path / f"out{i}", "sweep", "--spec", path)
+
+
+def test_every_numeric_flag_has_a_rule_and_a_slot_in_the_input_test():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    numeric = set()
+    for command, sub in [("", parser), *commands.items()]:
+        for action in sub._actions:
+            assert action.type not in (float, int), (command, action.option_strings)
+            if action.type not in (None, cli._species_arg):
+                numeric.add((command, action.option_strings[0]))
+    assert numeric == {(c, s.partition("[")[0]) for c, _, s in FLAG_SLOTS}

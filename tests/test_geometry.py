@@ -107,6 +107,36 @@ def test_mesh_params_validation():
         Box3((0, 0, 0), (1, -1, 1))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Rect((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    lambda: Rect((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    lambda: Box3((0.0, math.nan, 0.0), (1.0, 1.0, 1.0)),
+    lambda: Box3((0.0, 0.0, 0.0), (1.0, math.inf, 1.0)),
+    lambda: MeshParams(coarse_um=math.inf, fine_um=10.0,
+                       fine_region=Box3((0, 0, 0), (1, 1, 1))),
+    lambda: MeshParams(coarse_um=math.inf, fine_um=math.inf,
+                       fine_region=Box3((0, 0, 0), (1, 1, 1))),
+    lambda: build_gnd_surface_trap(default_gnd_surface_params(h_um=math.inf)),
+    lambda: build_cross_rf_trap(default_cross_rf_params(h_um=math.inf)),
+    lambda: build_surface_trap(default_surface_params(wafer_extent_um=math.inf)),
+], ids=["rect origin", "rect edge", "box center", "box size", "coarse_um", "fine_um",
+        "gnd-surface h", "cross-rf h", "wafer extent"])
+def test_non_finite_dimensions_are_rejected_as_such(make):
+    with pytest.raises(InvalidGeometryError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("part, value", [("origin", math.nan), ("u", math.inf)])
+def test_a_geometry_file_with_a_non_finite_rect_says_so(tmp_path, part, value):
+    # not the overlap the NaN comparisons of the overlap check would report
+    d = _coarse_surface().to_dict()
+    d["electrodes"][0]["rects"][0][part][0] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(InvalidGeometryError, match="rect origin and edges must be finite"):
+        TrapGeometry.load(path)
+
+
 def test_cross_rf_rail_width_must_fit():
     with pytest.raises(InvalidGeometryError):
         build_cross_rf_trap(default_cross_rf_params(h_um=100.0, rf_width_um=100.0))

@@ -26,6 +26,7 @@ from iontrap import (
 )
 from iontrap import bem, merit, pseudo
 from iontrap.constants import ECHARGE
+from iontrap.errors import InvalidInputError
 
 RNG = np.random.default_rng(7)
 
@@ -44,6 +45,15 @@ def test_drive_params_validation():
     with pytest.raises(ValueError):
         DriveParams(voltage=10.0, omega_rf=0.0)
     DriveParams(voltage=0.0, omega_rf=1.0)  # flat drive is legal
+
+
+@pytest.mark.parametrize("voltage, freq", [(1e300, 20.0), (1e170, 20.0), (10.0, 1e-300),
+                                           (10.0, 1e300)])
+def test_a_drive_out_of_floating_point_range_is_invalid_input(voltage, freq):
+    # float ** raises OverflowError, / raises ZeroDivisionError, or the
+    # quotient is inf: each is reported as the input it comes from
+    with pytest.raises(InvalidInputError, match="out of floating-point range"):
+        _quad_pseudo(voltage=voltage, freq=freq)
 
 
 def test_drive_from_mhz_round_trip():
