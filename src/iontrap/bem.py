@@ -227,9 +227,10 @@ class ChargeWeights:
     the one of element g (a single column when every mirror keeps sigma).
     mirror_axes holds the coordinates (0 for x, 2 for z) whose mirror e in
     pset.group leaves sigma unchanged bit for bit, in every column of it:
-    the mirrors with column[g] == column[g.e] for every g. evaluations
-    counts the points evaluated, their distinct images and the corners of
-    the rep table each image reads.
+    the mirrors with column[g] == column[g.e] for every g. image_axes holds
+    the coordinates whose mirror is in pset.group, whether or not it keeps
+    sigma. evaluations counts the points evaluated, their distinct images
+    and the corners of the rep table each image reads.
     """
 
     def __init__(self, pset: PanelSet, sigma):
@@ -257,6 +258,13 @@ class ChargeWeights:
 
     def jacobian(self, points):
         return jacobian_of(self.pset, self, points)
+
+    @property
+    def image_axes(self):
+        """The coordinates (0 for x, 2 for z) whose mirror e is in pset.group:
+        a point and its mirror image under e have the same images, so a call
+        that evaluates both costs the kernel work of one."""
+        return [ax for e, ax in _MIRROR_AXES if e in self.pset.group.elements]
 
     def weights(self):
         """The corner weights (corners, columns x k) of each corner group of

@@ -206,6 +206,9 @@ def cmd_report(ns) -> int:
          "solver": solved.diagnostics,
          "solver_residual_V": report.solver_residual_V,
          "n_panels": report.n_panels,
+         "depth_grid_points": report.depth_grid_points,
+         "depth_grid_cells": report.depth_grid_cells,
+         "depth_polished": report.depth_polished,
          "field_evaluations": report.field_evaluations})
     print(f"wrote {json_path}, {csv_path} (manifest {manifest})")
     print(TrapReport.CSV_HEADER)

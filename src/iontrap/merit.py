@@ -23,7 +23,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts2, chebval
 
 from .constants import CA40, ECHARGE, IonSpecies
-from .errors import DepthError, FitError, NullAmbiguityError, NullNotFoundError
+from .errors import (DepthError, FitError, InvalidInputError, NullAmbiguityError,
+                     NullNotFoundError)
 from .pseudo import BemRfField, DriveParams, PseudoField, DEFAULT_DRIVE
 
 # operating point of the reference five-wire design: q = 0.250 at k = 0.210
@@ -71,12 +72,19 @@ def max_frequency(k, r0, species: IonSpecies, voltage) -> float:
 
 
 def drive_for_target(q, omega_target, r0, k, species: IonSpecies):
-    """(voltage V, Omega_rf rad/s) that realize omega_target at the given q."""
+    """(voltage V, Omega_rf rad/s) that realize omega_target at the given q.
+    Raises InvalidInputError when either is not finite and positive: a
+    target so far out that the drive overflows or underflows."""
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1], got {q}")
+    q, r0, k = float(q), float(r0), float(k)  # Python floats overflow without a warning
     omega_rf = 2.0 * math.sqrt(2.0) * omega_target / q
     voltage = (math.sqrt(2.0) * species.mass * omega_rf * omega_target * r0 * r0
                / (k * species.charge))
+    if not (0.0 < voltage < math.inf and 0.0 < omega_rf < math.inf):
+        raise InvalidInputError(
+            f"the drive for a target of {omega_target / (2e6 * math.pi):g} MHz is out "
+            f"of floating-point range (V = {voltage:g}, Omega = {omega_rf:g} rad/s)")
     return voltage, omega_rf
 
 
@@ -141,10 +149,12 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
     so the null stays on that plane; fields without mirror_axes step in all
     three. The segment must cross exactly one minimum: a scan minimum at
     either end raises NullNotFoundError, several separated minima raise
-    NullAmbiguityError.
+    NullAmbiguityError. A psi or grad psi that is not finite, a drive whose
+    pseudopotential overflows inside the field, raises InvalidInputError.
     """
     pts_um = _grid_axis_um(start_um, end_um, scan_um)
     vals = pseudo.psi(pts_um * 1e-6)
+    _check_finite(pseudo, "psi", float(vals.max()))
 
     i_min = int(np.argmin(vals))
     if i_min in (0, len(vals) - 1):
@@ -179,7 +189,9 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
 
     p, converged, it = _newton(step, p0, 2.0 * scan_um * 1e-6)
 
-    grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
+    with np.errstate(over="ignore"):  # an overflow raises InvalidInputError below
+        grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
+    _check_finite(pseudo, "|grad psi|", grad_norm)
     psi0 = float(pseudo.psi(p[None, :])[0])
     # scale check: the gradient must be tiny against psi one micron away
     ref = float(pseudo.psi((p + np.array([0.0, 1e-6, 0.0]))[None, :])[0])
@@ -187,6 +199,14 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
         raise NullNotFoundError(
             f"null polish did not converge (|grad psi| = {grad_norm:.3e} J/m)")
     return NullResult(p, psi0, grad_norm, converged, it)
+
+
+def _check_finite(pseudo: PseudoField, name, value):
+    if not math.isfinite(value):
+        drive = pseudo.drive
+        raise InvalidInputError(
+            f"{name} = {value:g} on the null segment: the pseudopotential of "
+            f"{drive.voltage:g} V at {drive.freq_MHz:g} MHz is out of floating-point range")
 
 
 # -- harmonicity --------------------------------------------------------------
@@ -380,17 +400,27 @@ def flood_fill_escape(values: np.ndarray, start):
     raise DepthError("no path from start to the grid boundary")
 
 
-DEPTH_TILE = 8   # nodes per side of the tiles the depth grid evaluates at once
+DEPTH_TILE = 4   # nodes per side of the tiles the depth grid evaluates at once
 
 
 class _LazyGrid:
     """psi on the nodes xs x ys (um) at axial coordinate z (m), evaluated on
     first read one tile at a time. Tiles are DEPTH_TILE nodes a side; the
-    last tile along each axis also takes the remainder, so that no tile is a
-    sliver of one kernel block, which the kernel would run on the calling
-    thread and whose scratch the allocator would then keep. A node's value
-    is that of a dense psi call over the whole grid, bitwise, because psi of
-    a point does not depend on the batch it is evaluated in."""
+    last tile along each axis also takes the remainder, so that no call
+    pays the fixed cost of a psi call for a sliver of one to three nodes.
+
+    xs must be mirror-symmetric bit for bit (_mirror_axis_um). When the
+    field's mirror group holds x -> -x (x in rf_field.image_axes), a tile's
+    call also evaluates the x-mirror nodes (index len(xs) - 1 - i) of its
+    nodes. They have the same images, so they come at no extra kernel work,
+    and the mirror tile is then read without a call. Only nodes not yet
+    evaluated are evaluated. A paired 4 x 4 tile on z = 0 is at most 32
+    images, one kernel block on the built-in meshes, so it runs inline on
+    the calling thread: with 8 x 8 tiles the flood evaluated 1.4 to 1.7
+    times the images, and the thread pool did not make up for it on two
+    CPUs. A node's value is that of a dense psi call over the whole grid,
+    bitwise, because psi of a point does not depend on the batch it is
+    evaluated in."""
 
     ndim = 2
 
@@ -398,20 +428,26 @@ class _LazyGrid:
         self.pseudo, self.xs, self.ys, self.z = pseudo, xs, ys, z
         self.shape = (len(xs), len(ys))
         self.values = np.empty(self.shape)
-        self.done = np.zeros([max(n // DEPTH_TILE, 1) for n in self.shape], bool)
+        self.evaluated = np.zeros(self.shape, bool)
+        self.tiles = [max(n // DEPTH_TILE, 1) for n in self.shape]
+        self.paired = 0 in getattr(pseudo.rf_field, "image_axes", ())
         self.points = 0
 
     def __getitem__(self, cell):
-        t = tuple(min(c // DEPTH_TILE, k - 1) for c, k in zip(cell, self.done.shape))
-        if not self.done[t]:
+        if not self.evaluated[cell]:
+            t = (min(c // DEPTH_TILE, k - 1) for c, k in zip(cell, self.tiles))
             sl = tuple(slice(i * DEPTH_TILE, None if i == k - 1 else (i + 1) * DEPTH_TILE)
-                       for i, k in zip(t, self.done.shape))
-            X, Y = np.meshgrid(self.xs[sl[0]], self.ys[sl[1]], indexing="ij")
-            pts = np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
-                                   np.full(X.size, self.z)])
-            self.values[sl] = self.pseudo.psi(pts).reshape(X.shape)
-            self.done[t] = True
-            self.points += X.size
+                       for i, k in zip(t, self.tiles))
+            todo = np.zeros(self.shape, bool)
+            todo[sl] = ~self.evaluated[sl]
+            if self.paired:
+                todo = (todo | todo[::-1]) & ~self.evaluated
+            i, j = np.nonzero(todo)
+            pts = np.column_stack([self.xs[i] * 1e-6, self.ys[j] * 1e-6,
+                                   np.full(i.size, self.z)])
+            self.values[i, j] = self.pseudo.psi(pts)
+            self.evaluated[i, j] = True
+            self.points += i.size
         return self.values[cell]
 
 
@@ -423,7 +459,7 @@ class DepthResult:
     boundary_limited: bool
     polished: bool
     grid_level_J: float
-    grid_points: int                # psi evaluations the flood fill asked for
+    grid_points: int                # nodes evaluated, mirror nodes included
     grid_cells: int                 # nodes of the depth box
     hessian_eigs: np.ndarray | None = None
 
@@ -452,7 +488,7 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
         y_hi_um = p0[1] * 1e6 + 300.0
     if res_um is None:
         res_um = max(2.0, min(8.0, (y_hi_um - y_lo_um) / 12.0))
-    xs = _grid_axis_um(-x_half_um, x_half_um, res_um)
+    xs = _mirror_axis_um(x_half_um, res_um)
     ys = _grid_axis_um(y_lo_um, y_hi_um, res_um)
     z0 = p0[2]
     vals = _LazyGrid(pseudo, xs, ys, z0)
@@ -485,7 +521,7 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
         direction = np.append(vecs[:, int(np.argmin(eigs))], 0.0)
         saddle_val = float(pseudo.psi(p[None, :])[0])
         # a polish that wandered off the pass falls back to the grid level
-        polished = neg.sum() == 1 and saddle_val >= null.psi_J
+        polished = bool(neg.sum() == 1 and saddle_val >= null.psi_J)
         if polished:
             level = saddle_val
     return DepthResult(depth_J=level - null.psi_J, saddle=p,
@@ -498,6 +534,13 @@ def _grid_axis_um(lo, hi, res):
     """About res-spaced samples from lo to hi (scalars or points), ends kept."""
     n = max(2, int(round(np.linalg.norm(np.subtract(hi, lo)) / res)) + 1)
     return np.linspace(lo, hi, n)
+
+
+def _mirror_axis_um(half, res):
+    """_grid_axis_um from -half to half, made mirror-symmetric bit for bit
+    (x[n - 1 - i] == -x[i]); a linspace that already is stays unchanged."""
+    a = _grid_axis_um(-half, half, res)
+    return 0.5 * (a - a[::-1])
 
 
 # -- full report ---------------------------------------------------------------
@@ -518,6 +561,9 @@ class TrapReport:
     fit_std_err: float
     D_meV: float
     depth_boundary_limited: bool
+    depth_grid_points: int        # DepthResult.grid_points, grid_cells, polished
+    depth_grid_cells: int
+    depth_polished: bool
     omega_sim_MHz: float          # secular frequency at the simulation drive
     q_sim: float
     omega_target_MHz: float
@@ -626,6 +672,9 @@ def full_report(solved, species: IonSpecies = CA40,
         fit_std_err=harm.fits[harm.scalar_axis].std_err,
         D_meV=depth.depth_meV,
         depth_boundary_limited=depth.boundary_limited,
+        depth_grid_points=depth.grid_points,
+        depth_grid_cells=depth.grid_cells,
+        depth_polished=depth.polished,
         omega_sim_MHz=omega_sim / (2e6 * math.pi),
         q_sim=q_sim,
         omega_target_MHz=target_omega / (2e6 * math.pi),

@@ -201,6 +201,11 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     assert seen["points"] < seen["images"] < 2 * seen["points"]
     pset = bem.PanelSet(*geometry.build_default("surface", fine_um=80.0).arrays_m())
     assert seen["corners"] < sum(g.cu.size for g in pset.corner_groups) / 3
+    depth = {key: manifest["diagnostics"][key] for key in (
+        "depth_grid_points", "depth_grid_cells", "depth_polished")}
+    assert depth == {key: report[key] for key in depth}
+    assert 0 < depth["depth_grid_points"] < depth["depth_grid_cells"]
+    assert depth["depth_polished"] is True
 
 
 def test_report_manifest_describes_the_mesh(tmp_path, surface_solved, cache_dir):
@@ -281,6 +286,28 @@ def test_report_rejects_a_target_frequency_that_is_not_positive_and_finite(
                  "--out", tmp_path / "r")
     assert rc == 2
     assert "--target-MHz must be > 0 and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["1e300", "1e-300"])
+def test_report_rejects_a_target_whose_drive_is_out_of_range(tmp_path, capsys, cache_dir,
+                                                             surface_solved, target):
+    # the required drive overflows to inf or underflows to zero
+    rc = run_cli("--cache-dir", cache_dir, "report", "--design", "surface",
+                 "--target-MHz", target, "--out", tmp_path / "r")
+    assert rc == 2
+    assert "is out of floating-point range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--voltage-V", "1e150"), ("--freq-MHz", "1e-100")])
+def test_report_rejects_a_drive_whose_pseudopotential_overflows(tmp_path, capsys, cache_dir,
+                                                                surface_solved, flag, value):
+    # a finite psi coefficient, but psi or its gradient overflows in the field
+    rc = run_cli("--cache-dir", cache_dir, "report", "--design", "surface",
+                 flag, value, "--out", tmp_path / "r")
+    assert rc == 2
+    assert "on the null segment" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -504,6 +531,16 @@ def test_sweep_partial_failure_keeps_going(tmp_path, cross_solved_105, cache_dir
     assert lines[1].startswith("# error at h_um=90")
     assert lines[2] == "90,nan,nan,nan,nan,nan,nan"
     assert lines[3].startswith("105,52.5")
+
+
+def test_sweep_row_of_an_overflowing_drive_reads_nan(tmp_path, cross_solved_105, cache_dir):
+    spec = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105], "voltage_V": 1e150,
+                                 "reference": None})
+    out = tmp_path / "sweep.csv"
+    assert run_cli("--cache-dir", cache_dir, "sweep", "--spec", spec, "--out", out) == 1
+    lines = csv_data_lines(out)
+    assert "out of floating-point range" in lines[1]
+    assert lines[2] == "105,nan,nan,nan,nan,nan,nan"
 
 
 def test_sweep_all_rows_failing_exits_1(tmp_path, cache_dir):

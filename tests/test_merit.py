@@ -24,6 +24,7 @@ from iontrap import (
     FitAxes,
     FitError,
     GeometryParams,
+    InvalidInputError,
     MeshParams,
     NullAmbiguityError,
     NullNotFoundError,
@@ -49,8 +50,8 @@ from iontrap import (
     stability_q,
     trap_depth,
 )
-from iontrap import merit
-from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES, _grid_axis_um
+from iontrap import bem, merit
+from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES, _grid_axis_um, _mirror_axis_um
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
@@ -125,6 +126,13 @@ def test_drive_for_target_rejects_bad_q():
     for q in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             drive_for_target(q, 2 * math.pi * 1e6, 90e-6, 0.21, CA40)
+
+
+@pytest.mark.parametrize("target_MHz", [1e300, 1e-300])
+def test_drive_for_target_rejects_a_drive_out_of_range(target_MHz):
+    # the voltage overflows to inf or underflows to zero
+    with pytest.raises(InvalidInputError, match="out of floating-point range"):
+        drive_for_target(0.25, 2e6 * math.pi * target_MHz, 90e-6, 0.21, CA40)
 
 
 def test_norms_are_one_for_self_reference():
@@ -698,7 +706,7 @@ def _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch):
     one tile over the whole box (a single psi call on every node)."""
     x_half, y_lo, y_hi, res = box
     lazy = trap_depth(pseudo, null, x_half, y_lo, y_hi, res)
-    xs, ys = _grid_axis_um(-x_half, x_half, res), _grid_axis_um(y_lo, y_hi, res)
+    xs, ys = _mirror_axis_um(x_half, res), _grid_axis_um(y_lo, y_hi, res)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vals = pseudo.psi(np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
                                        np.full(X.size, null.position[2])]))
@@ -747,3 +755,97 @@ def test_lazy_depth_grid_gives_the_dense_depth_on_analytic_fields(monkeypatch):
     saddle = _assert_lazy_depth_is_dense(pseudo, null, (300.0, 2.0, 250.0, 8.0),
                                          monkeypatch)
     assert saddle.polished and not saddle.boundary_limited
+
+
+def _builtin_box(solved, pseudo):
+    """The null of a solved built-in trap and the top y_hi of full_report's
+    depth box."""
+    top = solved.geometry.top_um
+    null = find_rf_null(pseudo, (0.0, 5.0, 0.0),
+                        (0.0, 300.0 if top is None else top - 5.0, 0.0))
+    y_hi = null.height_um + 300.0 if top is None else min(top - 2.0, null.height_um + 300.0)
+    return null, y_hi
+
+
+def test_mirror_axis_is_symmetric_bit_for_bit():
+    for n in range(2, 400):
+        a = _mirror_axis_um(300.0, 600.0 / (n - 1))
+        assert a.size == n and a[0] == -300.0 and a[-1] == 300.0
+        assert np.array_equal(a, -a[::-1])
+        # within an ulp of the half-width of the linspace axis
+        assert np.abs(a - np.linspace(-300.0, 300.0, n)).max() <= np.spacing(300.0)
+    # the built-in depth axis (76 nodes) is the linspace axis unchanged
+    assert np.array_equal(_mirror_axis_um(300.0, 8.0), np.linspace(-300.0, 300.0, 76))
+
+
+@pytest.mark.parametrize("solved", ["surface_solved", "cross_solved_200"])
+def test_a_depth_tile_and_its_mirror_share_their_images(solved, request):
+    # a node and its x-mirror node have the same images, so a depth grid node
+    # costs at most one image (two per mirror pair, a node on x = 0 one); a
+    # polish point off the mirror planes has four
+    solved = request.getfixturevalue(solved)
+    pseudo = PseudoField(BemRfField(solved), species=CA40, drive=DRIVE)
+    null, y_hi = _builtin_box(solved, pseudo)
+    seen = pseudo.rf_field.evaluations
+    before = dict(seen)
+    depth = trap_depth(pseudo, null, y_hi_um=y_hi)
+    polish = seen["points"] - before["points"] - depth.grid_points
+    assert depth.polished and polish > 0
+    assert seen["images"] - before["images"] <= depth.grid_points + 4 * polish
+
+
+def _assert_whole_tiles(pseudo, null, monkeypatch, y_lo, y_hi, res):
+    """trap_depth over the box x in [-300, 300], y in [y_lo, y_hi] (um) at
+    step res, asserting that each psi call of its grid evaluates exactly the
+    nodes of one tile, no tile twice; returns the depth result."""
+    calls = []
+    psi = pseudo.psi
+    monkeypatch.setattr(pseudo, "psi", lambda pts: calls.append(pts) or psi(pts))
+    depth = trap_depth(pseudo, null, 300.0, y_lo, y_hi, res)
+    axes = _mirror_axis_um(300.0, res), _grid_axis_um(y_lo, y_hi, res)
+    bounds = [np.append(np.arange(max(a.size // merit.DEPTH_TILE, 1)) * merit.DEPTH_TILE,
+                        a.size) for a in axes]
+    tiles = set()
+    grid = [p for p in calls if len(p) > 1]  # the polish evaluates psi at one point
+    for pts in grid:
+        nodes = [np.searchsorted(a * 1e-6, c) for a, c in zip(axes, pts[:, :2].T)]
+        for a, c, i in zip(axes, pts[:, :2].T, nodes):
+            assert np.array_equal(a[i] * 1e-6, c)
+        tile = {tuple(np.searchsorted(b, i, side="right") - 1 for b, i in zip(bounds, ij))
+                for ij in zip(*nodes)}
+        assert len(tile) == 1 and not tile & tiles
+        tiles |= tile
+        (ti, tj), = tile
+        size = np.diff(bounds[0])[ti] * np.diff(bounds[1])[tj]
+        assert len(pts) == size
+    assert sum(len(p) for p in grid) == depth.grid_points
+    return depth
+
+
+def test_a_field_without_the_x_mirror_evaluates_whole_tiles_only(surface_solved,
+                                                                  monkeypatch):
+    # the quadrupole has no mirror group, and a PanelSet that no solve gave
+    # a group has the trivial one: no mirror node is evaluated
+    ps = _offset_quad(center=(0.0, 100e-6, 0.0))
+    null = find_rf_null(ps, (0.0, 60.0, 0.0), (0.0, 140.0, 0.0), scan_um=5.0)
+    bowl = _assert_whole_tiles(ps, null, monkeypatch, 20.0, 180.0, 8.0)
+    assert bowl.boundary_limited
+    pset = bem.PanelSet(*surface_solved.geometry.arrays_m())
+    charge = bem.ChargeWeights(pset, surface_solved.sigma_for(surface_solved.rf_voltages()))
+    assert charge.image_axes == [] and BemRfField(surface_solved).image_axes == [0, 2]
+    pseudo = PseudoField(charge, species=CA40, drive=DRIVE)
+    null, y_hi = _builtin_box(surface_solved, pseudo)
+    depth = _assert_whole_tiles(pseudo, null, monkeypatch, 2.0, y_hi, 8.0)
+    assert depth.polished and 0 < depth.grid_points < depth.grid_cells
+
+
+def test_lazy_depth_grid_is_dense_where_the_linspace_axis_is_asymmetric(surface_solved,
+                                                                        monkeypatch):
+    # 87 nodes: np.linspace(-300, 300, 87) is not mirror-symmetric bit for
+    # bit, the depth axis is, and the paired flood gives the dense depth
+    line = np.linspace(-300.0, 300.0, 87)
+    assert not np.array_equal(line, -line[::-1])
+    pseudo = PseudoField(BemRfField(surface_solved), species=CA40, drive=DRIVE)
+    null, y_hi = _builtin_box(surface_solved, pseudo)
+    depth = _assert_lazy_depth_is_dense(pseudo, null, (300.0, 2.0, y_hi, 7.0), monkeypatch)
+    assert depth.grid_points < depth.grid_cells
