@@ -41,17 +41,15 @@ mapped to their |G| images, and images with the same float bits (-0.0 taken
 as 0.0) are evaluated once, against the corner table of the rep panels only
 (about n / |G| panels), with one weight column per distinct sigma[images[g]]
 / stab. Each point then sums S_g times the value of its image g.p in the
-column of g, in a butterfly over the mirrors: pairs along one mirror first,
-then the pair sums along the next. The images of a point on a mirror plane
-coincide, and a point shares its images with its mirror image, so a point on
-a plane, or a map symmetric about one, costs a fraction of the kernel work.
-Where a mirror maps sigma onto itself bit for bit (ChargeWeights.mirror_axes)
-the butterfly adds the same pairs for a point and its mirror image, so their
-values are equal to the bit up to the signs of the mirror. The trivial group
-has every panel for a rep: its table is the PanelSet's own, its weights are
-sigma and each point is its only image. ChargeWeights, the one field object,
-folds a sigma into its weight columns once and counts the points, distinct
-images and rep corners of its evaluations.
+column of g, in a butterfly over the mirrors (_MirrorGroup.sum_images, the
+only sum over mirror images, the solve's residual check included). The images
+of a point on a mirror plane coincide, and a point shares its images with its
+mirror image, so a point on a plane, or a map symmetric about one, costs a
+fraction of the kernel work. The trivial group has every panel for a rep: its
+table is the PanelSet's own, its weights are sigma and each point is its only
+image. ChargeWeights, the one field object, folds a sigma into its weight
+columns once and counts the points, distinct images and rep corners of its
+evaluations.
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
@@ -75,9 +73,9 @@ distinct images of the rep centres against the rep panels gives Q, about
 n x n/|G|, and block c in the orthonormal symmetry basis is the signed row sum
 M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] / sqrt(stab_i stab_j) over the orbits
 it keeps. Each block is factored by LU and the block solutions are expanded
-back to sigma; Q also gives A sigma on every collocation point for the
-residual check. A geometry without symmetry is the trivial group: one block,
-the dense matrix. The solve holds Q and the rows of at most two blocks at
+back to sigma; the residual check sums A sigma on every collocation point
+from Q with the evaluators' weight columns and mirror sum. A geometry without
+symmetry is the trivial group: one block, the dense matrix. The solve holds Q and the rows of at most two blocks at
 once, the bytes SOLVE_MEMORY_BUDGET is checked against, besides its
 n x n_electrodes right-hand sides and 64-column slices of a block.
 """
@@ -175,8 +173,14 @@ class PanelSet:
         return self.origins.shape[0]
 
     def merge_keys(self, x):
-        """Integer keys of coordinates x (meters) at the merge tolerance."""
-        return np.round(x / (_MERGE_REL * float(np.median(self.a)))).astype(np.int64)
+        """Integer keys of coordinates x (meters) at the merge tolerance;
+        InvalidGeometryError for a key that is not finite or exceeds int64."""
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            keys = np.round(x / (_MERGE_REL * float(np.median(self.a))))
+        if not (np.abs(keys) < 2.0**63).all():  # NaN fails too
+            raise InvalidGeometryError(f"a coordinate of {np.abs(x).max():.3g} m is "
+                                       f"out of range for the merge keys")
+        return keys.astype(np.int64)
 
     @property
     def corner_groups(self) -> list[_CornerGroup]:
@@ -225,12 +229,8 @@ class ChargeWeights:
     Element g of pset.group weighs rep r by sigma[images[g, r]] / stab_r;
     columns holds the distinct weight columns, bit for bit, and column[g]
     the one of element g (a single column when every mirror keeps sigma).
-    mirror_axes holds the coordinates (0 for x, 2 for z) whose mirror e in
-    pset.group leaves sigma unchanged bit for bit, in every column of it:
-    the mirrors with column[g] == column[g.e] for every g. image_axes holds
-    the coordinates whose mirror is in pset.group, whether or not it keeps
-    sigma. evaluations counts the points evaluated, their distinct images
-    and the corners of the rep table each image reads.
+    evaluations counts the points evaluated, their distinct images and the
+    corners of the rep table each image reads.
     """
 
     def __init__(self, pset: PanelSet, sigma):
@@ -242,9 +242,6 @@ class ChargeWeights:
         first = {}
         self.column = [first.setdefault(key, len(first)) for key in keys]
         self.columns = w[[keys.index(key) for key in first]]
-        at = dict(zip(group.elements.tolist(), self.column))
-        self.mirror_axes = [ax for e, ax in _MIRROR_AXES
-                            if e in at and all(at[g] == at[g ^ e] for g in at)]
         self.evaluations = {"points": 0, "images": 0, "corners": 0}
         self._weights = None
 
@@ -266,13 +263,16 @@ class ChargeWeights:
         that evaluates both costs the kernel work of one."""
         return [ax for e, ax in _MIRROR_AXES if e in self.pset.group.elements]
 
+    def stacked(self):
+        """The weight columns side by side, (reps, columns x k)."""
+        return np.moveaxis(self.columns, 0, 1).reshape(self.columns.shape[1], -1)
+
     def weights(self):
         """The corner weights (corners, columns x k) of each corner group of
         the rep table of pset.group."""
         if self._weights is None:
-            table = self.pset.group.table(self.pset)
-            w = np.moveaxis(self.columns, 0, 1).reshape(table.n, -1)
-            self._weights = [g.fold(w) for g in table.corner_groups]
+            w = self.stacked()
+            self._weights = [g.fold(w) for g in self.pset.group.table(self.pset).corner_groups]
         return self._weights
 
 
@@ -485,13 +485,8 @@ def potential_matrix(pset: PanelSet, points):
 def _quotient(pset: PanelSet, charge: ChargeWeights, points, sign, terms, emit, shape):
     """sum_j sigma_j K(p, j) of each point p by the group identity, (m,) +
     shape: the distinct images g.p of the points are evaluated once against
-    the rep table, one output per weight column of the charge, and each
-    point sums sign(_MIRROR_SIGNS[g]) times its image g.p's value in the
-    column of g. The sum is a butterfly: the terms of g and g.b are added
-    for the lowest element b besides the identity, then the pair sums
-    likewise, so a point gets the same bits in any batch, and the mirror
-    image of a point under mirrors that keep sigma its value with their
-    signs."""
+    the rep table, one output per weight column of the charge, and
+    group.sum_images adds them up."""
     group, p = pset.group, np.atleast_2d(np.asarray(points, float))
     images, index = group.images_of(p)
     table = group.table(pset)
@@ -501,12 +496,7 @@ def _quotient(pset: PanelSet, charge: ChargeWeights, points, sign, terms, emit, 
     seen["points"] += p.shape[0]
     seen["images"] += images.shape[0]
     seen["corners"] = sum(g.cu.size for g in table.corner_groups)
-    sums = {e: values[i, c] * sign(_MIRROR_SIGNS[e])
-            for e, i, c in zip(group.elements.tolist(), index, charge.column)}
-    while len(sums) > 1:
-        b = sorted(sums)[1]
-        sums = {e: sums[e] + sums[e ^ b] for e in sums if e < e ^ b}
-    return sums[0]
+    return group.sum_images(values, index, charge.column, sign)
 
 
 def _charge(pset, sigma) -> ChargeWeights:
@@ -651,6 +641,20 @@ class _MirrorGroup:
         first, inverse = _unique_rows(p.reshape(-1, 3).view(np.int64))
         return p.reshape(-1, 3)[first], inverse.reshape(len(self.elements), -1)
 
+    def sum_images(self, values, index, column, sign):
+        """sum_g sign(_MIRROR_SIGNS[g]) values[index[g, i], column[g]] of each
+        point i, index from images_of and column from ChargeWeights. A
+        butterfly: the terms of g and g.b are added for the lowest element b
+        besides the identity, then the pair sums likewise, so a point gets
+        the same bits in any batch, and its mirror image under mirrors that
+        keep sigma its value with their signs."""
+        sums = {e: values[i, c] * sign(_MIRROR_SIGNS[e])
+                for e, i, c in zip(self.elements.tolist(), index, column)}
+        while len(sums) > 1:
+            b = sorted(sums)[1]
+            sums = {e: sums[e] + sums[e ^ b] for e in sums if e < e ^ b}
+        return sums[0]
+
     def table(self, pset: PanelSet) -> PanelSet:
         """The rep panels as a PanelSet of their own, in the order of reps,
         built on first use; pset itself when every panel is a rep. pset is
@@ -712,21 +716,6 @@ class _MirrorGroup:
         S = np.empty_like(B)
         S[self.images] = np.einsum("cg,cmk->gmk", self.chars, X)
         return S, anorm * ainv
-
-    def potential(self, Q, index, sigma):
-        """A sigma on every collocation point from Q: by the group identity
-        at g.c_i, row g.rep_i is sum_h Q[index[h g, i]] @ sigma[images[h]] /
-        stab."""
-        # one product for every element's weights, so Q is read once, and
-        # as W.T Q.T: BLAS packs a copy of Q for Q @ W (12 MB more resident
-        # on the surface trap)
-        W = np.concatenate([sigma[image] / self.stab[:, None] for image in self.images], axis=1)
-        P = np.split((W.T @ Q.T).T, len(self.images), axis=1)
-        product = np.searchsorted(self.elements, self.elements[:, None] ^ self.elements)
-        phi = np.empty_like(sigma)
-        for g, image in enumerate(self.images):
-            phi[image] = sum(P[h][index[hg]] for h, hg in enumerate(product[:, g]))
-        return phi
 
 
 class SolvedTrap:
@@ -852,8 +841,13 @@ def solve_unit_excitations(geometry: TrapGeometry,
         raise SolverError(f"non-finite charge densities for {geometry.design!r}")
     t2 = time.perf_counter()
 
-    # every collocation point must sit on its prescribed voltage
-    residuals = np.abs(group.potential(Q, index, S) - B).max(axis=0)
+    # every collocation point must sit on its prescribed voltage, by the
+    # evaluators' weight columns and mirror sum; an image's images are the
+    # rows of Q. W.T Q.T: BLAS packs a copy of Q for Q @ W, 11 MiB on surface
+    charge = ChargeWeights(pset, S)
+    values = (charge.stacked().T @ Q.T).T.reshape(len(points), len(charge.columns), -1)
+    phi = group.sum_images(values, group.images_of(points)[1], charge.column, lambda s: 1.0)
+    residuals = np.abs(phi[index] - B[group.images]).max(axis=(0, 1))
     for name, res in zip(names, residuals):
         if not res <= RESIDUAL_LIMIT:  # a NaN residual fails too
             raise SolverError(
@@ -889,17 +883,17 @@ def solve_unit_excitations(geometry: TrapGeometry,
 # An entry of another format version is a miss, solved again and overwritten.
 
 # what a solve runs: a solution cached by another version of any of these is
-# solved again (_solution_digest); the evaluators are not among them
+# solved again (_solution_digest); the public evaluators are not among them
 _SOLVER_CODE = (_unique_rows, PanelSet.__init__, PanelSet.n.fget, PanelSet.merge_keys,
-                PanelSet.corner_groups.fget, _CornerGroup.__init__, _ln_sum,
-                _field_terms, _potential_terms, _executor, _thread_scratch,
-                _release_scratch, _evaluate, potential_matrix, _MirrorGroup.__init__,
-                _MirrorGroup.images_of, _MirrorGroup.table, _MirrorGroup.solve,
-                _MirrorGroup.potential, SolvedTrap.__init__, _kernel_diagnostics,
-                solve_unit_excitations)
+                PanelSet.corner_groups.fget, _CornerGroup.__init__, ChargeWeights.__init__,
+                ChargeWeights.stacked, _ln_sum, _field_terms, _potential_terms, _executor,
+                _thread_scratch, _release_scratch, _evaluate, potential_matrix,
+                _MirrorGroup.__init__, _MirrorGroup.images_of, _MirrorGroup.sum_images,
+                _MirrorGroup.table, _MirrorGroup.solve, SolvedTrap.__init__,
+                _kernel_diagnostics, solve_unit_excitations)
 # and the constants they read
 _SOLVER_CONSTANTS = (_TINY, _MERGE_REL, COND_LIMIT, COND_DIGITS, RESIDUAL_LIMIT,
-                     _MIRROR_SIGNS.tolist())
+                     _MIRROR_SIGNS.tolist(), constants.EPS0)
 
 
 def _cache_path(cache_dir, signature):

@@ -325,13 +325,13 @@ def cmd_sweep(ns) -> int:
 def _check_domain(geom, center, span):
     lo = [c - s / 2 for c, s in zip(center, span)]
     hi = [c + s / 2 for c, s in zip(center, span)]
-    top = geom.top_um
-    y_hi = math.inf if top is None else top
+    # without a top plane, y is bounded by the modeled extent, like x and z
+    half = float(np.abs(geom.corners_um()[:, [0, 2]]).max())
+    y_hi = half if geom.top_um is None else geom.top_um
     if lo[1] < 0.0 or hi[1] > y_hi:
         raise InvalidInputError(
             f"map extends outside the trap interior in y: [{lo[1]:.6g}, "
             f"{hi[1]:.6g}] um vs [0, {y_hi:.6g}]")
-    half = float(np.abs(geom.corners_um()[:, [0, 2]]).max())
     for ax, name in ((0, "x"), (2, "z")):
         if lo[ax] < -half or hi[ax] > half:
             raise InvalidInputError(

@@ -25,7 +25,7 @@ from numpy.polynomial.chebyshev import chebfit, chebpts2, chebval
 from .constants import CA40, ECHARGE, IonSpecies
 from .errors import (DepthError, FitError, InvalidInputError, NullAmbiguityError,
                      NullNotFoundError)
-from .pseudo import BemRfField, DriveParams, PseudoField, DEFAULT_DRIVE
+from .pseudo import MAP_POINT_BUDGET, BemRfField, DriveParams, PseudoField, DEFAULT_DRIVE
 
 # operating point of the reference five-wire design: q = 0.250 at k = 0.210
 Q_BASE = 0.250
@@ -143,12 +143,10 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
     """Locate the pseudopotential minimum on the segment from start to end.
 
     Scan of the segment (spacing about scan_um) followed by Gauss-Newton
-    iteration in 3D on E(r) = 0 using the analytic field Jacobian. A
-    coordinate of the scan minimum that is exactly 0 on one of the field's
-    mirror_axes (a mirror that leaves the charge unchanged) takes no step,
-    so the null stays on that plane; fields without mirror_axes step in all
-    three. The segment must cross exactly one minimum: a scan minimum at
-    either end raises NullNotFoundError, several separated minima raise
+    iteration in 3D on E(r) = 0 using the analytic field Jacobian. A scan of
+    more than pseudo.MAP_POINT_BUDGET points raises InvalidInputError before
+    it is built. The segment must cross exactly one minimum: a scan minimum
+    at either end raises NullNotFoundError, several separated minima raise
     NullAmbiguityError. A psi or grad psi that is not finite, a drive whose
     pseudopotential overflows inside the field, raises InvalidInputError.
     """
@@ -174,20 +172,12 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
             f"{len(firsts)} equal pseudopotential minima on the segment",
             [tuple(float(c) for c in pts_um[i]) for i in firsts])
 
-    # a coordinate on a mirror plane of the rf charge stays there: its field
-    # component vanishes by symmetry, and a step would move it by roundoff
-    p0 = pts_um[i_min] * 1e-6
-    mirrors = getattr(pseudo.rf_field, "mirror_axes", [])
-    free = [ax for ax in range(3) if not (ax in mirrors and p0[ax] == 0.0)]
-
     def step(p):
         E = pseudo.rf_field.field(p[None, :])[0]
         J = pseudo.rf_field.jacobian(p[None, :])[0]
-        delta = np.zeros(3)
-        delta[free] = np.linalg.lstsq(J[np.ix_(free, free)], -E[free], rcond=1e-9)[0]
-        return delta
+        return np.linalg.lstsq(J, -E, rcond=1e-9)[0]
 
-    p, converged, it = _newton(step, p0, 2.0 * scan_um * 1e-6)
+    p, converged, it = _newton(step, pts_um[i_min] * 1e-6, 2.0 * scan_um * 1e-6)
 
     with np.errstate(over="ignore"):  # an overflow raises InvalidInputError below
         grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
@@ -531,9 +521,14 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
 
 
 def _grid_axis_um(lo, hi, res):
-    """About res-spaced samples from lo to hi (scalars or points), ends kept."""
-    n = max(2, int(round(np.linalg.norm(np.subtract(hi, lo)) / res)) + 1)
-    return np.linspace(lo, hi, n)
+    """About res-spaced samples from lo to hi (scalars or points), ends kept;
+    InvalidInputError, before any allocation, for more than MAP_POINT_BUDGET."""
+    n = np.round(np.linalg.norm(np.subtract(hi, lo)) / res) + 1.0
+    if not n <= MAP_POINT_BUDGET:  # NaN fails too
+        raise InvalidInputError(
+            f"sampling {lo} to {hi} um every {res:g} um takes {n:.4g} points, "
+            f"more than the {MAP_POINT_BUDGET} a scan may hold")
+    return np.linspace(lo, hi, max(2, int(n)))
 
 
 def _mirror_axis_um(half, res):

@@ -44,9 +44,9 @@ from iontrap import (
     default_surface_params,
     solve_unit_excitations,
 )
-from iontrap import bem
+from iontrap import bem, constants
 from iontrap.constants import EPS0
-from iontrap.errors import SolverError
+from iontrap.errors import InvalidGeometryError, SolverError
 from iontrap.geometry import _mesh_electrodes
 from iontrap.pseudo import _grid_axis
 
@@ -266,6 +266,15 @@ def _whole_table(pset):
     return bem.PanelSet(pset.origins, pset.edge_u, pset.edge_v, pset.electrode_idx)
 
 
+def _kept_mirrors(charge):
+    """The coordinates (0 for x, 2 for z) whose mirror e in the group maps
+    the charge onto itself bit for bit, in every column of it: the mirrors
+    with column[g] == column[g.e] for every element g."""
+    at = dict(zip(charge.pset.group.elements.tolist(), charge.column))
+    return [ax for e, ax in bem._MIRROR_AXES
+            if e in at and all(at[g] == at[g ^ e] for g in at)]
+
+
 def _plane_points(seed):
     """Points on x = 0, on z = 0, on both, and off the planes, 20 of each."""
     pts = _trap_points(20, seed)
@@ -290,7 +299,7 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
              first_rf: [2], "random": [], "columns": []}
     for label, sigma in sigmas.items():
         charge = bem.ChargeWeights(pset, sigma)
-        assert charge.mirror_axes == keeps[label], label
+        assert _kept_mirrors(charge) == keeps[label], label
         # one weight column per element, but one for the mirrors that keep sigma
         assert len(charge.columns) == 4 // 2 ** len(keeps[label]), label
         # a random sigma has no smooth field: its corner sums cancel more, so
@@ -318,7 +327,7 @@ def _assert_mirror_images_are_signed_bitwise(pset, sigma, pts):
     """Under each element g of pset.group made of mirrors that keep sigma,
     the potential, field and Jacobian at g.p are those at p, bit for bit,
     with the sign g gives each output."""
-    axes = bem.ChargeWeights(pset, sigma).mirror_axes
+    axes = _kept_mirrors(bem.ChargeWeights(pset, sigma))
     for e in pset.group.elements:
         s = bem._MIRROR_SIGNS[e]
         if any(s[ax] < 0 and ax not in axes for ax in range(3)):
@@ -345,7 +354,7 @@ def test_mirror_images_of_a_symmetric_charge_on_tilted_plates_take_the_signed_ou
     pset.group = bem._MirrorGroup(pset)
     sigma = np.random.default_rng(29).uniform(-1.0, 1.0, pset.n)
     sigma = 0.5 * (sigma + sigma[pset.group.perms[1]])  # z-symmetric, bit for bit
-    assert bem.ChargeWeights(pset, sigma).mirror_axes == [2]
+    assert _kept_mirrors(bem.ChargeWeights(pset, sigma)) == [2]
     pts = np.vstack([_plane_points(30), _trap_points(20, 31) * [1, 1, -1]])
     _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
 
@@ -363,7 +372,7 @@ def test_tilted_panels_take_each_field_component_from_its_character():
     pts[:20, 2] = 0.0
     sigma = rng.uniform(-1.0, 1.0, pset.n)
     charge = bem.ChargeWeights(pset, sigma)
-    assert len(charge.columns) == 2 and charge.mirror_axes == []
+    assert len(charge.columns) == 2 and _kept_mirrors(charge) == []
     for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
         got, want = evaluate(pset, charge, pts), evaluate(_whole_table(pset), sigma, pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
@@ -671,12 +680,14 @@ def test_solved_trap_field_is_superposition_of_units():
 
 
 def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
+    # the residual check is the solve's only mirror sum
     g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    sum_images = bem._MirrorGroup.sum_images
 
-    def nan_potential(group, Q, index, sigma):
-        return np.full_like(sigma, np.nan)
+    def nan_sum(group, *args):
+        return np.full_like(sum_images(group, *args), np.nan)
 
-    monkeypatch.setattr(bem._MirrorGroup, "potential", nan_potential)
+    monkeypatch.setattr(bem._MirrorGroup, "sum_images", nan_sum)
     with pytest.raises(SolverError, match="residual") as err:
         solve_unit_excitations(g, cache_dir=tmp_path)
     assert "electrode 'a'" in str(err.value)
@@ -823,6 +834,24 @@ def _panel_grid(n, per_row=120, edge=10e-6):
     return bem.PanelSet(origins, eu, ev, np.zeros(n, dtype=int))
 
 
+def test_merge_keys_reject_a_coordinate_out_of_their_range():
+    # keys count 1e-9 of the median panel edge, 1e-14 m for 10 um panels,
+    # so an int64 key holds coordinates up to about 9.2e4 m
+    ps = _panel_grid(4)
+    keys = ps.merge_keys(np.array([9e4, -9e4]))
+    assert keys.dtype == np.int64 and keys[0] == -keys[1] > 8.99e18
+    for far in (1e5, -1e5, 1e300, math.inf, math.nan):
+        with pytest.raises(InvalidGeometryError, match="out of range for the merge keys"):
+            ps.merge_keys(np.array([0.0, far]))
+    # a panel that far out has no corner table and no mirror group
+    origins = ps.origins.copy()
+    origins[0, 1] = 1e300
+    far = bem.PanelSet(origins, ps.edge_u, ps.edge_v, ps.electrode_idx)
+    for build in (lambda: far.corner_groups, lambda: bem._MirrorGroup(far)):
+        with pytest.raises(InvalidGeometryError, match="1e\\+300 m is out of range"):
+            build()
+
+
 def test_memory_budget_admits_an_asymmetric_layout_up_to_its_stated_size():
     # the trivial group keeps the n x n rows R and one n x n block, 16 n^2
     # bytes in all: 11585 panels fit the 2 GiB budget and 11586 do not
@@ -909,6 +938,30 @@ def test_solve_holds_no_more_than_its_memory_count(layout):
     # estimate's work vectors
     vectors = 8 * pset.n * (4 * k + 72)
     assert peak <= group.solve_bytes - Q.nbytes + vectors
+
+
+def test_the_residual_check_keeps_no_packed_copy_of_the_kernel_rows():
+    # tracemalloc does not see the buffers BLAS allocates, the resident
+    # high-water mark of a fresh process does. On 2 CPUs one cold surface
+    # solve raised it by 57.9-58.5 MiB, against solve_bytes of 48.6 MiB; a
+    # residual product written as Q @ W, for which OpenBLAS packs a copy of
+    # Q, raised it by 68.8-69.3 MiB
+    code = textwrap.dedent("""
+        import resource
+        import scipy.linalg
+        from iontrap import bem, build_default
+        g = build_default("surface")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        solved = bem.solve_unit_excitations(g, cache_dir=None)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(1024 * grown, solved.pset.group.solve_bytes)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != bem.CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    grown, need = map(int, run.stdout.split())
+    assert grown <= need + 14 * 2**20
 
 
 def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
@@ -1111,6 +1164,18 @@ def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
     for name in ("def potential_of(", "def field_of(", "def jacobian_of(", "def _quotient(",
                  "class ChargeWeights", "def _weighted_sums("):
         assert name not in source
+
+
+def test_the_solution_digest_covers_the_constants_a_solve_reads():
+    # constants.NAME in solver code puts both names in its co_names; each
+    # such constant must be in _SOLVER_CONSTANTS, so that a new value
+    # solves every cached entry again
+    read = {name for f in bem._SOLVER_CODE for code in _nested_code(f.__code__)
+            if "constants" in code.co_names for name in code.co_names
+            if isinstance(vars(constants).get(name), (int, float))}
+    assert "EPS0" in read
+    for name in read:
+        assert getattr(constants, name) in bem._SOLVER_CONSTANTS, name
 
 
 def test_corrupt_cache_is_ignored_with_warning(tmp_path):

@@ -543,6 +543,29 @@ def test_sweep_row_of_an_overflowing_drive_reads_nan(tmp_path, cross_solved_105,
     assert lines[2] == "105,nan,nan,nan,nan,nan,nan"
 
 
+def test_sweep_row_whose_null_scan_exceeds_the_point_budget_reads_nan(
+        tmp_path, gnd_solved_200, cache_dir):
+    # at h = 1e9 um the null segment runs 1e9 um, 1e9 scan points at 1 um
+    spec = write_spec(tmp_path, {"design": "gnd-surface", "h_um": [200, 1e9],
+                                 "reference": None})
+    out = tmp_path / "sweep.csv"
+    assert run_cli("--cache-dir", cache_dir, "sweep", "--spec", spec, "--out", out) == 0
+    lines = csv_data_lines(out)
+    assert lines[1].startswith("# error at h_um=1e+09: ")
+    assert "more than the 1048576 a scan may hold" in lines[1]
+    assert lines[2].startswith("200,")
+    assert lines[3] == "1e+09,nan,nan,nan,nan,nan,nan"
+
+
+# the mesher's norm of the lid's offset overflows at this height, with a warning
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_report_of_a_lid_beyond_the_merge_keys_exits_2(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("report", "--design", "gnd-surface", "--h-um", "1e300", "--out", out) == 2
+    assert "out of range for the merge keys" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_all_rows_failing_exits_1(tmp_path, cache_dir):
     spec = write_spec(tmp_path, {"design": "cross-rf", "h_um": [80, 90],
                                  "reference": None})
@@ -629,6 +652,16 @@ def test_map_outside_trap_interior(tmp_path, capsys):
                  "--span-um", "20,20,0", "--res-um", 10, "--out", tmp_path / "m.csv")
     assert rc == 2
     assert "outside the trap interior in y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y", ["5000", "1e300"])
+def test_map_above_the_modeled_extent_of_an_open_trap(tmp_path, capsys, y):
+    # with no top plane, y is bounded by the electrodes' extent, 4000 um
+    rc = run_cli("map", "--design", "surface", "--center-um", f"0,{y},0",
+                 "--span-um", "0,0,0", "--res-um", 1, "--out", tmp_path / "m.csv")
+    assert rc == 2
+    assert "outside the trap interior in y" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_map_outside_modeled_region(tmp_path, capsys):

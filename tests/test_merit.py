@@ -50,7 +50,7 @@ from iontrap import (
     stability_q,
     trap_depth,
 )
-from iontrap import bem, merit
+from iontrap import bem, merit, pseudo
 from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES, _grid_axis_um, _mirror_axis_um
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
@@ -172,7 +172,8 @@ def test_the_null_stays_on_the_mirror_plane_of_the_rf_charge(cross_solved_200):
     # is on z = 0, the Newton step leaves z there, and the depth grid laid
     # at the null's z has two distinct images per point, not four
     rf = BemRfField(cross_solved_200)
-    assert rf.mirror_axes == [2]
+    # elements identity, x, z, x & z: z keeps each element's weight column
+    assert rf.column == [0, 1, 0, 1]
     null = find_rf_null(PseudoField(rf, species=CA40, drive=DRIVE),
                         (0.0, 5.0, 0.0), (0.0, 195.0, 0.0))
     assert null.converged and null.position[2] == 0.0
@@ -180,6 +181,16 @@ def test_the_null_stays_on_the_mirror_plane_of_the_rf_charge(cross_solved_200):
     seen = full_report(cross_solved_200).field_evaluations
     # at most 16 points, the Hessian's z steps, leave z = 0
     assert seen["images"] <= 2 * seen["points"] + 2 * 16
+
+
+def test_find_rf_null_rejects_a_scan_over_the_point_budget():
+    # a 1e12 um segment at 1 um would be 1e12 points, 24 TB of positions
+    with pytest.raises(InvalidInputError, match="more than the 1048576 a scan may hold"):
+        find_rf_null(_offset_quad(), (0.0, 5.0, 0.0), (0.0, 1e12, 0.0))
+    budget = pseudo.MAP_POINT_BUDGET
+    assert _grid_axis_um(0.0, budget - 1.0, 1.0).size == budget
+    with pytest.raises(InvalidInputError, match="takes 1.049e\\+06 points"):
+        _grid_axis_um(0.0, float(budget), 1.0)
 
 
 def test_find_rf_null_raises_when_minimum_on_boundary():
