@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, bem, geometry
 from .constants import get_species
 from .errors import InvalidInputError, IonTrapError, SolverError
-from .merit import DEFAULT_TARGET_OMEGA, TrapReport, full_report
+from .merit import DEFAULT_TARGET_OMEGA, TrapReport, full_report, null_segment_um
 from .pseudo import BemRfField, DriveParams, PseudoField, check_grid, pseudo_map
 
 _DESIGNS = tuple(geometry.DESIGNS)
@@ -180,6 +180,7 @@ def _reference_report(ns, drive):
     else:
         raise InvalidInputError(
             f"--reference must be a geometry file or one of {_DESIGNS}, got {ref!r}")
+    null_segment_um(geom)  # a null scan full_report would refuse fails before the solve
     solved = _solve(geom, ns)
     return full_report(solved, species=ns.species, drive=drive,
                        target_omega=2e6 * math.pi * ns.target_MHz)
@@ -187,6 +188,7 @@ def _reference_report(ns, drive):
 
 def cmd_report(ns) -> int:
     geom = _load_or_build_geometry(ns)
+    null_segment_um(geom)  # a null scan full_report would refuse fails before any solve
     drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
     reference = _reference_report(ns, drive)
     solved = _solve(geom, ns)
@@ -273,6 +275,7 @@ def _load_sweep_spec(path) -> tuple:
 
 def _sweep_row(design, h, drive, species, fine_um, cache_dir, reference):
     geom = geometry.build_default(design, h_um=h, fine_um=fine_um)
+    null_segment_um(geom)  # a null scan full_report would refuse fails before the solve
     solved = bem.solve_unit_excitations(geom, cache_dir=cache_dir)
     rep = full_report(solved, species=species, drive=drive, reference=reference)
     return (f"{h:.6g},{rep.d_um:.4f},{rep.k:.5f},{rep.D_meV:.4f},"

@@ -117,6 +117,19 @@ class NullResult:
 
 
 NEWTON_MAX_STEPS = 60
+NULL_SCAN_UM = 1.0  # spacing of the null scan, um
+
+
+def null_segment_um(geom, scan_um: float = NULL_SCAN_UM):
+    """(start, end) in um of the segment full_report searches for the rf
+    null: x = z = 0 from 5 um above the bottom wafer to 5 um below a top
+    plane, or to 300 um without one. Raises InvalidInputError if its scan
+    every scan_um would take more than MAP_POINT_BUDGET points; it reads
+    only the geometry, so a trap can be rejected before it is solved."""
+    top = geom.top_um
+    start, end = (0.0, 5.0, 0.0), (0.0, 300.0 if top is None else top - 5.0, 0.0)
+    _sample_count(start, end, scan_um)
+    return start, end
 
 
 def _newton(step, p, cap):
@@ -139,7 +152,7 @@ def _newton(step, p, cap):
 
 
 def find_rf_null(pseudo: PseudoField, start_um, end_um,
-                 scan_um: float = 1.0) -> NullResult:
+                 scan_um: float = NULL_SCAN_UM) -> NullResult:
     """Locate the pseudopotential minimum on the segment from start to end.
 
     Scan of the segment (spacing about scan_um) followed by Gauss-Newton
@@ -495,9 +508,8 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
                            polished=False, grid_level_J=grid_level, **counts)
 
     def step(xy):
-        q = np.append(xy, z0)[None, :]
-        g = pseudo.grad(q)[0][:2]
-        return np.linalg.solve(pseudo.hessian(q)[0][:2, :2], -g)
+        g, H = pseudo.grad_hessian(np.append(xy, z0)[None, :])
+        return np.linalg.solve(H[0][:2, :2], -g[0][:2])
 
     xy, polished, _ = _newton(step, np.array([xs[cell[0]], ys[cell[1]]]) * 1e-6,
                               2.0 * res_um * 1e-6)
@@ -520,15 +532,22 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
                        hessian_eigs=eigs, **counts)
 
 
-def _grid_axis_um(lo, hi, res):
-    """About res-spaced samples from lo to hi (scalars or points), ends kept;
-    InvalidInputError, before any allocation, for more than MAP_POINT_BUDGET."""
-    n = np.round(np.linalg.norm(np.subtract(hi, lo)) / res) + 1.0
+def _sample_count(lo, hi, res):
+    """The number of _grid_axis_um samples from lo to hi every res;
+    InvalidInputError for more than MAP_POINT_BUDGET."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        n = np.round(np.linalg.norm(np.subtract(hi, lo)) / res) + 1.0
     if not n <= MAP_POINT_BUDGET:  # NaN fails too
         raise InvalidInputError(
             f"sampling {lo} to {hi} um every {res:g} um takes {n:.4g} points, "
             f"more than the {MAP_POINT_BUDGET} a scan may hold")
-    return np.linspace(lo, hi, max(2, int(n)))
+    return max(2, int(n))
+
+
+def _grid_axis_um(lo, hi, res):
+    """About res-spaced samples from lo to hi (scalars or points), ends kept;
+    InvalidInputError, before any allocation, for more than MAP_POINT_BUDGET."""
+    return np.linspace(lo, hi, _sample_count(lo, hi, res))
 
 
 def _mirror_axis_um(half, res):
@@ -619,8 +638,7 @@ def full_report(solved, species: IonSpecies = CA40,
     pseudo = PseudoField(rf, species, drive)
 
     # the null sits on x = z = 0 between the bottom wafer and any top plane
-    null_hi = 300.0 if top is None else top - 5.0
-    null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, null_hi, 0.0))
+    null = find_rf_null(pseudo, *null_segment_um(geom))
     d_m = null.position[1]
 
     harm = fit_harmonicity(rf, drive, null.position, d_m, radial_axes(geom))

@@ -133,23 +133,29 @@ class PseudoField:
         return 2.0 * self.coef * np.einsum("mij,mi->mj", J, E)
 
     def hessian(self, points) -> np.ndarray:
-        """d^2 psi / dr^2 in J/m^2.
+        """d^2 psi / dr^2 in J/m^2 (see grad_hessian)."""
+        return self.grad_hessian(points)[1]
+
+    def grad_hessian(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """grad psi (J/m) and its Hessian (J/m^2), from one field call at the
+        points and one Jacobian call at the points and their six stencil
+        points; grad is that of grad(), bit for bit.
 
         H = 2 c (J^T J + sum_i E_i K_i); the second field derivatives K are
         central differences of the analytic Jacobian, step HESSIAN_STEP_M.
         """
         p = np.atleast_2d(np.asarray(points, float))
         E = self.rf_field.field(p)
-        J = self.rf_field.jacobian(p)
+        dp = HESSIAN_STEP_M * np.eye(3)
+        stencil = [p] + [q for d in dp for q in (p + d, p - d)]
+        J, *Js = self.rf_field.jacobian(np.concatenate(stencil)).reshape(7, *p.shape, 3)
         H = np.einsum("mia,mib->mab", J, J)
         for b in range(3):
-            dp = np.zeros(3)
-            dp[b] = HESSIAN_STEP_M
-            dJ = (self.rf_field.jacobian(p + dp) - self.rf_field.jacobian(p - dp)) \
-                / (2.0 * HESSIAN_STEP_M)
+            dJ = (Js[2 * b] - Js[2 * b + 1]) / (2.0 * HESSIAN_STEP_M)
             H[:, :, b] += np.einsum("mi,mia->ma", E, dJ)
         H *= 2.0 * self.coef
-        return 0.5 * (H + H.transpose(0, 2, 1))
+        grad = 2.0 * self.coef * np.einsum("mij,mi->mj", J, E)
+        return grad, 0.5 * (H + H.transpose(0, 2, 1))
 
 
 @dataclass
@@ -165,13 +171,13 @@ class PseudoMap:
     CSV_HEADER = "x_um,y_um,z_um,psi_meV"
 
     def csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for i, x in enumerate(self.xs_um):
-            for j, y in enumerate(self.ys_um):
-                for k, z in enumerate(self.zs_um):
-                    v = self.values_meV[i, j, k]
-                    lines.append(f"{float(x)!r},{float(y)!r},{float(z)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        """One line per point, x slowest and z fastest, each number the repr
+        of its float."""
+        axes = (np.asarray(a, float) for a in (self.xs_um, self.ys_um, self.zs_um))
+        columns = [c.ravel().tolist() for c in np.meshgrid(*axes, indexing="ij")]
+        columns.append(np.asarray(self.values_meV, float).ravel().tolist())
+        lines = [f"{x!r},{y!r},{z!r},{v!r}" for x, y, z, v in zip(*columns)]
+        return "\n".join([self.CSV_HEADER] + lines) + "\n"
 
     def to_csv(self, path):
         with open(path, "w") as f:

@@ -299,7 +299,7 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
              first_rf: [2], "random": [], "columns": []}
     for label, sigma in sigmas.items():
         charge = bem.ChargeWeights(pset, sigma)
-        assert _kept_mirrors(charge) == keeps[label], label
+        assert _kept_mirrors(charge) == charge.kept_axes == keeps[label], label
         # one weight column per element, but one for the mirrors that keep sigma
         assert len(charge.columns) == 4 // 2 ** len(keeps[label]), label
         # a random sigma has no smooth field: its corner sums cancel more, so
@@ -321,6 +321,72 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
     reps = sum(g.cu.size for g in pset.group.table(pset).corner_groups)
     assert charge.evaluations == {"points": 80, "images": 180, "corners": reps}
     assert reps < 0.3 * every
+
+
+def _skip_sets(pset):
+    """Points on z = 0, on x = 0, on x = z = 0, and panel centres of each
+    wafer plane, 5 of each."""
+    pts = _trap_points(5, 41)
+    sets = {"z = 0": pts * [1, 1, 0], "x = 0": pts * [0, 1, 1], "x = z = 0": pts * [0, 1, 0]}
+    for y in np.unique(pset.centers[:, 1]):
+        sets[f"centres at y = {y:g}"] = pset.centers[pset.centers[:, 1] == y][::53][:5]
+    return sets
+
+
+@pytest.mark.parametrize("fixture", ["surface_solved", "cross_solved_200"])
+def test_skipped_kernel_terms_give_the_bits_of_computed_ones(fixture, request):
+    # a set alone is one block whose points all qualify for the skip; with
+    # two points off every plane it is one block that computes every term,
+    # and inside all the sets together it is split between both kinds
+    solved = request.getfixturevalue(fixture)
+    pset, sigma = solved.pset, solved.sigma_for(solved.rf_voltages())
+    sets = _skip_sets(pset)
+    off = _trap_points(2, 42)
+    together = np.vstack(list(sets.values()) + [off])
+    for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
+        batch = evaluate(pset, sigma, together)
+        at = 0
+        for name, pts in sets.items():
+            alone = evaluate(pset, sigma, pts)
+            mixed = evaluate(pset, sigma, np.vstack([pts, off]))[:len(pts)]
+            assert alone.tobytes() == mixed.tobytes(), (evaluate, name)
+            assert alone.tobytes() == batch[at:at + len(pts)].tobytes(), (evaluate, name)
+            at += len(pts)
+
+
+def test_the_kernel_skips_the_terms_that_can_only_add_zeros(
+        surface_solved, cross_solved_200, monkeypatch):
+    # one block each: on z = 0 the surface field needs ln(v + r) alone, on
+    # x = z = 0 no ln at all; cross-rf's rf charge does not keep x, so there
+    # the x component still needs its ln. At the collocation points of a
+    # plane the potential needs no atan.
+    ln_sums, atans = [], []
+    ln_sum, arctan2 = bem._ln_sum, np.arctan2
+    monkeypatch.setattr(bem, "_ln_sum", lambda *a: ln_sums.append(1) or ln_sum(*a))
+    monkeypatch.setattr(bem.np, "arctan2", lambda *a, **k: atans.append(1) or arctan2(*a, **k))
+
+    def count(evaluate, solved, pts):
+        ln_sums.clear()
+        atans.clear()
+        pset = solved.pset
+        if evaluate is bem.potential_matrix:
+            evaluate(pset.group.table(pset), pts)
+        else:
+            evaluate(pset, solved.sigma_for(solved.rf_voltages()), pts)
+        return len(ln_sums), len(atans)
+
+    pts = _trap_points(5, 43)
+    for solved in (surface_solved, cross_solved_200):
+        groups = len(solved.pset.group.table(solved.pset).corner_groups)
+        cross = solved.geometry.design == "cross-rf"
+        assert count(bem.field_of, solved, pts) == (2 * groups, groups)
+        assert count(bem.field_of, solved, pts * [1, 1, 0]) == (groups, groups)
+        assert count(bem.field_of, solved, pts * [0, 1, 0]) == (groups if cross else 0, groups)
+        # the potential is even under every mirror
+        assert count(bem.potential_of, solved, pts * [0, 1, 0]) == (2 * groups, groups)
+    pset = surface_solved.pset
+    assert count(bem.potential_matrix, surface_solved, pset.centers[:5]) == (2, 0)
+    assert count(bem.potential_matrix, surface_solved, pts) == (2, 1)
 
 
 def _assert_mirror_images_are_signed_bitwise(pset, sigma, pts):

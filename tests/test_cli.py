@@ -544,24 +544,57 @@ def test_sweep_row_of_an_overflowing_drive_reads_nan(tmp_path, cross_solved_105,
 
 
 def test_sweep_row_whose_null_scan_exceeds_the_point_budget_reads_nan(
-        tmp_path, gnd_solved_200, cache_dir):
-    # at h = 1e9 um the null segment runs 1e9 um, 1e9 scan points at 1 um
+        tmp_path, gnd_solved_200, cache_dir, monkeypatch):
+    # at h = 1e9 um the null segment runs 1e9 um, 1e9 scan points at 1 um:
+    # the row fails from its geometry, before a solve or a cache entry
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = bem._cache_path(cache_dir, gnd_solved_200.geometry.signature())
+    (cache / os.path.basename(entry)).write_bytes(open(entry, "rb").read())
+    solved_h = []
+    solve = bem.solve_unit_excitations
+
+    def recorded(geom, **kwargs):
+        solved_h.append(geom.top_um)
+        return solve(geom, **kwargs)
+
+    monkeypatch.setattr(bem, "solve_unit_excitations", recorded)
     spec = write_spec(tmp_path, {"design": "gnd-surface", "h_um": [200, 1e9],
                                  "reference": None})
     out = tmp_path / "sweep.csv"
-    assert run_cli("--cache-dir", cache_dir, "sweep", "--spec", spec, "--out", out) == 0
+    assert run_cli("--cache-dir", cache, "sweep", "--spec", spec, "--out", out) == 0
     lines = csv_data_lines(out)
     assert lines[1].startswith("# error at h_um=1e+09: ")
     assert "more than the 1048576 a scan may hold" in lines[1]
     assert lines[2].startswith("200,")
     assert lines[3] == "1e+09,nan,nan,nan,nan,nan,nan"
+    assert solved_h == [200.0]
+    assert sorted(os.listdir(cache)) == [os.path.basename(entry)]
+
+
+def test_report_whose_null_scan_exceeds_the_point_budget_exits_2_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    def explode(geom, ns):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "_solve", explode)
+    rc = run_cli("report", "--design", "gnd-surface", "--h-um", "1e9", "--out", tmp_path / "r")
+    assert rc == 2
+    assert "more than the 1048576 a scan may hold" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # the mesher's norm of the lid's offset overflows at this height, with a warning
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_report_of_a_lid_beyond_the_merge_keys_exits_2(tmp_path, capsys):
+    # a report fails on its null scan, from the geometry alone, before the
+    # solve; a map of the same trap reaches the solve and its merge keys
     out = tmp_path / "r"
-    assert run_cli("report", "--design", "gnd-surface", "--h-um", "1e300", "--out", out) == 2
+    trap = ("--design", "gnd-surface", "--h-um", "1e300")
+    assert run_cli("report", *trap, "--out", out) == 2
+    assert "more than the 1048576 a scan may hold" in capsys.readouterr().err
+    assert run_cli("map", *trap, "--center-um", "0,90,0", "--span-um", "0,0,0",
+                   "--res-um", "5", "--out", out) == 2
     assert "out of range for the merge keys" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -304,3 +304,57 @@ def test_pseudo_map_csv_round_trip():
     assert (x, y, z) == (-5.0, 10.0, 0.0)
     # repr round-trip: the parsed value is bit-exact
     assert v == grid.values_meV[0, 0, 0]
+
+
+def test_pseudo_map_csv_text_is_pinned():
+    # x slowest and z fastest, every number the repr of its float, -0.0 kept
+    values = np.arange(12.0).reshape(2, 3, 2) * 0.1
+    values[1, 0, 1] = -0.0
+    grid = pseudo.PseudoMap(np.array([-1.5, 2.0]), np.array([0.0, 1e-7, 3.25]),
+                            np.array([-0.0, 7.0]), values)
+    assert grid.csv_text() == (
+        "x_um,y_um,z_um,psi_meV\n"
+        "-1.5,0.0,-0.0,0.0\n" "-1.5,0.0,7.0,0.1\n"
+        "-1.5,1e-07,-0.0,0.2\n" "-1.5,1e-07,7.0,0.30000000000000004\n"
+        "-1.5,3.25,-0.0,0.4\n" "-1.5,3.25,7.0,0.5\n"
+        "2.0,0.0,-0.0,0.6000000000000001\n" "2.0,0.0,7.0,-0.0\n"
+        "2.0,1e-07,-0.0,0.8\n" "2.0,1e-07,7.0,0.9\n"
+        "2.0,3.25,-0.0,1.0\n" "2.0,3.25,7.0,1.1\n")
+
+
+class _CountingField:
+    """An rf field that counts its field and Jacobian calls and points."""
+
+    def __init__(self, rf):
+        self.rf, self.calls = rf, {"field": [], "jacobian": []}
+
+    def field(self, points):
+        self.calls["field"].append(len(points))
+        return self.rf.field(points)
+
+    def jacobian(self, points):
+        self.calls["jacobian"].append(len(points))
+        return self.rf.jacobian(points)
+
+
+def test_hessian_takes_one_field_and_one_jacobian_call_and_grad_bitwise(surface_solved):
+    # the seven stencil points go in one Jacobian call, and the polish reads
+    # grad psi from the same evaluation: each bit as from separate calls
+    rf = BemRfField(surface_solved)
+    counted = _CountingField(rf)
+    ps = PseudoField(counted, species=CA40, drive=DriveParams.from_mhz(10.0, 20.0))
+    pts = np.array([[0.0, 90e-6, 0.0], [31e-6, 140e-6, 0.0], [-7e-6, 60e-6, 12e-6]])
+    grad, H = ps.grad_hessian(pts)
+    assert counted.calls == {"field": [3], "jacobian": [21]}
+    np.testing.assert_array_equal(grad, ps.grad(pts))
+    np.testing.assert_array_equal(H, ps.hessian(pts))
+    # the Hessian of one Jacobian call per stencil point
+    E, J = rf.field(pts), rf.jacobian(pts)
+    want = np.einsum("mia,mib->mab", J, J)
+    for b in range(3):
+        dp = np.zeros(3)
+        dp[b] = pseudo.HESSIAN_STEP_M
+        dJ = (rf.jacobian(pts + dp) - rf.jacobian(pts - dp)) / (2.0 * pseudo.HESSIAN_STEP_M)
+        want[:, :, b] += np.einsum("mi,mia->ma", E, dJ)
+    want *= 2.0 * ps.coef
+    np.testing.assert_array_equal(H, 0.5 * (want + want.transpose(0, 2, 1)))
