@@ -64,12 +64,11 @@ lies along a, and a Jacobian entry with exactly one index on such a row, is
 not computed, nor is an intermediate that feeds only them. On z = 0 (the
 map and the depth grid) the field needs one of its two ln terms, and on
 x = z = 0 (the null scan of a charge that keeps both mirrors) neither.
-images_of orders the distinct images by plane class, so that a call that
-mixes classes forms uniform runs; a block takes a rule only when all its
-images qualify, and each term computed takes the same operations as
-without the skip, so every value keeps its bits. On a 2-vCPU host the
-5454-point map of the benchmark took 110-113 ms in pseudo_map against
-137-151 ms with every term computed (medians of 15 calls).
+A block takes a rule only when all its images qualify, and each term
+computed takes the same operations as without the skip, so every value
+keeps its bits. On a 2-vCPU host the 5454-point map of the benchmark took
+110-113 ms in pseudo_map against 137-151 ms with every term computed
+(medians of 15 calls).
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
@@ -707,16 +706,10 @@ class _MirrorGroup:
     def images_of(self, points):
         """The distinct images g.p of the (m, 3) points under the elements,
         by their float bits once -0.0 is taken as 0.0, and index[g, i], the
-        row of g.p_i among them. The images on x = z = 0 come first, then
-        those on x = 0 alone, on z = 0 alone and on neither, so that the
-        blocks of a call that mixes them are mostly of one plane class."""
-        p = (np.atleast_2d(points) * _MIRROR_SIGNS[self.elements][:, None] + 0.0).reshape(-1, 3)
-        first, inverse = _unique_rows(p.view(np.int64))
-        images = p[first]
-        order = np.argsort(2 * (images[:, 0] != 0.0) + (images[:, 2] != 0.0), kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return images[order], rank[inverse].reshape(len(self.elements), -1)
+        row of g.p_i among them."""
+        p = np.atleast_2d(points) * _MIRROR_SIGNS[self.elements][:, None] + 0.0
+        first, inverse = _unique_rows(p.reshape(-1, 3).view(np.int64))
+        return p.reshape(-1, 3)[first], inverse.reshape(len(self.elements), -1)
 
     def sum_images(self, values, index, column, sign):
         """sum_g sign(_MIRROR_SIGNS[g]) values[index[g, i], column[g]] of each

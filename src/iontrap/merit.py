@@ -120,15 +120,15 @@ NEWTON_MAX_STEPS = 60
 NULL_SCAN_UM = 1.0  # spacing of the null scan, um
 
 
-def null_segment_um(geom, scan_um: float = NULL_SCAN_UM):
+def null_segment_um(geom):
     """(start, end) in um of the segment full_report searches for the rf
     null: x = z = 0 from 5 um above the bottom wafer to 5 um below a top
     plane, or to 300 um without one. Raises InvalidInputError if its scan
-    every scan_um would take more than MAP_POINT_BUDGET points; it reads
-    only the geometry, so a trap can be rejected before it is solved."""
+    every NULL_SCAN_UM would take more than MAP_POINT_BUDGET points; it
+    reads only the geometry, so a trap can be rejected before it is solved."""
     top = geom.top_um
     start, end = (0.0, 5.0, 0.0), (0.0, 300.0 if top is None else top - 5.0, 0.0)
-    _sample_count(start, end, scan_um)
+    _sample_count(start, end, NULL_SCAN_UM)
     return start, end
 
 

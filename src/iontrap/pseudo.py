@@ -128,8 +128,10 @@ class PseudoField:
 
     def grad(self, points) -> np.ndarray:
         """d psi / dr in J/m, from the analytic field Jacobian."""
-        E = self.rf_field.field(points)
-        J = self.rf_field.jacobian(points)
+        return self._grad(self.rf_field.field(points), self.rf_field.jacobian(points))
+
+    def _grad(self, E, J) -> np.ndarray:
+        """2 c J^T E of each point, the gradient of psi = c |E|^2."""
         return 2.0 * self.coef * np.einsum("mij,mi->mj", J, E)
 
     def hessian(self, points) -> np.ndarray:
@@ -154,8 +156,7 @@ class PseudoField:
             dJ = (Js[2 * b] - Js[2 * b + 1]) / (2.0 * HESSIAN_STEP_M)
             H[:, :, b] += np.einsum("mi,mia->ma", E, dJ)
         H *= 2.0 * self.coef
-        grad = 2.0 * self.coef * np.einsum("mij,mi->mj", J, E)
-        return grad, 0.5 * (H + H.transpose(0, 2, 1))
+        return self._grad(E, J), 0.5 * (H + H.transpose(0, 2, 1))
 
 
 @dataclass
