@@ -63,7 +63,7 @@ which sum_images gives them anyway: a field term along a frame row that
 lies along a, and a Jacobian entry with exactly one index on such a row, is
 not computed, nor is an intermediate that feeds only them. On z = 0 (the
 map and the depth grid) the field needs one of its two ln terms, and on
-x = z = 0 (the null scan of a charge that keeps both mirrors) neither.
+x = z = 0 (the null search of a charge that keeps both mirrors) neither.
 A block takes a rule only when all its images qualify, and each term
 computed takes the same operations as without the skip, so every value
 keeps its bits. On a 2-vCPU host the 5454-point map of the benchmark took

@@ -405,7 +405,8 @@ def _mesh_electrodes(electrodes, mesh):
         hits_box = ((amin <= hi) & (amax >= lo)).all(axis=1)
         c = ro + 0.5 * (ru + rv)
         dxyz = np.maximum(np.maximum(lo - c, 0.0), c - hi)
-        d = _norm(dxyz)
+        with np.errstate(over="ignore"):  # a distance of inf grades to coarse_um
+            d = _norm(dxyz)
         target = np.where(hits_box, fine,
                           np.minimum(coarse, np.maximum(fine, _GROWTH * d)))
         tol = target * (1.0 + 1e-9)

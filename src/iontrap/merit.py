@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebpts2, chebval
+from numpy.polynomial.chebyshev import chebder, chebfit, chebpts2, chebroots, chebval
 
 from .constants import CA40, ECHARGE, IonSpecies
 from .errors import (DepthError, FitError, InvalidInputError, NullAmbiguityError,
@@ -117,19 +117,8 @@ class NullResult:
 
 
 NEWTON_MAX_STEPS = 60
-NULL_SCAN_UM = 1.0  # spacing of the null scan, um
-
-
-def null_segment_um(geom):
-    """(start, end) in um of the segment full_report searches for the rf
-    null: x = z = 0 from 5 um above the bottom wafer to 5 um below a top
-    plane, or to 300 um without one. Raises InvalidInputError if its scan
-    every NULL_SCAN_UM would take more than MAP_POINT_BUDGET points; it
-    reads only the geometry, so a trap can be rejected before it is solved."""
-    top = geom.top_um
-    start, end = (0.0, 5.0, 0.0), (0.0, 300.0 if top is None else top - 5.0, 0.0)
-    _sample_count(start, end, NULL_SCAN_UM)
-    return start, end
+NULL_CHEB_NODES = 33     # psi evaluations per piece of the null segment
+NULL_PIECE_UM = 1e-3     # pieces this short are not halved further
 
 
 def _newton(step, p, cap):
@@ -151,35 +140,55 @@ def _newton(step, p, cap):
     return p, False, NEWTON_MAX_STEPS
 
 
-def find_rf_null(pseudo: PseudoField, start_um, end_um,
-                 scan_um: float = NULL_SCAN_UM) -> NullResult:
+def find_rf_null(pseudo: PseudoField, start_um, end_um) -> NullResult:
     """Locate the pseudopotential minimum on the segment from start to end.
 
-    Scan of the segment (spacing about scan_um) followed by Gauss-Newton
-    iteration in 3D on E(r) = 0 using the analytic field Jacobian. A scan of
-    more than pseudo.MAP_POINT_BUDGET points raises InvalidInputError before
-    it is built. The segment must cross exactly one minimum: a scan minimum
-    at either end raises NullNotFoundError, several separated minima raise
-    NullAmbiguityError. A psi or grad psi that is not finite, a drive whose
-    pseudopotential overflows inside the field, raises InvalidInputError.
+    psi along the segment is interpolated by Chebyshev pieces of
+    NULL_CHEB_NODES points, each halved until its _cheb_series tail is
+    within FIT_CHEB_TAIL or it is NULL_PIECE_UM long. The candidates are the
+    piece ends and the real roots of each piece's derivative, and each run
+    of candidates within a hair of the lowest is a well. The lowest at a
+    segment end raises NullNotFoundError, several wells NullAmbiguityError.
+    Gauss-Newton in 3D on E(r) = 0, with the analytic field Jacobian and
+    steps of at most 2 um, starts from the first candidate of the well. A
+    psi at a node, or a |grad psi| at a segment end or at the null, that is
+    not finite, a drive whose psi overflows, raises InvalidInputError.
     """
-    pts_um = _grid_axis_um(start_um, end_um, scan_um)
-    vals = pseudo.psi(pts_um * 1e-6)
-    _check_finite(pseudo, "psi", float(vals.max()))
+    start, end = np.asarray(start_um, float), np.asarray(end_um, float)
+    length = float(np.linalg.norm(end - start))
+    with np.errstate(over="ignore"):  # an overflow raises InvalidInputError
+        grad = pseudo.grad(np.array([start, end]) * 1e-6)
+        _check_finite(pseudo, "|grad psi|", float(np.linalg.norm(grad, axis=1).max()))
+
+    def psi(u):  # u in [0, 1] along the segment
+        vals = pseudo.psi((start + np.outer(u, end - start)) * 1e-6)
+        _check_finite(pseudo, "psi", float(vals.max()))
+        return vals
+
+    # a stack of pieces, not a recursive closure: its reference cycle would
+    # keep pseudo, and the solved trap, alive until the cyclic collector ran
+    cand, vals, pieces = [], [], [(0.0, 1.0)]
+    while pieces:
+        lo, hi = pieces.pop()
+        coef, tail = _cheb_series(psi, lo, hi, NULL_CHEB_NODES)
+        if tail > FIT_CHEB_TAIL and (hi - lo) * length > NULL_PIECE_UM:
+            pieces += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]
+            continue
+        t = chebroots(chebder(coef))
+        t = np.r_[-1.0, np.sort(t.real[(t.imag == 0) & (abs(t.real) < 1.0)]), 1.0]
+        cand.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
+        vals.append(chebval(t, coef))
+    cand, vals = np.concatenate(cand), np.concatenate(vals)
 
     i_min = int(np.argmin(vals))
     if i_min in (0, len(vals) - 1):
         raise NullNotFoundError(
             "pseudopotential minimum sits on the search segment boundary; "
             "no interior null found")
-
-    # local minima within a hair of the lowest; each run of them is a well
-    vmin = vals[i_min]
-    tol = 1e-9 * float(vals.max() - vmin) + 1e-300
-    near = vals <= vmin + tol
-    near[1:] &= vals[1:] <= vals[:-1]
-    near[:-1] &= vals[:-1] <= vals[1:]
+    # each run of candidates within a hair of the lowest is a well
+    near = vals <= vals[i_min] + 1e-9 * float(vals.max() - vals[i_min]) + 1e-300
     firsts = np.flatnonzero(near & ~np.append(False, near[:-1]))
+    pts_um = start + np.outer(cand, end - start)
     if len(firsts) > 1:
         raise NullAmbiguityError(
             f"{len(firsts)} equal pseudopotential minima on the segment",
@@ -190,7 +199,7 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um,
         J = pseudo.rf_field.jacobian(p[None, :])[0]
         return np.linalg.lstsq(J, -E, rcond=1e-9)[0]
 
-    p, converged, it = _newton(step, pts_um[i_min] * 1e-6, 2.0 * scan_um * 1e-6)
+    p, converged, it = _newton(step, pts_um[firsts[0]] * 1e-6, 2e-6)
 
     with np.errstate(over="ignore"):  # an overflow raises InvalidInputError below
         grad_norm = float(np.linalg.norm(pseudo.grad(p[None, :])[0]))
@@ -250,6 +259,18 @@ FIT_CHEB_TAIL = 1e-8
 _CHEB_ROUNDOFF = 1e3 * np.finfo(float).eps
 
 
+def _cheb_series(f, lo, hi, nodes):
+    """(coef, tail): the Chebyshev series, in t = (s - mid) / half on [-1, 1],
+    interpolating f(s) at `nodes` Chebyshev points of the second kind on
+    [lo, hi], and the larger of its last two coefficients relative to the
+    largest non-constant one, 0.0 when below sample roundoff."""
+    t = chebpts2(nodes)
+    coef = chebfit(t, f(0.5 * (lo + hi) + 0.5 * (hi - lo) * t), nodes - 1)
+    mag = np.abs(coef)
+    tail = mag[-2:].max()
+    return coef, 0.0 if tail <= _CHEB_ROUNDOFF * mag.max() else tail / mag[1:].max()
+
+
 def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
                          n_points: int = DEFAULT_FIT_POINTS) -> AxisFit:
     """Quadratic least squares of the rf potential amplitude along one axis.
@@ -277,16 +298,12 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
     e = np.asarray(axis, float)
     e = e / np.linalg.norm(e)
     w = FIT_WINDOW_FRAC * r0_m
-    nodes = chebpts2(FIT_CHEB_NODES)
-    pts = np.asarray(null_m)[None, :] + (w * nodes)[:, None] * e[None, :]
-    coef = chebfit(nodes, drive.voltage * rf_field.potential(pts),
-                   FIT_CHEB_NODES - 1)
-    mag = np.abs(coef)
-    tail = mag[-2:].max()
-    if not tail <= max(FIT_CHEB_TAIL * mag[1:].max(), _CHEB_ROUNDOFF * mag.max()):
+    coef, tail = _cheb_series(lambda s: drive.voltage * rf_field.potential(
+        np.asarray(null_m)[None, :] + s[:, None] * e[None, :]), -w, w, FIT_CHEB_NODES)
+    if not tail <= FIT_CHEB_TAIL:
         raise FitError(
             f"axis potential not resolved by {FIT_CHEB_NODES} Chebyshev nodes "
-            f"(tail coefficient {tail / mag[1:].max():.1e} of the largest)")
+            f"(tail coefficient {tail:.1e} of the largest)")
 
     t = np.linspace(-1.0, 1.0, n_points)
     y = chebval(t, coef)
@@ -532,22 +549,16 @@ def trap_depth(pseudo: PseudoField, null: NullResult,
                        hessian_eigs=eigs, **counts)
 
 
-def _sample_count(lo, hi, res):
-    """The number of _grid_axis_um samples from lo to hi every res;
-    InvalidInputError for more than MAP_POINT_BUDGET."""
+def _grid_axis_um(lo, hi, res):
+    """About res-spaced samples from lo to hi, ends kept; InvalidInputError,
+    before any allocation, for more than MAP_POINT_BUDGET."""
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         n = np.round(np.linalg.norm(np.subtract(hi, lo)) / res) + 1.0
     if not n <= MAP_POINT_BUDGET:  # NaN fails too
         raise InvalidInputError(
             f"sampling {lo} to {hi} um every {res:g} um takes {n:.4g} points, "
             f"more than the {MAP_POINT_BUDGET} a scan may hold")
-    return max(2, int(n))
-
-
-def _grid_axis_um(lo, hi, res):
-    """About res-spaced samples from lo to hi (scalars or points), ends kept;
-    InvalidInputError, before any allocation, for more than MAP_POINT_BUDGET."""
-    return np.linspace(lo, hi, _sample_count(lo, hi, res))
+    return np.linspace(lo, hi, max(2, int(n)))
 
 
 def _mirror_axis_um(half, res):
@@ -638,7 +649,8 @@ def full_report(solved, species: IonSpecies = CA40,
     pseudo = PseudoField(rf, species, drive)
 
     # the null sits on x = z = 0 between the bottom wafer and any top plane
-    null = find_rf_null(pseudo, *null_segment_um(geom))
+    null = find_rf_null(pseudo, (0.0, 5.0, 0.0),
+                        (0.0, 300.0 if top is None else top - 5.0, 0.0))
     d_m = null.position[1]
 
     harm = fit_harmonicity(rf, drive, null.position, d_m, radial_axes(geom))

@@ -1131,8 +1131,7 @@ def test_doubling_rail_length_leaves_null_and_curvature_unchanged():
                                         wafer_extent_um=8000.0, fine_um=40.0)
         solved = solve_unit_excitations(build_surface_trap(params))
         pseudo = PseudoField(BemRfField(solved), species=CA40, drive=drive)
-        null = find_rf_null(pseudo, (-5.0, 40.0, 0.0), (5.0, 200.0, 0.0),
-                            scan_um=4.0)
+        null = find_rf_null(pseudo, (-5.0, 40.0, 0.0), (5.0, 200.0, 0.0))
         fit = fit_harmonicity(pseudo.rf_field, drive, null.position,
                               null.height_um * 1e-6, axes=PLANAR_AXES)
         nulls.append(null.height_um)

@@ -543,10 +543,10 @@ def test_sweep_row_of_an_overflowing_drive_reads_nan(tmp_path, cross_solved_105,
     assert lines[2] == "105,nan,nan,nan,nan,nan,nan"
 
 
-def test_sweep_row_whose_null_scan_exceeds_the_point_budget_reads_nan(
-        tmp_path, gnd_solved_200, cache_dir, monkeypatch):
-    # at h = 1e9 um the null segment runs 1e9 um, 1e9 scan points at 1 um:
-    # the row fails from its geometry, before a solve or a cache entry
+def test_sweep_row_of_a_lid_far_out_reads_nan(tmp_path, gnd_solved_200, cache_dir,
+                                               monkeypatch):
+    # at h = 1e9 um the row is solved, and its null search finds a second
+    # well 30 mm up, where the field has decayed to within a hair of the null
     cache = tmp_path / "cache"
     cache.mkdir()
     entry = bem._cache_path(cache_dir, gnd_solved_200.geometry.signature())
@@ -564,35 +564,32 @@ def test_sweep_row_whose_null_scan_exceeds_the_point_budget_reads_nan(
     out = tmp_path / "sweep.csv"
     assert run_cli("--cache-dir", cache, "sweep", "--spec", spec, "--out", out) == 0
     lines = csv_data_lines(out)
-    assert lines[1].startswith("# error at h_um=1e+09: ")
-    assert "more than the 1048576 a scan may hold" in lines[1]
+    assert lines[1] == "# error at h_um=1e+09: 2 equal pseudopotential minima on the segment"
     assert lines[2].startswith("200,")
     assert lines[3] == "1e+09,nan,nan,nan,nan,nan,nan"
-    assert solved_h == [200.0]
-    assert sorted(os.listdir(cache)) == [os.path.basename(entry)]
+    assert solved_h == [200.0, 1e9]
+    assert len(os.listdir(cache)) == 2
 
 
-def test_report_whose_null_scan_exceeds_the_point_budget_exits_2_before_the_solve(
-        tmp_path, monkeypatch, capsys):
-    def explode(geom, ns):
-        raise AssertionError("solved")
+def test_report_of_a_lid_far_out_exits_1_after_the_solve(tmp_path, capsys):
+    # no refusal from the geometry alone: the trap is solved, and its null
+    # search raises NullAmbiguityError
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("--cache-dir", tmp_path, "report", "--design", "gnd-surface",
+                 "--h-um", "1e9", "--out", out / "r")
+    assert rc == 1
+    assert "2 equal pseudopotential minima" in capsys.readouterr().err
+    assert not list(out.iterdir())
+    assert len(list(tmp_path.glob("*.itsc"))) == 1
 
-    monkeypatch.setattr(cli, "_solve", explode)
-    rc = run_cli("report", "--design", "gnd-surface", "--h-um", "1e9", "--out", tmp_path / "r")
-    assert rc == 2
-    assert "more than the 1048576 a scan may hold" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
-
-# the mesher's norm of the lid's offset overflows at this height, with a warning
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_report_of_a_lid_beyond_the_merge_keys_exits_2(tmp_path, capsys):
-    # a report fails on its null scan, from the geometry alone, before the
-    # solve; a map of the same trap reaches the solve and its merge keys
+    # a report and a map of this trap both reach the solve and its merge keys
     out = tmp_path / "r"
     trap = ("--design", "gnd-surface", "--h-um", "1e300")
     assert run_cli("report", *trap, "--out", out) == 2
-    assert "more than the 1048576 a scan may hold" in capsys.readouterr().err
+    assert "out of range for the merge keys" in capsys.readouterr().err
     assert run_cli("map", *trap, "--center-um", "0,90,0", "--span-um", "0,0,0",
                    "--res-um", "5", "--out", out) == 2
     assert "out of range for the merge keys" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,15 @@ def _assert_same_panels(electrodes, mesh):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def test_a_lid_far_out_meshes_without_a_warning():
+    # the squared offset of the lid from the fine region overflows; its
+    # distance of inf grades the lid to coarse_um, as the per-panel loop does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = build_default("gnd-surface", h_um=1e300)
+        _assert_same_panels(geom.electrodes, geom.mesh)
 
 
 @pytest.mark.parametrize("design, h_um, fine_um", [
