@@ -38,7 +38,6 @@ from .bem import (
 )
 from .pseudo import (
     DEFAULT_DRIVE,
-    BemRfField,
     DriveParams,
     PseudoField,
     PseudoMap,
@@ -81,7 +80,7 @@ __all__ = [
     "default_surface_params", "default_gnd_surface_params",
     "default_cross_rf_params", "five_wire_null_seed_um",
     "PanelSet", "SolvedTrap", "solve_unit_excitations",
-    "DriveParams", "DEFAULT_DRIVE", "BemRfField", "QuadrupoleField",
+    "DriveParams", "DEFAULT_DRIVE", "QuadrupoleField",
     "PseudoField", "PseudoMap", "pseudo_map",
     "NullResult", "AxisFit", "FitAxes", "HarmonicityResult", "DepthResult",
     "OperatingPoint", "TrapReport", "find_rf_null", "fit_harmonicity",

@@ -789,7 +789,7 @@ class _MirrorGroup:
 
 
 class SolvedTrap:
-    """All unit excitations of a geometry; pseudo.BemRfField evaluates them.
+    """All unit excitations of a geometry; charge_weights evaluates them.
 
     sigma[:, j] is the charge density (n_panels,) for 1 V on electrode j of
     geometry.electrode_names, all others grounded, and residuals[j] its
@@ -830,8 +830,15 @@ class SolvedTrap:
                 sig += volt * self.sigma[:, names.index(name)]
         return sig
 
-    def rf_voltages(self, amplitude: float = 1.0) -> dict[str, float]:
-        return {n: amplitude for n in self.geometry.electrodes_with_role("rf")}
+    def rf_voltages(self) -> dict[str, float]:
+        return {n: 1.0 for n in self.geometry.electrodes_with_role("rf")}
+
+    def charge_weights(self, voltages: dict[str, float] | None = None) -> ChargeWeights:
+        """The field object of the voltage pattern {electrode: volts}, by
+        default 1 V on every rf electrode."""
+        if voltages is None:
+            voltages = self.rf_voltages()
+        return ChargeWeights(self.pset, self.sigma_for(voltages))
 
     def charge(self, electrode: str, voltages: dict[str, float]) -> float:
         """Total charge (C) on an electrode under the given excitation."""

@@ -23,10 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__, bem, geometry
-from .constants import get_species
+from .constants import CA40, get_species
 from .errors import InvalidInputError, IonTrapError, SolverError
 from .merit import DEFAULT_TARGET_OMEGA, TrapReport, full_report
-from .pseudo import BemRfField, DriveParams, PseudoField, check_grid, pseudo_map
+from .pseudo import (DEFAULT_FREQ_MHZ, DEFAULT_VOLTAGE_V, DriveParams, PseudoField,
+                     check_grid, pseudo_map)
 
 _DESIGNS = tuple(geometry.DESIGNS)
 
@@ -135,10 +136,6 @@ def _load_or_build_geometry(ns) -> geometry.TrapGeometry:
     raise InvalidInputError("provide --geometry FILE or --design NAME")
 
 
-def _solve(geom, ns) -> bem.SolvedTrap:
-    return bem.solve_unit_excitations(geom, cache_dir=ns.cache_dir)
-
-
 def _geometry_inputs(ns, geom) -> dict:
     inputs = {"geometry_signature": geom.signature()}
     if getattr(ns, "geometry", None):
@@ -180,7 +177,7 @@ def _reference_report(ns, drive):
     else:
         raise InvalidInputError(
             f"--reference must be a geometry file or one of {_DESIGNS}, got {ref!r}")
-    solved = _solve(geom, ns)
+    solved = bem.solve_unit_excitations(geom, cache_dir=ns.cache_dir)
     return full_report(solved, species=ns.species, drive=drive,
                        target_omega=2e6 * math.pi * ns.target_MHz)
 
@@ -189,7 +186,7 @@ def cmd_report(ns) -> int:
     geom = _load_or_build_geometry(ns)
     drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
     reference = _reference_report(ns, drive)
-    solved = _solve(geom, ns)
+    solved = bem.solve_unit_excitations(geom, cache_dir=ns.cache_dir)
     report = full_report(solved, species=ns.species, drive=drive,
                          target_omega=2e6 * math.pi * ns.target_MHz,
                          reference=reference)
@@ -265,9 +262,9 @@ def _load_sweep_spec(path) -> tuple:
     reference = spec.get("reference", "surface")
     if reference is not None and reference not in _DESIGNS:
         raise InvalidInputError(f"sweep 'reference' must be null or one of {_DESIGNS}")
-    drive = DriveParams.from_mhz(_field(spec, "voltage_V", _nonnegative, 10.0),
-                                 _field(spec, "freq_MHz", _positive, 20.0))
-    return (design, hs, drive, _species_arg(spec.get("species", "Ca40")),
+    drive = DriveParams.from_mhz(_field(spec, "voltage_V", _nonnegative, DEFAULT_VOLTAGE_V),
+                                 _field(spec, "freq_MHz", _positive, DEFAULT_FREQ_MHZ))
+    return (design, hs, drive, _species_arg(spec.get("species", CA40.name)),
             _field(spec, "mesh.fine_um", _mesh_size, geometry.DEFAULT_FINE_UM), reference)
 
 
@@ -347,12 +344,10 @@ def cmd_map(ns) -> int:
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
     _check_domain(geom, ns.center_um, ns.span_um)
-    solved = _solve(geom, ns)
-    rf = BemRfField(solved)
+    solved = bem.solve_unit_excitations(geom, cache_dir=ns.cache_dir)
+    rf = solved.charge_weights()
     pseudo = PseudoField(rf, species=ns.species, drive=drive)
-    grid = pseudo_map(pseudo, ns.center_um, ns.span_um, ns.res_um,
-                      meta={"design": geom.design,
-                            "geometry_signature": geom.signature()})
+    grid = pseudo_map(pseudo, ns.center_um, ns.span_um, ns.res_um)
     _write_output(ns.out, _manifest_ref(ns.out) + grid.csv_text())
     manifest = _write_manifest(
         [ns.out], ns, _geometry_inputs(ns, geom),
@@ -389,9 +384,11 @@ def _add_trap_flags(p):
     """The flags of report and map: the trap, from a file or a design, and its drive."""
     p.add_argument("--geometry", help="geometry JSON file; excludes the next three")
     _add_design_flags(p, help="build a calibrated default design instead")
-    _flag(p, "--voltage-V", _nonnegative, default=10.0, help="rf drive amplitude (V)")
-    _flag(p, "--freq-MHz", _positive, default=20.0, help="rf drive frequency (MHz)")
-    p.add_argument("--species", default="Ca40", type=_species_arg, help="ion species name")
+    _flag(p, "--voltage-V", _nonnegative, default=DEFAULT_VOLTAGE_V,
+          help="rf drive amplitude (V)")
+    _flag(p, "--freq-MHz", _positive, default=DEFAULT_FREQ_MHZ,
+          help="rf drive frequency (MHz)")
+    p.add_argument("--species", default=CA40.name, type=_species_arg, help="ion species name")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,8 +30,8 @@ class NullAmbiguityError(IonTrapError):
 
 
 class FitError(IonTrapError):
-    """Harmonicity fit could not be performed (rank-deficient sample, or an
-    axis potential its Chebyshev interpolant does not resolve)."""
+    """Harmonicity fit could not be performed: an axis potential that its
+    Chebyshev interpolant does not resolve, or a non-finite sample."""
 
 
 class DepthError(IonTrapError):

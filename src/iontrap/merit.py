@@ -25,7 +25,7 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebpts2, chebroots, ch
 from .constants import CA40, ECHARGE, IonSpecies
 from .errors import (DepthError, FitError, InvalidInputError, NullAmbiguityError,
                      NullNotFoundError)
-from .pseudo import MAP_POINT_BUDGET, BemRfField, DriveParams, PseudoField, DEFAULT_DRIVE
+from .pseudo import MAP_POINT_BUDGET, DriveParams, PseudoField, DEFAULT_DRIVE
 
 # operating point of the reference five-wire design: q = 0.250 at k = 0.210
 Q_BASE = 0.250
@@ -227,10 +227,10 @@ def _check_finite(pseudo: PseudoField, name, value):
 @dataclass
 class AxisFit:
     axis: tuple
-    k: float                 # |2 c2 r0^2 / V|
+    k: float                 # |2 c2 r0^2|, c2 per volt
     k_signed: float
     std_err: float           # standard error of k from the fit covariance
-    rms_residual: float
+    rms_residual: float      # V per volt of drive
     n_points: int
     window_m: float
     residual_warning: bool
@@ -248,7 +248,7 @@ class HarmonicityResult:
         return self.fits[self.scalar_axis].k
 
 
-DEFAULT_FIT_POINTS = 2001
+FIT_POINTS = 2001       # equispaced interpolant samples of the least squares
 FIT_WINDOW_FRAC = 0.2   # half-width of the fit window in units of r0
 FIT_CHEB_NODES = 17     # rf potential evaluations per fit axis
 # largest last-two Chebyshev coefficient allowed, relative to the largest
@@ -271,16 +271,15 @@ def _cheb_series(f, lo, hi, nodes):
     return coef, 0.0 if tail <= _CHEB_ROUNDOFF * mag.max() else tail / mag[1:].max()
 
 
-def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
-                         n_points: int = DEFAULT_FIT_POINTS) -> AxisFit:
-    """Quadratic least squares of the rf potential amplitude along one axis.
+def fit_axis_harmonicity(rf_field, null_m, r0_m, axis) -> AxisFit:
+    """Quadratic least squares of the rf potential per volt along one axis.
 
     The potential is evaluated only at FIT_CHEB_NODES Chebyshev points of
     the second kind on the window [-w, w], w = FIT_WINDOW_FRAC r0, and
-    interpolated by a Chebyshev series. The least squares runs on n_points
+    interpolated by a Chebyshev series. The least squares runs on FIT_POINTS
     equispaced samples of that interpolant, in t = s / w so that its columns
-    1, t, t^2 are of order one at any trap size. The dense default sampling
-    keeps the standard error of k below 1e-3 on the stock designs, where the
+    1, t, t^2 are of order one at any trap size. The dense sampling keeps
+    the standard error of k below 1e-3 on the stock designs, where the
     quartic tail of the well is the dominant fit residual.
 
     The axis potential is analytic on the window (the nearest conductor is
@@ -290,35 +289,28 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
     FitError is raised: the window then reaches too close to an electrode.
     A non-finite potential sample raises it too.
     """
-    if n_points < 5:
-        raise FitError("need at least 5 sample points")
-    if drive.voltage <= 0.0:
-        raise FitError("harmonicity is normalized per volt of drive; "
-                       "the drive amplitude must be positive")
     e = np.asarray(axis, float)
     e = e / np.linalg.norm(e)
     w = FIT_WINDOW_FRAC * r0_m
-    coef, tail = _cheb_series(lambda s: drive.voltage * rf_field.potential(
+    coef, tail = _cheb_series(lambda s: rf_field.potential(
         np.asarray(null_m)[None, :] + s[:, None] * e[None, :]), -w, w, FIT_CHEB_NODES)
     if not tail <= FIT_CHEB_TAIL:
         raise FitError(
             f"axis potential not resolved by {FIT_CHEB_NODES} Chebyshev nodes "
             f"(tail coefficient {tail:.1e} of the largest)")
 
-    t = np.linspace(-1.0, 1.0, n_points)
+    t = np.linspace(-1.0, 1.0, FIT_POINTS)
     y = chebval(t, coef)
     X = np.column_stack([np.ones_like(t), t, t * t])
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < 3:
-        raise FitError("rank-deficient harmonicity sample")
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     r = y - X @ beta
-    dof = n_points - 3
+    dof = FIT_POINTS - 3
     sigma2 = float(r @ r) / dof
     cov = sigma2 * np.linalg.inv(X.T @ X)
     c2 = float(beta[2]) / (w * w)
     se_c2 = math.sqrt(max(cov[2, 2], 0.0)) / (w * w)
-    scale = 2.0 * r0_m * r0_m / drive.voltage
-    rms = math.sqrt(float(r @ r) / n_points)
+    scale = 2.0 * r0_m * r0_m
+    rms = math.sqrt(float(r @ r) / FIT_POINTS)
     # warn when the residual is large against the quadratic signal itself
     signal = abs(c2) * w * w + 1e-300
     return AxisFit(
@@ -327,7 +319,7 @@ def fit_axis_harmonicity(rf_field, drive: DriveParams, null_m, r0_m, axis,
         k_signed=c2 * scale,
         std_err=se_c2 * scale,
         rms_residual=rms,
-        n_points=n_points,
+        n_points=FIT_POINTS,
         window_m=w,
         residual_warning=rms > 0.05 * signal,
     )
@@ -366,10 +358,10 @@ def radial_axes(geom) -> FitAxes:
     return FitAxes({"diag_rf": (ex, ey, 0.0), "diag_gnd": (ey, -ex, 0.0)}, "diag_rf")
 
 
-def fit_harmonicity(rf_field, drive: DriveParams, null_m, r0_m,
+def fit_harmonicity(rf_field, null_m, r0_m,
                     axes: FitAxes = PLANAR_AXES) -> HarmonicityResult:
     """Fit k along each of the given radial axes (see radial_axes)."""
-    fits = {name: fit_axis_harmonicity(rf_field, drive, null_m, r0_m, vec)
+    fits = {name: fit_axis_harmonicity(rf_field, null_m, r0_m, vec)
             for name, vec in axes.vectors.items()}
     names = list(fits)
     return HarmonicityResult(fits=fits, k_x=fits[names[0]].k,
@@ -488,28 +480,32 @@ class DepthResult:
         return self.depth_J / ECHARGE * 1e3
 
 
+def _depth_axes_um(null: NullResult, top_um: float | None):
+    """(xs, ys, res_um): the depth box of a null under a top plane at top_um
+    (None for none). x spans +/-300 um, y from 2 um to d + 300 um or 2 um
+    below the top plane, whichever is lower, in steps of span / 12 held
+    within [2, 8] um."""
+    y_hi = null.position[1] * 1e6 + 300.0
+    if top_um is not None:
+        y_hi = min(top_um - 2.0, y_hi)
+    res_um = max(2.0, min(8.0, (y_hi - 2.0) / 12.0))
+    return _mirror_axis_um(300.0, res_um), _grid_axis_um(2.0, y_hi, res_um), res_um
+
+
 def trap_depth(pseudo: PseudoField, null: NullResult,
-               x_half_um: float = 300.0, y_lo_um: float = 2.0,
-               y_hi_um: float | None = None,
-               res_um: float | None = None) -> DepthResult:
+               top_um: float | None = None) -> DepthResult:
     """Trap depth by flood fill over the radial plane through the null.
 
-    The grid spans x in [-x_half, x_half], y in [y_lo, y_hi] at the null's
-    axial coordinate (the rf field of these linear traps is axially uniform
-    near the trap center, so escape is radial). The grid only locates the
-    pass; the depth value comes from an in-plane Newton polish of the saddle
-    (grad psi = 0), so the default resolution adapts to the box height
-    rather than chasing grid accuracy. psi is evaluated only on the grid
-    tiles the flood fill reaches (see _LazyGrid), which gives the same
-    result as the whole grid.
+    The grid is the box of _depth_axes_um at the null's axial coordinate
+    (the rf field of these linear traps is axially uniform near the trap
+    center, so escape is radial). The grid only locates the pass; the depth
+    value comes from an in-plane Newton polish of the saddle (grad psi = 0),
+    so the resolution adapts to the box height rather than chasing grid
+    accuracy. psi is evaluated only on the grid tiles the flood fill
+    reaches (see _LazyGrid), which gives the same result as the whole grid.
     """
     p0 = null.position
-    if y_hi_um is None:
-        y_hi_um = p0[1] * 1e6 + 300.0
-    if res_um is None:
-        res_um = max(2.0, min(8.0, (y_hi_um - y_lo_um) / 12.0))
-    xs = _mirror_axis_um(x_half_um, res_um)
-    ys = _grid_axis_um(y_lo_um, y_hi_um, res_um)
+    xs, ys, res_um = _depth_axes_um(null, top_um)
     z0 = p0[2]
     vals = _LazyGrid(pseudo, xs, ys, z0)
 
@@ -606,7 +602,7 @@ class TrapReport:
     solver_residual_V: float
     n_panels: int
     # the points the rf field was evaluated at, their distinct mirror images
-    # and the rep corners each image reads: a copy of BemRfField.evaluations
+    # and the rep corners each image reads: a copy of ChargeWeights.evaluations
     field_evaluations: dict
 
     CSV_HEADER = "geometry,d_um,k,q,omega_MHz,V_kV,Omega_MHz,P_norm"
@@ -645,7 +641,7 @@ def full_report(solved, species: IonSpecies = CA40,
                          "drive; heating comparison needs matched drives")
     geom = solved.geometry
     top = geom.top_um
-    rf = BemRfField(solved)
+    rf = solved.charge_weights()
     pseudo = PseudoField(rf, species, drive)
 
     # the null sits on x = z = 0 between the bottom wafer and any top plane
@@ -653,13 +649,9 @@ def full_report(solved, species: IonSpecies = CA40,
                         (0.0, 300.0 if top is None else top - 5.0, 0.0))
     d_m = null.position[1]
 
-    harm = fit_harmonicity(rf, drive, null.position, d_m, radial_axes(geom))
+    harm = fit_harmonicity(rf, null.position, d_m, radial_axes(geom))
     k = harm.k
-
-    y_hi = null.height_um + 300.0
-    if top is not None:
-        y_hi = min(top - 2.0, y_hi)
-    depth = trap_depth(pseudo, null, y_hi_um=y_hi)
+    depth = trap_depth(pseudo, null, top)
 
     omega_sim = radial_frequency(drive.voltage, k, d_m, species, drive.omega_rf)
     q_sim = stability_q(drive.voltage, k, d_m, species, drive.omega_rf)

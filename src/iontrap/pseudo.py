@@ -15,7 +15,7 @@ a small step (default 0.1 um).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +48,11 @@ class DriveParams:
 
 
 # default drive used for the solved field maps and figures of merit
-DEFAULT_DRIVE = DriveParams.from_mhz(10.0, 20.0)
+DEFAULT_VOLTAGE_V = 10.0
+DEFAULT_FREQ_MHZ = 20.0
+DEFAULT_DRIVE = DriveParams.from_mhz(DEFAULT_VOLTAGE_V, DEFAULT_FREQ_MHZ)
 
 HESSIAN_STEP_M = 1e-7   # central-difference step of the Jacobian in hessian
-
-
-class BemRfField(bem.ChargeWeights):
-    """The charge weights of a solved trap under any voltage pattern
-    {electrode: volts}, by default 1 V on every rf electrode: potential,
-    field, field Jacobian and evaluations come from bem.ChargeWeights.
-    """
-
-    def __init__(self, solved: bem.SolvedTrap, voltages: dict | None = None):
-        self.solved = solved
-        self.voltages = voltages or solved.rf_voltages()
-        super().__init__(solved.pset, solved.sigma_for(self.voltages))
-
-    @property
-    def signature(self) -> str:
-        return self.solved.geometry.signature()
 
 
 class QuadrupoleField:
@@ -74,8 +60,6 @@ class QuadrupoleField:
 
     Coefficients must sum to zero (Laplace). Used as an analytic reference.
     """
-
-    signature = "analytic-quadrupole"
 
     def __init__(self, kx: float, ky: float, r0: float, kz: float = 0.0,
                  center=(0.0, 0.0, 0.0)):
@@ -167,7 +151,6 @@ class PseudoMap:
     ys_um: np.ndarray
     zs_um: np.ndarray
     values_meV: np.ndarray  # shape (len(xs), len(ys), len(zs))
-    meta: dict = dc_field(default_factory=dict)
 
     CSV_HEADER = "x_um,y_um,z_um,psi_meV"
 
@@ -179,10 +162,6 @@ class PseudoMap:
         columns.append(np.asarray(self.values_meV, float).ravel().tolist())
         lines = [f"{x!r},{y!r},{z!r},{v!r}" for x, y, z, v in zip(*columns)]
         return "\n".join([self.CSV_HEADER] + lines) + "\n"
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write(self.csv_text())
 
 
 # bytes a map holds per point: its evaluation (up to four mirror images of
@@ -225,8 +204,7 @@ def _grid_axis(center, span, res):
     return lo + np.arange(n) * res
 
 
-def pseudo_map(pseudo: PseudoField, center_um, span_um, res_um: float,
-               meta: dict | None = None) -> PseudoMap:
+def pseudo_map(pseudo: PseudoField, center_um, span_um, res_um: float) -> PseudoMap:
     """Sample psi on a regular grid; axes with zero span collapse to a point.
     Raises ValueError for a grid that check_grid rejects."""
     check_grid(center_um, span_um, res_um)
@@ -234,15 +212,4 @@ def pseudo_map(pseudo: PseudoField, center_um, span_um, res_um: float,
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts_m = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()]) * 1e-6
     vals = pseudo.psi_meV(pts_m).reshape(X.shape)
-    info = {
-        "center_um": list(map(float, center_um)),
-        "span_um": list(map(float, span_um)),
-        "res_um": float(res_um),
-        "voltage_V": pseudo.drive.voltage,
-        "freq_MHz": pseudo.drive.freq_MHz,
-        "species": pseudo.species.name,
-        "field_signature": getattr(pseudo.rf_field, "signature", "unknown"),
-    }
-    if meta:
-        info.update(meta)
-    return PseudoMap(axes[0], axes[1], axes[2], vals, info)
+    return PseudoMap(axes[0], axes[1], axes[2], vals)

@@ -15,6 +15,7 @@ import numpy as np
 from . import bem, constants
 from .geometry import Electrode, GeometryParams, MeshParams, Box3, Rect, TrapGeometry
 from .merit import (
+    FIT_POINTS,
     PLANAR_AXES,
     drive_for_target,
     fit_axis_harmonicity,
@@ -177,9 +178,7 @@ def _quadrupole(k=1.0, r0=100e-6):
 def check_quadrupole_harmonicity():
     """Quadratic fit on an exact quadrupole returns k = 1.000 +/- 0.001."""
     r0 = 100e-6
-    drive = DriveParams.from_mhz(10.0, 20.0)
-    res = fit_harmonicity(_quadrupole(1.0, r0), drive, np.zeros(3), r0,
-                          axes=PLANAR_AXES)
+    res = fit_harmonicity(_quadrupole(1.0, r0), np.zeros(3), r0, axes=PLANAR_AXES)
     dev = abs(res.k_y - 1.0)
     return dev < 1e-3, f"fitted k_y = {res.k_y:.6f} (|dev| limit 1e-3)"
 
@@ -203,11 +202,9 @@ def check_quartic_projection():
     interpolation of the axis potential that is not exact for polynomials
     turns this check red.
     """
-    r0, a2, a4, n = 100e-6, 1e7, 5e14, 2001
-    drive = DriveParams.from_mhz(10.0, 20.0)
-    fit = fit_axis_harmonicity(_QuarticAxisField(a2, a4), drive, np.zeros(3),
-                               r0, (0.0, 1.0, 0.0), n_points=n)
-    s = np.linspace(-0.2 * r0, 0.2 * r0, n)
+    r0, a2, a4 = 100e-6, 1e7, 5e14
+    fit = fit_axis_harmonicity(_QuarticAxisField(a2, a4), np.zeros(3), r0, (0.0, 1.0, 0.0))
+    s = np.linspace(-0.2 * r0, 0.2 * r0, FIT_POINTS)
     m2, m4, m6 = (np.mean(s**k) for k in (2, 4, 6))
     ref = a2 + a4 * (m6 - m2 * m4) / (m4 - m2 * m2)
     rel = abs(fit.k_signed / (2.0 * r0 * r0) - ref) / ref

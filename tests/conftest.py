@@ -12,7 +12,6 @@ import pytest
 
 from iontrap import (
     CA40,
-    BemRfField,
     DriveParams,
     PseudoField,
     build_default,
@@ -61,7 +60,7 @@ def cross_solved_200(cache_dir):
 
 @pytest.fixture(scope="session")
 def surface_pseudo(surface_solved):
-    return PseudoField(BemRfField(surface_solved), species=CA40, drive=DRIVE)
+    return PseudoField(surface_solved.charge_weights(), species=CA40, drive=DRIVE)
 
 
 def assert_allclose(a, b, rtol=0.0, atol=0.0):

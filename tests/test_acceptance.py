@@ -16,7 +16,6 @@ import scipy.ndimage
 
 from iontrap import (
     CA40,
-    BemRfField,
     DriveParams,
     PseudoField,
     QuadrupoleField,
@@ -103,7 +102,7 @@ def test_criterion_4_cross_rf_null_at_half_separation(cache_dir):
     for h in hs:
         geom = build_cross_rf_trap(default_cross_rf_params(h_um=h, rf_width_um=70.0))
         solved = solve_unit_excitations(geom, cache_dir=cache_dir)
-        pseudo = PseudoField(BemRfField(solved), species=CA40, drive=drive)
+        pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=drive)
         null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, h - 5.0, 0.0))
         assert null.converged
         dev = abs(null.height_um - h / 2.0)
@@ -149,7 +148,7 @@ def test_criterion_6_design_trends(surface_report, cross200_report, cache_dir):
     far = build_gnd_surface_trap(default_gnd_surface_params(
         h_um=2500.0, center_width_um=114.6, rf_width_um=57.7))
     far_solved = solve_unit_excitations(far, cache_dir=cache_dir)
-    pseudo = PseudoField(BemRfField(far_solved), species=CA40,
+    pseudo = PseudoField(far_solved.charge_weights(), species=CA40,
                          drive=DriveParams.from_mhz(10.0, 20.0))
     far_null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, 400.0, 0.0))
     d_dev = abs(far_null.height_um - surface_report.d_um)
@@ -265,7 +264,7 @@ def test_criterion_8_oracle_equivalences():
     r0 = 100e-6
     drive = DriveParams.from_mhz(10.0, 20.0)
     quad = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
-    harm = fit_harmonicity(quad, drive, np.zeros(3), r0, axes=PLANAR_AXES)
+    harm = fit_harmonicity(quad, np.zeros(3), r0, axes=PLANAR_AXES)
     assert harm.k_y == pytest.approx(1.000, abs=1e-3)
 
     pseudo = PseudoField(quad, CA40, drive)

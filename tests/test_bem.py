@@ -32,7 +32,6 @@ from scipy import integrate
 import scipy.linalg as sla
 
 from iontrap import (
-    BemRfField,
     Box3,
     Electrode,
     GeometryParams,
@@ -712,8 +711,8 @@ def test_unit_solve_satisfies_boundary_conditions():
     centers = solved.pset.centers
     on_a = centers[solved.pset.electrode_idx == 0]
     on_b = centers[solved.pset.electrode_idx == 1]
-    phi_a = BemRfField(solved, {"a": 1.0}).potential(on_a)
-    phi_b = BemRfField(solved, {"a": 1.0}).potential(on_b)
+    phi_a = solved.charge_weights({"a": 1.0}).potential(on_a)
+    phi_b = solved.charge_weights({"a": 1.0}).potential(on_b)
     assert np.abs(phi_a - 1.0).max() < 1e-8
     assert np.abs(phi_b).max() < 1e-8
 
@@ -729,7 +728,7 @@ def test_boundary_error_between_collocation_points_shrinks_with_mesh():
         g = _custom_geometry((_plate(400.0, fine, 0.0, "a", "rf"),
                               _plate(400.0, fine, 50.0, "b", "ground")), fine)
         solved = solve_unit_excitations(g)
-        phi = BemRfField(solved, {"a": 1.0}).potential(probes)
+        phi = solved.charge_weights({"a": 1.0}).potential(probes)
         errs.append(np.abs(phi - 1.0).max())
     assert errs[0] < 0.10
     assert errs[1] < 0.25 * errs[0]
@@ -740,9 +739,9 @@ def test_solved_trap_field_is_superposition_of_units():
                           _plate(200.0, 100.0, 40.0, "b", "dc")), 100.0)
     solved = solve_unit_excitations(g)
     pts = np.array([[10e-6, 20e-6, 5e-6]])
-    mixed = BemRfField(solved, {"a": 3.0, "b": -1.5}).field(pts)
-    via_units = (3.0 * BemRfField(solved, {"a": 1.0}).field(pts)
-                 - 1.5 * BemRfField(solved, {"b": 1.0}).field(pts))
+    mixed = solved.charge_weights({"a": 3.0, "b": -1.5}).field(pts)
+    via_units = (3.0 * solved.charge_weights({"a": 1.0}).field(pts)
+                 - 1.5 * solved.charge_weights({"b": 1.0}).field(pts))
     np.testing.assert_allclose(mixed, via_units, rtol=1e-12)
 
 
@@ -1115,7 +1114,7 @@ def test_rf_capacitance_positive_and_order_100_fF(surface_solved):
 def test_surface_solve_mirror_symmetry(surface_solved):
     # the five-wire pattern is symmetric in x, so E_x vanishes on x = 0
     pts = np.array([[0.0, y * 1e-6, 0.0] for y in (40.0, 90.0, 160.0)])
-    E = BemRfField(surface_solved).field(pts)
+    E = surface_solved.charge_weights().field(pts)
     assert np.abs(E[:, 0]).max() < 1e-6 * np.abs(E).max()
 
 
@@ -1130,9 +1129,9 @@ def test_doubling_rail_length_leaves_null_and_curvature_unchanged():
         params = default_surface_params(electrode_length_um=length,
                                         wafer_extent_um=8000.0, fine_um=40.0)
         solved = solve_unit_excitations(build_surface_trap(params))
-        pseudo = PseudoField(BemRfField(solved), species=CA40, drive=drive)
+        pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=drive)
         null = find_rf_null(pseudo, (-5.0, 40.0, 0.0), (5.0, 200.0, 0.0))
-        fit = fit_harmonicity(pseudo.rf_field, drive, null.position,
+        fit = fit_harmonicity(pseudo.rf_field, null.position,
                               null.height_um * 1e-6, axes=PLANAR_AXES)
         nulls.append(null.height_um)
         ks.append(fit.k_y)

@@ -350,10 +350,10 @@ def test_geometry_file_excludes_the_design_flags(tmp_path, capsys, command, flag
 
 
 def test_solver_error_maps_to_exit_3(tmp_path, monkeypatch, capsys):
-    def explode(geom, ns):
+    def explode(geom, cache_dir=None):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_solve", explode)
+    monkeypatch.setattr(bem, "solve_unit_excitations", explode)
     rc = run_cli("report", "--design", "surface", "--out", tmp_path / "r")
     assert rc == 3
     assert "error (solver): synthetic failure" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from hypothesis.extra import numpy as hnp
 
 from iontrap import (
     CA40,
-    BemRfField,
     Box3,
     DriveParams,
     Electrode,
@@ -53,7 +52,8 @@ from iontrap import (
     trap_depth,
 )
 from iontrap import bem, merit, pseudo
-from iontrap.merit import FIT_CHEB_NODES, PLANAR_AXES, _grid_axis_um, _mirror_axis_um
+from iontrap.merit import (FIT_CHEB_NODES, PLANAR_AXES, _depth_axes_um, _grid_axis_um,
+                           _mirror_axis_um)
 
 DRIVE = DriveParams.from_mhz(10.0, 20.0)
 
@@ -173,7 +173,7 @@ def test_the_null_stays_on_the_mirror_plane_of_the_rf_charge(cross_solved_200):
     # the cross-rf rf charge keeps z -> -z but not x -> -x: the search
     # segment is on z = 0, the Newton step leaves z there, and the depth grid laid
     # at the null's z has two distinct images per point, not four
-    rf = BemRfField(cross_solved_200)
+    rf = cross_solved_200.charge_weights()
     # elements identity, x, z, x & z: z keeps each element's weight column
     assert rf.column == [0, 1, 0, 1]
     null = find_rf_null(PseudoField(rf, species=CA40, drive=DRIVE),
@@ -192,7 +192,7 @@ def test_the_null_search_of_a_far_lid_costs_few_field_points(cache_dir):
     def search(h_um):
         solved = bem.solve_unit_excitations(build_default("gnd-surface", h_um=h_um),
                                             cache_dir=cache_dir)
-        rf = BemRfField(solved)
+        rf = solved.charge_weights()
         null = find_rf_null(PseudoField(rf, species=CA40, drive=DRIVE),
                             (0.0, 5.0, 0.0), (0.0, h_um - 5.0, 0.0))
         return null, rf.evaluations["points"]
@@ -235,7 +235,6 @@ def test_find_rf_null_raises_when_minimum_on_boundary():
 class _TwoWellField:
     """|E| vanishing at exactly (0, y1, *) and (0, y2, *) (test double)."""
 
-    signature = "two-well"
 
     def __init__(self, y1, y2, s=1e-4):
         self.y1, self.y2, self.s = y1, y2, s
@@ -271,7 +270,6 @@ def test_find_rf_null_raises_on_ambiguous_minima():
 class _FlatWellsField:
     """|E| vanishing on x = 0 for y in each of the given intervals (m)."""
 
-    signature = "flat-wells"
 
     def __init__(self, *intervals, s=1e-4):
         self.intervals, self.s = intervals, s
@@ -322,12 +320,12 @@ def test_find_rf_null_takes_a_flat_well_as_one_minimum():
 def test_fit_recovers_exact_quadrupole_k():
     r0 = 100e-6
     field = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
-    fit = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0, (0.0, 1.0, 0.0))
+    fit = fit_axis_harmonicity(field, np.zeros(3), r0, (0.0, 1.0, 0.0))
     assert fit.k == pytest.approx(1.0, rel=1e-10)
     assert fit.k_signed == pytest.approx(-1.0, rel=1e-10)
     assert fit.std_err < 1e-9
     assert not fit.residual_warning
-    fx = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0, (1.0, 0.0, 0.0))
+    fx = fit_axis_harmonicity(field, np.zeros(3), r0, (1.0, 0.0, 0.0))
     assert fx.k_signed == pytest.approx(1.0, rel=1e-10)
 
 
@@ -336,7 +334,7 @@ def test_fit_is_exact_at_any_trap_size(r0):
     # the fit columns are 1, t, t^2 in t = s / w, so a micron-scale window
     # does not push the quadratic column below the rank threshold
     field = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
-    fit = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0, (0.0, 1.0, 0.0))
+    fit = fit_axis_harmonicity(field, np.zeros(3), r0, (0.0, 1.0, 0.0))
     assert fit.k == pytest.approx(1.0, rel=1e-10)
     assert fit.std_err < 1e-9
 
@@ -354,20 +352,19 @@ class _CountingField:
 
 def test_interpolated_fit_matches_the_direct_bem_fit(surface_solved, surface_pseudo):
     # oracle: the quadratic least squares on 2001 direct BEM samples per axis
-    rf = BemRfField(surface_solved)
+    rf = surface_solved.charge_weights()
     null = find_rf_null(surface_pseudo, (0.0, 5.0, 0.0), (0.0, 300.0, 0.0))
     r0 = null.position[1]
     counted = _CountingField(rf)
-    res = fit_harmonicity(counted, DRIVE, null.position, r0, PLANAR_AXES)
+    res = fit_harmonicity(counted, null.position, r0, PLANAR_AXES)
     assert counted.sizes == [FIT_CHEB_NODES] * 2 == [17, 17]
 
     w = 0.2 * r0
     s = np.linspace(-w, w, 2001)
     for name, axis in PLANAR_AXES.vectors.items():
         pts = null.position[None, :] + s[:, None] * np.asarray(axis)[None, :]
-        y = DRIVE.voltage * rf.potential(pts)
-        c, cov = np.polyfit(s, y, 2, cov=True)
-        scale = 2.0 * r0 * r0 / DRIVE.voltage
+        c, cov = np.polyfit(s, rf.potential(pts), 2, cov=True)
+        scale = 2.0 * r0 * r0
         fit = res.fits[name]
         assert fit.n_points == 2001
         assert fit.k == pytest.approx(abs(c[0]) * scale, rel=1e-9)
@@ -389,47 +386,22 @@ class _LorentzField:
 def test_unresolved_axis_potential_raises():
     r0 = 100e-6
     with pytest.raises(FitError, match="not resolved by 17 Chebyshev nodes"):
-        fit_axis_harmonicity(_LorentzField(0.2 * r0), DRIVE, np.zeros(3), r0,
-                             (0.0, 1.0, 0.0))
+        fit_axis_harmonicity(_LorentzField(0.2 * r0), np.zeros(3), r0, (0.0, 1.0, 0.0))
     with pytest.raises(FitError, match="not resolved"):
-        fit_axis_harmonicity(_PolyField(1e7, math.nan), DRIVE, np.zeros(3), r0,
-                             (0.0, 1.0, 0.0))
+        fit_axis_harmonicity(_PolyField(1e7, math.nan), np.zeros(3), r0, (0.0, 1.0, 0.0))
     # polynomial and flat axes are resolved exactly, a constant offset included
-    quartic = fit_axis_harmonicity(_PolyField(1e7, 5e14), DRIVE, np.zeros(3), r0,
-                                   (0.0, 1.0, 0.0))
+    quartic = fit_axis_harmonicity(_PolyField(1e7, 5e14), np.zeros(3), r0, (0.0, 1.0, 0.0))
     assert quartic.k > 0.0
-    flat = fit_axis_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
-                                (0.0, 1.0, 0.0))
+    flat = fit_axis_harmonicity(_XYQuadrupole(r0), np.zeros(3), r0, (0.0, 1.0, 0.0))
     offset = fit_axis_harmonicity(QuadrupoleField(kx=1.0, ky=0.0, kz=-1.0, r0=r0),
-                                  DRIVE, np.array([30e-6, 0.0, 0.0]), r0,
-                                  (0.0, 1.0, 0.0))
+                                  np.array([30e-6, 0.0, 0.0]), r0, (0.0, 1.0, 0.0))
     assert flat.k == 0.0
     assert offset.k == pytest.approx(0.0, abs=1e-10)
-
-
-def test_fit_k_independent_of_drive_voltage():
-    r0 = 100e-6
-    field = QuadrupoleField(kx=1.0, ky=-1.0, r0=r0)
-    for v in (1.0, 10.0, 320.0):
-        fit = fit_axis_harmonicity(field, DriveParams.from_mhz(v, 20.0),
-                                   np.zeros(3), r0, (0.0, 1.0, 0.0))
-        assert fit.k == pytest.approx(1.0, rel=1e-10)
-
-
-def test_fit_rejects_degenerate_inputs():
-    field = QuadrupoleField(kx=1.0, ky=-1.0, r0=100e-6)
-    with pytest.raises(FitError, match="5 sample points"):
-        fit_axis_harmonicity(field, DRIVE, np.zeros(3), 100e-6,
-                             (0.0, 1.0, 0.0), n_points=4)
-    with pytest.raises(FitError, match="positive"):
-        fit_axis_harmonicity(field, DriveParams(0.0, 1e8), np.zeros(3),
-                             100e-6, (0.0, 1.0, 0.0))
 
 
 class _PolyField:
     """Potential a2 y^2 + a4 y^4 along y (per volt), for fit-bias tests."""
 
-    signature = "poly"
 
     def __init__(self, a2, a4):
         self.a2, self.a4 = a2, a4
@@ -448,14 +420,11 @@ def test_fit_bias_from_quartic_matches_moment_projection():
     r0 = 100e-6
     w = 0.2 * r0
     a2, a4 = 1e7, 5e14
-    n = 2001
-    fit = fit_axis_harmonicity(_PolyField(a2, a4), DRIVE, np.zeros(3), r0,
-                               (0.0, 1.0, 0.0), n_points=n)
-    s = np.linspace(-w, w, n)
+    fit = fit_axis_harmonicity(_PolyField(a2, a4), np.zeros(3), r0, (0.0, 1.0, 0.0))
+    s = np.linspace(-w, w, merit.FIT_POINTS)
     m2, m4, m6 = (np.mean(s**k) for k in (2, 4, 6))
     c2_exact = a2 + a4 * (m6 - m2 * m4) / (m4 - m2 * m2)
-    # k = 2 c2 r0^2 per volt of drive, and the potential above is per volt,
-    # so the voltage cancels: c2 = k_signed / (2 r0^2)
+    # k = 2 c2 r0^2 with c2 per volt of drive, as the potential above is
     c2_fit = fit.k_signed / (2.0 * r0 * r0)
     assert c2_fit == pytest.approx(c2_exact, rel=1e-9)
     assert c2_fit == pytest.approx(a2 + (6.0 / 7.0) * a4 * w * w, rel=1e-3)
@@ -463,30 +432,17 @@ def test_fit_bias_from_quartic_matches_moment_projection():
 
 def test_residual_warning_fires_on_gross_anharmonicity():
     r0 = 100e-6
-    quiet = fit_axis_harmonicity(_PolyField(1e7, 0.0), DRIVE, np.zeros(3),
+    quiet = fit_axis_harmonicity(_PolyField(1e7, 0.0), np.zeros(3),
                                  r0, (0.0, 1.0, 0.0))
     assert not quiet.residual_warning
-    loud = fit_axis_harmonicity(_PolyField(1e7, 1e17), DRIVE, np.zeros(3),
+    loud = fit_axis_harmonicity(_PolyField(1e7, 1e17), np.zeros(3),
                                 r0, (0.0, 1.0, 0.0))
     assert loud.residual_warning
-
-
-def test_fit_std_err_shrinks_with_sample_density():
-    # with a systematic quartic residual the covariance-based standard error
-    # falls off as 1/sqrt(n)
-    r0 = 100e-6
-    field = _PolyField(1e7, 5e14)
-    se41 = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0,
-                                (0.0, 1.0, 0.0), n_points=41).std_err
-    se2001 = fit_axis_harmonicity(field, DRIVE, np.zeros(3), r0,
-                                  (0.0, 1.0, 0.0), n_points=2001).std_err
-    assert se2001 < se41 / 5.0
 
 
 class _XYQuadrupole:
     """phi = x y / r0^2 per volt: principal axes on the diagonals."""
 
-    signature = "xy-quad"
 
     def __init__(self, r0):
         self.r0 = r0
@@ -514,21 +470,21 @@ CROSS_AXES = FitAxes({"diag_rf": (_SQ2, _SQ2, 0.0), "diag_gnd": (_SQ2, -_SQ2, 0.
 
 def test_fit_harmonicity_axes_per_design():
     r0 = 100e-6
-    planar = fit_harmonicity(QuadrupoleField(kx=1.0, ky=-1.0, r0=r0), DRIVE,
-                             np.zeros(3), r0, axes=PLANAR_AXES)
+    planar = fit_harmonicity(QuadrupoleField(kx=1.0, ky=-1.0, r0=r0), np.zeros(3), r0,
+                             axes=PLANAR_AXES)
     assert planar.scalar_axis == "y"
     assert set(planar.fits) == {"x", "y"}
     assert planar.k == pytest.approx(planar.k_y)
     assert planar.k_y == pytest.approx(1.0, rel=1e-10)
 
-    cross = fit_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
+    cross = fit_harmonicity(_XYQuadrupole(r0), np.zeros(3), r0,
                             axes=CROSS_AXES)
     assert cross.scalar_axis == "diag_rf"
     assert set(cross.fits) == {"diag_rf", "diag_gnd"}
     assert cross.k == pytest.approx(1.0, rel=1e-10)
     assert cross.fits["diag_gnd"].k == pytest.approx(1.0, rel=1e-10)
     # the same field fitted on the cartesian axes shows no curvature at all
-    planar_view = fit_harmonicity(_XYQuadrupole(r0), DRIVE, np.zeros(3), r0,
+    planar_view = fit_harmonicity(_XYQuadrupole(r0), np.zeros(3), r0,
                                   axes=PLANAR_AXES)
     assert planar_view.k_y == pytest.approx(0.0, abs=1e-10)
 
@@ -674,7 +630,6 @@ class _HexQuadField:
     |E|^2 between them at x' = -r0/(2 beta), height (r0 / (4 beta))^2 / r0^4.
     """
 
-    signature = "hex-quad"
 
     def __init__(self, r0, beta, y0):
         self.r0, self.beta, self.y0 = r0, beta, y0
@@ -711,8 +666,7 @@ def test_trap_depth_finds_analytic_saddle():
     pseudo = PseudoField(field, species=CA40, drive=DRIVE)
     null = find_rf_null(pseudo, (-40.0, 60.0, 0.0), (40.0, 140.0, 0.0))
     np.testing.assert_allclose(null.position, [0.0, y0, 0.0], atol=1e-12)
-    depth = trap_depth(pseudo, null, x_half_um=300.0, y_lo_um=2.0,
-                       y_hi_um=250.0)
+    depth = trap_depth(pseudo, null)
     assert not depth.boundary_limited
     assert depth.polished
     x_saddle = -r0 / (2 * beta)
@@ -730,30 +684,35 @@ def test_trap_depth_pure_quadrupole_is_boundary_limited():
     # a pure quadrupole pseudopotential rises in every direction: no saddle
     ps = _offset_quad(center=(0.0, 100e-6, 0.0))
     null = find_rf_null(ps, (-20.0, 60.0, 0.0), (20.0, 140.0, 0.0))
-    depth = trap_depth(ps, null, x_half_um=120.0, y_lo_um=20.0, y_hi_um=180.0)
+    depth = trap_depth(ps, null)
     assert depth.boundary_limited
     assert depth.saddle is None
     assert depth.depth_J > 0.0
 
 
-def test_trap_depth_value_independent_of_grid_resolution():
-    # the grid only locates the pass; the Newton polish sets the value
-    r0, beta, y0 = 100e-6, 0.4, 100e-6
-    pseudo = PseudoField(_HexQuadField(r0, beta, y0), species=CA40, drive=DRIVE)
-    null = find_rf_null(pseudo, (-40.0, 60.0, 0.0), (40.0, 140.0, 0.0))
-    d1 = trap_depth(pseudo, null, y_hi_um=250.0, res_um=4.0)
-    d2 = trap_depth(pseudo, null, y_hi_um=250.0, res_um=9.0)
-    assert d1.polished and d2.polished
-    assert d1.depth_J == pytest.approx(d2.depth_J, rel=1e-10)
+def test_trap_depth_value_independent_of_grid_resolution(cross_solved_105):
+    # the grid only locates the pass; the Newton polish sets the value. A
+    # lower top plane shrinks the box and with it the step: 8, 6.975 and
+    # 6.333 um
+    pseudo = PseudoField(cross_solved_105.charge_weights(), species=CA40, drive=DRIVE)
+    null = _builtin_null(cross_solved_105, pseudo)
+    steps, depths = [], []
+    for top_um in (105.0, 87.7, 80.0):
+        depth = trap_depth(pseudo, null, top_um)
+        assert depth.polished
+        steps.append(_depth_axes_um(null, top_um)[2])
+        depths.append(depth.depth_J)
+    assert steps[0] == 8.0 and steps[0] > steps[1] > steps[2] > 6.0
+    assert depths[1] == pytest.approx(depths[0], rel=1e-12)
+    assert depths[2] == pytest.approx(depths[0], rel=1e-12)
 
 
-def _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch):
-    """trap_depth over box = (x_half, y_lo, y_hi, res) in um equals, bitwise,
-    the flood fill of a dense psi grid on the same axes and trap_depth with
-    one tile over the whole box (a single psi call on every node)."""
-    x_half, y_lo, y_hi, res = box
-    lazy = trap_depth(pseudo, null, x_half, y_lo, y_hi, res)
-    xs, ys = _mirror_axis_um(x_half, res), _grid_axis_um(y_lo, y_hi, res)
+def _assert_lazy_depth_is_dense(pseudo, null, top_um, monkeypatch):
+    """trap_depth under a top plane at top_um equals, bitwise, the flood
+    fill of a dense psi grid on the axes of _depth_axes_um and trap_depth
+    with one tile over the whole box (a single psi call on every node)."""
+    lazy = trap_depth(pseudo, null, top_um)
+    xs, ys, _ = _depth_axes_um(null, top_um)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vals = pseudo.psi(np.column_stack([X.ravel() * 1e-6, Y.ravel() * 1e-6,
                                        np.full(X.size, null.position[2])]))
@@ -762,7 +721,7 @@ def _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch):
     level, _, on_bnd = flood_fill_escape(vals.reshape(X.shape), start)
     with monkeypatch.context() as m:
         m.setattr(merit, "DEPTH_TILE", max(X.shape))
-        dense = trap_depth(pseudo, null, x_half, y_lo, y_hi, res)
+        dense = trap_depth(pseudo, null, top_um)
     assert dense.grid_points == dense.grid_cells == lazy.grid_cells == X.size
     assert 0 < lazy.grid_points <= lazy.grid_cells
     assert lazy.grid_level_J == dense.grid_level_J == level
@@ -779,39 +738,35 @@ def _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch):
 def test_lazy_depth_grid_gives_the_dense_depth_bitwise(solved, request, monkeypatch):
     # the box of full_report; the flood reaches only part of it
     solved = request.getfixturevalue(solved)
-    pseudo = PseudoField(BemRfField(solved), species=CA40, drive=DRIVE)
-    top = solved.geometry.top_um
-    null = find_rf_null(pseudo, (0.0, 5.0, 0.0),
-                        (0.0, 300.0 if top is None else top - 5.0, 0.0))
-    y_hi = null.height_um + 300.0 if top is None else min(top - 2.0, null.height_um + 300.0)
-    box = (300.0, 2.0, y_hi, max(2.0, min(8.0, (y_hi - 2.0) / 12.0)))
-    depth = _assert_lazy_depth_is_dense(pseudo, null, box, monkeypatch)
+    pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=DRIVE)
+    null = _builtin_null(solved, pseudo)
+    depth = _assert_lazy_depth_is_dense(pseudo, null, solved.geometry.top_um, monkeypatch)
     assert depth.grid_points < depth.grid_cells
 
 
 def test_lazy_depth_grid_gives_the_dense_depth_on_analytic_fields(monkeypatch):
-    # the boundary-limited quadrupole bowl floods most of its grid
+    # the boundary-limited quadrupole bowl centred at y = 100 um floods out
+    # to the nearest box edge, y = 2 um, and reads under a fifth of its grid
     ps = _offset_quad(center=(0.0, 100e-6, 0.0))
     null = find_rf_null(ps, (-20.0, 60.0, 0.0), (20.0, 140.0, 0.0))
-    bowl = _assert_lazy_depth_is_dense(ps, null, (120.0, 20.0, 180.0, 8.0), monkeypatch)
+    bowl = _assert_lazy_depth_is_dense(ps, null, None, monkeypatch)
     assert bowl.boundary_limited
-    assert bowl.grid_points > bowl.grid_cells // 2
+    assert 0 < bowl.grid_points < bowl.grid_cells // 5
     # the polished saddle of the quadrupole + hexapole field
-    pseudo = PseudoField(_HexQuadField(100e-6, 0.4, 100e-6), species=CA40, drive=DRIVE)
+    r0, beta, y0 = 100e-6, 0.4, 100e-6
+    pseudo = PseudoField(_HexQuadField(r0, beta, y0), species=CA40, drive=DRIVE)
     null = find_rf_null(pseudo, (-40.0, 60.0, 0.0), (40.0, 140.0, 0.0))
-    saddle = _assert_lazy_depth_is_dense(pseudo, null, (300.0, 2.0, 250.0, 8.0),
-                                         monkeypatch)
+    saddle = _assert_lazy_depth_is_dense(pseudo, null, None, monkeypatch)
     assert saddle.polished and not saddle.boundary_limited
+    expected = pseudo.coef * (r0 / (4 * beta)) ** 2 / r0**4
+    assert saddle.depth_J == pytest.approx(expected, rel=1e-14)
 
 
-def _builtin_box(solved, pseudo):
-    """The null of a solved built-in trap and the top y_hi of full_report's
-    depth box."""
+def _builtin_null(solved, pseudo):
+    """The null of a solved built-in trap, searched as full_report does."""
     top = solved.geometry.top_um
-    null = find_rf_null(pseudo, (0.0, 5.0, 0.0),
+    return find_rf_null(pseudo, (0.0, 5.0, 0.0),
                         (0.0, 300.0 if top is None else top - 5.0, 0.0))
-    y_hi = null.height_um + 300.0 if top is None else min(top - 2.0, null.height_um + 300.0)
-    return null, y_hi
 
 
 def test_mirror_axis_is_symmetric_bit_for_bit():
@@ -831,25 +786,25 @@ def test_a_depth_tile_and_its_mirror_share_their_images(solved, request):
     # costs at most one image (two per mirror pair, a node on x = 0 one); a
     # polish point off the mirror planes has four
     solved = request.getfixturevalue(solved)
-    pseudo = PseudoField(BemRfField(solved), species=CA40, drive=DRIVE)
-    null, y_hi = _builtin_box(solved, pseudo)
+    pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=DRIVE)
+    null = _builtin_null(solved, pseudo)
     seen = pseudo.rf_field.evaluations
     before = dict(seen)
-    depth = trap_depth(pseudo, null, y_hi_um=y_hi)
+    depth = trap_depth(pseudo, null, solved.geometry.top_um)
     polish = seen["points"] - before["points"] - depth.grid_points
     assert depth.polished and polish > 0
     assert seen["images"] - before["images"] <= depth.grid_points + 4 * polish
 
 
-def _assert_whole_tiles(pseudo, null, monkeypatch, y_lo, y_hi, res):
-    """trap_depth over the box x in [-300, 300], y in [y_lo, y_hi] (um) at
-    step res, asserting that each psi call of its grid evaluates exactly the
-    nodes of one tile, no tile twice; returns the depth result."""
+def _assert_whole_tiles(pseudo, null, monkeypatch):
+    """trap_depth with no top plane, asserting that each psi call of its grid
+    evaluates exactly the nodes of one tile, no tile twice; returns the
+    depth result."""
     calls = []
     psi = pseudo.psi
     monkeypatch.setattr(pseudo, "psi", lambda pts: calls.append(pts) or psi(pts))
-    depth = trap_depth(pseudo, null, 300.0, y_lo, y_hi, res)
-    axes = _mirror_axis_um(300.0, res), _grid_axis_um(y_lo, y_hi, res)
+    depth = trap_depth(pseudo, null)
+    axes = _depth_axes_um(null, None)[:2]
     bounds = [np.append(np.arange(max(a.size // merit.DEPTH_TILE, 1)) * merit.DEPTH_TILE,
                         a.size) for a in axes]
     tiles = set()
@@ -875,24 +830,26 @@ def test_a_field_without_the_x_mirror_evaluates_whole_tiles_only(surface_solved,
     # a group has the trivial one: no mirror node is evaluated
     ps = _offset_quad(center=(0.0, 100e-6, 0.0))
     null = find_rf_null(ps, (0.0, 60.0, 0.0), (0.0, 140.0, 0.0))
-    bowl = _assert_whole_tiles(ps, null, monkeypatch, 20.0, 180.0, 8.0)
+    bowl = _assert_whole_tiles(ps, null, monkeypatch)
     assert bowl.boundary_limited
     pset = bem.PanelSet(*surface_solved.geometry.arrays_m())
     charge = bem.ChargeWeights(pset, surface_solved.sigma_for(surface_solved.rf_voltages()))
-    assert charge.image_axes == [] and BemRfField(surface_solved).image_axes == [0, 2]
+    assert charge.image_axes == [] and surface_solved.charge_weights().image_axes == [0, 2]
     pseudo = PseudoField(charge, species=CA40, drive=DRIVE)
-    null, y_hi = _builtin_box(surface_solved, pseudo)
-    depth = _assert_whole_tiles(pseudo, null, monkeypatch, 2.0, y_hi, 8.0)
+    null = _builtin_null(surface_solved, pseudo)
+    depth = _assert_whole_tiles(pseudo, null, monkeypatch)
     assert depth.polished and 0 < depth.grid_points < depth.grid_cells
 
 
-def test_lazy_depth_grid_is_dense_where_the_linspace_axis_is_asymmetric(surface_solved,
+def test_lazy_depth_grid_is_dense_where_the_linspace_axis_is_asymmetric(cross_solved_105,
                                                                         monkeypatch):
-    # 87 nodes: np.linspace(-300, 300, 87) is not mirror-symmetric bit for
-    # bit, the depth axis is, and the paired flood gives the dense depth
+    # a top plane at 87.7 um gives 87 x nodes: np.linspace(-300, 300, 87) is
+    # not mirror-symmetric bit for bit, the depth axis is, and the paired
+    # flood gives the dense depth
     line = np.linspace(-300.0, 300.0, 87)
     assert not np.array_equal(line, -line[::-1])
-    pseudo = PseudoField(BemRfField(surface_solved), species=CA40, drive=DRIVE)
-    null, y_hi = _builtin_box(surface_solved, pseudo)
-    depth = _assert_lazy_depth_is_dense(pseudo, null, (300.0, 2.0, y_hi, 7.0), monkeypatch)
-    assert depth.grid_points < depth.grid_cells
+    pseudo = PseudoField(cross_solved_105.charge_weights(), species=CA40, drive=DRIVE)
+    null = _builtin_null(cross_solved_105, pseudo)
+    assert _depth_axes_um(null, 87.7)[0].size == 87
+    depth = _assert_lazy_depth_is_dense(pseudo, null, 87.7, monkeypatch)
+    assert depth.polished and depth.grid_points < depth.grid_cells

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from iontrap import (
     CA40,
-    BemRfField,
     DriveParams,
     PseudoField,
     QuadrupoleField,
@@ -164,27 +163,23 @@ def test_grad_matches_finite_difference_on_bem_field(surface_pseudo):
 
 
 def test_bem_rf_field_voltage_override(surface_solved):
-    default = BemRfField(surface_solved)
-    explicit = BemRfField(surface_solved,
-                          voltages={"rf_left": 1.0, "rf_right": 1.0})
+    default = surface_solved.charge_weights()
+    explicit = surface_solved.charge_weights({"rf_left": 1.0, "rf_right": 1.0})
     pts = np.array([[0.0, 90e-6, 0.0]])
     np.testing.assert_array_equal(default.field(pts), explicit.field(pts))
-    single = BemRfField(surface_solved, voltages={"rf_left": 1.0})
+    single = surface_solved.charge_weights({"rf_left": 1.0})
     assert not np.allclose(single.field(pts), default.field(pts))
 
 
 def test_the_rf_field_is_the_charge_weights_and_a_report_keeps_a_snapshot(
         surface_solved, monkeypatch):
-    rf = BemRfField(surface_solved)
+    rf = surface_solved.charge_weights()
     assert isinstance(rf, bem.ChargeWeights) and rf.pset is surface_solved.pset
     made = []
-
-    class Recorded(BemRfField):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(merit, "BemRfField", Recorded)
+    charge_weights = bem.SolvedTrap.charge_weights
+    monkeypatch.setattr(bem.SolvedTrap, "charge_weights",
+                        lambda self, *args: made.append(charge_weights(self, *args))
+                        or made[-1])
     report = merit.full_report(surface_solved)
     (field,) = made
     snapshot = copy.deepcopy(report.field_evaluations)
@@ -240,9 +235,6 @@ def test_pseudo_map_axes_and_collapse():
     assert grid.ys_um.tolist() == [50.0]
     assert grid.zs_um.tolist() == [-5.0, 0.0, 5.0]
     assert grid.values_meV.shape == (5, 1, 3)
-    assert grid.meta["res_um"] == 5.0
-    assert grid.meta["species"] == "Ca40"
-    assert grid.meta["field_signature"] == "analytic-quadrupole"
 
 
 def test_pseudo_map_shared_points_exact_across_resolutions():
@@ -340,7 +332,7 @@ class _CountingField:
 def test_hessian_takes_one_field_and_one_jacobian_call_and_grad_bitwise(surface_solved):
     # the seven stencil points go in one Jacobian call, and the polish reads
     # grad psi from the same evaluation: each bit as from separate calls
-    rf = BemRfField(surface_solved)
+    rf = surface_solved.charge_weights()
     counted = _CountingField(rf)
     ps = PseudoField(counted, species=CA40, drive=DriveParams.from_mhz(10.0, 20.0))
     pts = np.array([[0.0, 90e-6, 0.0], [31e-6, 140e-6, 0.0], [-7e-6, 60e-6, 12e-6]])
