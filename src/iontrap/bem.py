@@ -72,8 +72,8 @@ keeps its bits. On a 2-vCPU host the 5454-point map of the benchmark took
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
-it), since numpy releases the interpreter lock inside the ufuncs that
-dominate a block. A call of one block, or on one CPU, runs inline. Each
+it; a child of `iontrap sweep --jobs N` takes 1/N of them), since numpy
+releases the interpreter lock inside the ufuncs that dominate a block. A call of one block, or on one CPU, runs inline. Each
 thread computes its blocks in _SCRATCH arrays of about _BLOCK_PAIRS doubles
 (0.4 MB each) that it keeps from call to call and grows when a call needs
 more, potential_matrix's panel gathers included, so the
@@ -91,11 +91,15 @@ K(g.c_i, rep_j) for the rep centres c_i: one potential_matrix call at the
 distinct images of the rep centres against the rep panels gives Q, about
 n x n/|G|, and block c in the orthonormal symmetry basis is the signed row sum
 M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] / sqrt(stab_i stab_j) over the orbits
-it keeps. Each block is factored by LU and the block solutions are expanded
-back to sigma; the residual check sums A sigma on every collocation point
-from Q with the evaluators' weight columns and mirror sum. A geometry without
-symmetry is the trivial group: one block, the dense matrix. The solve holds Q and the rows of at most two blocks at
-once, the bytes SOLVE_MEMORY_BUDGET is checked against, besides its
+it keeps. Each block that an excitation reaches (its projected right-hand
+side is not exactly zero) is factored by LU; the solution of any other block
+is exactly zero. On the three built-in meshes every electrode is symmetric
+about z = 0, so their two z-odd blocks are never factored. The block
+solutions are expanded back to sigma; the residual check sums A sigma on
+every collocation point from Q with the evaluators' weight columns and
+mirror sum. A geometry without symmetry is the trivial group: one block, the
+dense matrix. The solve holds Q and the rows of at most two blocks at once,
+the bytes SOLVE_MEMORY_BUDGET is checked against, besides its
 n x n_electrodes right-hand sides and 64-column slices of a block.
 """
 
@@ -739,10 +743,11 @@ class _MirrorGroup:
         return self._table
 
     def solve(self, Q, index, B):
-        """sigma of A sigma = B from Q, the kernel of the distinct images of
-        the rep centres against the rep panels (index[g, i] the row of
-        g.c_i), and the 1-norm condition estimate of the block-diagonal
-        operator (NaN on failure).
+        """(sigma, cond, factored): sigma of A sigma = B from Q, the kernel
+        of the distinct images of the rep centres against the rep panels
+        (index[g, i] the row of g.c_i), the 1-norm condition estimate of the
+        factored blocks (NaN on failure) and the blocks factored, indices
+        into keep.
 
         A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
         the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
@@ -750,6 +755,8 @@ class _MirrorGroup:
         solves M_c y = sqrt(|G| / stab_i) b_i for the projected right-hand
         side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
+        A block whose b is exactly zero for every column has x_c = 0 and is
+        neither summed nor factored.
         """
         # here, not at the top: a cache hit, a report or a map never loads it
         import scipy.linalg as sla
@@ -758,7 +765,10 @@ class _MirrorGroup:
         Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.images])
         X = np.zeros_like(Bc)
         anorm = ainv = 0.0
+        factored = []
         for c, k in enumerate(self.keep):
+            if not Bc[c, k].any():
+                continue  # no excitation reaches the block: x_c stays 0
             M, term = np.take(Q, index[0, k], axis=0), None
             for chi, rows in zip(self.chars[c, 1:], index[1:, k]):
                 term = np.take(Q, rows, axis=0, out=term, mode="clip")
@@ -767,8 +777,10 @@ class _MirrorGroup:
             if k.size < M.shape[1]:
                 M = np.take(M, k, axis=1)
             s = np.sqrt(self.stab[k])
-            M /= s[:, None]
-            M /= s
+            # only the orbits with a stabilizer: division by 1.0 is exact
+            big = np.flatnonzero(self.stab[k] > 1)
+            M[big] /= s[big, None]
+            M[:, big] /= s[big]
             # the 1-norm from column sums of a few columns at a time, not
             # from a block-sized |M|
             mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
@@ -777,15 +789,16 @@ class _MirrorGroup:
             # the infinity norm of M.T is the 1-norm of M
             rcond, info = sla.lapack.dgecon(lu, mnorm, norm="I")
             if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
-                return None, math.nan
+                return None, math.nan, factored
             anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
             y = sla.lu_solve((lu, piv), Bc[c, k] / (s[:, None] * math.sqrt(order)),
                              trans=1, check_finite=False)
             X[c, k] = y * s[:, None] / math.sqrt(order)
+            factored.append(c)
             del M, lu  # before the next block is summed
         S = np.empty_like(B)
         S[self.images] = np.einsum("cg,cmk->gmk", self.chars, X)
-        return S, anorm * ainv
+        return S, anorm * ainv, factored
 
 
 class SolvedTrap:
@@ -797,8 +810,10 @@ class SolvedTrap:
 
     diagnostics records how the solve ran: cache ("hit", "miss", or "off"
     without a cache directory), mirror_group (the symmetries found besides
-    the identity), block_sizes, how this process evaluates the kernel
-    (kernel_workers threads, kernel_block_pairs pairs per block) and, when
+    the identity), block_sizes, factored_blocks (the indices into
+    block_sizes of the blocks an excitation reaches, the only ones factored
+    and the only ones cond_estimate covers), how this process evaluates the
+    kernel (kernel_workers threads, kernel_block_pairs pairs per block) and, when
     solved here rather than loaded, the seconds of symmetry_s (mirror group
     detection), assembly_s (rep table and kernel rows), factor_s (blocks,
     LU, condition estimate and solve) and residual_s.
@@ -906,7 +921,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     names = geometry.electrode_names
     B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
-    S, cond = group.solve(Q, index, B)
+    S, cond, factored = group.solve(Q, index, B)
     if not np.isfinite(cond):
         raise SolverError(f"condition estimate failed for {geometry.design}")
     if cond > COND_LIMIT:
@@ -933,7 +948,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     diagnostics = {"cache": "miss" if cache_dir else "off",
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
-                   **_kernel_diagnostics(),
+                   "factored_blocks": factored, **_kernel_diagnostics(),
                    "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
                    "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
@@ -950,8 +965,9 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #   bytes 4:8    uint32 format version (2)
 #   bytes 8:16   uint64 header length H
 #   bytes 16:16+H JSON header: signature, electrode names, n_panels,
-#                 cond_estimate, mirror_group, block_sizes, residuals,
-#                 payload sha256 and the solution digest (_solution_digest)
+#                 cond_estimate, mirror_group, block_sizes, factored_blocks,
+#                 residuals, payload sha256 and the solution digest
+#                 (_solution_digest)
 #   remainder    the payload: sigma.T as '<f8', the n_panels charge densities
 #                 of each electrode's unit excitation, electrodes in header
 #                 order; then the mirror group's perms as '<i4', one row of
@@ -1020,6 +1036,7 @@ def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
         "cond_estimate": solved.cond_estimate,
         "mirror_group": solved.diagnostics["mirror_group"],
         "block_sizes": solved.diagnostics["block_sizes"],
+        "factored_blocks": solved.diagnostics["factored_blocks"],
         "residuals": solved.residuals.tolist(),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "digest": digest,
@@ -1055,8 +1072,13 @@ def _cache_load(cache_dir, geometry, pset, digest):
             payload = f.read()
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
+        if header.get("digest") != digest:
+            # solved from other panels or by another solver, whose header
+            # may lack a field this one reads
+            return None
         for key, kind in (("electrodes", list), ("mirror_group", list), ("block_sizes", list),
-                          ("residuals", list), ("n_panels", int), ("cond_estimate", float)):
+                          ("factored_blocks", list), ("residuals", list), ("n_panels", int),
+                          ("cond_estimate", float)):
             value = header[key]
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"header {key!r} is not of type {kind.__name__}")
@@ -1064,8 +1086,6 @@ def _cache_load(cache_dir, geometry, pset, digest):
             raise ValueError("header 'cond_estimate' is not finite")
         if header["signature"] != geometry.signature():
             raise ValueError("signature mismatch")
-        if header.get("digest") != digest:
-            return None  # solved from other panels or by another solver
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise ValueError("payload checksum mismatch")
         if header["n_panels"] != pset.n:
@@ -1080,7 +1100,8 @@ def _cache_load(cache_dir, geometry, pset, digest):
         pset.group = _MirrorGroup(pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
         residuals = np.array(header["residuals"], dtype=float)
         diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
-                       "block_sizes": header["block_sizes"], **_kernel_diagnostics()}
+                       "block_sizes": header["block_sizes"],
+                       "factored_blocks": header["factored_blocks"], **_kernel_diagnostics()}
         return SolvedTrap(geometry, pset, sigma, residuals,
                           header["cond_estimate"], diagnostics)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

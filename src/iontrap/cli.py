@@ -276,6 +276,12 @@ def _sweep_row(design, h, drive, species, fine_um, cache_dir, reference):
             f"{rep.omega_sim_MHz:.5f},{rep.q_sim:.6f},{rep.heating_norm:.5f}")
 
 
+def _share_kernel_workers(workers):
+    """In a sweep child: a kernel pool of its share of the CPUs, so that the
+    children together run no more kernel threads than one process would."""
+    bem._WORKERS = workers
+
+
 def cmd_sweep(ns) -> int:
     design, hs, drive, species, fine_um, ref_name = _load_sweep_spec(ns.spec)
     reference = None
@@ -294,7 +300,8 @@ def cmd_sweep(ns) -> int:
     jobs = min(ns.jobs, len(hs))
     if jobs > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
+        with cf.ProcessPoolExecutor(max_workers=jobs, initializer=_share_kernel_workers,
+                                    initargs=(max(1, bem._WORKERS // jobs),)) as ex:
             calls = [ex.submit(_sweep_row, design, h, *rest).result
                      for h in hs]
     for h, call in zip(hs, calls):

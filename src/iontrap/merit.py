@@ -381,15 +381,20 @@ def flood_fill_escape(values: np.ndarray, start):
     that max is attained; boundary_limited means the max sits on the boundary
     itself (no interior barrier). values needs only shape, ndim and
     values[cell], so an ndarray and the lazily evaluated depth grid both do.
+
+    Among cells of equal level the lowest value is expanded first (then the
+    lowest index): once the flood is over the pass, every cell beyond it
+    has the pass's level, and the flood runs downhill to the boundary rather
+    than sweeping the basin beyond in index order.
     """
     shape = values.shape
     start = tuple(start)
     dist = {start: float(values[start])}
     passc = {start: start}
-    heap = [(dist[start], start)]
+    heap = [(dist[start], dist[start], start)]
     seen = set()
     while heap:
-        d, c = heapq.heappop(heap)
+        d, _, c = heapq.heappop(heap)
         if c in seen:
             continue
         seen.add(c)
@@ -404,11 +409,12 @@ def flood_fill_escape(values: np.ndarray, start):
                 nb = tuple(nb)
                 if nb in seen:
                     continue
-                nd = max(d, float(values[nb]))
+                v = float(values[nb])
+                nd = max(d, v)
                 if nd < dist.get(nb, math.inf):
                     dist[nb] = nd
-                    passc[nb] = nb if float(values[nb]) >= d else passc[c]
-                    heapq.heappush(heap, (nd, nb))
+                    passc[nb] = nb if v >= d else passc[c]
+                    heapq.heappush(heap, (nd, v, nb))
     raise DepthError("no path from start to the grid boundary")
 
 

@@ -779,7 +779,7 @@ def test_condition_estimate_ignores_the_last_bits_of_dgecon(monkeypatch):
 
     monkeypatch.setattr(sla.lapack, "dgecon", four_ulps_lower)
     second = solve_unit_excitations(g)
-    assert len(calls) == len(second.diagnostics["block_sizes"])
+    assert len(calls) == len(second.diagnostics["factored_blocks"]) == 2
     assert second.cond_estimate == first.cond_estimate
     np.testing.assert_array_equal(second.sigma, first.sigma)
 
@@ -809,6 +809,72 @@ def test_symmetric_solve_matches_the_dense_solve(design, h_um, fine_um):
 
 def _rect(name, x0, z0, dx, dz, y=0.0):
     return Electrode(name, "dc", (Rect((x0, y, z0), (dx, 0.0, 0.0), (0.0, 0.0, dz)),))
+
+
+def _watch_factor(monkeypatch):
+    """The sizes of the matrices lu_factor is called on, in call order."""
+    sizes, factor = [], sla.lu_factor
+
+    def watching_factor(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", watching_factor)
+    return sizes
+
+
+def _odd_in_z(pset):
+    """A right-hand side column odd in z and neither even nor odd in x: on
+    a mesh with both mirrors it reaches every block."""
+    x, _, z = pset.centers.T
+    return np.sign(z) * (1.0 + (x > 0))
+
+
+def _chars_of(group, element, sign):
+    """The blocks of group whose character has this sign on element."""
+    g = group.elements.tolist().index(element)
+    return [c for c, chi in enumerate(group.chars[:, g]) if chi == sign]
+
+
+def test_a_built_in_solve_factors_only_its_z_even_blocks(monkeypatch):
+    # every electrode of a built-in mesh is even in z, so the right-hand
+    # sides of the z-odd blocks are exactly zero, and so are their solutions
+    g = build_default("surface", fine_um=80.0)
+    factored = _watch_factor(monkeypatch)
+    solved = solve_unit_excitations(g)
+    group, diag = solved.pset.group, solved.diagnostics
+    assert diag["factored_blocks"] == _chars_of(group, 2, 1) == [0, 2]
+    assert factored == [diag["block_sizes"][c] for c in diag["factored_blocks"]]
+    # the same system with a last column that reaches every block
+    pset = solved.pset
+    points, index = group.images_of(pset.centers[group.reps])
+    Q = bem.potential_matrix(group.table(pset), points)
+    B = (pset.electrode_idx[:, None] == np.arange(len(g.electrode_names))).astype(float)
+    every, _, blocks = group.solve(Q, index, np.column_stack([B, _odd_in_z(pset)]))
+    assert blocks == [0, 1, 2, 3]
+    sigma = every[:, :-1]
+    assert np.abs(solved.sigma - sigma).max() <= 1e-13 * np.abs(sigma).max()
+
+
+def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monkeypatch):
+    # a plate about the origin and two above and below it: the mesh keeps
+    # both mirrors, and the unit excitation of top or bottom, even in x but
+    # not in z, reaches the two x-even blocks, one of them z-odd
+    g = _custom_geometry((_rect("mid", -100.0, -150.0, 200.0, 300.0),
+                          _rect("top", -100.0, 200.0, 200.0, 150.0),
+                          _rect("bottom", -100.0, -350.0, 200.0, 150.0)), 50.0)
+    factored = _watch_factor(monkeypatch)
+    solved = solve_unit_excitations(g)
+    group, diag = solved.pset.group, solved.diagnostics
+    assert diag["mirror_group"] == FULL_GROUP
+    assert diag["factored_blocks"] == _chars_of(group, 1, 1) == [0, 1]
+    assert _chars_of(group, 2, -1)[0] in diag["factored_blocks"]
+    assert factored == [diag["block_sizes"][c] for c in diag["factored_blocks"]]
+    assert solved.residual_max <= bem.RESIDUAL_LIMIT
+    pset = solved.pset
+    B = (pset.electrode_idx[:, None] == np.arange(3)).astype(float)
+    dense = np.linalg.solve(bem.potential_matrix(pset, pset.centers), B)
+    assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("electrodes,group", [
@@ -970,7 +1036,10 @@ def test_quotient_blocks_equal_the_blocks_of_the_dense_matrix(layout, monkeypatc
 
     monkeypatch.setattr(sla, "lu_factor", watching_factor)
     B = (pset.electrode_idx[:, None] == np.arange(pset.electrode_idx.max() + 1)).astype(float)
-    group.solve(Q, index, B)
+    # the unit excitations of surface are even in z; a last column odd in
+    # z reaches every block, so each is factored
+    B = np.column_stack([B, _odd_in_z(pset)])
+    assert group.solve(Q, index, B)[2] == list(range(len(group.keep)))
     A = bem.potential_matrix(pset, pset.centers)
     assert len(blocks) == len(group.keep)
     for c, (k, M) in enumerate(zip(group.keep, blocks)):
@@ -993,7 +1062,7 @@ def test_solve_holds_no_more_than_its_memory_count(layout):
     B = (pset.electrode_idx[:, None] == np.arange(k)).astype(float)
     tracemalloc.start()
     try:
-        S, cond = group.solve(Q, index, B)
+        S, cond, _ = group.solve(Q, index, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1040,6 +1109,9 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
     for diag in (off, miss, hit):
         assert diag["mirror_group"] == FULL_GROUP
         assert diag["block_sizes"] == [8, 8, 8, 8]
+        # both plates are even under both mirrors: only the trivial
+        # character is reached
+        assert diag["factored_blocks"] == [0]
         assert diag["kernel_workers"] == len(os.sched_getaffinity(0))
         assert diag["kernel_block_pairs"] == bem._BLOCK_PAIRS
     for key in ("symmetry_s", "assembly_s", "factor_s", "residual_s"):
@@ -1183,6 +1255,28 @@ def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(
     assert solve_unit_excitations(g, cache_dir=tmp_path).diagnostics["cache"] == "hit"
 
 
+def test_an_entry_without_factored_blocks_is_solved_again_without_a_warning(tmp_path):
+    # an entry of an earlier solver has no factored_blocks in its header
+    # and another solution digest: a plain miss, not a corrupt entry
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    first = solve_unit_excitations(g, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.itsc"))
+    good = path.read_bytes()
+    hlen = struct.unpack("<Q", good[8:16])[0]
+    header = json.loads(good[16:16 + hlen])
+    del header["factored_blocks"]
+    header["digest"] = "0" * 64
+    text = json.dumps(header).encode()
+    path.write_bytes(good[:8] + struct.pack("<Q", len(text)) + text + good[16 + hlen:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = solve_unit_excitations(g, cache_dir=tmp_path)
+    assert again.diagnostics["cache"] == "miss"
+    np.testing.assert_array_equal(again.sigma, first.sigma)
+    hit = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
+    assert (hit["cache"], hit["factored_blocks"]) == ("hit", [0])
+
+
 def _nested_code(code):
     """code and the code objects nested in it, at any depth."""
     yield code
@@ -1268,6 +1362,7 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
              + not_an_object, "header is not a JSON object"),
             (with_header("electrodes", 5), "header 'electrodes' is not of type list"),
             (with_header("mirror_group", "x=0"), "header 'mirror_group' is not of type list"),
+            (with_header("factored_blocks", 0), "header 'factored_blocks' is not of type list"),
             (with_header("residuals", 1e-12), "header 'residuals' is not of type list"),
             (with_header("n_panels", float(first.pset.n)), "header 'n_panels' is not of type int"),
             (with_header("n_panels", True), "header 'n_panels' is not of type int"),

@@ -190,6 +190,8 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     for solver in solvers:
         assert solver["mirror_group"] == ["x=0", "z=0", "x=0 & z=0"]
         assert sum(solver["block_sizes"]) == manifest["diagnostics"]["n_panels"] == 580
+        # the z-even blocks, the only ones solver_cond covers
+        assert solver["factored_blocks"] == [0, 2]
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
     # the null scan runs on x = z = 0, where a point is its only image, and
     # the depth grid on z = 0, where it has two; only the Hessian's z steps
@@ -471,13 +473,15 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
 
 
 def test_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch):
-    workers = []
+    workers, starts = [], []
 
     class InlineExecutor:
-        """Records the pool size and runs each row in this process."""
+        """Records the pool size and its workers' initializer and runs each
+        row in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
+            starts.append((initializer, initargs))
 
         def __enter__(self):
             return self
@@ -502,6 +506,12 @@ def test_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch):
         assert run_cli("sweep", "--spec", spec, "--jobs", 64, "--out", out) == 1
         assert csv_data_lines(out)[-1] == "90,nan,nan,nan,nan,nan,nan"
     assert workers == [2]  # one row runs serially
+    # each of the two children runs its share of the kernel threads
+    share = max(1, bem._WORKERS // 2)
+    assert starts == [(cli._share_kernel_workers, (share,))]
+    monkeypatch.setattr(bem, "_WORKERS", bem._WORKERS)  # restored after the test
+    cli._share_kernel_workers(*starts[0][1])
+    assert bem._WORKERS == share
 
 
 def test_sweep_malformed_spec_json(tmp_path, capsys):

@@ -619,6 +619,37 @@ def test_flood_fill_matches_oracle_property(values, si, sj):
     assert level >= values[si, sj]
 
 
+class _CountedReads:
+    """An ndarray landscape that records the cells read from it."""
+
+    def __init__(self, values):
+        self.values, self.shape, self.ndim = values, values.shape, values.ndim
+        self.cells = set()
+
+    def __getitem__(self, cell):
+        self.cells.add(cell)
+        return self.values[cell]
+
+
+def test_flood_fill_runs_downhill_beyond_the_pass():
+    # a well at i <= 5 behind a wall at i = 6 with one pass at (6, 20), and
+    # beyond it a basin below the pass sloping down to the i = 40 edge, its
+    # other edges walled. Every basin cell has the pass's level; expanded in
+    # index order, the flood sweeps the basin row by row (1675 cells read),
+    # and lowest value first, it walks straight down to the edge
+    values = np.full((41, 41), 10.0)
+    values[1:6, 1:40] = 0.0
+    values[6, 20] = 5.0
+    values[7:, 1:40] = 4.0 - 0.1 * np.arange(7, 41)[:, None]
+    landscape = _CountedReads(values)
+    level, cell, boundary_limited = flood_fill_escape(landscape, (3, 20))
+    assert (level, cell, boundary_limited) == (5.0, (6, 20), False)
+    assert level == _escape_oracle(values, (3, 20))
+    # the well and its rim, then at most three cells per step along the 34
+    # cells from the pass to the edge
+    assert len(landscape.cells) <= 5 * 39 + (2 * 39 + 2 * 5) + 3 * 34
+
+
 # -- trap depth ----------------------------------------------------------------
 
 
