@@ -17,7 +17,6 @@ from .geometry import (
     DEFAULT_H_UM,
     Box3,
     Electrode,
-    GeometryParams,
     MeshParams,
     Rect,
     TrapGeometry,
@@ -25,11 +24,7 @@ from .geometry import (
     build_default,
     build_gnd_surface_trap,
     build_surface_trap,
-    default_cross_rf_params,
-    default_gnd_surface_params,
-    default_surface_params,
     five_wire_null_seed_um,
-    refine_mesh,
 )
 from .bem import (
     PanelSet,
@@ -74,11 +69,9 @@ __all__ = [
     "AMU", "CA40", "ECHARGE", "EPS0", "SPECIES", "IonSpecies", "get_species",
     "IonTrapError", "InvalidInputError", "InvalidGeometryError", "SolverError",
     "NullNotFoundError", "NullAmbiguityError", "FitError", "DepthError",
-    "Rect", "Electrode", "Box3", "MeshParams", "GeometryParams", "TrapGeometry",
+    "Rect", "Electrode", "Box3", "MeshParams", "TrapGeometry",
     "build_surface_trap", "build_gnd_surface_trap", "build_cross_rf_trap",
-    "build_default", "refine_mesh", "DEFAULT_H_UM",
-    "default_surface_params", "default_gnd_surface_params",
-    "default_cross_rf_params", "five_wire_null_seed_um",
+    "build_default", "DEFAULT_H_UM", "five_wire_null_seed_um",
     "PanelSet", "SolvedTrap", "solve_unit_excitations",
     "DriveParams", "DEFAULT_DRIVE", "QuadrupoleField",
     "PseudoField", "PseudoMap", "pseudo_map",

@@ -105,7 +105,6 @@ n x n_electrodes right-hand sides and 64-column slices of a block.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -113,7 +112,6 @@ import os
 import struct
 import threading
 import time
-import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -884,7 +882,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     cache_dir (or $IONTRAP_CACHE_DIR if set and cache_dir is None) enables a
     binary solution cache keyed by the geometry content hash; an entry whose
-    panel arrays or solver source differ is solved again and overwritten.
+    panel arrays, bem.py or constants.py differ is solved again and
+    overwritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or None
@@ -975,51 +974,18 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #                 order
 # An entry of another format version is a miss, solved again and overwritten.
 
-# what a solve runs: a solution cached by another version of any of these is
-# solved again (_solution_digest); the public evaluators are not among them
-_SOLVER_CODE = (_unique_rows, PanelSet.__init__, PanelSet.n.fget, PanelSet.merge_keys,
-                PanelSet.corner_groups.fget, _CornerGroup.__init__, ChargeWeights.__init__,
-                ChargeWeights.stacked, _ln_sum, _field_terms, _potential_terms, _executor,
-                _thread_scratch, _release_scratch, _evaluate, potential_matrix,
-                _MirrorGroup.__init__, _MirrorGroup.images_of, _MirrorGroup.sum_images,
-                _MirrorGroup.table, _MirrorGroup.solve, SolvedTrap.__init__,
-                _kernel_diagnostics, solve_unit_excitations)
-# and the constants they read
-_SOLVER_CONSTANTS = (_TINY, _MERGE_REL, COND_LIMIT, COND_DIGITS, RESIDUAL_LIMIT,
-                     _MIRROR_SIGNS.tolist(), constants.EPS0)
-
-
 def _cache_path(cache_dir, signature):
     return os.path.join(cache_dir, f"{signature}.itsc")
 
 
-def _code_lines(code):
-    """The line numbers of code and of the code nested in it."""
-    lines = [code.co_firstlineno] + [n for *_, n in code.co_lines() if n is not None]
-    for c in code.co_consts:
-        if isinstance(c, types.CodeType):
-            lines += _code_lines(c)
-    return lines
-
-
-@functools.cache
-def _solver_source():
-    """The source of _SOLVER_CODE, each function from its def to the last
-    line of its body, and the repr of _SOLVER_CONSTANTS. Cut from the file
-    by line numbers: inspect.getsource tokenizes each function, 20 ms."""
-    with open(__file__, encoding="utf-8") as f:
-        text = f.readlines()
-    parts = []
-    for fn in _SOLVER_CODE:
-        lines = _code_lines(fn.__code__)
-        parts.append("".join(text[min(lines) - 1:max(lines)]))
-    return "\n".join(parts + [repr(_SOLVER_CONSTANTS)]).encode()
-
-
 def _solution_digest(pset: PanelSet) -> str:
     """SHA-256 of what a solution depends on besides the geometry signature:
-    the panel arrays and the source of the code in _SOLVER_CODE."""
-    h = hashlib.sha256(_solver_source())
+    the bytes of this module and of constants.py (the code a solve runs and
+    the constants it reads) and the panel arrays."""
+    h = hashlib.sha256()
+    for path in (__file__, constants.__file__):
+        with open(path, "rb") as f:
+            h.update(f.read())
     for a in (pset.origins, pset.edge_u, pset.edge_v, pset.electrode_idx):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -248,8 +249,8 @@ def _load_sweep_spec(path) -> tuple:
                                 f"{', '.join(_SPEC_KEYS)} and mesh.fine_um")
     spec = {**spec, **{f"mesh.{key}": value for key, value in mesh.items()}}
     design = spec.get("design")
-    two_wafer = [n for n, (params, _) in geometry.DESIGNS.items()
-                 if params().h_um is not None]
+    two_wafer = [n for n, build in geometry.DESIGNS.items()
+                 if "h_um" in inspect.signature(build).parameters]
     if design not in two_wafer:
         raise InvalidInputError(
             f"sweep spec 'design' must be {' or '.join(two_wafer)}, got {design!r}")

@@ -15,11 +15,12 @@ Three built-in designs:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -135,38 +136,18 @@ class MeshParams:
                 f"coarse_um must be >= fine_um and finite, got {self.coarse_um}")
 
 
-@dataclass(frozen=True)
-class GeometryParams:
-    """Designer dimensions in um. Fields not used by a design stay None."""
-
-    design: str
-    mesh: MeshParams
-    h_um: float | None = None
-    rf_width_um: float | None = None
-    center_width_um: float | None = None
-    gap_um: float | None = None
-    electrode_length_um: float | None = None
-    wafer_extent_um: float | None = None
-
-    def _require_positive(self, *names):
-        for n in names:
-            v = getattr(self, n)
-            if v is None or not 0.0 < v < math.inf:
-                raise InvalidGeometryError(
-                    f"{self.design}: {n} must be > 0 and finite, got {v}")
-
-
 class TrapGeometry:
-    """Meshed electrode set ready for the field solver.
+    """Meshed electrode set ready for the field solver: the electrodes and
+    the mesh are the whole geometry.
 
     Panels are stored as flat arrays (origin, edge_u, edge_v in um plus the
     owning electrode index); construction meshes the electrodes immediately
     and records the seconds it took as mesh_s.
     """
 
-    def __init__(self, design: str, params: GeometryParams, electrodes: Iterable[Electrode]):
+    def __init__(self, design: str, mesh: MeshParams, electrodes: Iterable[Electrode]):
         self.design = design
-        self.params = params
+        self.mesh = mesh
         self.electrodes = tuple(electrodes)
         if not self.electrodes:
             raise InvalidGeometryError("geometry has no electrodes")
@@ -174,7 +155,6 @@ class TrapGeometry:
         if len(set(names)) != len(names):
             raise InvalidGeometryError(f"duplicate electrode names: {names}")
         _check_no_overlap(self.electrodes)
-        self.mesh = params.mesh
         self._warn_if_fine_region_outside()
         t0 = time.perf_counter()
         po, pu, pv, pe = _mesh_electrodes(self.electrodes, self.mesh)
@@ -254,25 +234,19 @@ class TrapGeometry:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        params = {
-            "mesh": {
-                "coarse_um": self.mesh.coarse_um,
-                "fine_um": self.mesh.fine_um,
-                "fine_region": {
-                    "center_um": list(self.mesh.fine_region.center),
-                    "size_um": list(self.mesh.fine_region.size),
-                },
-            }
-        }
-        for key in ("h_um", "rf_width_um", "center_width_um", "gap_um",
-                    "electrode_length_um", "wafer_extent_um"):
-            val = getattr(self.params, key)
-            if val is not None:
-                params[key] = val
         return {
             "design": self.design,
             "units": "um",
-            "params": params,
+            "params": {
+                "mesh": {
+                    "coarse_um": self.mesh.coarse_um,
+                    "fine_um": self.mesh.fine_um,
+                    "fine_region": {
+                        "center_um": list(self.mesh.fine_region.center),
+                        "size_um": list(self.mesh.fine_region.size),
+                    },
+                }
+            },
             "electrodes": [
                 {
                     "name": e.name,
@@ -292,13 +266,15 @@ class TrapGeometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrapGeometry":
+        """The geometry of a to_dict dict. Other keys are ignored, among them
+        the design dimensions that older versions wrote under params."""
         try:
             if d.get("units") != "um":
                 raise InvalidInputError(
                     f"geometry units must be 'um', got {d.get('units')!r}"
                 )
-            p = d["params"]
-            m = p["mesh"]
+            design = d["design"]
+            m = d["params"]["mesh"]
             mesh = MeshParams(
                 coarse_um=float(m["coarse_um"]),
                 fine_um=float(m["fine_um"]),
@@ -306,15 +282,6 @@ class TrapGeometry:
                     center=tuple(float(x) for x in m["fine_region"]["center_um"]),
                     size=tuple(float(x) for x in m["fine_region"]["size_um"]),
                 ),
-            )
-            params = GeometryParams(
-                design=d["design"],
-                mesh=mesh,
-                **{
-                    k: (float(p[k]) if k in p else None)
-                    for k in ("h_um", "rf_width_um", "center_width_um", "gap_um",
-                              "electrode_length_um", "wafer_extent_um")
-                },
             )
             electrodes = [
                 Electrode(
@@ -333,7 +300,7 @@ class TrapGeometry:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed geometry dict: {exc}") from exc
-        return cls(d["design"], params, electrodes)
+        return cls(design, mesh, electrodes)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -355,12 +322,6 @@ class TrapGeometry:
         """Content hash of the geometry + mesh; keys the solver cache."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def refine_mesh(geometry: TrapGeometry, mesh: MeshParams) -> TrapGeometry:
-    """Re-mesh the same electrodes with different mesh parameters."""
-    return TrapGeometry(geometry.design, replace(geometry.params, mesh=mesh),
-                        geometry.electrodes)
 
 
 # -- meshing ---------------------------------------------------------------
@@ -463,33 +424,32 @@ def _rects_overlap(a: Rect, b: Rect) -> bool:
 
 
 # -- built-in designs ------------------------------------------------------
+#
+# Each builder takes its design's dimensions and mesh sizes as keywords, with
+# calibrated defaults. The surface trap's five-wire dimensions put the solved
+# rf null 90 um above the wafer with vertical harmonicity 0.210 (see tests):
+# the gapless analytic solution (null height sqrt(a*b) for rails spanning
+# [a, b]) seeds them, and the boundary-element solve with real gaps shifts
+# them slightly. The grounded-top design has its own five-wire dimensions,
+# so that the covered trap keeps a harmonicity edge over the bare surface
+# trap down to wafer separations around 100 um (rf-rail separation 2a =
+# 100 um) while its depth and maximum frequency stay between the surface and
+# cross-rf designs at the default separation.
 
-# Calibrated five-wire dimensions: chosen so the solved surface trap puts the
-# rf null 90 um above the wafer with vertical harmonicity 0.210 (see tests).
-# The gapless analytic solution (null height sqrt(a*b) for rails spanning
-# [a, b]) seeds these values; the boundary-element solve with real gaps
-# shifts them slightly.
-SURFACE_CENTER_WIDTH_UM = 114.6
-SURFACE_RF_WIDTH_UM = 57.7
-SURFACE_GAP_UM = 10.0
-# The grounded-top design uses its own five-wire dimensions, calibrated so
-# that the covered trap keeps a harmonicity edge over the bare surface trap
-# down to wafer separations around 100 um (rf-rail separation 2a = 100 um)
-# while its depth and maximum frequency stay between the surface and cross-rf
-# designs at the default separation.
-GND_CENTER_WIDTH_UM = 90.0
-GND_RF_WIDTH_UM = 140.0
-WAFER_EXTENT_UM = 8000.0
-ELECTRODE_LENGTH_UM = 8000.0
-CROSS_RF_WIDTH_UM = 100.0
 DEFAULT_H_UM = 200.0
-
 FINE_LATERAL_UM = 400.0
 DEFAULT_FINE_UM = 10.0
 DEFAULT_COARSE_UM = 500.0
 
 
-def _pattern_mesh(fine_um=DEFAULT_FINE_UM, coarse_um=DEFAULT_COARSE_UM):
+def _require_positive(design, **dims):
+    for name, value in dims.items():
+        if value is None or not 0.0 < value < math.inf:
+            raise InvalidGeometryError(
+                f"{design}: {name} must be > 0 and finite, got {value}")
+
+
+def _pattern_mesh(fine_um, coarse_um):
     """Refine the central window of the bottom electrode pattern; everything
     else (outer wafer, a distant cover plane) grades with distance."""
     return MeshParams(
@@ -500,7 +460,7 @@ def _pattern_mesh(fine_um=DEFAULT_FINE_UM, coarse_um=DEFAULT_COARSE_UM):
     )
 
 
-def _two_wafer_mesh(h_um, fine_um=DEFAULT_FINE_UM, coarse_um=DEFAULT_COARSE_UM):
+def _two_wafer_mesh(h_um, fine_um, coarse_um):
     """Refine the central window of both wafer planes."""
     return MeshParams(
         coarse_um=coarse_um,
@@ -518,53 +478,6 @@ def five_wire_null_seed_um(center_width_um, gap_um, rf_width_um) -> float:
     return math.sqrt(a * b)
 
 
-def default_surface_params(
-    center_width_um=SURFACE_CENTER_WIDTH_UM,
-    rf_width_um=SURFACE_RF_WIDTH_UM,
-    gap_um=SURFACE_GAP_UM,
-    electrode_length_um=ELECTRODE_LENGTH_UM,
-    wafer_extent_um=WAFER_EXTENT_UM,
-    fine_um=DEFAULT_FINE_UM,
-    coarse_um=DEFAULT_COARSE_UM,
-) -> GeometryParams:
-    return GeometryParams(
-        design="surface",
-        mesh=_pattern_mesh(fine_um, coarse_um),
-        rf_width_um=rf_width_um,
-        center_width_um=center_width_um,
-        gap_um=gap_um,
-        electrode_length_um=electrode_length_um,
-        wafer_extent_um=wafer_extent_um,
-    )
-
-
-def default_gnd_surface_params(
-    h_um=DEFAULT_H_UM,
-    center_width_um=GND_CENTER_WIDTH_UM,
-    rf_width_um=GND_RF_WIDTH_UM,
-    **kw,
-) -> GeometryParams:
-    base = default_surface_params(center_width_um=center_width_um,
-                                  rf_width_um=rf_width_um, **kw)
-    return replace(base, design="gnd-surface", h_um=h_um)
-
-
-def default_cross_rf_params(
-    h_um=DEFAULT_H_UM,
-    rf_width_um=CROSS_RF_WIDTH_UM,
-    electrode_length_um=ELECTRODE_LENGTH_UM,
-    fine_um=DEFAULT_FINE_UM,
-    coarse_um=DEFAULT_COARSE_UM,
-) -> GeometryParams:
-    return GeometryParams(
-        design="cross-rf",
-        mesh=_two_wafer_mesh(h_um, fine_um, coarse_um),
-        h_um=h_um,
-        rf_width_um=rf_width_um,
-        electrode_length_um=electrode_length_um,
-    )
-
-
 def _strip(name, role, x_lo, x_hi, y, length_um):
     return Electrode(
         name=name,
@@ -579,12 +492,11 @@ def _strip(name, role, x_lo, x_hi, y, length_um):
     )
 
 
-def _five_wire_electrodes(p: GeometryParams) -> list[Electrode]:
-    """The electrodes of build_surface_trap, after checking p's dimensions."""
-    p._require_positive("rf_width_um", "center_width_um", "gap_um",
-                        "electrode_length_um", "wafer_extent_um")
-    cw, g, rw = p.center_width_um, p.gap_um, p.rf_width_um
-    W, L = p.wafer_extent_um, p.electrode_length_um
+def _five_wire_electrodes(design, cw, rw, g, L, W) -> list[Electrode]:
+    """The electrodes of build_surface_trap with center width cw, rf width
+    rw, gap g, length L and wafer extent W, after checking them."""
+    _require_positive(design, rf_width_um=rw, center_width_um=cw, gap_um=g,
+                      electrode_length_um=L, wafer_extent_um=W)
     A = 0.5 * cw + g          # rf rail inner edge
     B = A + rw                # rf rail outer edge
     if B + g >= 0.5 * W:
@@ -602,33 +514,41 @@ def _five_wire_electrodes(p: GeometryParams) -> list[Electrode]:
     ]
 
 
-def build_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
+def build_surface_trap(center_width_um=114.6, rf_width_um=57.7, gap_um=10.0,
+                       electrode_length_um=8000.0, wafer_extent_um=8000.0,
+                       fine_um=DEFAULT_FINE_UM, coarse_um=DEFAULT_COARSE_UM) -> TrapGeometry:
     """Five-wire planar trap in the y=0 plane, mirror-symmetric about x=0."""
-    p = params or default_surface_params()
-    return TrapGeometry("surface", p, _five_wire_electrodes(p))
+    electrodes = _five_wire_electrodes("surface", center_width_um, rf_width_um, gap_um,
+                                       electrode_length_um, wafer_extent_um)
+    return TrapGeometry("surface", _pattern_mesh(fine_um, coarse_um), electrodes)
 
 
-def build_gnd_surface_trap(params: GeometryParams | None = None) -> TrapGeometry:
+def build_gnd_surface_trap(h_um=DEFAULT_H_UM, center_width_um=90.0, rf_width_um=140.0,
+                           gap_um=10.0, electrode_length_um=8000.0,
+                           wafer_extent_um=8000.0, fine_um=DEFAULT_FINE_UM,
+                           coarse_um=DEFAULT_COARSE_UM) -> TrapGeometry:
     """Surface trap with an unpatterned grounded plane at height h."""
-    p = params or default_gnd_surface_params()
-    p._require_positive("h_um")
-    electrodes = _five_wire_electrodes(p)
-    W, L = p.wafer_extent_um, p.electrode_length_um
+    W, L = wafer_extent_um, electrode_length_um
+    electrodes = _five_wire_electrodes("gnd-surface", center_width_um, rf_width_um,
+                                       gap_um, L, W)
+    _require_positive("gnd-surface", h_um=h_um)
     top = Electrode(
         name="gnd_top",
         role=ROLE_GROUND,
         rects=(
             Rect(
-                origin=(-0.5 * W, p.h_um, -0.5 * L),
+                origin=(-0.5 * W, h_um, -0.5 * L),
                 edge_u=(W, 0.0, 0.0),
                 edge_v=(0.0, 0.0, L),
             ),
         ),
     )
-    return TrapGeometry("gnd-surface", p, electrodes + [top])
+    return TrapGeometry("gnd-surface", _pattern_mesh(fine_um, coarse_um),
+                        electrodes + [top])
 
 
-def build_cross_rf_trap(params: GeometryParams | None = None) -> TrapGeometry:
+def build_cross_rf_trap(h_um=DEFAULT_H_UM, rf_width_um=100.0, electrode_length_um=8000.0,
+                        fine_um=DEFAULT_FINE_UM, coarse_um=DEFAULT_COARSE_UM) -> TrapGeometry:
     """Four-rail trap on two wafers, rf rails diagonally opposed.
 
     Wafer planes at y=0 and y=h; rail centers at x = -h/2 and +h/2, so the
@@ -636,9 +556,9 @@ def build_cross_rf_trap(params: GeometryParams | None = None) -> TrapGeometry:
     maps to itself under the 180 degree rotation (x,y) -> (-x, h-y), which
     pins the rf null at exactly (0, h/2).
     """
-    p = params or default_cross_rf_params()
-    p._require_positive("h_um", "rf_width_um", "electrode_length_um")
-    h, rw, L = p.h_um, p.rf_width_um, p.electrode_length_um
+    _require_positive("cross-rf", h_um=h_um, rf_width_um=rf_width_um,
+                      electrode_length_um=electrode_length_um)
+    h, rw, L = h_um, rf_width_um, electrode_length_um
     if rw >= h:
         raise InvalidGeometryError(
             "rail width must be smaller than h (rails on one wafer would touch)"
@@ -649,29 +569,28 @@ def build_cross_rf_trap(params: GeometryParams | None = None) -> TrapGeometry:
         _strip("gnd_bottom", ROLE_GROUND, 0.5 * h - 0.5 * rw, 0.5 * h + 0.5 * rw, 0.0, L),
         _strip("gnd_top", ROLE_GROUND, -0.5 * h - 0.5 * rw, -0.5 * h + 0.5 * rw, h, L),
     ]
-    return TrapGeometry("cross-rf", p, electrodes)
+    return TrapGeometry("cross-rf", _two_wafer_mesh(h, fine_um, coarse_um), electrodes)
 
 
-# every built-in design: name -> (default params function, builder)
+# every built-in design: name -> builder
 DESIGNS = {
-    "surface": (default_surface_params, build_surface_trap),
-    "gnd-surface": (default_gnd_surface_params, build_gnd_surface_trap),
-    "cross-rf": (default_cross_rf_params, build_cross_rf_trap),
+    "surface": build_surface_trap,
+    "gnd-surface": build_gnd_surface_trap,
+    "cross-rf": build_cross_rf_trap,
 }
 
 
-def build_default(design: str, h_um: float | None = None,
-                  fine_um: float = DEFAULT_FINE_UM, **dims) -> TrapGeometry:
+def build_default(design: str, h_um: float | None = None, **dims) -> TrapGeometry:
     """Build a named design with calibrated default dimensions, overridden by
-    dims (keyword arguments of its params function; h_um for two-wafer ones)."""
+    dims (keyword arguments of its builder; h_um for two-wafer ones)."""
     if design not in DESIGNS:
         raise InvalidInputError(
             f"unknown design {design!r}; known: {', '.join(sorted(DESIGNS))}")
-    params_fn, build = DESIGNS[design]
+    build = DESIGNS[design]
     if h_um is not None:
         dims["h_um"] = h_um
     try:
-        params = params_fn(fine_um=fine_um, **dims)
+        inspect.signature(build).bind(**dims)
     except TypeError as exc:  # a dimension the design does not have
         raise InvalidInputError(f"{design} takes only its own dimensions: {exc}") from exc
-    return build(params)
+    return build(**dims)

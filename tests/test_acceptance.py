@@ -34,14 +34,11 @@ from iontrap import (
 from iontrap.geometry import (
     Box3,
     Electrode,
-    GeometryParams,
     MeshParams,
     Rect,
     TrapGeometry,
     build_cross_rf_trap,
     build_gnd_surface_trap,
-    default_cross_rf_params,
-    default_gnd_surface_params,
 )
 from iontrap.merit import PLANAR_AXES
 
@@ -100,7 +97,7 @@ def test_criterion_4_cross_rf_null_at_half_separation(cache_dir):
     worst = 0.0
     hs = (80.0, 130.0, 190.0, 250.0, 300.0)
     for h in hs:
-        geom = build_cross_rf_trap(default_cross_rf_params(h_um=h, rf_width_um=70.0))
+        geom = build_cross_rf_trap(h_um=h, rf_width_um=70.0)
         solved = solve_unit_excitations(geom, cache_dir=cache_dir)
         pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=drive)
         null = find_rf_null(pseudo, (0.0, 5.0, 0.0), (0.0, h - 5.0, 0.0))
@@ -145,8 +142,7 @@ def test_criterion_6_design_trends(surface_report, cross200_report, cache_dir):
         assert s < g < c, f"{attr}: {s:.4g} < {g:.4g} < {c:.4g} violated"
 
     # top plane far away: same five-wire pattern as the surface trap
-    far = build_gnd_surface_trap(default_gnd_surface_params(
-        h_um=2500.0, center_width_um=114.6, rf_width_um=57.7))
+    far = build_gnd_surface_trap(h_um=2500.0, center_width_um=114.6, rf_width_um=57.7)
     far_solved = solve_unit_excitations(far, cache_dir=cache_dir)
     pseudo = PseudoField(far_solved.charge_weights(), species=CA40,
                          drive=DriveParams.from_mhz(10.0, 20.0))
@@ -172,8 +168,7 @@ def _parallel_plates(side_um=1000.0, gap_um=50.0, fine_um=60.0):
     mesh = MeshParams(coarse_um=fine_um, fine_um=fine_um,
                       fine_region=Box3(center=(0.0, gap_um / 2, 0.0),
                                        size=(side_um, gap_um + 10, side_um)))
-    return TrapGeometry(design="custom",
-                        params=GeometryParams(design="custom", mesh=mesh),
+    return TrapGeometry(design="custom", mesh=mesh,
                         electrodes=(plate("top", "rf", gap_um),
                                     plate("bottom", "ground", 0.0)))
 
@@ -292,12 +287,12 @@ def test_criterion_9_heating_bands(surface_report, gnd_solved_105,
 
 @pytest.mark.parametrize("design", ["gnd-surface", "cross-rf"])
 def test_custom_layout_reports_the_builtin_figures(design, cache_dir):
-    """A two-wafer layout saved as "design": "custom" without h_um gets the
-    built-in's analysis regions and fit axes, so the same figures of merit."""
+    """A two-wafer layout saved as "design": "custom" gets the built-in's
+    analysis regions and fit axes from its electrodes alone, so the same
+    figures of merit."""
     builtin = build_default(design, fine_um=40.0)
     layout = builtin.to_dict()
     layout["design"] = "custom"
-    del layout["params"]["h_um"]
     custom = TrapGeometry.from_dict(layout)
     assert custom.signature() != builtin.signature()
 

@@ -19,7 +19,6 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -34,13 +33,11 @@ import scipy.linalg as sla
 from iontrap import (
     Box3,
     Electrode,
-    GeometryParams,
     MeshParams,
     Rect,
     TrapGeometry,
     build_default,
     build_surface_trap,
-    default_surface_params,
     solve_unit_excitations,
 )
 from iontrap import bem, constants
@@ -73,8 +70,7 @@ def _quad_potential(point):
 def _custom_geometry(electrodes, fine, extent=2000.0):
     mesh = MeshParams(coarse_um=fine, fine_um=fine,
                       fine_region=Box3((0.0, 0.0, 0.0), (extent, 200.0, extent)))
-    return TrapGeometry("custom", GeometryParams(design="custom", mesh=mesh),
-                        electrodes)
+    return TrapGeometry("custom", mesh, electrodes)
 
 
 def _plate(side_um, fine_um, y_um=0.0, name="p", role="dc"):
@@ -1198,9 +1194,8 @@ def test_doubling_rail_length_leaves_null_and_curvature_unchanged():
     drive = DriveParams.from_mhz(10.0, 20.0)
     nulls, ks = [], []
     for length in (4000.0, 8000.0):
-        params = default_surface_params(electrode_length_um=length,
-                                        wafer_extent_um=8000.0, fine_um=40.0)
-        solved = solve_unit_excitations(build_surface_trap(params))
+        solved = solve_unit_excitations(build_surface_trap(
+            electrode_length_um=length, wafer_extent_um=8000.0, fine_um=40.0))
         pseudo = PseudoField(solved.charge_weights(), species=CA40, drive=drive)
         null = find_rf_null(pseudo, (-5.0, 40.0, 0.0), (5.0, 200.0, 0.0))
         fit = fit_harmonicity(pseudo.rf_field, null.position,
@@ -1277,66 +1272,6 @@ def test_an_entry_without_factored_blocks_is_solved_again_without_a_warning(tmp_
     assert (hit["cache"], hit["factored_blocks"]) == ("hit", [0])
 
 
-def _nested_code(code):
-    """code and the code objects nested in it, at any depth."""
-    yield code
-    for c in code.co_consts:
-        if isinstance(c, types.CodeType):
-            yield from _nested_code(c)
-
-
-def test_the_solution_digest_covers_the_code_a_solve_runs(monkeypatch):
-    # every bem function a solve enters, on any thread, must be in
-    # _SOLVER_CODE (or be nested in one that is); code objects are compared,
-    # not names, which is exact where names repeat. The layouts have groups
-    # of order 4, 2 and 1, so a branch on the order is entered too
-    layouts = {4: build_default("surface", fine_um=80.0), 2: _z_only_layout(),
-               1: _custom_geometry((_rect("a", 10.0, -50.0, 300.0, 200.0),
-                                    _rect("b", -250.0, 30.0, 200.0, 100.0, 50.0)), 50.0)}
-    listed = {c for f in bem._SOLVER_CODE for c in _nested_code(f.__code__)}
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__") == bem.__name__:
-            entered.add(frame.f_code)
-
-    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
-    monkeypatch.setattr(bem, "_pool", None)  # new threads take the profile
-    for order, geometry in layouts.items():
-        entered.clear()
-        threading.setprofile(profile)
-        sys.setprofile(profile)
-        try:
-            solved = solve_unit_excitations(geometry)
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
-        assert len(solved.pset.group.elements) == order
-        task = next(c for c in _nested_code(bem._evaluate.__code__) if c.co_name == "task")
-        assert task in entered and bem._MirrorGroup.solve.__code__ in entered
-        assert sorted(f"{c.co_name} (line {c.co_firstlineno})"
-                      for c in entered - listed) == [], order
-    bem._pool.shutdown()
-    # the evaluators are not part of it: editing them keeps every entry
-    source = bem._solver_source().decode()
-    assert "def potential_matrix(" in source and "def solve(self, " in source
-    for name in ("def potential_of(", "def field_of(", "def jacobian_of(", "def _quotient(",
-                 "class ChargeWeights", "def _weighted_sums("):
-        assert name not in source
-
-
-def test_the_solution_digest_covers_the_constants_a_solve_reads():
-    # constants.NAME in solver code puts both names in its co_names; each
-    # such constant must be in _SOLVER_CONSTANTS, so that a new value
-    # solves every cached entry again
-    read = {name for f in bem._SOLVER_CODE for code in _nested_code(f.__code__)
-            if "constants" in code.co_names for name in code.co_names
-            if isinstance(vars(constants).get(name), (int, float))}
-    assert "EPS0" in read
-    for name in read:
-        assert getattr(constants, name) in bem._SOLVER_CONSTANTS, name
-
-
 def test_corrupt_cache_is_ignored_with_warning(tmp_path):
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
     first = solve_unit_excitations(g, cache_dir=tmp_path)
@@ -1405,12 +1340,31 @@ def test_cache_is_keyed_by_the_solution_digest(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("*.itsc"))) == 1
 
 
+@pytest.mark.parametrize("module", [bem, constants], ids=["bem.py", "constants.py"])
+def test_a_one_byte_edit_of_a_solver_file_misses_the_cache(tmp_path, monkeypatch, module):
+    # the digest reads bem.py and constants.py whole: an edit anywhere in
+    # either, even one that changes no code, solves every cached entry again
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    cache = tmp_path / "cache"
+    solve_unit_excitations(g, cache_dir=cache)
+    assert solve_unit_excitations(g, cache_dir=cache).diagnostics["cache"] == "hit"
+    pset = bem.PanelSet(*g.arrays_m())
+    before = bem._solution_digest(pset)
+    copy = tmp_path / os.path.basename(module.__file__)
+    with open(module.__file__, "rb") as f:
+        copy.write_bytes(f.read() + b"\n")
+    monkeypatch.setattr(module, "__file__", str(copy))
+    assert bem._solution_digest(pset) != before
+    assert solve_unit_excitations(g, cache_dir=cache).diagnostics["cache"] == "miss"
+    assert solve_unit_excitations(g, cache_dir=cache).diagnostics["cache"] == "hit"
+
+
 def test_scipy_loads_only_when_a_solve_factors(tmp_path):
     # a fresh process: importing the package, a cache hit, a report and a
     # map never load scipy.linalg; a solve that misses the cache does, and
     # before its assembly, so its factor_s does not time the import
     geo = tmp_path / "coarse.json"
-    build_surface_trap(default_surface_params(fine_um=240.0)).save(geo)
+    build_surface_trap(fine_um=240.0).save(geo)
     cache = tmp_path / "cache"
     code = textwrap.dedent(f"""
         import json, sys

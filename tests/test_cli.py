@@ -79,10 +79,11 @@ def test_build_honors_dimension_overrides(tmp_path):
     out = tmp_path / "g.json"
     assert run_cli("build", "--design", "surface", "--center-width-um", 80,
                    "--rf-width-um", 40, "--gap-um", 5, "--out", out) == 0
-    geom = geometry.TrapGeometry.load(out)
-    assert geom.params.center_width_um == 80
-    assert geom.params.rf_width_um == 40
-    assert geom.params.gap_um == 5
+    rects = {e.name: e.rects[0] for e in geometry.TrapGeometry.load(out).electrodes}
+    assert rects["dc_center"].edge_u[0] == 80
+    assert rects["rf_left"].edge_u[0] == rects["rf_right"].edge_u[0] == 40
+    # the rf rail starts a 5 um gap past the center rail's edge
+    assert rects["rf_right"].origin[0] == 0.5 * 80 + 5
 
 
 def test_build_cross_rejects_planar_flags(tmp_path, capsys):
@@ -114,7 +115,9 @@ def test_a_huge_finite_height_writes_strict_json(tmp_path):
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
 
-    assert json.loads(out.read_text(), parse_constant=reject)["params"]["h_um"] == 1e300
+    layout = json.loads(out.read_text(), parse_constant=reject)
+    top = next(e for e in layout["electrodes"] if e["name"] == "gnd_top")
+    assert top["rects"][0]["origin"][1] == 1e300
 
 
 def test_bundled_geometries_match_builders():
@@ -325,7 +328,7 @@ def test_malformed_geometry_json(tmp_path, capsys):
 @pytest.mark.parametrize("part, value", [("origin", math.nan), ("u", math.inf)])
 def test_a_geometry_file_with_a_non_finite_rect_exits_2_without_output(tmp_path, capsys,
                                                                         part, value):
-    d = geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0)).to_dict()
+    d = geometry.build_surface_trap(fine_um=240.0).to_dict()
     d["electrodes"][0]["rects"][0][part][0] = value
     (tmp_path / "bad.json").write_text(json.dumps(d))
     out = tmp_path / "out"
@@ -340,7 +343,7 @@ def test_a_geometry_file_with_a_non_finite_rect_exits_2_without_output(tmp_path,
                                   ("--mesh-fine-um", 50)])
 def test_geometry_file_excludes_the_design_flags(tmp_path, capsys, command, flag):
     geo = tmp_path / "coarse.json"
-    geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0)).save(geo)
+    geometry.build_surface_trap(fine_um=240.0).save(geo)
     out = tmp_path / "out"
     out.mkdir()
     grid = ("--center-um", "0,90,0", "--span-um", "0,0,0", "--res-um", 5)
@@ -776,7 +779,7 @@ def test_map_argument_errors(tmp_path, capsys, args, fragment):
 
 def test_cache_dir_env_fallback(tmp_path, monkeypatch):
     # A deliberately coarse trap keeps this cold solve cheap.
-    geom = geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0))
+    geom = geometry.build_surface_trap(fine_um=240.0)
     geo_path = tmp_path / "coarse.json"
     geom.save(geo_path)
 
@@ -866,7 +869,7 @@ def coarse_trap(tmp_path_factory):
     """A directory with a coarse surface trap's file, a cache that holds its
     solve and the one-row sweep spec."""
     root = tmp_path_factory.mktemp("coarse")
-    geom = geometry.build_surface_trap(geometry.default_surface_params(fine_um=240.0))
+    geom = geometry.build_surface_trap(fine_um=240.0)
     geom.save(root / "coarse.json")
     bem.solve_unit_excitations(geom, cache_dir=root / "cache")
     (root / "one_row.json").write_text(json.dumps(ONE_ROW_SPEC))

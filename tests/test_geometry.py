@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from iontrap import (
     Box3,
     Electrode,
-    GeometryParams,
     InvalidGeometryError,
     InvalidInputError,
     MeshParams,
@@ -22,11 +21,7 @@ from iontrap import (
     build_default,
     build_gnd_surface_trap,
     build_surface_trap,
-    default_cross_rf_params,
-    default_gnd_surface_params,
-    default_surface_params,
     five_wire_null_seed_um,
-    refine_mesh,
 )
 from iontrap import geometry
 
@@ -37,19 +32,16 @@ def _coarse_mesh(fine=80.0, coarse=500.0):
 
 
 def _coarse_surface(fine=80.0, coarse=500.0):
-    return build_surface_trap(default_surface_params(fine_um=fine, coarse_um=coarse))
+    return build_surface_trap(fine_um=fine, coarse_um=coarse)
 
 
 def _plate(side, fine, coarse, name="plate", y=0.0):
-    params = GeometryParams(
-        design="custom",
-        mesh=MeshParams(coarse_um=coarse, fine_um=fine,
-                        fine_region=Box3((0.0, y, 0.0), (side, 1.0, side))),
-    )
+    mesh = MeshParams(coarse_um=coarse, fine_um=fine,
+                      fine_region=Box3((0.0, y, 0.0), (side, 1.0, side)))
     elec = Electrode(name=name, role="dc", rects=(
         Rect(origin=(-side / 2, y, -side / 2),
              edge_u=(side, 0.0, 0.0), edge_v=(0.0, 0.0, side)),))
-    return TrapGeometry("custom", params, [elec])
+    return TrapGeometry("custom", mesh, [elec])
 
 
 # -- construction and validation --------------------------------------------
@@ -73,26 +65,23 @@ def test_electrode_rejects_bad_role_and_empty_rects():
 def test_duplicate_electrode_names_rejected():
     r1 = Rect((0, 0, 0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     r2 = Rect((5, 0, 0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    params = GeometryParams(design="custom", mesh=_coarse_mesh())
     with pytest.raises(InvalidGeometryError, match="duplicate"):
-        TrapGeometry("custom", params, [
+        TrapGeometry("custom", _coarse_mesh(), [
             Electrode("e", "dc", (r1,)), Electrode("e", "rf", (r2,))])
 
 
 def test_overlapping_rects_rejected():
     r1 = Rect((0, 0, 0), (10.0, 0.0, 0.0), (0.0, 0.0, 10.0))
     r2 = Rect((5, 0, 5), (10.0, 0.0, 0.0), (0.0, 0.0, 10.0))
-    params = GeometryParams(design="custom", mesh=_coarse_mesh())
     with pytest.raises(InvalidGeometryError, match="overlap"):
-        TrapGeometry("custom", params, [
+        TrapGeometry("custom", _coarse_mesh(), [
             Electrode("a", "dc", (r1,)), Electrode("b", "rf", (r2,))])
 
 
 def test_touching_rects_allowed():
     r1 = Rect((0, 0, 0), (10.0, 0.0, 0.0), (0.0, 0.0, 10.0))
     r2 = Rect((10, 0, 0), (10.0, 0.0, 0.0), (0.0, 0.0, 10.0))
-    params = GeometryParams(design="custom", mesh=_coarse_mesh())
-    geom = TrapGeometry("custom", params, [
+    geom = TrapGeometry("custom", _coarse_mesh(), [
         Electrode("a", "dc", (r1,)), Electrode("b", "rf", (r2,))])
     assert geom.n_panels >= 2
 
@@ -117,9 +106,9 @@ def test_mesh_params_validation():
                        fine_region=Box3((0, 0, 0), (1, 1, 1))),
     lambda: MeshParams(coarse_um=math.inf, fine_um=math.inf,
                        fine_region=Box3((0, 0, 0), (1, 1, 1))),
-    lambda: build_gnd_surface_trap(default_gnd_surface_params(h_um=math.inf)),
-    lambda: build_cross_rf_trap(default_cross_rf_params(h_um=math.inf)),
-    lambda: build_surface_trap(default_surface_params(wafer_extent_um=math.inf)),
+    lambda: build_gnd_surface_trap(h_um=math.inf),
+    lambda: build_cross_rf_trap(h_um=math.inf),
+    lambda: build_surface_trap(wafer_extent_um=math.inf),
 ], ids=["rect origin", "rect edge", "box center", "box size", "coarse_um", "fine_um",
         "gnd-surface h", "cross-rf h", "wafer extent"])
 def test_non_finite_dimensions_are_rejected_as_such(make):
@@ -140,12 +129,12 @@ def test_a_geometry_file_with_a_non_finite_rect_says_so(tmp_path, part, value):
 
 def test_cross_rf_rail_width_must_fit():
     with pytest.raises(InvalidGeometryError):
-        build_cross_rf_trap(default_cross_rf_params(h_um=100.0, rf_width_um=100.0))
+        build_cross_rf_trap(h_um=100.0, rf_width_um=100.0)
 
 
 def test_surface_rails_must_fit_on_wafer():
     with pytest.raises(InvalidGeometryError):
-        build_surface_trap(default_surface_params(rf_width_um=5000.0))
+        build_surface_trap(rf_width_um=5000.0)
 
 
 def test_unknown_design_rejected():
@@ -155,18 +144,16 @@ def test_unknown_design_rejected():
 
 def test_gnd_surface_requires_positive_h():
     with pytest.raises(InvalidGeometryError):
-        build_gnd_surface_trap(default_gnd_surface_params(h_um=-1.0))
+        build_gnd_surface_trap(h_um=-1.0)
 
 
 def test_fine_region_outside_electrodes_warns():
-    params = GeometryParams(
-        design="custom",
-        mesh=MeshParams(coarse_um=100.0, fine_um=50.0,
-                        fine_region=Box3((0.0, 5000.0, 0.0), (10.0, 10.0, 10.0))))
+    mesh = MeshParams(coarse_um=100.0, fine_um=50.0,
+                      fine_region=Box3((0.0, 5000.0, 0.0), (10.0, 10.0, 10.0)))
     elec = Electrode("p", "dc", (
         Rect((-50.0, 0.0, -50.0), (100.0, 0.0, 0.0), (0.0, 0.0, 100.0)),))
     with pytest.warns(UserWarning, match="fine_region"):
-        TrapGeometry("custom", params, [elec])
+        TrapGeometry("custom", mesh, [elec])
 
 
 # -- meshing invariants ------------------------------------------------------
@@ -178,12 +165,7 @@ def test_fine_region_outside_electrodes_warns():
     (build_cross_rf_trap, {"h_um": 105.0}),
 ])
 def test_mesh_tiles_exact_electrode_area(build, kwargs):
-    defaults = {
-        build_surface_trap: default_surface_params,
-        build_gnd_surface_trap: default_gnd_surface_params,
-        build_cross_rf_trap: default_cross_rf_params,
-    }[build]
-    geom = build(defaults(fine_um=40.0, **kwargs))
+    geom = build(fine_um=40.0, **kwargs)
     for elec in geom.electrodes:
         meshed = geom.meshed_area_um2(elec.name)
         assert meshed == pytest.approx(elec.area_um2, rel=1e-12)
@@ -239,10 +221,11 @@ def test_uniform_mesh_when_fine_equals_coarse():
     assert np.allclose(areas, 250.0 * 250.0, rtol=1e-12)
 
 
-def test_refine_mesh_preserves_electrodes():
+def test_remeshing_the_same_electrodes_keeps_them():
     g1 = _coarse_surface(fine=80.0)
-    g2 = refine_mesh(g1, MeshParams(coarse_um=500.0, fine_um=40.0,
-                                    fine_region=g1.mesh.fine_region))
+    g2 = TrapGeometry(g1.design, MeshParams(coarse_um=500.0, fine_um=40.0,
+                                            fine_region=g1.mesh.fine_region),
+                      g1.electrodes)
     assert g2.electrodes == g1.electrodes
     assert g2.n_panels > g1.n_panels
 
@@ -269,7 +252,7 @@ def test_surface_trap_mirror_symmetric_in_x():
 
 def test_cross_rf_panel_set_invariant_under_180_rotation():
     h = 105.0
-    geom = build_cross_rf_trap(default_cross_rf_params(h_um=h, fine_um=40.0))
+    geom = build_cross_rf_trap(h_um=h, fine_um=40.0)
     c = geom.panel_origin_um + 0.5 * (geom.panel_u_um + geom.panel_v_um)
     key = np.round(c, 6)
     rotated = np.column_stack([-key[:, 0], np.round(h - key[:, 1], 6), key[:, 2]])
@@ -277,7 +260,7 @@ def test_cross_rf_panel_set_invariant_under_180_rotation():
 
 
 def test_cross_rf_rails_on_both_wafers():
-    geom = build_cross_rf_trap(default_cross_rf_params(h_um=105.0, fine_um=60.0))
+    geom = build_cross_rf_trap(h_um=105.0, fine_um=60.0)
     ys = {e.name: e.rects[0].origin[1] for e in geom.electrodes}
     assert ys["rf_bottom"] == 0.0 and ys["gnd_bottom"] == 0.0
     assert ys["rf_top"] == 105.0 and ys["gnd_top"] == 105.0
@@ -285,9 +268,8 @@ def test_cross_rf_rails_on_both_wafers():
 
 
 def test_gnd_surface_adds_grounded_plane():
-    base = build_surface_trap(default_surface_params(fine_um=80.0))
-    capped = build_gnd_surface_trap(default_gnd_surface_params(h_um=105.0,
-                                                               fine_um=80.0))
+    base = build_surface_trap(fine_um=80.0)
+    capped = build_gnd_surface_trap(h_um=105.0, fine_um=80.0)
     assert set(capped.electrode_names) == set(base.electrode_names) | {"gnd_top"}
     top = dict(zip(capped.electrode_names, capped.electrodes))["gnd_top"]
     assert top.role == "ground"
@@ -298,15 +280,37 @@ def test_gnd_surface_adds_grounded_plane():
 
 
 def test_json_round_trip_is_exact(tmp_path):
-    geom = build_gnd_surface_trap(default_gnd_surface_params(h_um=105.0,
-                                                             fine_um=60.0))
+    geom = build_gnd_surface_trap(h_um=105.0, fine_um=60.0)
     path = tmp_path / "g.json"
     geom.save(path)
     back = TrapGeometry.load(path)
     assert back.signature() == geom.signature()
     np.testing.assert_array_equal(back.panel_origin_um, geom.panel_origin_um)
     assert back.design == geom.design
-    assert back.params.h_um == geom.params.h_um
+    assert back.top_um == geom.top_um == 105.0
+
+
+# the design dimensions that older versions wrote under "params"
+_OLD_DIMENSIONS = {
+    "surface": dict(center_width_um=114.6, rf_width_um=57.7, gap_um=10.0,
+                    electrode_length_um=8000.0, wafer_extent_um=8000.0),
+    "gnd-surface": dict(h_um=105.0, center_width_um=90.0, rf_width_um=140.0, gap_um=10.0,
+                        electrode_length_um=8000.0, wafer_extent_um=8000.0),
+    "cross-rf": dict(h_um=105.0, rf_width_um=100.0, electrode_length_um=8000.0),
+}
+
+
+@pytest.mark.parametrize("design", list(_OLD_DIMENSIONS))
+def test_an_old_format_file_loads_to_the_builders_geometry(design):
+    # its dimension keys are ignored: the electrodes are the whole layout
+    h_um = _OLD_DIMENSIONS[design].get("h_um")
+    built = build_default(design, h_um=h_um, fine_um=60.0)
+    old = built.to_dict()
+    old["params"].update(_OLD_DIMENSIONS[design])
+    back = TrapGeometry.from_dict(old)
+    assert back.signature() == built.signature()
+    for a, b in zip(back.arrays_m(), built.arrays_m()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_save_emits_micron_units_and_sorted_keys(tmp_path):
@@ -347,8 +351,7 @@ def test_load_rejects_missing_fields(tmp_path):
 def test_signature_changes_with_mesh_and_dimensions():
     a = _coarse_surface(fine=80.0)
     b = _coarse_surface(fine=40.0)
-    c = build_surface_trap(default_surface_params(center_width_um=100.0,
-                                                  fine_um=80.0))
+    c = build_surface_trap(center_width_um=100.0, fine_um=80.0)
     assert len({a.signature(), b.signature(), c.signature()}) == 3
 
 
@@ -361,6 +364,14 @@ def test_five_wire_seed_matches_closed_form():
     assert five_wire_null_seed_um(114.6, 10.0, 57.7) == pytest.approx(
         math.sqrt(a * b), rel=1e-15)
     assert five_wire_null_seed_um(114.6, 10.0, 57.7) == pytest.approx(90.0, abs=0.05)
+
+
+def test_a_dimension_of_another_design_raises_before_meshing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "_mesh_electrodes", lambda *args: calls.append(1))
+    with pytest.raises(InvalidInputError, match="cross-rf takes only its own dimensions"):
+        build_default("cross-rf", center_width_um=80)
+    assert calls == []
 
 
 def test_gnd_surface_build_meshes_once(monkeypatch):

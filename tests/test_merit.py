@@ -24,7 +24,6 @@ from iontrap import (
     Electrode,
     FitAxes,
     FitError,
-    GeometryParams,
     InvalidInputError,
     MeshParams,
     NullAmbiguityError,
@@ -520,7 +519,7 @@ def test_radial_axes_follow_the_rf_centroids():
 
     def layout(*electrodes):
         mesh = MeshParams(200.0, 200.0, Box3((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        return TrapGeometry("custom", GeometryParams("custom", mesh), electrodes)
+        return TrapGeometry("custom", mesh, electrodes)
 
     # rf rails on two wafers, offset by (-120, 80) um: e1 points along it
     axes = radial_axes(layout(rail("rf_lo", "rf", 40.0, 0.0),
