@@ -109,7 +109,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import threading
 import time
 import warnings
@@ -146,8 +145,6 @@ RESIDUAL_LIMIT = 1e-8
 SOLVE_MEMORY_BUDGET = 2 * 1024**3
 
 CACHE_ENV = "IONTRAP_CACHE_DIR"
-_CACHE_MAGIC = b"ITSC"
-_CACHE_VERSION = 2
 
 
 def _unique_rows(a):
@@ -155,7 +152,7 @@ def _unique_rows(a):
     the order numpy's unique(a, axis=0, return_index=True,
     return_inverse=True) gives them: distinct rows in lexicographic order,
     first the lowest index of each, and a[first][inverse] == a. One lexsort
-    of the columns; unique along an axis sorts a structured view of the
+    of the columns; unique along an axis sorts a record view of the
     rows, about ten times slower."""
     order = np.lexsort(a.T[::-1])
     s = a[order]
@@ -649,7 +646,7 @@ _MIRROR_AXES = ((1, 0), (2, 2))  # each single mirror and the coordinate it nega
 
 class _MirrorGroup:
     """The elements of {identity, x -> -x, z -> -z, both} that map the panel
-    set onto itself, and the block structure they give the collocation system.
+    set onto itself, and the blocks they split the collocation system into.
 
     An element belongs to the group only if it maps the corners of every
     panel, at the merge tolerance, onto the corners of some panel; then it
@@ -807,14 +804,16 @@ class SolvedTrap:
     largest boundary residual in volts.
 
     diagnostics records how the solve ran: cache ("hit", "miss", or "off"
-    without a cache directory), mirror_group (the symmetries found besides
-    the identity), block_sizes, factored_blocks (the indices into
-    block_sizes of the blocks an excitation reaches, the only ones factored
-    and the only ones cond_estimate covers), how this process evaluates the
-    kernel (kernel_workers threads, kernel_block_pairs pairs per block) and, when
-    solved here rather than loaded, the seconds of symmetry_s (mirror group
-    detection), assembly_s (rep table and kernel rows), factor_s (blocks,
-    LU, condition estimate and solve) and residual_s.
+    without a cache directory), digest (the SHA-256 of the panels, bem.py
+    and constants.py, which a cache entry must match), mirror_group (the
+    symmetries found besides the identity), block_sizes, factored_blocks
+    (the indices into block_sizes of the blocks an excitation reaches, the
+    only ones factored and the only ones cond_estimate covers), how this
+    process evaluates the kernel (kernel_workers threads, kernel_block_pairs
+    pairs per block) and, when solved here rather than loaded, the seconds
+    of symmetry_s (mirror group detection), assembly_s (rep table and
+    kernel rows), factor_s (blocks, LU, condition estimate and solve) and
+    residual_s.
 
     pset.group is the mirror group of the solve, found here or read from
     the cache; every evaluation runs through it.
@@ -881,17 +880,17 @@ def solve_unit_excitations(geometry: TrapGeometry,
     """Solve 1 V unit excitations for every electrode of the geometry.
 
     cache_dir (or $IONTRAP_CACHE_DIR if set and cache_dir is None) enables a
-    binary solution cache keyed by the geometry content hash; an entry whose
+    solution cache keyed by the geometry content hash; an entry whose
     panel arrays, bem.py or constants.py differ is solved again and
     overwritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or None
     pset = PanelSet(*geometry.arrays_m())
+    digest = _solution_digest(pset)
     if cache_dir:
-        cache_dir = os.path.expanduser(cache_dir)
-        digest = _solution_digest(pset)
-        cached = _cache_load(cache_dir, geometry, pset, digest)
+        path = _cache_path(os.path.expanduser(cache_dir), geometry.signature())
+        cached = _cache_load(path, geometry, pset, digest)
         if cached is not None:
             return cached
 
@@ -945,7 +944,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
                 f"boundary residual {res:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
                 f"for electrode {name!r} of {geometry.design!r}")
 
-    diagnostics = {"cache": "miss" if cache_dir else "off",
+    diagnostics = {"cache": "miss" if cache_dir else "off", "digest": digest,
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
                    "factored_blocks": factored, **_kernel_diagnostics(),
                    "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
@@ -953,35 +952,30 @@ def solve_unit_excitations(geometry: TrapGeometry,
                    "residual_s": time.perf_counter() - t2}
     solved = SolvedTrap(geometry, pset, S, residuals, cond, diagnostics)
     if cache_dir:
-        _cache_save(cache_dir, solved, digest)
+        _cache_save(path, solved)
     return solved
 
 
 # -- solution cache ----------------------------------------------------------
 #
-# File layout (all integers little endian):
-#   bytes 0:4    magic "ITSC"
-#   bytes 4:8    uint32 format version (2)
-#   bytes 8:16   uint64 header length H
-#   bytes 16:16+H JSON header: signature, electrode names, n_panels,
-#                 cond_estimate, mirror_group, block_sizes, factored_blocks,
-#                 residuals, payload sha256 and the solution digest
-#                 (_solution_digest)
-#   remainder    the payload: sigma.T as '<f8', the n_panels charge densities
-#                 of each electrode's unit excitation, electrodes in header
-#                 order; then the mirror group's perms as '<i4', one row of
-#                 n_panels per element, the identity and then mirror_group
-#                 order
-# An entry of another format version is a miss, solved again and overwritten.
+# An entry is named <signature>.itsc by the geometry content hash. It holds
+# one line of JSON, the header: the solution digest (_solution_digest),
+# cond_estimate, mirror_group, factored_blocks, residuals and the payload's
+# sha256; then the payload: sigma.T as '<f8', the n_panels charge densities
+# of each electrode's unit excitation in geometry order, then the mirror
+# group's perms as '<i4', one row of n_panels per element, the identity and
+# then mirror_group order. An entry of another digest, from other panels or
+# another bem.py or constants.py, or in the binary layout of older versions
+# (opening with b"ITSC"), is a miss, solved again and overwritten.
 
 def _cache_path(cache_dir, signature):
     return os.path.join(cache_dir, f"{signature}.itsc")
 
 
 def _solution_digest(pset: PanelSet) -> str:
-    """SHA-256 of what a solution depends on besides the geometry signature:
-    the bytes of this module and of constants.py (the code a solve runs and
-    the constants it reads) and the panel arrays."""
+    """SHA-256 of what a solution depends on: the bytes of this module and
+    of constants.py (the code a solve runs and the constants it reads) and
+    the panel arrays."""
     h = hashlib.sha256()
     for path in (__file__, constants.__file__):
         with open(path, "rb") as f:
@@ -991,85 +985,63 @@ def _solution_digest(pset: PanelSet) -> str:
     return h.hexdigest()
 
 
-def _cache_save(cache_dir, solved: SolvedTrap, digest: str):
-    os.makedirs(cache_dir, exist_ok=True)
+def _cache_save(path, solved: SolvedTrap):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = (np.ascontiguousarray(solved.sigma.T, dtype="<f8").tobytes()
                + np.ascontiguousarray(solved.pset.group.perms, dtype="<i4").tobytes())
-    header = json.dumps({
-        "signature": solved.geometry.signature(),
-        "electrodes": solved.geometry.electrode_names,
-        "n_panels": solved.pset.n,
-        "cond_estimate": solved.cond_estimate,
-        "mirror_group": solved.diagnostics["mirror_group"],
-        "block_sizes": solved.diagnostics["block_sizes"],
-        "factored_blocks": solved.diagnostics["factored_blocks"],
-        "residuals": solved.residuals.tolist(),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "digest": digest,
-    }, sort_keys=True).encode()
-    path = _cache_path(cache_dir, solved.geometry.signature())
+    diag = solved.diagnostics
+    header = {"digest": diag["digest"], "cond_estimate": solved.cond_estimate,
+              "mirror_group": diag["mirror_group"], "factored_blocks": diag["factored_blocks"],
+              "residuals": solved.residuals.tolist(),
+              "payload_sha256": hashlib.sha256(payload).hexdigest()}
     # a temp file of its own per writer, so concurrent writers never share one
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as f:
-            f.write(_CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, len(header))
-                    + header + payload)
+            f.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
             os.remove(tmp)
 
 
-def _cache_load(cache_dir, geometry, pset, digest):
-    path = _cache_path(cache_dir, geometry.signature())
+def _cache_load(path, geometry, pset, digest):
     if not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as f:
-            if f.read(4) != _CACHE_MAGIC:
-                raise ValueError("bad magic")
-            head = f.read(12)
-            if len(head) != 12:
-                raise ValueError("truncated header")
-            version, hlen = struct.unpack("<IQ", head)
-            if version != _CACHE_VERSION:
-                return None  # written in another format
-            header = json.loads(f.read(hlen))
-            payload = f.read()
+            line, payload = f.readline(), f.read()
+        if line.startswith(b"ITSC"):  # the binary layout of older versions
+            return None
+        header = json.loads(line)
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
         if header.get("digest") != digest:
             # solved from other panels or by another solver, whose header
             # may lack a field this one reads
             return None
-        for key, kind in (("electrodes", list), ("mirror_group", list), ("block_sizes", list),
-                          ("factored_blocks", list), ("residuals", list), ("n_panels", int),
-                          ("cond_estimate", float)):
-            value = header[key]
-            if not isinstance(value, kind) or isinstance(value, bool):
+        for key, kind in (("mirror_group", list), ("factored_blocks", list),
+                          ("residuals", list), ("cond_estimate", float)):
+            if not isinstance(header[key], kind):
                 raise ValueError(f"header {key!r} is not of type {kind.__name__}")
         if not math.isfinite(header["cond_estimate"]):
             raise ValueError("header 'cond_estimate' is not finite")
-        if header["signature"] != geometry.signature():
-            raise ValueError("signature mismatch")
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise ValueError("payload checksum mismatch")
-        if header["n_panels"] != pset.n:
-            raise ValueError("panel count mismatch")
-        k = len(header["electrodes"])
+        k = len(geometry.electrode_names)
         elements = [0] + [_MIRROR_NAMES.index(e) for e in header["mirror_group"]]
         if len(payload) != pset.n * (8 * k + 4 * len(elements)):
             raise ValueError("payload size mismatch")
         sigma = np.frombuffer(payload, dtype="<f8", count=k * pset.n)
         sigma = sigma.reshape(k, pset.n).T.copy()
         perms = np.frombuffer(payload, dtype="<i4", offset=8 * k * pset.n)
-        pset.group = _MirrorGroup(pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
-        residuals = np.array(header["residuals"], dtype=float)
-        diagnostics = {"cache": "hit", "mirror_group": header["mirror_group"],
-                       "block_sizes": header["block_sizes"],
+        group = pset.group = _MirrorGroup(
+            pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
+        diagnostics = {"cache": "hit", "digest": digest, "mirror_group": group.names,
+                       "block_sizes": group.block_sizes,
                        "factored_blocks": header["factored_blocks"], **_kernel_diagnostics()}
-        return SolvedTrap(geometry, pset, sigma, residuals,
+        return SolvedTrap(geometry, pset, sigma, np.array(header["residuals"], dtype=float),
                           header["cond_estimate"], diagnostics)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         warnings.warn(f"ignoring corrupt solver cache {path}: {exc}")
         return None

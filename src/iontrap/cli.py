@@ -330,18 +330,20 @@ def cmd_sweep(ns) -> int:
 def _check_domain(geom, center, span):
     lo = [c - s / 2 for c, s in zip(center, span)]
     hi = [c + s / 2 for c, s in zip(center, span)]
-    # without a top plane, y is bounded by the modeled extent, like x and z
-    half = float(np.abs(geom.corners_um()[:, [0, 2]]).max())
-    y_hi = half if geom.top_um is None else geom.top_um
+    corners = geom.corners_um()
+    # without a top plane, y is bounded by the largest |x| or |z| of the
+    # electrodes; x and z each by that axis's electrode extent
+    y_hi = float(np.abs(corners[:, [0, 2]]).max()) if geom.top_um is None else geom.top_um
     if lo[1] < 0.0 or hi[1] > y_hi:
         raise InvalidInputError(
             f"map extends outside the trap interior in y: [{lo[1]:.6g}, "
             f"{hi[1]:.6g}] um vs [0, {y_hi:.6g}]")
     for ax, name in ((0, "x"), (2, "z")):
-        if lo[ax] < -half or hi[ax] > half:
+        a_lo, a_hi = corners[:, ax].min(), corners[:, ax].max()
+        if lo[ax] < a_lo or hi[ax] > a_hi:
             raise InvalidInputError(
                 f"map extends outside the modeled region in {name}: "
-                f"[{lo[ax]:.6g}, {hi[ax]:.6g}] um vs +/-{half:.6g}")
+                f"[{lo[ax]:.6g}, {hi[ax]:.6g}] um vs [{a_lo:.6g}, {a_hi:.6g}]")
 
 
 def cmd_map(ns) -> int:

@@ -39,6 +39,11 @@ _GROWTH = 0.5
 MAX_PANELS = 30000
 
 
+def _require_vectors(what, *vectors):
+    if not all(np.shape(v) == (3,) for v in vectors):
+        raise InvalidGeometryError(f"{what} must have 3 components each, got {vectors}")
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-independent flat rectangle: origin corner plus two edge vectors.
@@ -51,6 +56,7 @@ class Rect:
     edge_v: tuple[float, float, float]
 
     def __post_init__(self):
+        _require_vectors("rect origin and edges", self.origin, self.edge_u, self.edge_v)
         if not np.isfinite([self.origin, self.edge_u, self.edge_v]).all():
             raise InvalidGeometryError(
                 f"rect origin and edges must be finite, got {self.origin}, "
@@ -81,6 +87,8 @@ class Electrode:
     rects: tuple[Rect, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidGeometryError(f"electrode name must be a string, got {self.name!r}")
         if self.role not in _ROLES:
             raise InvalidGeometryError(
                 f"electrode {self.name!r}: role must be one of {_ROLES}, got {self.role!r}"
@@ -101,6 +109,7 @@ class Box3:
     size: tuple[float, float, float]
 
     def __post_init__(self):
+        _require_vectors("box center and size", self.center, self.size)
         if not np.isfinite(self.center).all():
             raise InvalidGeometryError(f"box center must be finite, got {self.center}")
         if not all(0 <= s < math.inf for s in self.size):  # NaN fails too
@@ -226,8 +235,9 @@ class TrapGeometry:
         blo, bhi = np.array(self.mesh.fine_region.lo), np.array(self.mesh.fine_region.hi)
         if np.any(bhi < lo) or np.any(blo > hi):
             warnings.warn(
-                "fine_region does not intersect the electrode bounding box; "
-                "mesh will be uniformly coarse",
+                "fine_region does not intersect the electrode bounding box; no "
+                "panel is held to fine_um: each panel's edge target is half its "
+                "distance from the region, clamped to [fine_um, coarse_um]",
                 stacklevel=3,
             )
 
@@ -268,12 +278,16 @@ class TrapGeometry:
     def from_dict(cls, d: dict) -> "TrapGeometry":
         """The geometry of a to_dict dict. Other keys are ignored, among them
         the design dimensions that older versions wrote under params."""
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"geometry must be a JSON object, got {type(d).__name__}")
         try:
             if d.get("units") != "um":
                 raise InvalidInputError(
                     f"geometry units must be 'um', got {d.get('units')!r}"
                 )
             design = d["design"]
+            if not isinstance(design, str):
+                raise InvalidInputError(f"geometry 'design' must be a string, got {design!r}")
             m = d["params"]["mesh"]
             mesh = MeshParams(
                 coarse_um=float(m["coarse_um"]),

@@ -13,7 +13,6 @@ import math
 import multiprocessing
 import os
 import resource
-import struct
 import subprocess
 import sys
 import textwrap
@@ -1102,6 +1101,9 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
     miss = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
     hit = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
     assert (off["cache"], miss["cache"], hit["cache"]) == ("off", "miss", "hit")
+    # the code and panels behind the numbers: one digest, cached or not
+    assert off["digest"] == miss["digest"] == hit["digest"] == bem._solution_digest(
+        bem.PanelSet(*g.arrays_m()))
     for diag in (off, miss, hit):
         assert diag["mirror_group"] == FULL_GROUP
         assert diag["block_sizes"] == [8, 8, 8, 8]
@@ -1232,21 +1234,22 @@ def test_cache_round_trip_is_exact(tmp_path):
                                       bem.field_of(b.pset, b.sigma[:, 0], pts))
 
 
-def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(
-        tmp_path, monkeypatch):
+def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(tmp_path):
+    # the binary layouts of older versions open with b"ITSC", a uint32 format
+    # version and a uint64 header length: a miss, overwritten in the one-line
+    # layout
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
     first = solve_unit_excitations(g, cache_dir=tmp_path)
     path = next(tmp_path.glob("*.itsc"))
-    raw = bytearray(path.read_bytes())
-    assert bytes(raw[4:8]) == bem._CACHE_VERSION.to_bytes(4, "little") == b"\x02\0\0\0"
-    raw[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b"ITSC" + (1).to_bytes(4, "little") + len(line).to_bytes(8, "little")
+                     + line + payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         again = solve_unit_excitations(g, cache_dir=tmp_path)
     assert again.diagnostics["cache"] == "miss"
     np.testing.assert_array_equal(again.sigma, first.sigma)
-    assert path.read_bytes()[4:8] == b"\x02\0\0\0"  # overwritten in format 2
+    assert path.read_bytes().startswith(b'{"cond_estimate": ')
     assert solve_unit_excitations(g, cache_dir=tmp_path).diagnostics["cache"] == "hit"
 
 
@@ -1256,13 +1259,11 @@ def test_an_entry_without_factored_blocks_is_solved_again_without_a_warning(tmp_
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
     first = solve_unit_excitations(g, cache_dir=tmp_path)
     path = next(tmp_path.glob("*.itsc"))
-    good = path.read_bytes()
-    hlen = struct.unpack("<Q", good[8:16])[0]
-    header = json.loads(good[16:16 + hlen])
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
     del header["factored_blocks"]
     header["digest"] = "0" * 64
-    text = json.dumps(header).encode()
-    path.write_bytes(good[:8] + struct.pack("<Q", len(text)) + text + good[16 + hlen:])
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         again = solve_unit_excitations(g, cache_dir=tmp_path)
@@ -1272,6 +1273,37 @@ def test_an_entry_without_factored_blocks_is_solved_again_without_a_warning(tmp_
     assert (hit["cache"], hit["factored_blocks"]) == ("hit", [0])
 
 
+def test_an_entry_is_one_header_line_and_the_payload(tmp_path):
+    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),
+                          _plate(300.0, 100.0, 60.0, "b", "ground")), 100.0)
+    solved = solve_unit_excitations(g, cache_dir=tmp_path)
+    line, payload = (tmp_path / f"{g.signature()}.itsc").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    assert sorted(header) == ["cond_estimate", "digest", "factored_blocks", "mirror_group",
+                              "payload_sha256", "residuals"]
+    assert header["digest"] == solved.diagnostics["digest"]
+    sigma = np.frombuffer(payload, "<f8", count=solved.sigma.size)
+    np.testing.assert_array_equal(sigma.reshape(2, -1).T, solved.sigma)
+    perms = np.frombuffer(payload, "<i4", offset=8 * solved.sigma.size)
+    np.testing.assert_array_equal(perms.reshape(4, -1), solved.pset.group.perms)
+
+
+def test_an_entry_of_other_panels_is_solved_again_without_a_warning(tmp_path):
+    # the entry of b put in place of a's: its digest covers b's panels, so
+    # a's solve misses it and overwrites it
+    a = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    b = _custom_geometry((_plate(320.0, 100.0, 0.0, "a", "rf"),), 100.0)
+    first = solve_unit_excitations(a, cache_dir=tmp_path / "a")
+    solve_unit_excitations(b, cache_dir=tmp_path / "b")
+    (tmp_path / "b" / f"{b.signature()}.itsc").replace(tmp_path / "a" / f"{a.signature()}.itsc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = solve_unit_excitations(a, cache_dir=tmp_path / "a")
+    assert again.diagnostics["cache"] == "miss"
+    np.testing.assert_array_equal(again.sigma, first.sigma)
+    assert solve_unit_excitations(a, cache_dir=tmp_path / "a").diagnostics["cache"] == "hit"
+
+
 def test_corrupt_cache_is_ignored_with_warning(tmp_path):
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
     first = solve_unit_excitations(g, cache_dir=tmp_path)
@@ -1279,28 +1311,22 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
     good = path.read_bytes()
     raw = bytearray(good)
     raw[-5] ^= 0xFF  # flip a payload byte; checksum must catch it
-    not_an_object = b"[1,2]"
+    line, payload = good.split(b"\n", 1)
 
     def with_header(key, value):
         """The good entry with one header field replaced; the payload and
         its checksum are unchanged."""
-        hlen = struct.unpack("<Q", good[8:16])[0]
-        header = json.loads(good[16:16 + hlen])
+        header = json.loads(line)
         header[key] = value
-        text = json.dumps(header).encode()
-        return good[:8] + struct.pack("<Q", len(text)) + text + good[16 + hlen:]
+        return json.dumps(header).encode() + b"\n" + payload
 
     for bad, reason in (
             (bytes(raw), "payload checksum mismatch"),
-            (bytes(raw[:10]), "truncated header"),  # cut inside the first 16 bytes
-            (bem._CACHE_MAGIC + struct.pack("<IQ", bem._CACHE_VERSION, len(not_an_object))
-             + not_an_object, "header is not a JSON object"),
-            (with_header("electrodes", 5), "header 'electrodes' is not of type list"),
+            (line[:-1], "Expecting ',' delimiter"),  # cut inside the header line
+            (b"[1,2]\n" + payload, "header is not a JSON object"),
             (with_header("mirror_group", "x=0"), "header 'mirror_group' is not of type list"),
             (with_header("factored_blocks", 0), "header 'factored_blocks' is not of type list"),
             (with_header("residuals", 1e-12), "header 'residuals' is not of type list"),
-            (with_header("n_panels", float(first.pset.n)), "header 'n_panels' is not of type int"),
-            (with_header("n_panels", True), "header 'n_panels' is not of type int"),
             (with_header("cond_estimate", "12.5"), "header 'cond_estimate' is not of type float"),
             (with_header("cond_estimate", math.nan), "header 'cond_estimate' is not finite"),
             (with_header("cond_estimate", math.inf), "header 'cond_estimate' is not finite")):

@@ -93,6 +93,22 @@ def test_build_cross_rejects_planar_flags(tmp_path, capsys):
     assert "cross-rf takes only" in capsys.readouterr().err
 
 
+def test_map_bounds_x_and_z_each_by_their_own_electrode_extent(tmp_path, capsys):
+    # rails 2000 um long on an 8000 um wafer: z ends at +/-1000, x at +/-4000
+    geo = tmp_path / "short.json"
+    geometry.build_surface_trap(electrode_length_um=2000.0, fine_um=80.0).save(geo)
+
+    def map_at(center):
+        return run_cli("map", "--geometry", geo, "--center-um", center, "--span-um",
+                       "0,0,0", "--res-um", 1, "--out", tmp_path / "m.csv")
+
+    assert map_at("0,90,3500") == 2
+    assert ("outside the modeled region in z: [3500, 3500] um vs [-1000, 1000]"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("m.csv*"))
+    assert map_at("3500,90,0") == 0
+
+
 # a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("args, fragment", [
     (("--design", "surface", "--h-um", 100), "surface takes only its own dimensions"),
@@ -196,6 +212,9 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
         # the z-even blocks, the only ones solver_cond covers
         assert solver["factored_blocks"] == [0, 2]
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
+    pset = bem.PanelSet(*geometry.build_default("surface", fine_um=80.0).arrays_m())
+    # the code and panels behind the numbers
+    assert miss["digest"] == hit["digest"] == bem._solution_digest(pset)
     # the null scan runs on x = z = 0, where a point is its only image, and
     # the depth grid on z = 0, where it has two; only the Hessian's z steps
     # leave z = 0. Every image reads the corners of the rep panels
@@ -204,7 +223,6 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     assert seen == report["field_evaluations"]
     assert set(seen) == {"points", "images", "corners"}
     assert seen["points"] < seen["images"] < 2 * seen["points"]
-    pset = bem.PanelSet(*geometry.build_default("surface", fine_um=80.0).arrays_m())
     assert seen["corners"] < sum(g.cu.size for g in pset.corner_groups) / 3
     depth = {key: manifest["diagnostics"][key] for key in (
         "depth_grid_points", "depth_grid_cells", "depth_polished")}
@@ -338,6 +356,37 @@ def test_a_geometry_file_with_a_non_finite_rect_exits_2_without_output(tmp_path,
     assert list(out.iterdir()) == []
 
 
+def _set(keys, value):
+    """An edit of a geometry dict that sets the item at the path keys."""
+    def edit(d):
+        item = d
+        for key in keys[:-1]:
+            item = item[key]
+        item[keys[-1]] = value
+        return d
+    return edit
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda d: [d], "geometry must be a JSON object, got list"),
+    (_set(("electrodes", 0, "name"), 5), "electrode name must be a string, got 5"),
+    (_set(("design",), 7), "geometry 'design' must be a string, got 7"),
+    (_set(("params", "mesh", "fine_region", "center_um"), [0.0, 0.0]),
+     "box center and size must have 3 components each"),
+    (_set(("electrodes", 0, "rects", 0, "u"), [10.0, 0.0]),
+     "rect origin and edges must have 3 components each"),
+], ids=["top-level list", "electrode name", "design", "fine_region center", "rect edge"])
+def test_a_geometry_file_of_the_wrong_shape_exits_2_without_output(tmp_path, capsys,
+                                                                    edit, fragment):
+    d = edit(geometry.build_surface_trap(fine_um=240.0).to_dict())
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("report", "--geometry", tmp_path / "bad.json", "--out", out / "r") == 2
+    assert fragment in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["report", "map"])
 @pytest.mark.parametrize("flag", [("--design", "cross-rf"), ("--h-um", 300),
                                   ("--mesh-fine-um", 50)])
@@ -393,6 +442,22 @@ def test_sweep_single_row_matches_library_report(tmp_path, cross_solved_105, cac
     assert manifest["diagnostics"] == {"n_rows": 1, "n_errors": 0}
 
 
+def test_map_bounds_x_and_z_each_by_their_own_electrode_extent(tmp_path, capsys):
+    # rails 2000 um long on an 8000 um wafer: z ends at +/-1000, x at +/-4000
+    geo = tmp_path / "short.json"
+    geometry.build_surface_trap(electrode_length_um=2000.0, fine_um=80.0).save(geo)
+
+    def map_at(center):
+        return run_cli("map", "--geometry", geo, "--center-um", center, "--span-um",
+                       "0,0,0", "--res-um", 1, "--out", tmp_path / "m.csv")
+
+    assert map_at("0,90,3500") == 2
+    assert ("outside the modeled region in z: [3500, 3500] um vs [-1000, 1000]"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("m.csv*"))
+    assert map_at("3500,90,0") == 0
+
+
 # a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("spec, fragment", [
     ({"design": "surface", "h_um": [100.0]}, "gnd-surface or cross-rf"),
@@ -443,6 +508,22 @@ def test_sweep_spec_errors(tmp_path, capsys, spec, fragment):
     assert rc == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_map_bounds_x_and_z_each_by_their_own_electrode_extent(tmp_path, capsys):
+    # rails 2000 um long on an 8000 um wafer: z ends at +/-1000, x at +/-4000
+    geo = tmp_path / "short.json"
+    geometry.build_surface_trap(electrode_length_um=2000.0, fine_um=80.0).save(geo)
+
+    def map_at(center):
+        return run_cli("map", "--geometry", geo, "--center-um", center, "--span-um",
+                       "0,0,0", "--res-um", 1, "--out", tmp_path / "m.csv")
+
+    assert map_at("0,90,3500") == 2
+    assert ("outside the modeled region in z: [3500, 3500] um vs [-1000, 1000]"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("m.csv*"))
+    assert map_at("3500,90,0") == 0
 
 
 # a case whose message took the input rules' wording keeps its id
@@ -731,9 +812,25 @@ def test_map_bounds_of_a_custom_layout_come_from_its_electrodes(tmp_path, capsys
     assert map_at("0,40,0", "0,30,0") == 2
     assert "outside the trap interior in y" in capsys.readouterr().err
     assert map_at("490,25,0", "40,0,0") == 2
-    assert "outside the modeled region in x: [470, 510] um vs +/-500" in capsys.readouterr().err
+    assert "outside the modeled region in x: [470, 510] um vs [-500, 500]" in capsys.readouterr().err
     assert map_at("0,25,-490", "0,0,40") == 2
     assert "outside the modeled region in z" in capsys.readouterr().err
+
+
+def test_map_bounds_x_and_z_each_by_their_own_electrode_extent(tmp_path, capsys):
+    # rails 2000 um long on an 8000 um wafer: z ends at +/-1000, x at +/-4000
+    geo = tmp_path / "short.json"
+    geometry.build_surface_trap(electrode_length_um=2000.0, fine_um=80.0).save(geo)
+
+    def map_at(center):
+        return run_cli("map", "--geometry", geo, "--center-um", center, "--span-um",
+                       "0,0,0", "--res-um", 1, "--out", tmp_path / "m.csv")
+
+    assert map_at("0,90,3500") == 2
+    assert ("outside the modeled region in z: [3500, 3500] um vs [-1000, 1000]"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("m.csv*"))
+    assert map_at("3500,90,0") == 0
 
 
 # a case whose message took the input rules' wording keeps its id

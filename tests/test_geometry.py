@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -148,12 +149,19 @@ def test_gnd_surface_requires_positive_h():
 
 
 def test_fine_region_outside_electrodes_warns():
-    mesh = MeshParams(coarse_um=100.0, fine_um=50.0,
-                      fine_region=Box3((0.0, 5000.0, 0.0), (10.0, 10.0, 10.0)))
+    # a 20 um box 50 um above a 400 um plate: the mesh still grades with the
+    # distance from the box, from 0.5 * 50 um at the nearest panels
+    mesh = MeshParams(coarse_um=200.0, fine_um=5.0,
+                      fine_region=Box3((0.0, 60.0, 0.0), (20.0, 20.0, 20.0)))
     elec = Electrode("p", "dc", (
-        Rect((-50.0, 0.0, -50.0), (100.0, 0.0, 0.0), (0.0, 0.0, 100.0)),))
-    with pytest.warns(UserWarning, match="fine_region"):
-        TrapGeometry("custom", mesh, [elec])
+        Rect((-200.0, 0.0, -200.0), (400.0, 0.0, 0.0), (0.0, 0.0, 400.0)),))
+    with pytest.warns(UserWarning, match=re.escape(
+            "fine_region does not intersect the electrode bounding box; no panel is "
+            "held to fine_um: each panel's edge target is half its distance from the "
+            "region, clamped to [fine_um, coarse_um]")):
+        g = TrapGeometry("custom", mesh, [elec])
+    diag = g.mesh_diagnostics()
+    assert (diag["finest_edge_um"], diag["coarsest_edge_um"]) == (25.0, 100.0)
 
 
 # -- meshing invariants ------------------------------------------------------
