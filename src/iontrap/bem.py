@@ -82,25 +82,26 @@ which bounds the solver's kernel rows and symmetry blocks. A solve drops the
 scratch before it assembles and again before it factors.
 
 Collocation at panel centers with one row per center and one column per panel
-gives the system A sigma = V, solved for the unit excitations (1 V on one
-electrode, 0 V elsewhere) of every electrode at once. The solver finds which
-of the mirrors map every panel's corners onto the corners of a panel (all
-three built-in meshes: the whole group) and splits the system by the
-characters of that group. By the identity above, A[rep_i, g.rep_j] =
-K(g.c_i, rep_j) for the rep centres c_i: one potential_matrix call at the
-distinct images of the rep centres against the rep panels gives Q, about
-n x n/|G|, and block c in the orthonormal symmetry basis is the signed row sum
-M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] / sqrt(stab_i stab_j) over the orbits
-it keeps. Each block that an excitation reaches (its projected right-hand
-side is not exactly zero) is factored by LU; the solution of any other block
-is exactly zero. On the three built-in meshes every electrode is symmetric
-about z = 0, so their two z-odd blocks are never factored. The block
-solutions are expanded back to sigma; the residual check sums A sigma on
-every collocation point from Q with the evaluators' weight columns and
-mirror sum. A geometry without symmetry is the trivial group: one block, the
-dense matrix. The solve holds Q and the rows of at most two blocks at once,
-the bytes SOLVE_MEMORY_BUDGET is checked against, besides its
-n x n_electrodes right-hand sides and 64-column slices of a block.
+gives the system A sigma = V, solved for one right-hand side: the rf
+excitation, 1 V on every rf electrode and 0 V on all others, the drive that
+every figure of merit reads. The solver finds which of the mirrors map every
+panel's corners onto the corners of a panel (all three built-in meshes: the
+whole group) and splits the system by the characters of that group. By the
+identity above, A[rep_i, g.rep_j] = K(g.c_i, rep_j) for the rep centres c_i:
+one potential_matrix call at the distinct images of the rep centres against
+the rep panels gives Q, about n x n/|G|, and block c in the orthonormal
+symmetry basis is the signed row sum M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] /
+sqrt(stab_i stab_j) over the orbits it keeps. Each block that the excitation
+reaches (its projected right-hand side is not exactly zero) is factored by LU;
+the solution of any other block is exactly zero. The rf pattern of surface
+and gnd-surface is even in x and in z, so they factor block 0 alone; x -> -x
+maps cross-rf's rf_bottom onto gnd_bottom, so it factors the two z-even
+blocks. The block solutions are expanded back to sigma; the residual check
+sums A sigma on every collocation point from Q with the evaluators' weight
+columns and mirror sum. A geometry without symmetry is the trivial group: one
+block, the dense matrix. The solve holds Q and the rows of at most two blocks
+at once, the bytes SOLVE_MEMORY_BUDGET is checked against, besides a few
+n-vectors and 64-column slices of a block.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ COND_LIMIT = 1e12
 # significant digits the condition estimate is stored with: dgecon's last
 # bits follow where the process placed its buffers
 COND_DIGITS = 12
-# boundary-condition residual each unit solve must satisfy, in volts
+# boundary-condition residual the rf solve must satisfy, in volts
 RESIDUAL_LIMIT = 1e-8
 # bytes a solve may allocate for its kernel rows and symmetry blocks
 SOLVE_MEMORY_BUDGET = 2 * 1024**3
@@ -234,7 +235,7 @@ class _CornerGroup:
                      for f in self.frame]
 
     def fold(self, sigma):
-        """Corner weights w = C sigma of this group's panels, (corners[, k])."""
+        """Corner weights w = C sigma of this group's panels, (corners[, columns])."""
         s = sigma[self.panels]
         w = np.zeros((self.cu.size,) + s.shape[1:])
         for sign, i in zip((1.0, -1.0, -1.0, 1.0), self.idx):
@@ -243,7 +244,7 @@ class _CornerGroup:
 
 
 class ChargeWeights:
-    """Charge densities sigma (n[, k]) of a PanelSet folded into the corner
+    """Charge densities sigma (n,) of a PanelSet folded into the corner
     weights of its mirror group's rep table, on first use: the one field
     object. potential, field and jacobian evaluate it; pass it for sigma to
     the module's evaluators to evaluate one sigma many times.
@@ -258,8 +259,10 @@ class ChargeWeights:
     def __init__(self, pset: PanelSet, sigma):
         self.pset = pset
         self.sigma = np.asarray(sigma, float)
+        if self.sigma.shape != (pset.n,):
+            raise ValueError(f"sigma of shape {self.sigma.shape} for {pset.n} panels")
         group = pset.group
-        w = self.sigma.reshape(pset.n, -1)[group.images] / group.stab[:, None]
+        w = self.sigma[group.images] / group.stab
         keys = [x.tobytes() for x in w]
         first = {}
         self.column = [first.setdefault(key, len(first)) for key in keys]
@@ -294,15 +297,11 @@ class ChargeWeights:
         return [ax for e, ax in _MIRROR_AXES
                 if e in at and all(at[g] == at[g ^ e] for g in at)]
 
-    def stacked(self):
-        """The weight columns side by side, (reps, columns x k)."""
-        return np.moveaxis(self.columns, 0, 1).reshape(self.columns.shape[1], -1)
-
     def weights(self):
-        """The corner weights (corners, columns x k) of each corner group of
-        the rep table of pset.group."""
+        """The corner weights (corners, columns) of each corner group of the
+        rep table of pset.group."""
         if self._weights is None:
-            w = self.stacked()
+            w = self.columns.T
             self._weights = [g.fold(w) for g in self.pset.group.table(self.pset).corner_groups]
         return self._weights
 
@@ -575,12 +574,11 @@ def _charge(pset, sigma) -> ChargeWeights:
 
 
 def potential_of(pset: PanelSet, sigma, points):
-    """Potential of the densities sigma (n[, k]) or ChargeWeights, (m[, k])."""
+    """Potential of the densities sigma (n,) or ChargeWeights, (m,)."""
     def emit(dst, g, w, terms, s):
-        dst += _weighted_sums(terms[0], w, s[0]).reshape(dst.shape)
-    charge = _charge(pset, sigma)
-    return _quotient(pset, charge, points, lambda s: 1.0, _potential_terms, emit,
-                     charge.sigma.shape[1:])
+        dst += _weighted_sums(terms[0], w, s[0])
+    return _quotient(pset, _charge(pset, sigma), points, lambda s: 1.0, _potential_terms,
+                     emit, ())
 
 
 def field_of(pset: PanelSet, sigma, points):
@@ -737,8 +735,8 @@ class _MirrorGroup:
                                    pset.electrode_idx[r])
         return self._table
 
-    def solve(self, Q, index, B):
-        """(sigma, cond, factored): sigma of A sigma = B from Q, the kernel
+    def solve(self, Q, index, b):
+        """(sigma, cond, factored): sigma of A sigma = b from Q, the kernel
         of the distinct images of the rep centres against the rep panels
         (index[g, i] the row of g.c_i), the 1-norm condition estimate of the
         factored blocks (NaN on failure) and the blocks factored, indices
@@ -747,23 +745,23 @@ class _MirrorGroup:
         A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
         the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
         order, and LU factors it in place and solves the transpose. Block c
-        solves M_c y = sqrt(|G| / stab_i) b_i for the projected right-hand
-        side b_i = sum_g chars[c, g] B[g.rep_i] / |G|; then
+        solves M_c y = sqrt(|G| / stab_i) b_c,i for the projected right-hand
+        side b_c,i = sum_g chars[c, g] b[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
-        A block whose b is exactly zero for every column has x_c = 0 and is
-        neither summed nor factored.
+        A block whose b_c is exactly zero has x_c = 0 and is neither summed
+        nor factored.
         """
         # here, not at the top: a cache hit, a report or a map never loads it
         import scipy.linalg as sla
 
         order = self.perms.shape[0]
-        Bc = np.einsum("cg,gmk->cmk", self.chars, B[self.images])
-        X = np.zeros_like(Bc)
+        bc = np.einsum("cg,gm->cm", self.chars, b[self.images])
+        X = np.zeros_like(bc)
         anorm = ainv = 0.0
         factored = []
         for c, k in enumerate(self.keep):
-            if not Bc[c, k].any():
-                continue  # no excitation reaches the block: x_c stays 0
+            if not bc[c, k].any():
+                continue  # the excitation does not reach the block: x_c stays 0
             M, term = np.take(Q, index[0, k], axis=0), None
             for chi, rows in zip(self.chars[c, 1:], index[1:, k]):
                 term = np.take(Q, rows, axis=0, out=term, mode="clip")
@@ -786,28 +784,27 @@ class _MirrorGroup:
             if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
                 return None, math.nan, factored
             anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
-            y = sla.lu_solve((lu, piv), Bc[c, k] / (s[:, None] * math.sqrt(order)),
+            y = sla.lu_solve((lu, piv), bc[c, k] / (s * math.sqrt(order)),
                              trans=1, check_finite=False)
-            X[c, k] = y * s[:, None] / math.sqrt(order)
+            X[c, k] = y * s / math.sqrt(order)
             factored.append(c)
             del M, lu  # before the next block is summed
-        S = np.empty_like(B)
-        S[self.images] = np.einsum("cg,cmk->gmk", self.chars, X)
+        S = np.empty_like(b)
+        S[self.images] = np.einsum("cg,cm->gm", self.chars, X)
         return S, anorm * ainv, factored
 
 
 class SolvedTrap:
-    """All unit excitations of a geometry; charge_weights evaluates them.
+    """The rf excitation of a geometry; charge_weights evaluates it.
 
-    sigma[:, j] is the charge density (n_panels,) for 1 V on electrode j of
-    geometry.electrode_names, all others grounded, and residuals[j] its
-    largest boundary residual in volts.
+    sigma is the charge density (n_panels,) for 1 V on every rf electrode,
+    all others grounded, and residual its largest boundary residual in volts.
 
     diagnostics records how the solve ran: cache ("hit", "miss", or "off"
     without a cache directory), digest (the SHA-256 of the panels, bem.py
     and constants.py, which a cache entry must match), mirror_group (the
     symmetries found besides the identity), block_sizes, factored_blocks
-    (the indices into block_sizes of the blocks an excitation reaches, the
+    (the indices into block_sizes of the blocks the excitation reaches, the
     only ones factored and the only ones cond_estimate covers), how this
     process evaluates the kernel (kernel_workers threads, kernel_block_pairs
     pairs per block) and, when solved here rather than loaded, the seconds
@@ -820,55 +817,26 @@ class SolvedTrap:
     """
 
     def __init__(self, geometry: TrapGeometry, pset: PanelSet, sigma: np.ndarray,
-                 residuals: np.ndarray, cond_estimate: float, diagnostics: dict):
+                 residual: float, cond_estimate: float, diagnostics: dict):
         self.geometry = geometry
         self.pset = pset
         self.sigma = sigma
-        self.residuals = residuals
+        self.residual = residual
         self.cond_estimate = cond_estimate
         self.diagnostics = diagnostics
 
-    @property
-    def residual_max(self) -> float:
-        return float(self.residuals.max())
+    def charge_weights(self) -> ChargeWeights:
+        """The field object of the rf excitation."""
+        return ChargeWeights(self.pset, self.sigma)
 
-    def sigma_for(self, voltages: dict[str, float]) -> np.ndarray:
-        names = self.geometry.electrode_names
-        sig = np.zeros(self.pset.n)
-        for name, volt in voltages.items():
-            if name not in names:
-                raise KeyError(f"no electrode named {name!r}")
-            if volt:
-                sig += volt * self.sigma[:, names.index(name)]
-        return sig
-
-    def rf_voltages(self) -> dict[str, float]:
-        return {n: 1.0 for n in self.geometry.electrodes_with_role("rf")}
-
-    def charge_weights(self, voltages: dict[str, float] | None = None) -> ChargeWeights:
-        """The field object of the voltage pattern {electrode: volts}, by
-        default 1 V on every rf electrode."""
-        if voltages is None:
-            voltages = self.rf_voltages()
-        return ChargeWeights(self.pset, self.sigma_for(voltages))
-
-    def charge(self, electrode: str, voltages: dict[str, float]) -> float:
-        """Total charge (C) on an electrode under the given excitation."""
-        sig = self.sigma_for(voltages)
-        idx = self.geometry.electrode_names.index(electrode)
-        sel = self.pset.electrode_idx == idx
-        return float((sig[sel] * self.pset.areas[sel]).sum())
-
-    def capacitance_matrix(self):
-        """Maxwell capacitance matrix in F: C[i, j] = Q_i under unit excitation j."""
-        names = self.geometry.electrode_names
-        on = self.pset.electrode_idx[:, None] == np.arange(len(names))
-        return names, on.T @ (self.sigma * self.pset.areas[:, None])
+    def charge(self, electrode: str) -> float:
+        """Total charge (C) on an electrode under the rf excitation."""
+        sel = self.pset.electrode_idx == self.geometry.electrode_names.index(electrode)
+        return float((self.sigma[sel] * self.pset.areas[sel]).sum())
 
     def rf_capacitance(self) -> float:
         """Charge on the rf electrodes with every rf rail at 1 V, in F."""
-        volts = self.rf_voltages()
-        return sum(self.charge(n, volts) for n in volts)
+        return sum(self.charge(n) for n in self.geometry.electrodes_with_role("rf"))
 
 
 def _kernel_diagnostics():
@@ -877,13 +845,21 @@ def _kernel_diagnostics():
 
 def solve_unit_excitations(geometry: TrapGeometry,
                            cache_dir: str | os.PathLike | None = None) -> SolvedTrap:
-    """Solve 1 V unit excitations for every electrode of the geometry.
+    """Solve the rf excitation of the geometry: 1 V on every electrode of
+    role rf, 0 V on all others. InvalidGeometryError for a geometry without
+    an rf electrode.
 
     cache_dir (or $IONTRAP_CACHE_DIR if set and cache_dir is None) enables a
     solution cache keyed by the geometry content hash; an entry whose
     panel arrays, bem.py or constants.py differ is solved again and
     overwritten.
     """
+    names = geometry.electrode_names
+    rf = [names.index(n) for n in geometry.electrodes_with_role("rf")]
+    if not rf:
+        raise InvalidGeometryError(
+            f"{geometry.design!r} has no electrode of role 'rf': the solve drives "
+            f"the rf electrodes at 1 V")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or None
     pset = PanelSet(*geometry.arrays_m())
@@ -917,9 +893,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
     _release_scratch()  # the assembly's, not held through the factorization
     t1 = time.perf_counter()
 
-    names = geometry.electrode_names
-    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
-    S, cond, factored = group.solve(Q, index, B)
+    b = np.isin(pset.electrode_idx, rf).astype(float)
+    S, cond, factored = group.solve(Q, index, b)
     if not np.isfinite(cond):
         raise SolverError(f"condition estimate failed for {geometry.design}")
     if cond > COND_LIMIT:
@@ -933,16 +908,16 @@ def solve_unit_excitations(geometry: TrapGeometry,
 
     # every collocation point must sit on its prescribed voltage, by the
     # evaluators' weight columns and mirror sum; an image's images are the
-    # rows of Q. W.T Q.T: BLAS packs a copy of Q for Q @ W, 11 MiB on surface
+    # rows of Q. W Q.T for the weight columns W: BLAS packs a copy of Q for
+    # Q @ W.T, 11 MiB on surface
     charge = ChargeWeights(pset, S)
-    values = (charge.stacked().T @ Q.T).T.reshape(len(points), len(charge.columns), -1)
+    values = (charge.columns @ Q.T).T
     phi = group.sum_images(values, group.images_of(points)[1], charge.column, lambda s: 1.0)
-    residuals = np.abs(phi[index] - B[group.images]).max(axis=(0, 1))
-    for name, res in zip(names, residuals):
-        if not res <= RESIDUAL_LIMIT:  # a NaN residual fails too
-            raise SolverError(
-                f"boundary residual {res:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
-                f"for electrode {name!r} of {geometry.design!r}")
+    residual = float(np.abs(phi[index] - b[group.images]).max())
+    if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
+        raise SolverError(
+            f"boundary residual {residual:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
+            f"for the rf excitation of {geometry.design!r}")
 
     diagnostics = {"cache": "miss" if cache_dir else "off", "digest": digest,
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
@@ -950,7 +925,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
                    "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
                    "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
-    solved = SolvedTrap(geometry, pset, S, residuals, cond, diagnostics)
+    solved = SolvedTrap(geometry, pset, S, residual, cond, diagnostics)
     if cache_dir:
         _cache_save(path, solved)
     return solved
@@ -960,11 +935,10 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #
 # An entry is named <signature>.itsc by the geometry content hash. It holds
 # one line of JSON, the header: the solution digest (_solution_digest),
-# cond_estimate, mirror_group, factored_blocks, residuals and the payload's
-# sha256; then the payload: sigma.T as '<f8', the n_panels charge densities
-# of each electrode's unit excitation in geometry order, then the mirror
-# group's perms as '<i4', one row of n_panels per element, the identity and
-# then mirror_group order. An entry of another digest, from other panels or
+# cond_estimate, mirror_group, factored_blocks, residual and the payload's
+# sha256; then the payload: sigma as '<f8', the n_panels charge densities of
+# the rf excitation, then the mirror group's perms as '<i4', one row of
+# n_panels per element, the identity and then mirror_group order. An entry of another digest, from other panels or
 # another bem.py or constants.py, or in the binary layout of older versions
 # (opening with b"ITSC"), is a miss, solved again and overwritten.
 
@@ -987,12 +961,12 @@ def _solution_digest(pset: PanelSet) -> str:
 
 def _cache_save(path, solved: SolvedTrap):
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = (np.ascontiguousarray(solved.sigma.T, dtype="<f8").tobytes()
+    payload = (np.ascontiguousarray(solved.sigma, dtype="<f8").tobytes()
                + np.ascontiguousarray(solved.pset.group.perms, dtype="<i4").tobytes())
     diag = solved.diagnostics
     header = {"digest": diag["digest"], "cond_estimate": solved.cond_estimate,
               "mirror_group": diag["mirror_group"], "factored_blocks": diag["factored_blocks"],
-              "residuals": solved.residuals.tolist(),
+              "residual": solved.residual,
               "payload_sha256": hashlib.sha256(payload).hexdigest()}
     # a temp file of its own per writer, so concurrent writers never share one
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -1021,27 +995,25 @@ def _cache_load(path, geometry, pset, digest):
             # may lack a field this one reads
             return None
         for key, kind in (("mirror_group", list), ("factored_blocks", list),
-                          ("residuals", list), ("cond_estimate", float)):
+                          ("residual", float), ("cond_estimate", float)):
             if not isinstance(header[key], kind):
                 raise ValueError(f"header {key!r} is not of type {kind.__name__}")
-        if not math.isfinite(header["cond_estimate"]):
-            raise ValueError("header 'cond_estimate' is not finite")
+            if kind is float and not math.isfinite(header[key]):
+                raise ValueError(f"header {key!r} is not finite")
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise ValueError("payload checksum mismatch")
-        k = len(geometry.electrode_names)
         elements = [0] + [_MIRROR_NAMES.index(e) for e in header["mirror_group"]]
-        if len(payload) != pset.n * (8 * k + 4 * len(elements)):
+        if len(payload) != pset.n * (8 + 4 * len(elements)):
             raise ValueError("payload size mismatch")
-        sigma = np.frombuffer(payload, dtype="<f8", count=k * pset.n)
-        sigma = sigma.reshape(k, pset.n).T.copy()
-        perms = np.frombuffer(payload, dtype="<i4", offset=8 * k * pset.n)
+        sigma = np.frombuffer(payload, dtype="<f8", count=pset.n).astype(float)
+        perms = np.frombuffer(payload, dtype="<i4", offset=8 * pset.n)
         group = pset.group = _MirrorGroup(
             pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
         diagnostics = {"cache": "hit", "digest": digest, "mirror_group": group.names,
                        "block_sizes": group.block_sizes,
                        "factored_blocks": header["factored_blocks"], **_kernel_diagnostics()}
-        return SolvedTrap(geometry, pset, sigma, np.array(header["residuals"], dtype=float),
-                          header["cond_estimate"], diagnostics)
+        return SolvedTrap(geometry, pset, sigma, header["residual"], header["cond_estimate"],
+                          diagnostics)
     except (ValueError, KeyError) as exc:
         warnings.warn(f"ignoring corrupt solver cache {path}: {exc}")
         return None

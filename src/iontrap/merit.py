@@ -712,7 +712,7 @@ def full_report(solved, species: IonSpecies = CA40,
         eq_vs_hessian_rel=eq_dev,
         null_grad_norm=null.grad_norm,
         solver_cond=solved.cond_estimate,
-        solver_residual_V=solved.residual_max,
+        solver_residual_V=solved.residual,
         n_panels=geom.n_panels,
         field_evaluations=dict(rf.evaluations),
     )

@@ -225,10 +225,8 @@ def _trap_points(n, seed):
 
 
 def _evaluators(solved):
-    ps = solved.pset
-    sigma = solved.sigma_for(solved.rf_voltages())
+    ps, sigma = solved.pset, solved.sigma
     return {"potential_of": lambda p: bem.potential_of(ps, sigma, p),
-            "potential_of 2-D sigma": lambda p: bem.potential_of(ps, solved.sigma[:, :2], p),
             "field_of": lambda p: bem.field_of(ps, sigma, p),
             "jacobian_of": lambda p: bem.jacobian_of(ps, sigma, p)}
 
@@ -262,8 +260,8 @@ def _whole_table(pset):
 
 def _kept_mirrors(charge):
     """The coordinates (0 for x, 2 for z) whose mirror e in the group maps
-    the charge onto itself bit for bit, in every column of it: the mirrors
-    with column[g] == column[g.e] for every element g."""
+    the charge onto itself bit for bit: the mirrors with column[g] ==
+    column[g.e] for every element g."""
     at = dict(zip(charge.pset.group.elements.tolist(), charge.column))
     return [ax for e, ax in bem._MIRROR_AXES
             if e in at and all(at[g] == at[g ^ e] for g in at)]
@@ -281,16 +279,14 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
     pset, whole = solved.pset, _whole_table(solved.pset)
     assert pset.group.names == FULL_GROUP and whole.group.names == []
     pts = _plane_points(21)
-    first_rf = solved.geometry.electrodes_with_role("rf")[0]
-    rf = solved.sigma_for(solved.rf_voltages())
     rough = np.random.default_rng(22).uniform(-1.0, 1.0, pset.n)
-    sigmas = {"rf": rf, first_rf: solved.sigma_for({first_rf: 1.0}), "random": rough,
-              "columns": np.column_stack([rf, rough])}
-    # bit for bit, every solved charge keeps the z mirror, the rf charge of a
-    # planar trap also the x mirror, and a random charge neither; a 2-D
-    # charge keeps a mirror only if each of its columns does
+    z_mirror = pset.group.perms[pset.group.elements.tolist().index(2)]
+    sigmas = {"rf": solved.sigma, "random": rough,
+              "z-symmetric": 0.5 * (rough + rough[z_mirror])}
+    # bit for bit, the rf charge keeps the z mirror, that of a planar trap
+    # also the x mirror, and a random charge neither
     keeps = {"rf": [2] if solved.geometry.design == "cross-rf" else [0, 2],
-             first_rf: [2], "random": [], "columns": []}
+             "random": [], "z-symmetric": [2]}
     for label, sigma in sigmas.items():
         charge = bem.ChargeWeights(pset, sigma)
         assert _kept_mirrors(charge) == charge.kept_axes == keeps[label], label
@@ -298,15 +294,12 @@ def test_points_on_the_mirror_planes_read_one_panel_per_orbit(fixture, request):
         assert len(charge.columns) == 4 // 2 ** len(keeps[label]), label
         # a random sigma has no smooth field: its corner sums cancel more, so
         # the rounding of each is a larger share of the result
-        rel = 1e-12 if label in ("rf", first_rf) else 1e-11
-        evaluators = ((bem.potential_of,) if sigma.ndim == 2
-                      else (bem.potential_of, bem.field_of, bem.jacobian_of))
-        for evaluate in evaluators:
+        rel = 1e-12 if label == "rf" else 1e-11
+        for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
             got, want = evaluate(pset, sigma, pts), evaluate(whole, sigma, pts)
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= rel * scale, (label, evaluate)
-        if sigma.ndim == 1:
-            _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
+        _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
     # the 80 points have 20 + 2 * 40 + 4 * 20 distinct images, each read
     # against the corners of one panel per orbit
     charge = bem.ChargeWeights(pset, sigmas["rf"])
@@ -337,7 +330,7 @@ def test_skipped_kernel_terms_give_the_bits_of_computed_ones(fixture, request, m
     # each set alone, and all sets with two points off every plane in one
     # batch, against the same calls with term functions that skip nothing
     solved = request.getfixturevalue(fixture)
-    pset, sigma = solved.pset, solved.sigma_for(solved.rf_voltages())
+    pset, sigma = solved.pset, solved.sigma
     calls = list(_skip_sets(pset).values())
     calls.append(np.vstack(calls + [_trap_points(2, 42)]))
     evaluators = (bem.potential_of, bem.field_of, bem.jacobian_of)
@@ -367,7 +360,7 @@ def test_the_kernel_skips_the_terms_that_can_only_add_zeros(
         if evaluate is bem.potential_matrix:
             evaluate(pset.group.table(pset), pts)
         else:
-            evaluate(pset, solved.sigma_for(solved.rf_voltages()), pts)
+            evaluate(pset, solved.sigma, pts)
         return len(ln_sums), len(atans)
 
     pts = _trap_points(5, 43)
@@ -518,7 +511,7 @@ def test_a_negative_zero_coordinate_gives_the_bits_of_a_positive_one(surface_sol
         # -0.0 and 0.0 are one image
         images = pset.group.images_of(negative)[0]
         assert images.tobytes() == pset.group.images_of(pts)[0].tobytes()
-        sigma = surface_solved.sigma_for(surface_solved.rf_voltages())
+        sigma = surface_solved.sigma
         for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
             assert (evaluate(pset, sigma, negative).tobytes()
                     == evaluate(pset, sigma, pts).tobytes()), (pset.group.names, evaluate)
@@ -530,7 +523,7 @@ def test_a_fresh_panel_set_has_the_identity_group_and_reads_the_whole_table(
     group = pset.group
     assert (group.names, group.elements.tolist(), group.block_sizes) == ([], [0], [pset.n])
     np.testing.assert_array_equal(group.perms, np.arange(pset.n)[None])
-    charge = bem.ChargeWeights(pset, surface_solved.sigma[:, 0])
+    charge = bem.ChargeWeights(pset, surface_solved.sigma)
     pts = _plane_points(28)
     np.testing.assert_array_equal(charge.field(pts), bem.field_of(pset, charge.sigma, pts))
     every = sum(g.cu.size for g in pset.corner_groups)
@@ -540,6 +533,15 @@ def test_a_fresh_panel_set_has_the_identity_group_and_reads_the_whole_table(
     assert group.table(pset) is pset and len(charge.columns) == 1
     for g, w in zip(pset.corner_groups, charge.weights()):
         assert w.tobytes() == g.fold(charge.sigma).tobytes()
+
+
+def test_charge_weights_take_one_density_per_panel():
+    ps = _panel_grid(6)
+    for sigma in (np.ones((6, 2)), np.ones(5), 1.0):
+        with pytest.raises(ValueError, match="for 6 panels"):
+            bem.ChargeWeights(ps, sigma)
+        with pytest.raises(ValueError, match="for 6 panels"):
+            bem.potential_of(ps, sigma, _trap_points(2, 27))
 
 
 def test_a_second_identical_call_allocates_no_kernel_scratch():
@@ -585,8 +587,7 @@ def _map_points():
 
 
 def test_one_kernel_worker_gives_the_pool_output_bitwise(surface_solved, monkeypatch):
-    ps = surface_solved.pset
-    sigma = surface_solved.sigma_for(surface_solved.rf_voltages())
+    ps, sigma = surface_solved.pset, surface_solved.sigma
     pts = _map_points()
     reps = ps.centers[bem._MirrorGroup(ps).reps]
     assert pts.shape == (5454, 3)
@@ -701,13 +702,13 @@ def test_unit_solve_satisfies_boundary_conditions():
     g = _custom_geometry((_plate(400.0, 100.0, 0.0, "a", "rf"),
                           _plate(400.0, 100.0, 50.0, "b", "ground")), 100.0)
     solved = solve_unit_excitations(g)
-    assert solved.residual_max < 1e-8
+    assert solved.residual < 1e-8
     # the prescribed voltages are met exactly at every collocation point
     centers = solved.pset.centers
     on_a = centers[solved.pset.electrode_idx == 0]
     on_b = centers[solved.pset.electrode_idx == 1]
-    phi_a = solved.charge_weights({"a": 1.0}).potential(on_a)
-    phi_b = solved.charge_weights({"a": 1.0}).potential(on_b)
+    phi_a = solved.charge_weights().potential(on_a)
+    phi_b = solved.charge_weights().potential(on_b)
     assert np.abs(phi_a - 1.0).max() < 1e-8
     assert np.abs(phi_b).max() < 1e-8
 
@@ -723,21 +724,23 @@ def test_boundary_error_between_collocation_points_shrinks_with_mesh():
         g = _custom_geometry((_plate(400.0, fine, 0.0, "a", "rf"),
                               _plate(400.0, fine, 50.0, "b", "ground")), fine)
         solved = solve_unit_excitations(g)
-        phi = solved.charge_weights({"a": 1.0}).potential(probes)
+        phi = solved.charge_weights().potential(probes)
         errs.append(np.abs(phi - 1.0).max())
     assert errs[0] < 0.10
     assert errs[1] < 0.25 * errs[0]
 
 
-def test_solved_trap_field_is_superposition_of_units():
-    g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),
-                          _plate(200.0, 100.0, 40.0, "b", "dc")), 100.0)
-    solved = solve_unit_excitations(g)
-    pts = np.array([[10e-6, 20e-6, 5e-6]])
-    mixed = solved.charge_weights({"a": 3.0, "b": -1.5}).field(pts)
-    via_units = (3.0 * solved.charge_weights({"a": 1.0}).field(pts)
-                 - 1.5 * solved.charge_weights({"b": 1.0}).field(pts))
-    np.testing.assert_allclose(mixed, via_units, rtol=1e-12)
+def test_a_layout_without_an_rf_electrode_raises_before_the_cache_and_assembly(
+        tmp_path, monkeypatch):
+    # the solve drives the rf electrodes; without one it has nothing to solve
+    g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "dc"),
+                          _plate(200.0, 100.0, 40.0, "b", "ground")), 100.0)
+    steps = []
+    monkeypatch.setattr(bem, "_cache_load", lambda *a: steps.append("cache load"))
+    monkeypatch.setattr(bem, "potential_matrix", lambda *a: steps.append("assembly"))
+    with pytest.raises(InvalidGeometryError, match="'custom' has no electrode of role 'rf'"):
+        solve_unit_excitations(g, cache_dir=tmp_path)
+    assert steps == [] and not list(tmp_path.iterdir())
 
 
 def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
@@ -751,7 +754,7 @@ def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):
     monkeypatch.setattr(bem._MirrorGroup, "sum_images", nan_sum)
     with pytest.raises(SolverError, match="residual") as err:
         solve_unit_excitations(g, cache_dir=tmp_path)
-    assert "electrode 'a'" in str(err.value)
+    assert "the rf excitation of 'custom'" in str(err.value)
     assert not list(tmp_path.iterdir())
 
 
@@ -774,18 +777,23 @@ def test_condition_estimate_ignores_the_last_bits_of_dgecon(monkeypatch):
 
     monkeypatch.setattr(sla.lapack, "dgecon", four_ulps_lower)
     second = solve_unit_excitations(g)
-    assert len(calls) == len(second.diagnostics["factored_blocks"]) == 2
+    assert len(calls) == len(second.diagnostics["factored_blocks"]) == 1
     assert second.cond_estimate == first.cond_estimate
     np.testing.assert_array_equal(second.sigma, first.sigma)
 
 
+def _rf_boundary(solved):
+    """The right-hand side of the rf excitation: 1 V on the rf panels."""
+    names = solved.geometry.electrode_names
+    rf = [names.index(n) for n in solved.geometry.electrodes_with_role("rf")]
+    return np.isin(solved.pset.electrode_idx, rf).astype(float)
+
+
 def _dense_sigma(solved):
-    """sigma of every unit excitation from the whole matrix and one LU."""
+    """sigma of the rf excitation from the whole matrix and one LU."""
     pset = solved.pset
     A = bem.potential_matrix(pset, pset.centers)
-    names = solved.geometry.electrode_names
-    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
-    return sla.lu_solve(sla.lu_factor(A), B)
+    return sla.lu_solve(sla.lu_factor(A), _rf_boundary(solved))
 
 
 FULL_GROUP = ["x=0", "z=0", "x=0 & z=0"]
@@ -802,8 +810,8 @@ def test_symmetric_solve_matches_the_dense_solve(design, h_um, fine_um):
     assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
-def _rect(name, x0, z0, dx, dz, y=0.0):
-    return Electrode(name, "dc", (Rect((x0, y, z0), (dx, 0.0, 0.0), (0.0, 0.0, dz)),))
+def _rect(name, x0, z0, dx, dz, y=0.0, role="dc"):
+    return Electrode(name, role, (Rect((x0, y, z0), (dx, 0.0, 0.0), (0.0, 0.0, dz)),))
 
 
 def _watch_factor(monkeypatch):
@@ -818,11 +826,11 @@ def _watch_factor(monkeypatch):
     return sizes
 
 
-def _odd_in_z(pset):
-    """A right-hand side column odd in z and neither even nor odd in x: on
-    a mesh with both mirrors it reaches every block."""
+def _every_block(pset):
+    """A right-hand side neither even nor odd in x or in z: on a mesh with
+    both mirrors it reaches every block."""
     x, _, z = pset.centers.T
-    return np.sign(z) * (1.0 + (x > 0))
+    return (1.0 + (x > 0)) * (1.0 + 2.0 * (z > 0))
 
 
 def _chars_of(group, element, sign):
@@ -832,31 +840,37 @@ def _chars_of(group, element, sign):
 
 
 def test_a_built_in_solve_factors_only_its_z_even_blocks(monkeypatch):
-    # every electrode of a built-in mesh is even in z, so the right-hand
-    # sides of the z-odd blocks are exactly zero, and so are their solutions
-    g = build_default("surface", fine_um=80.0)
+    # the rf pattern of a built-in mesh is even in z, so the right-hand sides
+    # of the z-odd blocks are exactly zero, and so are their solutions; that
+    # of surface and gnd-surface is even in x too, while x -> -x maps
+    # cross-rf's rf_bottom onto gnd_bottom
     factored = _watch_factor(monkeypatch)
-    solved = solve_unit_excitations(g)
-    group, diag = solved.pset.group, solved.diagnostics
-    assert diag["factored_blocks"] == _chars_of(group, 2, 1) == [0, 2]
-    assert factored == [diag["block_sizes"][c] for c in diag["factored_blocks"]]
-    # the same system with a last column that reaches every block
+    for design, h_um, fine_um, blocks in (("surface", None, 80.0, [0]),
+                                          ("gnd-surface", 200.0, 80.0, [0]),
+                                          ("cross-rf", 200.0, 40.0, [0, 2])):
+        factored.clear()
+        solved = solve_unit_excitations(build_default(design, h_um=h_um, fine_um=fine_um))
+        group, diag = solved.pset.group, solved.diagnostics
+        assert diag["factored_blocks"] == blocks, design
+        assert set(blocks) <= set(_chars_of(group, 2, 1)) == {0, 2}
+        assert factored == [diag["block_sizes"][c] for c in blocks]
+    # the same system plus a part that reaches every block: the blocks are
+    # solved apart, so the rf part keeps its solution
     pset = solved.pset
     points, index = group.images_of(pset.centers[group.reps])
     Q = bem.potential_matrix(group.table(pset), points)
-    B = (pset.electrode_idx[:, None] == np.arange(len(g.electrode_names))).astype(float)
-    every, _, blocks = group.solve(Q, index, np.column_stack([B, _odd_in_z(pset)]))
+    every, _, blocks = group.solve(Q, index, _rf_boundary(solved) + _every_block(pset))
     assert blocks == [0, 1, 2, 3]
-    sigma = every[:, :-1]
-    assert np.abs(solved.sigma - sigma).max() <= 1e-13 * np.abs(sigma).max()
+    sigma = every - group.solve(Q, index, _every_block(pset))[0]
+    assert np.abs(solved.sigma - sigma).max() <= 1e-13 * np.abs(solved.sigma).max()
 
 
 def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monkeypatch):
     # a plate about the origin and two above and below it: the mesh keeps
-    # both mirrors, and the unit excitation of top or bottom, even in x but
-    # not in z, reaches the two x-even blocks, one of them z-odd
+    # both mirrors, and the rf excitation of top, even in x but not in z,
+    # reaches the two x-even blocks, one of them z-odd
     g = _custom_geometry((_rect("mid", -100.0, -150.0, 200.0, 300.0),
-                          _rect("top", -100.0, 200.0, 200.0, 150.0),
+                          _rect("top", -100.0, 200.0, 200.0, 150.0, role="rf"),
                           _rect("bottom", -100.0, -350.0, 200.0, 150.0)), 50.0)
     factored = _watch_factor(monkeypatch)
     solved = solve_unit_excitations(g)
@@ -865,27 +879,28 @@ def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monk
     assert diag["factored_blocks"] == _chars_of(group, 1, 1) == [0, 1]
     assert _chars_of(group, 2, -1)[0] in diag["factored_blocks"]
     assert factored == [diag["block_sizes"][c] for c in diag["factored_blocks"]]
-    assert solved.residual_max <= bem.RESIDUAL_LIMIT
+    assert solved.residual <= bem.RESIDUAL_LIMIT
     pset = solved.pset
-    B = (pset.electrode_idx[:, None] == np.arange(3)).astype(float)
-    dense = np.linalg.solve(bem.potential_matrix(pset, pset.centers), B)
+    dense = np.linalg.solve(bem.potential_matrix(pset, pset.centers),
+                            (pset.electrode_idx == 1).astype(float))
     assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("electrodes,group", [
     # no symmetry: the trivial group, one block, the dense system
-    ((_rect("a", 10.0, -50.0, 300.0, 200.0), _rect("b", -250.0, 30.0, 200.0, 100.0, 50.0)),
-     []),
-    # mirrors that swap two electrodes, so the excitations are not symmetric
-    ((_rect("a", 20.0, -100.0, 200.0, 250.0), _rect("b", -220.0, -100.0, 200.0, 250.0)),
-     ["x=0"]),
-    ((_rect("a", -100.0, 20.0, 250.0, 200.0), _rect("b", -100.0, -220.0, 250.0, 200.0)),
-     ["z=0"]),
-    ((_rect("a", -150.0, 20.0, 300.0, 200.0), _rect("b", -150.0, -220.0, 300.0, 200.0)),
-     FULL_GROUP),
+    ((_rect("a", 10.0, -50.0, 300.0, 200.0, role="rf"),
+      _rect("b", -250.0, 30.0, 200.0, 100.0, 50.0)), []),
+    # mirrors that swap the rf electrode a with b, so the excitation is not
+    # symmetric
+    ((_rect("a", 20.0, -100.0, 200.0, 250.0, role="rf"),
+      _rect("b", -220.0, -100.0, 200.0, 250.0)), ["x=0"]),
+    ((_rect("a", -100.0, 20.0, 250.0, 200.0, role="rf"),
+      _rect("b", -100.0, -220.0, 250.0, 200.0)), ["z=0"]),
+    ((_rect("a", -150.0, 20.0, 300.0, 200.0, role="rf"),
+      _rect("b", -150.0, -220.0, 300.0, 200.0)), FULL_GROUP),
     # a half turn about the y axis without either mirror
-    ((_rect("a", 20.0, 10.0, 200.0, 100.0), _rect("b", -220.0, -110.0, 200.0, 100.0)),
-     ["x=0 & z=0"]),
+    ((_rect("a", 20.0, 10.0, 200.0, 100.0, role="rf"),
+      _rect("b", -220.0, -110.0, 200.0, 100.0)), ["x=0 & z=0"]),
 ])
 def test_custom_layouts_detect_their_group_and_match_the_dense_solve(electrodes, group):
     solved = solve_unit_excitations(_custom_geometry(electrodes, 50.0))
@@ -893,12 +908,12 @@ def test_custom_layouts_detect_their_group_and_match_the_dense_solve(electrodes,
     assert sum(solved.diagnostics["block_sizes"]) == solved.pset.n
     dense = _dense_sigma(solved)
     assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
-    assert solved.residual_max <= bem.RESIDUAL_LIMIT
+    assert solved.residual <= bem.RESIDUAL_LIMIT
     # the evaluators through the group give the whole table's values
     pts = _plane_points(37)
     for evaluate in (bem.potential_of, bem.field_of, bem.jacobian_of):
-        got = evaluate(solved.pset, solved.sigma[:, 0], pts)
-        want = evaluate(_whole_table(solved.pset), solved.sigma[:, 0], pts)
+        got = evaluate(solved.pset, solved.sigma, pts)
+        want = evaluate(_whole_table(solved.pset), solved.sigma, pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), evaluate
 
 
@@ -932,10 +947,8 @@ def test_a_mirror_must_map_panel_corners_not_only_centers():
 def test_public_potential_meets_the_boundary_values_on_every_collocation_row(
         surface_solved):
     pset = surface_solved.pset
-    names = surface_solved.geometry.electrode_names
-    B = (pset.electrode_idx[:, None] == np.arange(len(names))).astype(float)
     phi = bem.potential_of(pset, surface_solved.sigma, pset.centers)
-    assert np.abs(phi - B).max() <= bem.RESIDUAL_LIMIT
+    assert np.abs(phi - _rf_boundary(surface_solved)).max() <= bem.RESIDUAL_LIMIT
 
 
 def test_solve_over_the_memory_budget_fails_before_assembly(monkeypatch):
@@ -1030,11 +1043,8 @@ def test_quotient_blocks_equal_the_blocks_of_the_dense_matrix(layout, monkeypatc
         return factor(a, *args, **kwargs)
 
     monkeypatch.setattr(sla, "lu_factor", watching_factor)
-    B = (pset.electrode_idx[:, None] == np.arange(pset.electrode_idx.max() + 1)).astype(float)
-    # the unit excitations of surface are even in z; a last column odd in
-    # z reaches every block, so each is factored
-    B = np.column_stack([B, _odd_in_z(pset)])
-    assert group.solve(Q, index, B)[2] == list(range(len(group.keep)))
+    # a right-hand side that reaches every block, so each is factored
+    assert group.solve(Q, index, _every_block(pset))[2] == list(range(len(group.keep)))
     A = bem.potential_matrix(pset, pset.centers)
     assert len(blocks) == len(group.keep)
     for c, (k, M) in enumerate(zip(group.keep, blocks)):
@@ -1053,20 +1063,19 @@ def test_solve_holds_no_more_than_its_memory_count(layout):
             else _panel_grid(1500))
     group, Q, index = _assemble(pset)
     assert len(group.names) == (3 if layout == "surface" else 0)
-    k = int(pset.electrode_idx.max()) + 1
-    B = (pset.electrode_idx[:, None] == np.arange(k)).astype(float)
+    b = _every_block(pset)
     tracemalloc.start()
     try:
-        S, cond, _ = group.solve(Q, index, B)
+        S, cond, _ = group.solve(Q, index, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(cond) and S.shape == B.shape
-    # besides the blocks solve_bytes counts: at most four n x k arrays (the
+    assert np.isfinite(cond) and S.shape == b.shape
+    # besides the blocks solve_bytes counts: at most four n-vectors (the
     # gathered and projected right-hand sides, the block solutions, sigma)
     # and, per block, a 64-column slab of |M|, the pivots and the condition
     # estimate's work vectors
-    vectors = 8 * pset.n * (4 * k + 72)
+    vectors = 8 * pset.n * (4 + 72)
     assert peak <= group.solve_bytes - Q.nbytes + vectors
 
 
@@ -1116,13 +1125,6 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
         assert miss[key] >= 0.0 and key not in hit
 
 
-def test_sigma_for_unknown_electrode_raises():
-    g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "rf"),), 100.0)
-    solved = solve_unit_excitations(g)
-    with pytest.raises(KeyError, match="nosuch"):
-        solved.sigma_for({"nosuch": 1.0})
-
-
 def test_isolated_plate_capacitance_extrapolates_to_literature_value():
     # capacitance of an isolated square plate of side L:
     # C = 4 pi eps0 L * c with c = 0.3667892 (center collocation converges
@@ -1130,9 +1132,9 @@ def test_isolated_plate_capacitance_extrapolates_to_literature_value():
     side = 1000.0
     cs = []
     for fine in (125.0, 62.5):
-        g = _custom_geometry((_plate(side, fine),), fine)
+        g = _custom_geometry((_plate(side, fine, role="rf"),), fine)
         solved = solve_unit_excitations(g)
-        q = solved.charge("p", {"p": 1.0})
+        q = solved.charge("p")
         cs.append(q / (4.0 * math.pi * EPS0 * side * 1e-6))
     assert cs[1] == pytest.approx(0.3667892, rel=0.03)
     richardson = 2.0 * cs[1] - cs[0]
@@ -1144,36 +1146,27 @@ def test_parallel_plate_mutual_capacitance_in_fringing_band():
     g = _custom_geometry((_plate(side, 125.0, 0.0, "bot", "ground"),
                           _plate(side, 125.0, gap, "top", "rf")), 125.0)
     solved = solve_unit_excitations(g)
-    names, C = solved.capacitance_matrix()
-    mutual = -C[names.index("top"), names.index("bot")]
+    # by reciprocity, minus the charge on the grounded plate with top at 1 V
+    mutual = -solved.charge("bot")
     ideal = EPS0 * (side * 1e-6) ** 2 / (gap * 1e-6)
     assert ideal < mutual < 1.15 * ideal
 
 
-def _assert_capacitance_is_the_unit_charges(solved):
-    # C[i, j] is the charge on electrode i under 1 V on electrode j alone
-    names, C = solved.capacitance_matrix()
-    assert names == solved.geometry.electrode_names
-    charges = [[solved.charge(ni, {nj: 1.0}) for nj in names] for ni in names]
-    np.testing.assert_allclose(C, charges, rtol=1e-12, atol=0.0)
-
-
-def test_capacitance_matrix_is_the_charge_of_each_unit_excitation(surface_solved):
-    _assert_capacitance_is_the_unit_charges(surface_solved)
-    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),
-                          _plate(300.0, 100.0, 60.0, "b", "ground")), 100.0)
-    _assert_capacitance_is_the_unit_charges(solve_unit_excitations(g))
-
-
 def test_capacitance_matrix_is_nearly_reciprocal(surface_solved):
-    names, C = surface_solved.capacitance_matrix()
-    assert len(names) == len(surface_solved.geometry.electrode_names)
-    asym = np.abs(C - C.T).max() / np.abs(C).max()
-    assert asym < 0.02
-    # diagonal (self) terms are positive, off-diagonal (induced) negative
-    assert np.all(np.diag(C) > 0.0)
-    off = C[~np.eye(len(names), dtype=bool)]
-    assert np.all(off < 0.0)
+    # C_ij = C_ji: the charge on the dc electrode with the rf rails at 1 V
+    # against the charge on the rails with the dc electrode at 1 V, each from
+    # the rf excitation of a solve, the roles of the two swapped in the
+    # second. The capacitance checks of the plate pair read C_ij this way
+    g = surface_solved.geometry
+    swapped = solve_unit_excitations(TrapGeometry(g.design, g.mesh, tuple(
+        Electrode(e.name, {"rf": "dc", "dc": "rf"}.get(e.role, e.role), e.rects)
+        for e in g.electrodes)))
+    there = sum(surface_solved.charge(n) for n in g.electrodes_with_role("dc"))
+    back = sum(swapped.charge(n) for n in g.electrodes_with_role("rf"))
+    assert abs(there - back) < 0.02 * abs(there)
+    # self capacitances are positive, induced charges negative
+    assert surface_solved.rf_capacitance() > 0.0 and swapped.rf_capacitance() > 0.0
+    assert there < 0.0 and back < 0.0
 
 
 def test_rf_capacitance_positive_and_order_100_fF(surface_solved):
@@ -1219,9 +1212,9 @@ def test_cache_round_trip_is_exact(tmp_path):
     assert len(files) == 1
     second = solve_unit_excitations(g, cache_dir=tmp_path)
     assert second.diagnostics["cache"] == "hit"
-    assert second.sigma.shape == (second.pset.n, len(g.electrode_names))
+    assert second.sigma.shape == (second.pset.n,)
     np.testing.assert_array_equal(first.sigma, second.sigma)
-    np.testing.assert_array_equal(first.residuals, second.residuals)
+    assert second.residual == first.residual
     assert second.cond_estimate == first.cond_estimate
     # the solver's mirror group comes back with the entry, not detected again
     solved, loaded = first.pset.group, second.pset.group
@@ -1230,8 +1223,8 @@ def test_cache_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(loaded.perms, solved.perms)
     pts = _plane_points(26)
     for a, b in ((first, second), (second, first)):
-        np.testing.assert_array_equal(bem.field_of(a.pset, a.sigma[:, 0], pts),
-                                      bem.field_of(b.pset, b.sigma[:, 0], pts))
+        np.testing.assert_array_equal(bem.field_of(a.pset, a.sigma, pts),
+                                      bem.field_of(b.pset, b.sigma, pts))
 
 
 def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(tmp_path):
@@ -1280,11 +1273,14 @@ def test_an_entry_is_one_header_line_and_the_payload(tmp_path):
     line, payload = (tmp_path / f"{g.signature()}.itsc").read_bytes().split(b"\n", 1)
     header = json.loads(line)
     assert sorted(header) == ["cond_estimate", "digest", "factored_blocks", "mirror_group",
-                              "payload_sha256", "residuals"]
+                              "payload_sha256", "residual"]
     assert header["digest"] == solved.diagnostics["digest"]
-    sigma = np.frombuffer(payload, "<f8", count=solved.sigma.size)
-    np.testing.assert_array_equal(sigma.reshape(2, -1).T, solved.sigma)
-    perms = np.frombuffer(payload, "<i4", offset=8 * solved.sigma.size)
+    assert header["residual"] == solved.residual
+    # the rf charge densities and one panel permutation per group element
+    n = solved.pset.n
+    assert len(payload) == 8 * n + 4 * n * 4
+    np.testing.assert_array_equal(np.frombuffer(payload, "<f8", count=n), solved.sigma)
+    perms = np.frombuffer(payload, "<i4", offset=8 * n)
     np.testing.assert_array_equal(perms.reshape(4, -1), solved.pset.group.perms)
 
 
@@ -1326,7 +1322,10 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
             (b"[1,2]\n" + payload, "header is not a JSON object"),
             (with_header("mirror_group", "x=0"), "header 'mirror_group' is not of type list"),
             (with_header("factored_blocks", 0), "header 'factored_blocks' is not of type list"),
-            (with_header("residuals", 1e-12), "header 'residuals' is not of type list"),
+            (with_header("residual", [{}]), "header 'residual' is not of type float"),
+            (with_header("residual", None), "header 'residual' is not of type float"),
+            (with_header("residual", "1e-14"), "header 'residual' is not of type float"),
+            (with_header("residual", math.nan), "header 'residual' is not finite"),
             (with_header("cond_estimate", "12.5"), "header 'cond_estimate' is not of type float"),
             (with_header("cond_estimate", math.nan), "header 'cond_estimate' is not finite"),
             (with_header("cond_estimate", math.inf), "header 'cond_estimate' is not finite")):

@@ -209,8 +209,9 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     for solver in solvers:
         assert solver["mirror_group"] == ["x=0", "z=0", "x=0 & z=0"]
         assert sum(solver["block_sizes"]) == manifest["diagnostics"]["n_panels"] == 580
-        # the z-even blocks, the only ones solver_cond covers
-        assert solver["factored_blocks"] == [0, 2]
+        # the rf pattern is even in x and z: one block, the only one
+        # solver_cond covers
+        assert solver["factored_blocks"] == [0]
     assert miss["assembly_s"] > 0.0 and "assembly_s" not in hit
     pset = bem.PanelSet(*geometry.build_default("surface", fine_um=80.0).arrays_m())
     # the code and panels behind the numbers
@@ -384,6 +385,18 @@ def test_a_geometry_file_of_the_wrong_shape_exits_2_without_output(tmp_path, cap
     out.mkdir()
     assert run_cli("report", "--geometry", tmp_path / "bad.json", "--out", out / "r") == 2
     assert fragment in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_geometry_without_an_rf_electrode_exits_2_without_output(tmp_path, capsys):
+    d = geometry.build_surface_trap(fine_um=240.0).to_dict()
+    for electrode in d["electrodes"]:
+        electrode["role"] = "dc"
+    (tmp_path / "dc.json").write_text(json.dumps(d))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("report", "--geometry", tmp_path / "dc.json", "--out", out / "r") == 2
+    assert "'surface' has no electrode of role 'rf'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

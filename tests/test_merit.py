@@ -863,7 +863,7 @@ def test_a_field_without_the_x_mirror_evaluates_whole_tiles_only(surface_solved,
     bowl = _assert_whole_tiles(ps, null, monkeypatch)
     assert bowl.boundary_limited
     pset = bem.PanelSet(*surface_solved.geometry.arrays_m())
-    charge = bem.ChargeWeights(pset, surface_solved.sigma_for(surface_solved.rf_voltages()))
+    charge = bem.ChargeWeights(pset, surface_solved.sigma)
     assert charge.image_axes == [] and surface_solved.charge_weights().image_axes == [0, 2]
     pseudo = PseudoField(charge, species=CA40, drive=DRIVE)
     null = _builtin_null(surface_solved, pseudo)
