@@ -73,13 +73,20 @@ keeps its bits. On a 2-vCPU host the 5454-point map of the benchmark took
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
 it; a child of `iontrap sweep --jobs N` takes 1/N of them), since numpy
-releases the interpreter lock inside the ufuncs that dominate a block. A call of one block, or on one CPU, runs inline. Each
-thread computes its blocks in _SCRATCH arrays of about _BLOCK_PAIRS doubles
-(0.4 MB each) that it keeps from call to call and grows when a call needs
-more, potential_matrix's panel gathers included, so the
-kernel's working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET,
-which bounds the solver's kernel rows and symmetry blocks. A solve drops the
-scratch before it assembles and again before it factors.
+releases the interpreter lock inside the ufuncs and the np.take gathers
+that make up a block; potential_matrix writes its rows through them too,
+not by a fancy-index assignment, which would hold the lock. A call of one
+block, or on one CPU, runs inline. The pool is the package's parallel
+engine: a solve runs its BLAS and LAPACK calls on one thread
+(_blas_limit), except the LU of a block of _THREADED_LU_ROWS rows or more,
+as a second BLAS thread gains nothing on the smaller blocks of the default
+meshes and then spins for about 0.1 s on the CPU that the kernel pool and
+the report need. Each thread computes its blocks in _SCRATCH arrays of
+about _BLOCK_PAIRS doubles (0.4 MB each) that it keeps from call to call
+and grows when a call needs more, so the kernel's working set is workers x
+4 MB: small beside SOLVE_MEMORY_BUDGET, which bounds the solver's kernel
+rows and symmetry blocks. A solve drops the scratch before it assembles and
+again before it factors.
 
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for one right-hand side: the rf
@@ -106,6 +113,8 @@ n-vectors and 64-column slices of a block.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -118,7 +127,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import constants
-from .errors import InvalidGeometryError, SolverError
+from .errors import InvalidGeometryError, InvalidInputError, SolverError
 from .geometry import TrapGeometry
 
 _TINY = 1e-300
@@ -144,6 +153,14 @@ COND_DIGITS = 12
 RESIDUAL_LIMIT = 1e-8
 # bytes a solve may allocate for its kernel rows and symmetry blocks
 SOLVE_MEMORY_BUDGET = 2 * 1024**3
+# blocks of at least this many rows factor on the BLAS libraries' own thread
+# count, smaller ones on one thread (_blas_limit): on a 2-vCPU host two threads
+# saved 27 ms on the LU of 1650 rows and 93 ms on 2070 rows, and none on
+# 1030 rows, after which the idle BLAS thread spins for about 0.1 s on the
+# CPU that the residual check, the report and the kernel pool need
+_THREADED_LU_ROWS = 2048
+_blas = None  # (get, set) of each loaded OpenBLAS library, found by the first solve
+_blas_lock = threading.Lock()
 
 CACHE_ENV = "IONTRAP_CACHE_DIR"
 
@@ -470,9 +487,10 @@ def _release_scratch():
 
 
 def _forget_pool():
-    """A forked child inherits the pool object but none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    """A forked child inherits the pool object but none of its threads, and
+    the locks in whatever state another thread held them."""
+    global _pool, _pool_lock, _blas_lock
+    _pool, _pool_lock, _blas_lock = None, threading.Lock(), threading.Lock()
     _scratch.clear()
 
 
@@ -489,8 +507,9 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
     or None for a term skipped, and emit(out[rows], group, wg, terms, s)
     adds their part, wg the group's entry of w (None for all without
     weights) and s the 1-D scratch arrays the terms left free, each large
-    enough for (block points x group corners) or (block points x group
-    panels). normal is False when every point of the block lies in the
+    enough for (block points x table corners) or (block points x panels);
+    the groups of a block are emitted in the order of pset.corner_groups.
+    normal is False when every point of the block lies in the
     group's plane. axes are coordinates whose mirror sums the outputs
     (ChargeWeights.kept_axes): when every point of the block has coordinate
     a = 0.0 for an a in axes, odd holds the frame rows along a, and the
@@ -506,10 +525,11 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
     out = np.zeros((p.shape[0],) + tuple(shape))
     groups = pset.corner_groups
     w = [None] * len(groups) if w is None else w
-    step = max(8, _BLOCK_PAIRS // sum(g.cu.size for g in groups))
+    corners = sum(g.cu.size for g in groups)
+    step = max(8, _BLOCK_PAIRS // corners)
     starts = range(0, p.shape[0], step)
     tasks = min(_WORKERS, len(starts))
-    size = min(step, p.shape[0]) * max(max(g.cu.size, g.panels.size) for g in groups)
+    size = min(step, p.shape[0]) * max(corners, pset.n)
 
     def task(first):
         flat, flat_mask = _thread_scratch(size)
@@ -535,16 +555,34 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
 
 
 def potential_matrix(pset: PanelSet, points):
-    """Potential at each point per unit charge density of each panel, (m, n)."""
+    """Potential at each point per unit charge density of each panel, (m, n).
+
+    Each group's corner terms F are copied into their columns of one (block
+    points x table corners) array, group after group; after the last group,
+    the block's rows are ((F0 - F1) - F2) + F3 over each panel's four
+    corners, read by their columns there. np.take and the ufuncs write them
+    in place and release the interpreter lock, which a fancy-index write
+    into the panels' columns would hold, so the kernel pool shares this work
+    too, whatever the order of the groups' panels."""
+    groups = pset.corner_groups
+    first = np.cumsum([0] + [g.cu.size for g in groups])
+    corner = np.empty((4, pset.n), np.intp)  # corner c of panel j, a table column
+    for g, f in zip(groups, first):
+        corner[:, g.panels] = g.idx + f
+
     def emit(dst, g, w, terms, s):
-        # ((F0 - F1) - F2) + F3 over each panel's four corners, gathered
-        # into scratch; take buffers out= unless mode is "clip" or "wrap"
-        F, c = terms[0], g.idx
-        a, b = (x[:F.shape[0] * g.panels.size].reshape(F.shape[0], -1) for x in s[:2])
-        np.take(F, c[0], axis=1, out=a, mode="clip")
-        for op, i in ((np.subtract, c[1]), (np.subtract, c[2]), (np.add, c[3])):
-            op(a, np.take(F, i, axis=1, out=b, mode="clip"), out=a)
-        dst[:, g.panels] = a
+        # the potential terms leave the last scratch array alone, so it keeps
+        # the block's corner terms from one group to the next
+        F, k = terms[0], groups.index(g)
+        table = s[-1][:F.shape[0] * first[-1]].reshape(F.shape[0], -1)
+        np.copyto(table[:, first[k]:first[k + 1]], F)
+        if k + 1 < len(groups):
+            return
+        # take buffers out= unless mode is "clip" or "wrap"
+        b = s[0][:dst.size].reshape(dst.shape)
+        np.take(table, corner[0], axis=1, out=dst, mode="clip")
+        for op, i in ((np.subtract, corner[1]), (np.subtract, corner[2]), (np.add, corner[3])):
+            op(dst, np.take(table, i, axis=1, out=b, mode="clip"), out=dst)
     return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
 
 
@@ -635,6 +673,73 @@ def panel_field(origin, edge_u, edge_v, points):
 
 
 # -- solver ------------------------------------------------------------------
+
+
+def _blas_libraries():
+    """(get, set) of the thread count of each OpenBLAS library this process
+    has loaded (numpy's and scipy's), found on the first call, which a solve
+    makes with scipy.linalg loaded: a mapped file whose name holds
+    "openblas" (/proc/self/maps, where the platform has one), opened
+    without loading anything new, that exports openblas_get_num_threads and
+    openblas_set_num_threads, bare, with the scipy_ prefix or with the 64_
+    suffix. Empty where none is found. Called with _blas_lock held."""
+    global _blas
+    if _blas is None:
+        try:
+            with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+                fields = [line.split(maxsplit=5) for line in f]
+        except OSError:
+            fields = []
+        paths = {x[5].strip() for x in fields if len(x) == 6}
+        found = []
+        for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:  # not a library, or no longer loaded
+                continue
+            for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads64_"):
+                get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+        _blas = found
+    return _blas
+
+
+def _blas_threads(rows):
+    """The BLAS threads a solve runs a block of rows on: 1, or the largest
+    count of _blas_libraries for a block of at least _THREADED_LU_ROWS rows;
+    None where no library is found."""
+    with _blas_lock:
+        counts = [get() for get, _ in _blas_libraries()]
+    return (max(counts) if rows >= _THREADED_LU_ROWS else 1) if counts else None
+
+
+@contextlib.contextmanager
+def _blas_limit(rows=0):
+    """Run the body with every library of _blas_libraries on one thread, a
+    block of at least _THREADED_LU_ROWS rows on their own counts; on exit
+    each gets back the count it had, on error too. A module lock keeps
+    concurrent solves from interleaving their sets and restores. Where no
+    library is found, the body runs as it would without.
+
+    One thread gives the same bits whatever the environment's
+    OPENBLAS_NUM_THREADS, and leaves no BLAS thread spinning on a CPU that
+    the kernel pool needs."""
+    with _blas_lock:
+        libs = [] if rows >= _THREADED_LU_ROWS else _blas_libraries()
+        counts = [get() for get, _ in libs]
+        try:
+            for _, put in libs:
+                put(1)
+            yield
+        finally:
+            for (_, put), n in zip(libs, counts):
+                put(n)
+
 
 # group element e flips x when e & 1 and z when e & 2
 _MIRROR_SIGNS = np.array([(1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, -1)])
@@ -740,7 +845,8 @@ class _MirrorGroup:
         of the distinct images of the rep centres against the rep panels
         (index[g, i] the row of g.c_i), the 1-norm condition estimate of the
         factored blocks (NaN on failure) and the blocks factored, indices
-        into keep.
+        into keep. Each block's LU, condition estimate and solve run
+        inside _blas_limit of its rows.
 
         A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
         the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
@@ -778,14 +884,15 @@ class _MirrorGroup:
             # from a block-sized |M|
             mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
                         for j in range(0, M.shape[1], 64))
-            lu, piv = sla.lu_factor(M.T, overwrite_a=True, check_finite=False)
-            # the infinity norm of M.T is the 1-norm of M
-            rcond, info = sla.lapack.dgecon(lu, mnorm, norm="I")
-            if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
-                return None, math.nan, factored
+            with _blas_limit(k.size):
+                lu, piv = sla.lu_factor(M.T, overwrite_a=True, check_finite=False)
+                # the infinity norm of M.T is the 1-norm of M
+                rcond, info = sla.lapack.dgecon(lu, mnorm, norm="I")
+                if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
+                    return None, math.nan, factored
+                y = sla.lu_solve((lu, piv), bc[c, k] / (s * math.sqrt(order)),
+                                 trans=1, check_finite=False)
             anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
-            y = sla.lu_solve((lu, piv), bc[c, k] / (s * math.sqrt(order)),
-                             trans=1, check_finite=False)
             X[c, k] = y * s / math.sqrt(order)
             factored.append(c)
             del M, lu  # before the next block is summed
@@ -807,10 +914,12 @@ class SolvedTrap:
     (the indices into block_sizes of the blocks the excitation reaches, the
     only ones factored and the only ones cond_estimate covers), how this
     process evaluates the kernel (kernel_workers threads, kernel_block_pairs
-    pairs per block) and, when solved here rather than loaded, the seconds
-    of symmetry_s (mirror group detection), assembly_s (rep table and
-    kernel rows), factor_s (blocks, LU, condition estimate and solve) and
-    residual_s.
+    pairs per block) and, when solved here rather than loaded, the BLAS
+    threads the largest factored block's LU ran on (blas_threads: 1, the
+    BLAS library's own count for a block of _THREADED_LU_ROWS rows or more,
+    None where no OpenBLAS library is found) and the seconds of symmetry_s
+    (mirror group detection), assembly_s (rep table and kernel rows),
+    factor_s (blocks, LU, condition estimate and solve) and residual_s.
 
     pset.group is the mirror group of the solve, found here or read from
     the cache; every evaluation runs through it.
@@ -830,8 +939,13 @@ class SolvedTrap:
         return ChargeWeights(self.pset, self.sigma)
 
     def charge(self, electrode: str) -> float:
-        """Total charge (C) on an electrode under the rf excitation."""
-        sel = self.pset.electrode_idx == self.geometry.electrode_names.index(electrode)
+        """Total charge (C) on an electrode under the rf excitation;
+        InvalidInputError for a name the geometry lacks."""
+        names = self.geometry.electrode_names
+        if electrode not in names:
+            raise InvalidInputError(f"{self.geometry.design!r} has no electrode {electrode!r}; "
+                                    f"its electrodes are {', '.join(names)}")
+        sel = self.pset.electrode_idx == names.index(electrode)
         return float((self.sigma[sel] * self.pset.areas[sel]).sum())
 
     def rf_capacitance(self) -> float:
@@ -911,7 +1025,8 @@ def solve_unit_excitations(geometry: TrapGeometry,
     # rows of Q. W Q.T for the weight columns W: BLAS packs a copy of Q for
     # Q @ W.T, 11 MiB on surface
     charge = ChargeWeights(pset, S)
-    values = (charge.columns @ Q.T).T
+    with _blas_limit():
+        values = (charge.columns @ Q.T).T
     phi = group.sum_images(values, group.images_of(points)[1], charge.column, lambda s: 1.0)
     residual = float(np.abs(phi[index] - b[group.images]).max())
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
@@ -922,6 +1037,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
     diagnostics = {"cache": "miss" if cache_dir else "off", "digest": digest,
                    "mirror_group": group.names, "block_sizes": group.block_sizes,
                    "factored_blocks": factored, **_kernel_diagnostics(),
+                   "blas_threads": _blas_threads(max(group.block_sizes[c] for c in factored)),
                    "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
                    "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}

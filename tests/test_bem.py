@@ -39,9 +39,9 @@ from iontrap import (
     build_surface_trap,
     solve_unit_excitations,
 )
-from iontrap import bem, constants
+from iontrap import bem, cli, constants
 from iontrap.constants import EPS0
-from iontrap.errors import InvalidGeometryError, SolverError
+from iontrap.errors import InvalidGeometryError, InvalidInputError, SolverError
 from iontrap.geometry import _mesh_electrodes
 from iontrap.pseudo import _grid_axis
 
@@ -627,6 +627,29 @@ def test_potential_matrix_of_more_panels_than_corners():
                                    rtol=1e-12)
 
 
+def test_potential_matrix_of_interleaved_corner_groups(monkeypatch):
+    # panels of two planes in turn: each corner group's panels are every
+    # other column. The matrix is, bit for bit, the one of the same panels
+    # sorted plane by plane with its columns put back in their order; the
+    # panels share no corner, so both tables hold the same corner bits
+    n = 12
+    origins = np.array([(20e-6 * (j // 2), 50e-6 * (j % 2), 0.0) for j in range(n)])
+    eu, ev = np.tile((10e-6, 0.0, 0.0), (n, 1)), np.tile((0.0, 0.0, 10e-6), (n, 1))
+    ps = bem.PanelSet(origins, eu, ev, np.zeros(n, dtype=int))
+    assert sorted(g.panels.tolist() for g in ps.corner_groups) == [
+        list(range(0, n, 2)), list(range(1, n, 2))]
+    order = np.argsort(np.arange(n) % 2, kind="stable")
+    plane_by_plane = bem.PanelSet(origins[order], eu[order], ev[order], np.zeros(n, dtype=int))
+    # several blocks, on the pool even on a host with one CPU
+    monkeypatch.setattr(bem, "_WORKERS", max(bem._WORKERS, 2))
+    pts = _trap_points(3000, 29)
+    Q = bem.potential_matrix(ps, pts)
+    assert np.array_equal(Q[:, order], bem.potential_matrix(plane_by_plane, pts))
+    for j in (0, 1, n - 1):
+        np.testing.assert_allclose(Q[:, j], bem.panel_potential(origins[j], eu[j], ev[j], pts),
+                                   rtol=1e-12)
+
+
 def test_kernel_blocks_reuse_their_scratch_memory():
     # blocks that allocated their temporaries would have the allocator hand
     # them back to the system after each block and fault them in again for
@@ -1123,6 +1146,79 @@ def test_diagnostics_record_the_solve_and_survive_the_cache(tmp_path):
         assert diag["kernel_block_pairs"] == bem._BLOCK_PAIRS
     for key in ("symmetry_s", "assembly_s", "factor_s", "residual_s"):
         assert miss[key] >= 0.0 and key not in hit
+
+
+def test_sigma_does_not_depend_on_the_blas_thread_variable():
+    # each child solves with no cache; OpenBLAS reads its thread count from
+    # the environment when it loads
+    code = ("import hashlib; from iontrap import build_default, solve_unit_excitations; "
+            "print(hashlib.sha256(solve_unit_excitations(build_default('surface'))"
+            ".sigma.tobytes()).hexdigest())")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        bem.CACHE_ENV, "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    digests = {subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": n},
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout.strip()
+               for n in ("1", "2")}
+    assert len(digests) == 1
+
+
+def test_the_solve_runs_blas_on_one_thread_and_restores_the_count(monkeypatch, tmp_path):
+    libs = bem._blas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS library with a thread-count control is loaded")
+    before = [get() for get, _ in libs]
+    monkeypatch.delenv(bem.CACHE_ENV, raising=False)
+    factor, seen = sla.lu_factor, []
+
+    def counting_factor(*args, **kwargs):
+        seen.append([get() for get, _ in libs])
+        return factor(*args, **kwargs)
+
+    def failing_factor(*args, **kwargs):
+        raise RuntimeError("factorization failed")
+
+    # a count the solve does not set, so that restoring it is seen
+    for _, put in libs:
+        put(2)
+    try:
+        monkeypatch.setattr(sla, "lu_factor", counting_factor)
+        for design, h_um in (("surface", None), ("gnd-surface", 200.0), ("cross-rf", 200.0)):
+            solved = solve_unit_excitations(build_default(design, h_um=h_um))
+            assert solved.diagnostics["blas_threads"] == 1
+            assert [get() for get, _ in libs] == [2] * len(libs)
+        assert seen and all(counts == [1] * len(libs) for counts in seen)
+
+        monkeypatch.setattr(sla, "lu_factor", failing_factor)
+        g = _custom_geometry((_plate(400.0, 100.0, 0.0, "a", "rf"),), 100.0)
+        with pytest.raises(RuntimeError, match="factorization failed"):
+            solve_unit_excitations(g)
+        assert [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, put), n in zip(libs, before):
+            put(n)
+
+    # like the stage timers, recorded by a solve and not by a cache hit
+    monkeypatch.setattr(sla, "lu_factor", factor)
+    out = tmp_path / "coarse"
+    args = ["--cache-dir", str(tmp_path / "cache"), "report", "--design", "surface",
+            "--mesh-fine-um", "80", "--out", str(out)]
+    solvers = []
+    for _ in range(2):
+        assert cli.main(args) == 0
+        manifest = json.loads((tmp_path / "coarse.json.manifest.json").read_text())
+        solvers.append(manifest["diagnostics"]["solver"])
+    miss, hit = solvers
+    assert miss["blas_threads"] == 1 and "blas_threads" not in hit
+
+
+def test_charge_of_an_electrode_the_geometry_lacks_is_invalid_input(surface_solved):
+    with pytest.raises(InvalidInputError) as err:
+        surface_solved.charge("nosuch")
+    message = str(err.value)
+    assert "'nosuch'" in message and "'surface'" in message
+    assert all(name in message for name in surface_solved.geometry.electrode_names)
 
 
 def test_isolated_plate_capacitance_extrapolates_to_literature_value():
