@@ -498,7 +498,7 @@ if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to re
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
+def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=(), width=None):
     """The blocked loop behind the public evaluators, out (m,) + shape: the
     points against pset's corner table, scaled by 1/(4 pi eps0) at the end.
 
@@ -506,9 +506,10 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
     normal, odd) gives the corner terms, each (block points, group corners)
     or None for a term skipped, and emit(out[rows], group, wg, terms, s)
     adds their part, wg the group's entry of w (None for all without
-    weights) and s the 1-D scratch arrays the terms left free, each large
-    enough for (block points x table corners) or (block points x panels);
-    the groups of a block are emitted in the order of pset.corner_groups.
+    weights) and s the 1-D scratch arrays the terms left free, each of
+    (block points x width) doubles, width by default the largest group's
+    corners; the groups of a block are emitted in the order of
+    pset.corner_groups.
     normal is False when every point of the block lies in the
     group's plane. axes are coordinates whose mirror sums the outputs
     (ChargeWeights.kept_axes): when every point of the block has coordinate
@@ -529,7 +530,8 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=()):
     step = max(8, _BLOCK_PAIRS // corners)
     starts = range(0, p.shape[0], step)
     tasks = min(_WORKERS, len(starts))
-    size = min(step, p.shape[0]) * max(corners, pset.n)
+    width = max(g.cu.size for g in groups) if width is None else width
+    size = min(step, p.shape[0]) * width
 
     def task(first):
         flat, flat_mask = _thread_scratch(size)
@@ -570,10 +572,10 @@ def potential_matrix(pset: PanelSet, points):
     for g, f in zip(groups, first):
         corner[:, g.panels] = g.idx + f
 
-    def emit(dst, g, w, terms, s):
+    def emit(dst, g, k, terms, s):
         # the potential terms leave the last scratch array alone, so it keeps
         # the block's corner terms from one group to the next
-        F, k = terms[0], groups.index(g)
+        F = terms[0]
         table = s[-1][:F.shape[0] * first[-1]].reshape(F.shape[0], -1)
         np.copyto(table[:, first[k]:first[k + 1]], F)
         if k + 1 < len(groups):
@@ -583,7 +585,10 @@ def potential_matrix(pset: PanelSet, points):
         np.take(table, corner[0], axis=1, out=dst, mode="clip")
         for op, i in ((np.subtract, corner[1]), (np.subtract, corner[2]), (np.add, corner[3])):
             op(dst, np.take(table, i, axis=1, out=b, mode="clip"), out=dst)
-    return _evaluate(pset, points, None, _potential_terms, emit, (pset.n,))
+    # each group's entry is its position, k; the scratch holds the block's
+    # corner terms and its rows of Q
+    return _evaluate(pset, points, range(len(groups)), _potential_terms, emit, (pset.n,),
+                     width=max(first[-1], pset.n))
 
 
 def _quotient(pset: PanelSet, charge: ChargeWeights, points, sign, terms, emit, shape):

@@ -1213,6 +1213,39 @@ def test_the_solve_runs_blas_on_one_thread_and_restores_the_count(monkeypatch, t
     assert miss["blas_threads"] == 1 and "blas_threads" not in hit
 
 
+def test_a_block_of_threaded_lu_rows_factors_on_the_library_count(monkeypatch):
+    libs = bem._blas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS library with a thread-count control is loaded")
+    before = [get() for get, _ in libs]
+    monkeypatch.delenv(bem.CACHE_ENV, raising=False)
+    factor, seen = sla.lu_factor, []
+
+    def counting_factor(*args, **kwargs):
+        seen.append([get() for get, _ in libs])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", counting_factor)
+    geometry = build_default("surface", fine_um=80)
+    rows = max(solve_unit_excitations(geometry).diagnostics["block_sizes"])
+    # a count the limiter does not set, so that leaving it alone is seen
+    for _, put in libs:
+        put(2)
+    try:
+        # the bound is inclusive: a block of exactly _THREADED_LU_ROWS rows
+        # keeps the library's count, one row fewer does not
+        for bound, threads in ((rows, 2), (rows + 1, 1)):
+            monkeypatch.setattr(bem, "_THREADED_LU_ROWS", bound)
+            seen.clear()
+            solved = solve_unit_excitations(geometry)
+            assert solved.diagnostics["blas_threads"] == threads
+            assert seen and all(counts == [threads] * len(libs) for counts in seen)
+            assert [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, put), n in zip(libs, before):
+            put(n)
+
+
 def test_charge_of_an_electrode_the_geometry_lacks_is_invalid_input(surface_solved):
     with pytest.raises(InvalidInputError) as err:
         surface_solved.charge("nosuch")
