@@ -99,16 +99,16 @@ one potential_matrix call at the distinct images of the rep centres against
 the rep panels gives Q, about n x n/|G|, and block c in the orthonormal
 symmetry basis is the signed row sum M_c[i, j] = sum_g chi_c(g) Q[g.c_i, j] /
 sqrt(stab_i stab_j) over the orbits it keeps. Each block that the excitation
-reaches (its projected right-hand side is not exactly zero) is factored by LU;
-the solution of any other block is exactly zero. The rf pattern of surface
-and gnd-surface is even in x and in z, so they factor block 0 alone; x -> -x
-maps cross-rf's rf_bottom onto gnd_bottom, so it factors the two z-even
-blocks. The block solutions are expanded back to sigma; the residual check
-sums A sigma on every collocation point from Q with the evaluators' weight
-columns and mirror sum. A geometry without symmetry is the trivial group: one
-block, the dense matrix. The solve holds Q and the rows of at most two blocks
-at once, the bytes SOLVE_MEMORY_BUDGET is checked against, besides a few
-n-vectors and 64-column slices of a block.
+reaches (_MirrorGroup.reached: its projected right-hand side is not exactly
+zero) is factored by LU; the solution of any other block is exactly zero. The
+rf pattern of surface and gnd-surface is even in x and in z, so they factor
+block 0 alone; x -> -x maps cross-rf's rf_bottom onto gnd_bottom, so it
+factors the two z-even blocks. The block solutions are expanded back to
+sigma; the residual check sums A sigma on every collocation point from Q with
+the evaluators' weight columns and mirror sum. A geometry without symmetry is
+the trivial group: one block, the dense matrix. The solve holds Q and the
+rows of at most two blocks at once, the bytes SOLVE_MEMORY_BUDGET is checked
+against, besides a few n-vectors and 64-column slices of a block.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import constants
-from .errors import InvalidGeometryError, InvalidInputError, SolverError
+from .errors import InvalidGeometryError, SolverError
 from .geometry import TrapGeometry
 
 _TINY = 1e-300
@@ -714,35 +714,28 @@ def _blas_libraries():
     return _blas
 
 
-def _blas_threads(rows):
-    """The BLAS threads a solve runs a block of rows on: 1, or the largest
-    count of _blas_libraries for a block of at least _THREADED_LU_ROWS rows;
-    None where no library is found."""
-    with _blas_lock:
-        counts = [get() for get, _ in _blas_libraries()]
-    return (max(counts) if rows >= _THREADED_LU_ROWS else 1) if counts else None
-
-
 @contextlib.contextmanager
 def _blas_limit(rows=0):
     """Run the body with every library of _blas_libraries on one thread, a
-    block of at least _THREADED_LU_ROWS rows on their own counts; on exit
-    each gets back the count it had, on error too. A module lock keeps
-    concurrent solves from interleaving their sets and restores. Where no
-    library is found, the body runs as it would without.
+    block of at least _THREADED_LU_ROWS rows on their own counts, and yield
+    that count: 1, the largest of their own, or None where no library is
+    found and the body runs as it would without. On exit each gets back the
+    count it had, on error too. A module lock keeps concurrent solves from
+    interleaving their sets and restores.
 
     One thread gives the same bits whatever the environment's
     OPENBLAS_NUM_THREADS, and leaves no BLAS thread spinning on a CPU that
     the kernel pool needs."""
     with _blas_lock:
-        libs = [] if rows >= _THREADED_LU_ROWS else _blas_libraries()
+        libs = _blas_libraries()
         counts = [get() for get, _ in libs]
+        limited = libs if rows < _THREADED_LU_ROWS else []
         try:
-            for _, put in libs:
+            for _, put in limited:
                 put(1)
-            yield
+            yield (1 if limited else max(counts)) if counts else None
         finally:
-            for (_, put), n in zip(libs, counts):
+            for (_, put), n in zip(limited, counts):
                 put(n)
 
 
@@ -845,13 +838,21 @@ class _MirrorGroup:
                                    pset.electrode_idx[r])
         return self._table
 
+    def reached(self, b):
+        """(bc, blocks): bc[c, r] = sum_g chars[c, g] b[images[g, r]] of the
+        right-hand side b (n,), and the blocks b reaches, the indices c into
+        keep whose bc[c, keep[c]] is not exactly zero."""
+        bc = np.einsum("cg,gm->cm", self.chars, b[self.images])
+        return bc, [c for c, k in enumerate(self.keep) if bc[c, k].any()]
+
     def solve(self, Q, index, b):
-        """(sigma, cond, factored): sigma of A sigma = b from Q, the kernel
-        of the distinct images of the rep centres against the rep panels
-        (index[g, i] the row of g.c_i), the 1-norm condition estimate of the
-        factored blocks (NaN on failure) and the blocks factored, indices
-        into keep. Each block's LU, condition estimate and solve run
-        inside _blas_limit of its rows.
+        """(sigma, cond, factored, threads): sigma of A sigma = b from Q,
+        the kernel of the distinct images of the rep centres against the rep
+        panels (index[g, i] the row of g.c_i), the 1-norm condition estimate
+        of the factored blocks (NaN on failure), the blocks factored (those
+        that b reaches) and the BLAS threads the LU of the largest of them
+        ran on. Each block's LU, condition estimate and solve run inside
+        _blas_limit of its rows.
 
         A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
         the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
@@ -859,20 +860,19 @@ class _MirrorGroup:
         solves M_c y = sqrt(|G| / stab_i) b_c,i for the projected right-hand
         side b_c,i = sum_g chars[c, g] b[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
-        A block whose b_c is exactly zero has x_c = 0 and is neither summed
-        nor factored.
+        A block that b does not reach has x_c = 0 and is neither summed nor
+        factored.
         """
         # here, not at the top: a cache hit, a report or a map never loads it
         import scipy.linalg as sla
 
         order = self.perms.shape[0]
-        bc = np.einsum("cg,gm->cm", self.chars, b[self.images])
+        bc, factored = self.reached(b)
         X = np.zeros_like(bc)
         anorm = ainv = 0.0
-        factored = []
-        for c, k in enumerate(self.keep):
-            if not bc[c, k].any():
-                continue  # the excitation does not reach the block: x_c stays 0
+        ran = {}  # rows of each block factored -> the BLAS threads of its LU
+        for c in factored:
+            k = self.keep[c]
             M, term = np.take(Q, index[0, k], axis=0), None
             for chi, rows in zip(self.chars[c, 1:], index[1:, k]):
                 term = np.take(Q, rows, axis=0, out=term, mode="clip")
@@ -889,21 +889,20 @@ class _MirrorGroup:
             # from a block-sized |M|
             mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
                         for j in range(0, M.shape[1], 64))
-            with _blas_limit(k.size):
+            with _blas_limit(k.size) as ran[k.size]:
                 lu, piv = sla.lu_factor(M.T, overwrite_a=True, check_finite=False)
                 # the infinity norm of M.T is the 1-norm of M
                 rcond, info = sla.lapack.dgecon(lu, mnorm, norm="I")
                 if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
-                    return None, math.nan, factored
+                    return None, math.nan, factored, None
                 y = sla.lu_solve((lu, piv), bc[c, k] / (s * math.sqrt(order)),
                                  trans=1, check_finite=False)
             anorm, ainv = max(anorm, mnorm), max(ainv, 1.0 / (rcond * mnorm))
             X[c, k] = y * s / math.sqrt(order)
-            factored.append(c)
             del M, lu  # before the next block is summed
         S = np.empty_like(b)
         S[self.images] = np.einsum("cg,cm->gm", self.chars, X)
-        return S, anorm * ainv, factored
+        return S, anorm * ainv, factored, ran[max(ran)] if ran else None
 
 
 class SolvedTrap:
@@ -917,14 +916,14 @@ class SolvedTrap:
     and constants.py, which a cache entry must match), mirror_group (the
     symmetries found besides the identity), block_sizes, factored_blocks
     (the indices into block_sizes of the blocks the excitation reaches, the
-    only ones factored and the only ones cond_estimate covers), how this
-    process evaluates the kernel (kernel_workers threads, kernel_block_pairs
-    pairs per block) and, when solved here rather than loaded, the BLAS
-    threads the largest factored block's LU ran on (blas_threads: 1, the
-    BLAS library's own count for a block of _THREADED_LU_ROWS rows or more,
-    None where no OpenBLAS library is found) and the seconds of symmetry_s
-    (mirror group detection), assembly_s (rep table and kernel rows),
-    factor_s (blocks, LU, condition estimate and solve) and residual_s.
+    only ones factored and the only ones cond_estimate covers; not stored, a
+    cache hit derives them), how this process evaluates the kernel
+    (kernel_workers threads, kernel_block_pairs pairs per block) and, when
+    solved here rather than loaded, the BLAS threads the largest factored
+    block's LU ran on (blas_threads, as _blas_limit yields them) and the
+    seconds of symmetry_s (mirror group detection), assembly_s (rep table
+    and kernel rows), factor_s (blocks, LU, condition estimate and solve)
+    and residual_s.
 
     pset.group is the mirror group of the solve, found here or read from
     the cache; every evaluation runs through it.
@@ -946,11 +945,7 @@ class SolvedTrap:
     def charge(self, electrode: str) -> float:
         """Total charge (C) on an electrode under the rf excitation;
         InvalidInputError for a name the geometry lacks."""
-        names = self.geometry.electrode_names
-        if electrode not in names:
-            raise InvalidInputError(f"{self.geometry.design!r} has no electrode {electrode!r}; "
-                                    f"its electrodes are {', '.join(names)}")
-        sel = self.pset.electrode_idx == names.index(electrode)
+        sel = self.pset.electrode_idx == self.geometry.electrode_index(electrode)
         return float((self.sigma[sel] * self.pset.areas[sel]).sum())
 
     def rf_capacitance(self) -> float:
@@ -958,8 +953,12 @@ class SolvedTrap:
         return sum(self.charge(n) for n in self.geometry.electrodes_with_role("rf"))
 
 
-def _kernel_diagnostics():
-    return {"kernel_workers": _WORKERS, "kernel_block_pairs": _BLOCK_PAIRS}
+def _diagnostics(cache, digest, group: _MirrorGroup, factored):
+    """The keys of SolvedTrap.diagnostics that a cache hit reports alike to
+    the miss that wrote its entry."""
+    return {"cache": cache, "digest": digest, "mirror_group": group.names,
+            "block_sizes": group.block_sizes, "factored_blocks": factored,
+            "kernel_workers": _WORKERS, "kernel_block_pairs": _BLOCK_PAIRS}
 
 
 def solve_unit_excitations(geometry: TrapGeometry,
@@ -983,9 +982,10 @@ def solve_unit_excitations(geometry: TrapGeometry,
         cache_dir = os.environ.get(CACHE_ENV) or None
     pset = PanelSet(*geometry.arrays_m())
     digest = _solution_digest(pset)
+    b = np.isin(pset.electrode_idx, rf).astype(float)
     if cache_dir:
-        path = _cache_path(os.path.expanduser(cache_dir), geometry.signature())
-        cached = _cache_load(path, geometry, pset, digest)
+        path = os.path.join(os.path.expanduser(cache_dir), f"{geometry.signature()}.itsc")
+        cached = _cache_load(path, geometry, pset, digest, b)
         if cached is not None:
             return cached
 
@@ -1012,8 +1012,7 @@ def solve_unit_excitations(geometry: TrapGeometry,
     _release_scratch()  # the assembly's, not held through the factorization
     t1 = time.perf_counter()
 
-    b = np.isin(pset.electrode_idx, rf).astype(float)
-    S, cond, factored = group.solve(Q, index, b)
+    S, cond, factored, threads = group.solve(Q, index, b)
     if not np.isfinite(cond):
         raise SolverError(f"condition estimate failed for {geometry.design}")
     if cond > COND_LIMIT:
@@ -1039,12 +1038,9 @@ def solve_unit_excitations(geometry: TrapGeometry,
             f"boundary residual {residual:.3e} V exceeds {RESIDUAL_LIMIT:.0e} V "
             f"for the rf excitation of {geometry.design!r}")
 
-    diagnostics = {"cache": "miss" if cache_dir else "off", "digest": digest,
-                   "mirror_group": group.names, "block_sizes": group.block_sizes,
-                   "factored_blocks": factored, **_kernel_diagnostics(),
-                   "blas_threads": _blas_threads(max(group.block_sizes[c] for c in factored)),
-                   "symmetry_s": t_group - t0, "assembly_s": t1 - t_group,
-                   "factor_s": t2 - t1,
+    diagnostics = {**_diagnostics("miss" if cache_dir else "off", digest, group, factored),
+                   "blas_threads": threads, "symmetry_s": t_group - t0,
+                   "assembly_s": t1 - t_group, "factor_s": t2 - t1,
                    "residual_s": time.perf_counter() - t2}
     solved = SolvedTrap(geometry, pset, S, residual, cond, diagnostics)
     if cache_dir:
@@ -1056,16 +1052,13 @@ def solve_unit_excitations(geometry: TrapGeometry,
 #
 # An entry is named <signature>.itsc by the geometry content hash. It holds
 # one line of JSON, the header: the solution digest (_solution_digest),
-# cond_estimate, mirror_group, factored_blocks, residual and the payload's
-# sha256; then the payload: sigma as '<f8', the n_panels charge densities of
-# the rf excitation, then the mirror group's perms as '<i4', one row of
-# n_panels per element, the identity and then mirror_group order. An entry of another digest, from other panels or
-# another bem.py or constants.py, or in the binary layout of older versions
-# (opening with b"ITSC"), is a miss, solved again and overwritten.
-
-def _cache_path(cache_dir, signature):
-    return os.path.join(cache_dir, f"{signature}.itsc")
-
+# cond_estimate, mirror_group, residual and the payload's sha256; then the
+# payload: sigma as '<f8', the n_panels charge densities of the rf
+# excitation, then the mirror group's perms as '<i4', one row of n_panels
+# per element, the identity and then mirror_group order; a load derives the
+# factored blocks from them (_MirrorGroup.reached). An entry of another
+# digest, from other panels or another bem.py or constants.py, or in the
+# binary layout of older versions (opening with b"ITSC"), is a miss.
 
 def _solution_digest(pset: PanelSet) -> str:
     """SHA-256 of what a solution depends on: the bytes of this module and
@@ -1086,8 +1079,7 @@ def _cache_save(path, solved: SolvedTrap):
                + np.ascontiguousarray(solved.pset.group.perms, dtype="<i4").tobytes())
     diag = solved.diagnostics
     header = {"digest": diag["digest"], "cond_estimate": solved.cond_estimate,
-              "mirror_group": diag["mirror_group"], "factored_blocks": diag["factored_blocks"],
-              "residual": solved.residual,
+              "mirror_group": diag["mirror_group"], "residual": solved.residual,
               "payload_sha256": hashlib.sha256(payload).hexdigest()}
     # a temp file of its own per writer, so concurrent writers never share one
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -1100,7 +1092,7 @@ def _cache_save(path, solved: SolvedTrap):
             os.remove(tmp)
 
 
-def _cache_load(path, geometry, pset, digest):
+def _cache_load(path, geometry, pset, digest, b):
     if not os.path.exists(path):
         return None
     try:
@@ -1115,8 +1107,8 @@ def _cache_load(path, geometry, pset, digest):
             # solved from other panels or by another solver, whose header
             # may lack a field this one reads
             return None
-        for key, kind in (("mirror_group", list), ("factored_blocks", list),
-                          ("residual", float), ("cond_estimate", float)):
+        for key, kind in (("mirror_group", list), ("residual", float),
+                          ("cond_estimate", float)):
             if not isinstance(header[key], kind):
                 raise ValueError(f"header {key!r} is not of type {kind.__name__}")
             if kind is float and not math.isfinite(header[key]):
@@ -1130,11 +1122,8 @@ def _cache_load(path, geometry, pset, digest):
         perms = np.frombuffer(payload, dtype="<i4", offset=8 * pset.n)
         group = pset.group = _MirrorGroup(
             pset, (elements, perms.reshape(-1, pset.n).astype(np.intp)))
-        diagnostics = {"cache": "hit", "digest": digest, "mirror_group": group.names,
-                       "block_sizes": group.block_sizes,
-                       "factored_blocks": header["factored_blocks"], **_kernel_diagnostics()}
         return SolvedTrap(geometry, pset, sigma, header["residual"], header["cond_estimate"],
-                          diagnostics)
+                          _diagnostics("hit", digest, group, group.reached(b)[1]))
     except (ValueError, KeyError) as exc:
         warnings.warn(f"ignoring corrupt solver cache {path}: {exc}")
         return None

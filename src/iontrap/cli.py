@@ -228,15 +228,7 @@ def _field(spec, key, rule, default):
 def _load_sweep_spec(path) -> tuple:
     """The design, h_um, drive, species, fine_um and reference of the sweep
     spec at path, every field checked and its default filled in."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            spec = json.load(f)
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"sweep spec not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(
-            f"sweep spec is not valid JSON: {path}: line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}") from exc
+    spec = geometry.read_json(path, "sweep spec")
     if not isinstance(spec, dict):
         raise InvalidInputError("sweep spec must be a JSON object")
     mesh = spec.get("mesh", {})

@@ -39,6 +39,21 @@ _GROWTH = 0.5
 MAX_PANELS = 30000
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at path; InvalidInputError naming what and
+    the path for a file that is missing, unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{what} is not valid JSON: {path}: line {exc.lineno} "
+                                f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = ("not found" if isinstance(exc, FileNotFoundError)
+                  else f"cannot be read ({getattr(exc, 'strerror', exc)})")
+        raise InvalidInputError(f"{what} {reason}: {path}") from exc
+
+
 def _require_vectors(what, *vectors):
     if not all(np.shape(v) == (3,) for v in vectors):
         raise InvalidGeometryError(f"{what} must have 3 components each, got {vectors}")
@@ -189,9 +204,17 @@ class TrapGeometry:
     def panel_areas_um2(self) -> np.ndarray:
         return np.linalg.norm(np.cross(self.panel_u_um, self.panel_v_um), axis=1)
 
+    def electrode_index(self, name: str) -> int:
+        """The position of electrode name in electrode_names, the index its
+        panels carry; InvalidInputError for a name the design lacks."""
+        names = self.electrode_names
+        if name not in names:
+            raise InvalidInputError(f"{self.design!r} has no electrode {name!r}; "
+                                    f"its electrodes are {', '.join(names)}")
+        return names.index(name)
+
     def meshed_area_um2(self, name: str) -> float:
-        idx = self.electrode_names.index(name)
-        sel = self.panel_electrode == idx
+        sel = self.panel_electrode == self.electrode_index(name)
         return float(self.panel_areas_um2()[sel].sum())
 
     def mesh_diagnostics(self) -> dict:
@@ -323,14 +346,7 @@ class TrapGeometry:
 
     @classmethod
     def load(cls, path) -> "TrapGeometry":
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path, "geometry file"))
 
     def signature(self) -> str:
         """Content hash of the geometry + mesh; keys the solver cache."""

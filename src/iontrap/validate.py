@@ -146,7 +146,7 @@ def check_bem_residual():
     solved = bem.solve_unit_excitations(_parallel_plate_geometry())
     pset = solved.pset
     # the rf boundary vector: 1 V on the top plate, 0 V on the bottom one
-    boundary = pset.electrode_idx == solved.geometry.electrode_names.index("top")
+    boundary = pset.electrode_idx == solved.geometry.electrode_index("top")
     public = float(np.abs(bem.potential_of(pset, solved.sigma, pset.centers) - boundary).max())
     r = max(solved.residual, public)
     return r < 1e-8, f"max residual {r:.2e} V (limit 1e-8)"

@@ -882,21 +882,24 @@ def test_a_built_in_solve_factors_only_its_z_even_blocks(monkeypatch):
     pset = solved.pset
     points, index = group.images_of(pset.centers[group.reps])
     Q = bem.potential_matrix(group.table(pset), points)
-    every, _, blocks = group.solve(Q, index, _rf_boundary(solved) + _every_block(pset))
+    every, _, blocks, _ = group.solve(Q, index, _rf_boundary(solved) + _every_block(pset))
     assert blocks == [0, 1, 2, 3]
     sigma = every - group.solve(Q, index, _every_block(pset))[0]
     assert np.abs(solved.sigma - sigma).max() <= 1e-13 * np.abs(solved.sigma).max()
 
 
+def _z_odd_layout():
+    """A plate about the origin and two above and below it: the mesh keeps
+    both mirrors, and the rf excitation of top, even in x but not in z,
+    reaches the two x-even blocks, one of them z-odd."""
+    return _custom_geometry((_rect("mid", -100.0, -150.0, 200.0, 300.0),
+                             _rect("top", -100.0, 200.0, 200.0, 150.0, role="rf"),
+                             _rect("bottom", -100.0, -350.0, 200.0, 150.0)), 50.0)
+
+
 def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monkeypatch):
-    # a plate about the origin and two above and below it: the mesh keeps
-    # both mirrors, and the rf excitation of top, even in x but not in z,
-    # reaches the two x-even blocks, one of them z-odd
-    g = _custom_geometry((_rect("mid", -100.0, -150.0, 200.0, 300.0),
-                          _rect("top", -100.0, 200.0, 200.0, 150.0, role="rf"),
-                          _rect("bottom", -100.0, -350.0, 200.0, 150.0)), 50.0)
     factored = _watch_factor(monkeypatch)
-    solved = solve_unit_excitations(g)
+    solved = solve_unit_excitations(_z_odd_layout())
     group, diag = solved.pset.group, solved.diagnostics
     assert diag["mirror_group"] == FULL_GROUP
     assert diag["factored_blocks"] == _chars_of(group, 1, 1) == [0, 1]
@@ -907,6 +910,23 @@ def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monk
     dense = np.linalg.solve(bem.potential_matrix(pset, pset.centers),
                             (pset.electrode_idx == 1).astype(float))
     assert np.abs(solved.sigma - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("build,blocks", [
+    (lambda: build_default("surface", fine_um=80.0), [0]),
+    (lambda: build_default("cross-rf", h_um=200.0, fine_um=40.0), [0, 2]),
+    (_z_odd_layout, [0, 1])], ids=["surface", "cross-rf", "z-odd"])
+def test_a_cache_hit_derives_the_record_of_the_miss_that_wrote_it(tmp_path, build, blocks):
+    # the entry stores no factored blocks: the load derives them from the
+    # mirror group it reads and the rf right-hand side
+    g = build()
+    miss = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
+    hit = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
+    assert (miss["cache"], hit["cache"], miss["factored_blocks"]) == ("miss", "hit", blocks)
+    shared = ["digest", "mirror_group", "block_sizes", "factored_blocks", "kernel_workers",
+              "kernel_block_pairs"]
+    assert sorted(hit) == sorted(["cache"] + shared)
+    assert [hit[key] for key in shared] == [miss[key] for key in shared]
 
 
 @pytest.mark.parametrize("electrodes,group", [
@@ -1089,7 +1109,7 @@ def test_solve_holds_no_more_than_its_memory_count(layout):
     b = _every_block(pset)
     tracemalloc.start()
     try:
-        S, cond, _ = group.solve(Q, index, b)
+        S, cond, _, _ = group.solve(Q, index, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1375,34 +1395,14 @@ def test_an_entry_of_format_version_1_is_solved_again_without_a_warning(tmp_path
     assert solve_unit_excitations(g, cache_dir=tmp_path).diagnostics["cache"] == "hit"
 
 
-def test_an_entry_without_factored_blocks_is_solved_again_without_a_warning(tmp_path):
-    # an entry of an earlier solver has no factored_blocks in its header
-    # and another solution digest: a plain miss, not a corrupt entry
-    g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),), 100.0)
-    first = solve_unit_excitations(g, cache_dir=tmp_path)
-    path = next(tmp_path.glob("*.itsc"))
-    line, payload = path.read_bytes().split(b"\n", 1)
-    header = json.loads(line)
-    del header["factored_blocks"]
-    header["digest"] = "0" * 64
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        again = solve_unit_excitations(g, cache_dir=tmp_path)
-    assert again.diagnostics["cache"] == "miss"
-    np.testing.assert_array_equal(again.sigma, first.sigma)
-    hit = solve_unit_excitations(g, cache_dir=tmp_path).diagnostics
-    assert (hit["cache"], hit["factored_blocks"]) == ("hit", [0])
-
-
 def test_an_entry_is_one_header_line_and_the_payload(tmp_path):
     g = _custom_geometry((_plate(300.0, 100.0, 0.0, "a", "rf"),
                           _plate(300.0, 100.0, 60.0, "b", "ground")), 100.0)
     solved = solve_unit_excitations(g, cache_dir=tmp_path)
     line, payload = (tmp_path / f"{g.signature()}.itsc").read_bytes().split(b"\n", 1)
     header = json.loads(line)
-    assert sorted(header) == ["cond_estimate", "digest", "factored_blocks", "mirror_group",
-                              "payload_sha256", "residual"]
+    assert sorted(header) == ["cond_estimate", "digest", "mirror_group", "payload_sha256",
+                              "residual"]
     assert header["digest"] == solved.diagnostics["digest"]
     assert header["residual"] == solved.residual
     # the rf charge densities and one panel permutation per group element
@@ -1450,7 +1450,6 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path):
             (line[:-1], "Expecting ',' delimiter"),  # cut inside the header line
             (b"[1,2]\n" + payload, "header is not a JSON object"),
             (with_header("mirror_group", "x=0"), "header 'mirror_group' is not of type list"),
-            (with_header("factored_blocks", 0), "header 'factored_blocks' is not of type list"),
             (with_header("residual", [{}]), "header 'residual' is not of type float"),
             (with_header("residual", None), "header 'residual' is not of type float"),
             (with_header("residual", "1e-14"), "header 'residual' is not of type float"),

@@ -625,6 +625,24 @@ def test_sweep_missing_spec_file(tmp_path, capsys):
     assert "sweep spec not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,make", [
+    ("report", "--geometry", lambda p: None),
+    ("report", "--geometry", lambda p: p.mkdir()),
+    ("report", "--geometry", lambda p: p.write_bytes(b'\xff{"design": "surface"}')),
+    ("sweep", "--spec", lambda p: p.mkdir()),
+    ("sweep", "--spec", lambda p: p.write_bytes(b'\xff{"design": "surface"}')),
+], ids=["report-missing", "report-directory", "report-not-utf8", "sweep-directory",
+        "sweep-not-utf8"])
+def test_an_unreadable_input_file_is_invalid_input(tmp_path, capsys, command, flag, make):
+    path = tmp_path / "input.json"
+    make(path)
+    out = tmp_path / "out" / "result"
+    assert run_cli(command, flag, path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_partial_failure_keeps_going(tmp_path, cross_solved_105, cache_dir):
     # h = 90 um cannot host 100 um wide rails; h = 105 um can.
     spec = write_spec(tmp_path, {"design": "cross-rf", "h_um": [90, 105],
@@ -656,7 +674,7 @@ def test_sweep_row_of_a_lid_far_out_reads_nan(tmp_path, gnd_solved_200, cache_di
     # well 30 mm up, where the field has decayed to within a hair of the null
     cache = tmp_path / "cache"
     cache.mkdir()
-    entry = bem._cache_path(cache_dir, gnd_solved_200.geometry.signature())
+    entry = os.path.join(cache_dir, f"{gnd_solved_200.geometry.signature()}.itsc")
     (cache / os.path.basename(entry)).write_bytes(open(entry, "rb").read())
     solved_h = []
     solve = bem.solve_unit_excitations

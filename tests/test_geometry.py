@@ -179,6 +179,15 @@ def test_mesh_tiles_exact_electrode_area(build, kwargs):
         assert meshed == pytest.approx(elec.area_um2, rel=1e-12)
 
 
+def test_meshed_area_of_an_electrode_the_design_lacks_is_invalid_input():
+    geom = _coarse_surface()
+    with pytest.raises(InvalidInputError) as err:
+        geom.meshed_area_um2("nosuch")
+    message = str(err.value)
+    assert "'nosuch'" in message and "'surface'" in message
+    assert all(name in message for name in geom.electrode_names)
+
+
 def test_mesh_total_panel_count_and_areas_positive():
     geom = _coarse_surface()
     areas = geom.panel_areas_um2()
