@@ -15,7 +15,6 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_H_UM,
-    Box3,
     Electrode,
     MeshParams,
     Rect,
@@ -69,7 +68,7 @@ __all__ = [
     "AMU", "CA40", "ECHARGE", "EPS0", "SPECIES", "IonSpecies", "get_species",
     "IonTrapError", "InvalidInputError", "InvalidGeometryError", "SolverError",
     "NullNotFoundError", "NullAmbiguityError", "FitError", "DepthError",
-    "Rect", "Electrode", "Box3", "MeshParams", "TrapGeometry",
+    "Rect", "Electrode", "MeshParams", "TrapGeometry",
     "build_surface_trap", "build_gnd_surface_trap", "build_cross_rf_trap",
     "build_default", "DEFAULT_H_UM", "five_wire_null_seed_um",
     "PanelSet", "SolvedTrap", "solve_unit_excitations",

@@ -964,8 +964,7 @@ def _diagnostics(cache, digest, group: _MirrorGroup, factored):
 def solve_unit_excitations(geometry: TrapGeometry,
                            cache_dir: str | os.PathLike | None = None) -> SolvedTrap:
     """Solve the rf excitation of the geometry: 1 V on every electrode of
-    role rf, 0 V on all others. InvalidGeometryError for a geometry without
-    an rf electrode.
+    role rf (a TrapGeometry has at least one), 0 V on all others.
 
     cache_dir (or $IONTRAP_CACHE_DIR if set and cache_dir is None) enables a
     solution cache keyed by the geometry content hash; an entry whose
@@ -974,10 +973,6 @@ def solve_unit_excitations(geometry: TrapGeometry,
     """
     names = geometry.electrode_names
     rf = [names.index(n) for n in geometry.electrodes_with_role("rf")]
-    if not rf:
-        raise InvalidGeometryError(
-            f"{geometry.design!r} has no electrode of role 'rf': the solve drives "
-            f"the rf electrodes at 1 V")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or None
     pset = PanelSet(*geometry.arrays_m())

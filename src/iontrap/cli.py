@@ -46,6 +46,15 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _refuse_directory_outputs(*paths):
+    """InvalidInputError naming the first output path that is an existing
+    directory: one of paths, or the manifest that _write_manifest puts next
+    to the first of them. Called before any work, so no solve runs in vain."""
+    for path in (*paths, paths[0] + ".manifest.json"):
+        if os.path.isdir(path):
+            raise InvalidInputError(f"output path is a directory: {path}")
+
+
 def _write_output(path: str, text: str):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
@@ -153,6 +162,7 @@ def _geometry_inputs(ns, geom) -> dict:
 
 
 def cmd_build(ns) -> int:
+    _refuse_directory_outputs(ns.out)
     geom = geometry.build_default(ns.design, **_given(
         ns, "h_um", "fine_um", "center_width_um", "rf_width_um", "gap_um"))
     os.makedirs(os.path.dirname(os.path.abspath(ns.out)), exist_ok=True)
@@ -184,6 +194,8 @@ def _reference_report(ns, drive):
 
 
 def cmd_report(ns) -> int:
+    json_path, csv_path = ns.out + ".json", ns.out + ".csv"
+    _refuse_directory_outputs(json_path, csv_path)
     geom = _load_or_build_geometry(ns)
     drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
     reference = _reference_report(ns, drive)
@@ -192,13 +204,12 @@ def cmd_report(ns) -> int:
                          target_omega=2e6 * math.pi * ns.target_MHz,
                          reference=reference)
 
-    json_path, csv_path = ns.out + ".json", ns.out + ".csv"
     _write_output(json_path, json.dumps(report.to_dict(), indent=2,
                                         sort_keys=True) + "\n")
     _write_output(csv_path, _manifest_ref(ns.out) + TrapReport.CSV_HEADER
                   + "\n" + report.csv_row() + "\n")
     manifest = _write_manifest(
-        [ns.out, json_path, csv_path][1:], ns, _geometry_inputs(ns, geom),
+        [json_path, csv_path], ns, _geometry_inputs(ns, geom),
         {"solver_cond": report.solver_cond,
          "geometry": geom.mesh_diagnostics(),
          "solver": solved.diagnostics,
@@ -276,6 +287,7 @@ def _share_kernel_workers(workers):
 
 
 def cmd_sweep(ns) -> int:
+    _refuse_directory_outputs(ns.out)
     design, hs, drive, species, fine_um, ref_name = _load_sweep_spec(ns.spec)
     reference = None
     if ref_name:
@@ -339,6 +351,7 @@ def _check_domain(geom, center, span):
 
 
 def cmd_map(ns) -> int:
+    _refuse_directory_outputs(ns.out)
     geom = _load_or_build_geometry(ns)
     drive = DriveParams.from_mhz(ns.voltage_V, ns.freq_MHz)
     try:

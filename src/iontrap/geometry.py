@@ -19,7 +19,6 @@ import inspect
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,8 +31,10 @@ ROLE_DC = "dc"
 ROLE_GROUND = "ground"
 _ROLES = (ROLE_RF, ROLE_DC, ROLE_GROUND)
 
-# mesh grading: target panel edge grows as 0.5 * distance from the fine box
+# mesh grading: target panel edge grows as 0.5 * distance from the fine window
 _GROWTH = 0.5
+# the fine window's extent in x and z, centred on the trap axis x = z = 0
+FINE_LATERAL_UM = 400.0
 # hard cap on the mesher's output, so a runaway grading stops early; the
 # solver's memory guard is bem.SOLVE_MEMORY_BUDGET
 MAX_PANELS = 30000
@@ -54,11 +55,6 @@ def read_json(path, what: str):
         raise InvalidInputError(f"{what} {reason}: {path}") from exc
 
 
-def _require_vectors(what, *vectors):
-    if not all(np.shape(v) == (3,) for v in vectors):
-        raise InvalidGeometryError(f"{what} must have 3 components each, got {vectors}")
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-independent flat rectangle: origin corner plus two edge vectors.
@@ -71,7 +67,10 @@ class Rect:
     edge_v: tuple[float, float, float]
 
     def __post_init__(self):
-        _require_vectors("rect origin and edges", self.origin, self.edge_u, self.edge_v)
+        vectors = (self.origin, self.edge_u, self.edge_v)
+        if not all(np.shape(v) == (3,) for v in vectors):
+            raise InvalidGeometryError(
+                f"rect origin and edges must have 3 components each, got {vectors}")
         if not np.isfinite([self.origin, self.edge_u, self.edge_v]).all():
             raise InvalidGeometryError(
                 f"rect origin and edges must be finite, got {self.origin}, "
@@ -117,40 +116,16 @@ class Electrode:
 
 
 @dataclass(frozen=True)
-class Box3:
-    """Axis-aligned box, center/size in um."""
-
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-
-    def __post_init__(self):
-        _require_vectors("box center and size", self.center, self.size)
-        if not np.isfinite(self.center).all():
-            raise InvalidGeometryError(f"box center must be finite, got {self.center}")
-        if not all(0 <= s < math.inf for s in self.size):  # NaN fails too
-            raise InvalidGeometryError(
-                f"box size components must be >= 0 and finite, got {self.size}")
-
-    @property
-    def lo(self):
-        return tuple(c - 0.5 * s for c, s in zip(self.center, self.size))
-
-    @property
-    def hi(self):
-        return tuple(c + 0.5 * s for c, s in zip(self.center, self.size))
-
-
-@dataclass(frozen=True)
 class MeshParams:
     """Graded mesh control, lengths in um.
 
     coarse_um: max panel edge anywhere
-    fine_um:   max panel edge for panels intersecting fine_region
+    fine_um:   max panel edge for panels meeting the fine window, which the
+               geometry derives from its rf electrodes (TrapGeometry.fine_window_um)
     """
 
     coarse_um: float
     fine_um: float
-    fine_region: Box3
 
     def __post_init__(self):
         if not 0.0 < self.fine_um < math.inf:
@@ -166,7 +141,12 @@ class TrapGeometry:
 
     Panels are stored as flat arrays (origin, edge_u, edge_v in um plus the
     owning electrode index); construction meshes the electrodes immediately
-    and records the seconds it took as mesh_s.
+    and records the seconds it took as mesh_s. The mesh is finest in
+    fine_window_um, the (lo, hi) corners of the box that is
+    FINE_LATERAL_UM wide in x and z about the trap axis x = z = 0, where
+    full_report looks for the rf null, and spans the rf rects in y, padded
+    by 10 um on each side. InvalidGeometryError for a layout without an rf
+    electrode, which has no window.
     """
 
     def __init__(self, design: str, mesh: MeshParams, electrodes: Iterable[Electrode]):
@@ -179,9 +159,17 @@ class TrapGeometry:
         if len(set(names)) != len(names):
             raise InvalidGeometryError(f"duplicate electrode names: {names}")
         _check_no_overlap(self.electrodes)
-        self._warn_if_fine_region_outside()
+        rf_y = [y for e in self.electrodes if e.role == ROLE_RF
+                for r in e.rects for y in r.corners()[:, 1]]
+        if not rf_y:
+            raise InvalidGeometryError(
+                f"{design!r} has no electrode of role 'rf': the mesh is refined "
+                f"about the rf null, and the solve drives the rf electrodes at 1 V")
+        half = 0.5 * FINE_LATERAL_UM
+        self.fine_window_um = (np.array([-half, min(rf_y) - 10.0, -half]),
+                               np.array([half, max(rf_y) + 10.0, half]))
         t0 = time.perf_counter()
-        po, pu, pv, pe = _mesh_electrodes(self.electrodes, self.mesh)
+        po, pu, pv, pe = _mesh_electrodes(self.electrodes, self.mesh, *self.fine_window_um)
         self.mesh_s = time.perf_counter() - t0
         self.panel_origin_um = po
         self.panel_u_um = pu
@@ -220,13 +208,15 @@ class TrapGeometry:
     def mesh_diagnostics(self) -> dict:
         """How the mesh came out: panels per electrode, the shortest and
         longest panel edge in um (a panel's edge is its longer side, the one
-        the grading bounds) and mesh_s."""
+        the grading bounds), the fine window's [lo, hi] corners in um and
+        mesh_s."""
         edges = np.maximum(np.linalg.norm(self.panel_u_um, axis=1),
                            np.linalg.norm(self.panel_v_um, axis=1))
         counts = np.bincount(self.panel_electrode, minlength=len(self.electrodes))
         return {"panels_per_electrode": dict(zip(self.electrode_names, counts.tolist())),
                 "finest_edge_um": float(edges.min()),
                 "coarsest_edge_um": float(edges.max()),
+                "fine_window_um": [c.tolist() for c in self.fine_window_um],
                 "mesh_s": self.mesh_s}
 
     def arrays_m(self):
@@ -252,18 +242,6 @@ class TrapGeometry:
                     if r.edge_u[1] == r.edge_v[1] == 0.0 and r.origin[1] > 0.0),
                    default=None)
 
-    def _warn_if_fine_region_outside(self):
-        corners = self.corners_um()
-        lo, hi = corners.min(axis=0), corners.max(axis=0)
-        blo, bhi = np.array(self.mesh.fine_region.lo), np.array(self.mesh.fine_region.hi)
-        if np.any(bhi < lo) or np.any(blo > hi):
-            warnings.warn(
-                "fine_region does not intersect the electrode bounding box; no "
-                "panel is held to fine_um: each panel's edge target is half its "
-                "distance from the region, clamped to [fine_um, coarse_um]",
-                stacklevel=3,
-            )
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -274,10 +252,6 @@ class TrapGeometry:
                 "mesh": {
                     "coarse_um": self.mesh.coarse_um,
                     "fine_um": self.mesh.fine_um,
-                    "fine_region": {
-                        "center_um": list(self.mesh.fine_region.center),
-                        "size_um": list(self.mesh.fine_region.size),
-                    },
                 }
             },
             "electrodes": [
@@ -300,7 +274,8 @@ class TrapGeometry:
     @classmethod
     def from_dict(cls, d: dict) -> "TrapGeometry":
         """The geometry of a to_dict dict. Other keys are ignored, among them
-        the design dimensions that older versions wrote under params."""
+        the design dimensions and the mesh's fine_region that older versions
+        wrote under params."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"geometry must be a JSON object, got {type(d).__name__}")
         try:
@@ -312,14 +287,7 @@ class TrapGeometry:
             if not isinstance(design, str):
                 raise InvalidInputError(f"geometry 'design' must be a string, got {design!r}")
             m = d["params"]["mesh"]
-            mesh = MeshParams(
-                coarse_um=float(m["coarse_um"]),
-                fine_um=float(m["fine_um"]),
-                fine_region=Box3(
-                    center=tuple(float(x) for x in m["fine_region"]["center_um"]),
-                    size=tuple(float(x) for x in m["fine_region"]["size_um"]),
-                ),
-            )
+            mesh = MeshParams(coarse_um=float(m["coarse_um"]), fine_um=float(m["fine_um"]))
             electrodes = [
                 Electrode(
                     name=e["name"],
@@ -362,13 +330,14 @@ def _norm(a):
     return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
 
 
-def _mesh_electrodes(electrodes, mesh):
+def _mesh_electrodes(electrodes, mesh, lo, hi):
     """Graded panels of every electrode rect: (origins, edge_u, edge_v) in um
     and the owning electrode index, in electrode/rect order.
 
     A panel is bisected across its longer edge (u on a tie) until both edges
     are within its target: fine_um where its bounding box meets the fine
-    region, else _GROWTH times its centre's distance from that region,
+    window, the box with corners lo and hi in um, else _GROWTH times its
+    centre's distance from that window,
     clamped to [fine_um, coarse_um]. The bisection runs level by level over
     row arrays: every open row is tested at once and a row that fails is
     replaced in place by its two halves, first half first. So the panels
@@ -377,7 +346,7 @@ def _mesh_electrodes(electrodes, mesh):
     a level that would exceed MAX_PANELS raises before it is built.
     """
     fine, coarse = mesh.fine_um, mesh.coarse_um
-    lo, hi = np.array(mesh.fine_region.lo), np.array(mesh.fine_region.hi)
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     rects = [(ei, r) for ei, e in enumerate(electrodes) for r in e.rects]
     o = np.array([r.origin for _, r in rects], float)
     u = np.array([r.edge_u for _, r in rects], float)
@@ -389,7 +358,7 @@ def _mesh_electrodes(electrodes, mesh):
         rows = np.flatnonzero(open_)
         ro, ru, rv = o[rows], u[rows], v[rows]
         lu, lv = _norm(ru), _norm(rv)
-        # panel AABB; intersecting the fine box forces the fine target
+        # panel AABB; meeting the fine window forces the fine target
         corners = (ro, (ro + ru) + rv, ro + ru, ro + rv)
         amin = np.minimum.reduce(corners)
         amax = np.maximum.reduce(corners)
@@ -404,10 +373,7 @@ def _mesh_electrodes(electrodes, mesh):
         split = ~((lu <= tol) & (lv <= tol))
         open_[rows] = split
         if len(o) + int(split.sum()) > MAX_PANELS:
-            raise InvalidGeometryError(
-                f"mesh exceeds {MAX_PANELS} panels; "
-                "coarsen fine_um or shrink fine_region"
-            )
+            raise InvalidGeometryError(f"mesh exceeds {MAX_PANELS} panels; coarsen fine_um")
         if not split.any():
             return o, u, v, eidx
         counts = np.ones(len(o), np.intp)
@@ -467,7 +433,6 @@ def _rects_overlap(a: Rect, b: Rect) -> bool:
 # cross-rf designs at the default separation.
 
 DEFAULT_H_UM = 200.0
-FINE_LATERAL_UM = 400.0
 DEFAULT_FINE_UM = 10.0
 DEFAULT_COARSE_UM = 500.0
 
@@ -477,27 +442,6 @@ def _require_positive(design, **dims):
         if value is None or not 0.0 < value < math.inf:
             raise InvalidGeometryError(
                 f"{design}: {name} must be > 0 and finite, got {value}")
-
-
-def _pattern_mesh(fine_um, coarse_um):
-    """Refine the central window of the bottom electrode pattern; everything
-    else (outer wafer, a distant cover plane) grades with distance."""
-    return MeshParams(
-        coarse_um=coarse_um,
-        fine_um=fine_um,
-        fine_region=Box3(center=(0.0, 0.0, 0.0),
-                         size=(FINE_LATERAL_UM, 20.0, FINE_LATERAL_UM)),
-    )
-
-
-def _two_wafer_mesh(h_um, fine_um, coarse_um):
-    """Refine the central window of both wafer planes."""
-    return MeshParams(
-        coarse_um=coarse_um,
-        fine_um=fine_um,
-        fine_region=Box3(center=(0.0, 0.5 * h_um, 0.0),
-                         size=(FINE_LATERAL_UM, h_um + 20.0, FINE_LATERAL_UM)),
-    )
 
 
 def five_wire_null_seed_um(center_width_um, gap_um, rf_width_um) -> float:
@@ -550,7 +494,7 @@ def build_surface_trap(center_width_um=114.6, rf_width_um=57.7, gap_um=10.0,
     """Five-wire planar trap in the y=0 plane, mirror-symmetric about x=0."""
     electrodes = _five_wire_electrodes("surface", center_width_um, rf_width_um, gap_um,
                                        electrode_length_um, wafer_extent_um)
-    return TrapGeometry("surface", _pattern_mesh(fine_um, coarse_um), electrodes)
+    return TrapGeometry("surface", MeshParams(coarse_um, fine_um), electrodes)
 
 
 def build_gnd_surface_trap(h_um=DEFAULT_H_UM, center_width_um=90.0, rf_width_um=140.0,
@@ -573,8 +517,7 @@ def build_gnd_surface_trap(h_um=DEFAULT_H_UM, center_width_um=90.0, rf_width_um=
             ),
         ),
     )
-    return TrapGeometry("gnd-surface", _pattern_mesh(fine_um, coarse_um),
-                        electrodes + [top])
+    return TrapGeometry("gnd-surface", MeshParams(coarse_um, fine_um), electrodes + [top])
 
 
 def build_cross_rf_trap(h_um=DEFAULT_H_UM, rf_width_um=100.0, electrode_length_um=8000.0,
@@ -599,7 +542,7 @@ def build_cross_rf_trap(h_um=DEFAULT_H_UM, rf_width_um=100.0, electrode_length_u
         _strip("gnd_bottom", ROLE_GROUND, 0.5 * h - 0.5 * rw, 0.5 * h + 0.5 * rw, 0.0, L),
         _strip("gnd_top", ROLE_GROUND, -0.5 * h - 0.5 * rw, -0.5 * h + 0.5 * rw, h, L),
     ]
-    return TrapGeometry("cross-rf", _two_wafer_mesh(h, fine_um, coarse_um), electrodes)
+    return TrapGeometry("cross-rf", MeshParams(coarse_um, fine_um), electrodes)
 
 
 # every built-in design: name -> builder

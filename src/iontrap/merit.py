@@ -347,8 +347,8 @@ def radial_axes(geom) -> FitAxes:
     perpendicular, and e1 is reported.
     """
     rects = [r for e in geom.electrodes if e.role == "rf" for r in e.rects]
-    centers = np.array([r.corners().mean(axis=0) for r in rects]).reshape(-1, 3)
-    low = centers[:, 1] == centers[:, 1].min(initial=math.inf)
+    centers = np.array([r.corners().mean(axis=0) for r in rects])
+    low = centers[:, 1] == centers[:, 1].min()
     if low.all():
         return PLANAR_AXES
     w = np.array([r.area_um2 for r in rects])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bem, constants
-from .geometry import Electrode, MeshParams, Box3, Rect, TrapGeometry
+from .geometry import Electrode, MeshParams, Rect, TrapGeometry
 from .merit import (
     FIT_POINTS,
     PLANAR_AXES,
@@ -132,9 +132,7 @@ def _parallel_plate_geometry(side_um=1000.0, gap_um=50.0, fine_um=60.0):
         return Electrode(name=name, role=role, rects=(
             Rect(origin=(-side_um / 2, y, -side_um / 2),
                  edge_u=(side_um, 0.0, 0.0), edge_v=(0.0, 0.0, side_um)),))
-    mesh = MeshParams(coarse_um=fine_um, fine_um=fine_um,
-                      fine_region=Box3(center=(0.0, gap_um / 2, 0.0),
-                                       size=(side_um, gap_um + 10, side_um)))
+    mesh = MeshParams(coarse_um=fine_um, fine_um=fine_um)
     return TrapGeometry(design="custom", mesh=mesh, electrodes=(
         plate("top", "rf", gap_um), plate("bottom", "ground", 0.0)))
 

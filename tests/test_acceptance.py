@@ -32,7 +32,6 @@ from iontrap import (
     solve_unit_excitations,
 )
 from iontrap.geometry import (
-    Box3,
     Electrode,
     MeshParams,
     Rect,
@@ -165,9 +164,7 @@ def _parallel_plates(side_um=1000.0, gap_um=50.0, fine_um=60.0):
         return Electrode(name=name, role=role, rects=(
             Rect(origin=(-side_um / 2, y, -side_um / 2),
                  edge_u=(side_um, 0.0, 0.0), edge_v=(0.0, 0.0, side_um)),))
-    mesh = MeshParams(coarse_um=fine_um, fine_um=fine_um,
-                      fine_region=Box3(center=(0.0, gap_um / 2, 0.0),
-                                       size=(side_um, gap_um + 10, side_um)))
+    mesh = MeshParams(coarse_um=fine_um, fine_um=fine_um)
     return TrapGeometry(design="custom", mesh=mesh,
                         electrodes=(plate("top", "rf", gap_um),
                                     plate("bottom", "ground", 0.0)))

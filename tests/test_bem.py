@@ -30,7 +30,6 @@ from scipy import integrate
 import scipy.linalg as sla
 
 from iontrap import (
-    Box3,
     Electrode,
     MeshParams,
     Rect,
@@ -39,7 +38,7 @@ from iontrap import (
     build_surface_trap,
     solve_unit_excitations,
 )
-from iontrap import bem, cli, constants
+from iontrap import bem, cli, constants, geometry
 from iontrap.constants import EPS0
 from iontrap.errors import InvalidGeometryError, InvalidInputError, SolverError
 from iontrap.geometry import _mesh_electrodes
@@ -66,10 +65,8 @@ def _quad_potential(point):
     return val / (4.0 * math.pi * EPS0)
 
 
-def _custom_geometry(electrodes, fine, extent=2000.0):
-    mesh = MeshParams(coarse_um=fine, fine_um=fine,
-                      fine_region=Box3((0.0, 0.0, 0.0), (extent, 200.0, extent)))
-    return TrapGeometry("custom", mesh, electrodes)
+def _custom_geometry(electrodes, fine):
+    return TrapGeometry("custom", MeshParams(coarse_um=fine, fine_um=fine), electrodes)
 
 
 def _plate(side_um, fine_um, y_um=0.0, name="p", role="dc"):
@@ -192,10 +189,9 @@ def test_corner_sharing_telescopes_to_the_unsplit_rectangles():
     # to the potential, field and Jacobian of the two whole rectangles
     rect_a = Rect((-200.0, 0.0, -150.0), (400.0, 0.0, 0.0), (0.0, 0.0, 300.0))
     rect_b = Rect((-160.0, 60.0, -180.0), (0.0, 0.0, 360.0), (320.0, 0.0, 0.0))
-    mesh = MeshParams(coarse_um=80.0, fine_um=10.0,
-                      fine_region=Box3((30.0, 30.0, -20.0), (20.0, 60.0, 20.0)))
     po, pu, pv, pe = _mesh_electrodes(
-        (Electrode("a", "rf", (rect_a,)), Electrode("b", "dc", (rect_b,))), mesh)
+        (Electrode("a", "rf", (rect_a,)), Electrode("b", "dc", (rect_b,))),
+        MeshParams(coarse_um=80.0, fine_um=10.0), (20.0, 0.0, -30.0), (40.0, 60.0, -10.0))
     meshed = bem.PanelSet(po * 1e-6, pu * 1e-6, pv * 1e-6, pe)
     assert 350 < meshed.n < 450 and len(np.unique(meshed.a)) > 4
     whole = bem.PanelSet(
@@ -459,7 +455,7 @@ def _orbits(perms):
 
 def _z_only_layout():
     """Two plates mirror images of each other under z alone."""
-    return _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0),
+    return _custom_geometry((_rect("a", -100.0, 20.0, 250.0, 200.0, role="rf"),
                              _rect("b", -100.0, -220.0, 250.0, 200.0)), 50.0)
 
 
@@ -754,16 +750,15 @@ def test_boundary_error_between_collocation_points_shrinks_with_mesh():
 
 
 def test_a_layout_without_an_rf_electrode_raises_before_the_cache_and_assembly(
-        tmp_path, monkeypatch):
-    # the solve drives the rf electrodes; without one it has nothing to solve
-    g = _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "dc"),
-                          _plate(200.0, 100.0, 40.0, "b", "ground")), 100.0)
+        monkeypatch):
+    # the mesh is refined about the rf electrodes and the solve drives them:
+    # without one the geometry is refused at construction, before meshing
     steps = []
-    monkeypatch.setattr(bem, "_cache_load", lambda *a: steps.append("cache load"))
-    monkeypatch.setattr(bem, "potential_matrix", lambda *a: steps.append("assembly"))
+    monkeypatch.setattr(geometry, "_mesh_electrodes", lambda *a: steps.append("mesh"))
     with pytest.raises(InvalidGeometryError, match="'custom' has no electrode of role 'rf'"):
-        solve_unit_excitations(g, cache_dir=tmp_path)
-    assert steps == [] and not list(tmp_path.iterdir())
+        _custom_geometry((_plate(200.0, 100.0, 0.0, "a", "dc"),
+                          _plate(200.0, 100.0, 40.0, "b", "ground")), 100.0)
+    assert steps == []
 
 
 def test_nan_residual_fails_closed_and_is_not_cached(tmp_path, monkeypatch):

@@ -144,11 +144,12 @@ def test_bundled_geometries_match_builders():
         assert geom.signature() == geometry.build_default(design).signature()
 
 
-def test_bundled_geometry_files_are_the_default_dicts():
+def test_bundled_geometry_files_are_the_default_dicts(tmp_path):
+    # byte for byte what save writes, so that a stale key cannot hide in them
     data = importlib.resources.files("iontrap") / "data"
     for design in geometry.DESIGNS:
-        text = (data / f"{design}.json").read_text(encoding="utf-8")
-        assert json.loads(text) == geometry.build_default(design).to_dict(), design
+        geometry.build_default(design).save(tmp_path / design)
+        assert (data / f"{design}.json").read_bytes() == (tmp_path / design).read_bytes(), design
 
 
 # -- report --------------------------------------------------------------
@@ -372,11 +373,11 @@ def _set(keys, value):
     (lambda d: [d], "geometry must be a JSON object, got list"),
     (_set(("electrodes", 0, "name"), 5), "electrode name must be a string, got 5"),
     (_set(("design",), 7), "geometry 'design' must be a string, got 7"),
-    (_set(("params", "mesh", "fine_region", "center_um"), [0.0, 0.0]),
-     "box center and size must have 3 components each"),
+    (_set(("params", "mesh", "fine_um"), "fine"),
+     "malformed geometry dict: could not convert string to float: 'fine'"),
     (_set(("electrodes", 0, "rects", 0, "u"), [10.0, 0.0]),
      "rect origin and edges must have 3 components each"),
-], ids=["top-level list", "electrode name", "design", "fine_region center", "rect edge"])
+], ids=["top-level list", "electrode name", "design", "fine_um not a number", "rect edge"])
 def test_a_geometry_file_of_the_wrong_shape_exits_2_without_output(tmp_path, capsys,
                                                                     edit, fragment):
     d = edit(geometry.build_surface_trap(fine_um=240.0).to_dict())
@@ -398,6 +399,35 @@ def test_a_geometry_without_an_rf_electrode_exits_2_without_output(tmp_path, cap
     assert run_cli("report", "--geometry", tmp_path / "dc.json", "--out", out / "r") == 2
     assert "'surface' has no electrode of role 'rf'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+_TRAP = ("--design", "surface", "--mesh-fine-um", "240")
+_GRID = ("--center-um", "0,90,0", "--span-um", "0,0,0", "--res-um", "1")
+
+
+@pytest.mark.parametrize("argv, directory", [
+    (("build", *_TRAP, "--out", "o.json"), "o.json"),
+    (("build", *_TRAP, "--out", "o.json"), "o.json.manifest.json"),
+    (("report", *_TRAP, "--out", "o"), "o.json"),
+    (("report", *_TRAP, "--out", "o"), "o.csv"),
+    (("report", *_TRAP, "--out", "o"), "o.json.manifest.json"),
+    (("sweep", "--spec", "sweep.json", "--out", "o.csv"), "o.csv"),
+    (("map", *_TRAP, *_GRID, "--out", "o.csv"), "o.csv"),
+], ids=["build", "build manifest", "report json", "report csv", "report manifest",
+        "sweep", "map"])
+def test_an_output_path_that_is_a_directory_exits_2_before_any_solve(
+        tmp_path, monkeypatch, capsys, argv, directory):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the output paths were checked")
+
+    monkeypatch.setattr(bem, "solve_unit_excitations", solve)
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, {"design": "cross-rf", "h_um": [200.0]})
+    os.mkdir(directory)
+    assert run_cli(*argv) == 2
+    assert f"output path is a directory: {directory}" in capsys.readouterr().err
+    assert sorted(os.listdir()) == sorted(["sweep.json", directory])
+    assert os.listdir(directory) == []
 
 
 @pytest.mark.parametrize("command", ["report", "map"])

@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iontrap import (
-    Box3,
     Electrode,
     InvalidGeometryError,
     InvalidInputError,
@@ -28,8 +26,7 @@ from iontrap import geometry
 
 
 def _coarse_mesh(fine=80.0, coarse=500.0):
-    return MeshParams(coarse_um=coarse, fine_um=fine,
-                      fine_region=Box3((0.0, 0.0, 0.0), (400.0, 20.0, 400.0)))
+    return MeshParams(coarse_um=coarse, fine_um=fine)
 
 
 def _coarse_surface(fine=80.0, coarse=500.0):
@@ -37,12 +34,10 @@ def _coarse_surface(fine=80.0, coarse=500.0):
 
 
 def _plate(side, fine, coarse, name="plate", y=0.0):
-    mesh = MeshParams(coarse_um=coarse, fine_um=fine,
-                      fine_region=Box3((0.0, y, 0.0), (side, 1.0, side)))
-    elec = Electrode(name=name, role="dc", rects=(
+    elec = Electrode(name=name, role="rf", rects=(
         Rect(origin=(-side / 2, y, -side / 2),
              edge_u=(side, 0.0, 0.0), edge_v=(0.0, 0.0, side)),))
-    return TrapGeometry("custom", mesh, [elec])
+    return TrapGeometry("custom", MeshParams(coarse_um=coarse, fine_um=fine), [elec])
 
 
 # -- construction and validation --------------------------------------------
@@ -89,28 +84,20 @@ def test_touching_rects_allowed():
 
 def test_mesh_params_validation():
     with pytest.raises(InvalidGeometryError):
-        MeshParams(coarse_um=10.0, fine_um=20.0,
-                   fine_region=Box3((0, 0, 0), (1, 1, 1)))
+        MeshParams(coarse_um=10.0, fine_um=20.0)
     with pytest.raises(InvalidGeometryError):
-        MeshParams(coarse_um=10.0, fine_um=0.0,
-                   fine_region=Box3((0, 0, 0), (1, 1, 1)))
-    with pytest.raises(InvalidGeometryError):
-        Box3((0, 0, 0), (1, -1, 1))
+        MeshParams(coarse_um=10.0, fine_um=0.0)
 
 
 @pytest.mark.parametrize("make", [
     lambda: Rect((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
     lambda: Rect((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0, 1.0)),
-    lambda: Box3((0.0, math.nan, 0.0), (1.0, 1.0, 1.0)),
-    lambda: Box3((0.0, 0.0, 0.0), (1.0, math.inf, 1.0)),
-    lambda: MeshParams(coarse_um=math.inf, fine_um=10.0,
-                       fine_region=Box3((0, 0, 0), (1, 1, 1))),
-    lambda: MeshParams(coarse_um=math.inf, fine_um=math.inf,
-                       fine_region=Box3((0, 0, 0), (1, 1, 1))),
+    lambda: MeshParams(coarse_um=math.inf, fine_um=10.0),
+    lambda: MeshParams(coarse_um=math.inf, fine_um=math.inf),
     lambda: build_gnd_surface_trap(h_um=math.inf),
     lambda: build_cross_rf_trap(h_um=math.inf),
     lambda: build_surface_trap(wafer_extent_um=math.inf),
-], ids=["rect origin", "rect edge", "box center", "box size", "coarse_um", "fine_um",
+], ids=["rect origin", "rect edge", "coarse_um", "fine_um",
         "gnd-surface h", "cross-rf h", "wafer extent"])
 def test_non_finite_dimensions_are_rejected_as_such(make):
     with pytest.raises(InvalidGeometryError, match="finite"):
@@ -129,12 +116,12 @@ def test_a_geometry_file_with_a_non_finite_rect_says_so(tmp_path, part, value):
 
 
 def test_cross_rf_rail_width_must_fit():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidGeometryError, match="rail width must be smaller than h"):
         build_cross_rf_trap(h_um=100.0, rf_width_um=100.0)
 
 
 def test_surface_rails_must_fit_on_wafer():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidGeometryError, match="rails plus gaps exceed the wafer"):
         build_surface_trap(rf_width_um=5000.0)
 
 
@@ -144,24 +131,22 @@ def test_unknown_design_rejected():
 
 
 def test_gnd_surface_requires_positive_h():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidGeometryError, match="h_um must be > 0"):
         build_gnd_surface_trap(h_um=-1.0)
 
 
-def test_fine_region_outside_electrodes_warns():
-    # a 20 um box 50 um above a 400 um plate: the mesh still grades with the
-    # distance from the box, from 0.5 * 50 um at the nearest panels
-    mesh = MeshParams(coarse_um=200.0, fine_um=5.0,
-                      fine_region=Box3((0.0, 60.0, 0.0), (20.0, 20.0, 20.0)))
-    elec = Electrode("p", "dc", (
-        Rect((-200.0, 0.0, -200.0), (400.0, 0.0, 0.0), (0.0, 0.0, 400.0)),))
-    with pytest.warns(UserWarning, match=re.escape(
-            "fine_region does not intersect the electrode bounding box; no panel is "
-            "held to fine_um: each panel's edge target is half its distance from the "
-            "region, clamped to [fine_um, coarse_um]")):
-        g = TrapGeometry("custom", mesh, [elec])
-    diag = g.mesh_diagnostics()
-    assert (diag["finest_edge_um"], diag["coarsest_edge_um"]) == (25.0, 100.0)
+@pytest.mark.parametrize("design, h_um, y_lo, y_hi", [
+    ("surface", None, -10.0, 10.0),
+    ("gnd-surface", 200.0, -10.0, 10.0),
+    ("cross-rf", 200.0, -10.0, 210.0),
+    ("cross-rf", 777.7, -10.0, 787.7),
+])
+def test_the_fine_window_spans_the_rf_rects_about_the_trap_axis(design, h_um, y_lo, y_hi):
+    # a far grounded lid is outside the window: only the rf rects set its y
+    geom = build_default(design, h_um=h_um, fine_um=80.0)
+    half = 0.5 * geometry.FINE_LATERAL_UM
+    assert geom.mesh_diagnostics()["fine_window_um"] == [[-half, y_lo, -half],
+                                                         [half, y_hi, half]]
 
 
 # -- meshing invariants ------------------------------------------------------
@@ -197,8 +182,7 @@ def test_mesh_total_panel_count_and_areas_positive():
 
 def test_panels_in_fine_region_meet_fine_target():
     geom = _coarse_surface(fine=25.0)
-    lo = np.array(geom.mesh.fine_region.lo)
-    hi = np.array(geom.mesh.fine_region.hi)
+    lo, hi = geom.fine_window_um
     c = geom.panel_origin_um + 0.5 * (geom.panel_u_um + geom.panel_v_um)
     inside = np.all((c >= lo) & (c <= hi), axis=1)
     assert inside.any()
@@ -220,8 +204,7 @@ def test_halving_fine_target_refines_fine_region():
     g2 = _coarse_surface(fine=25.0)
 
     def n_inside(geom):
-        lo = np.array(geom.mesh.fine_region.lo)
-        hi = np.array(geom.mesh.fine_region.hi)
+        lo, hi = geom.fine_window_um
         c = geom.panel_origin_um + 0.5 * (geom.panel_u_um + geom.panel_v_um)
         return int(np.all((c >= lo) & (c <= hi), axis=1).sum())
 
@@ -240,9 +223,7 @@ def test_uniform_mesh_when_fine_equals_coarse():
 
 def test_remeshing_the_same_electrodes_keeps_them():
     g1 = _coarse_surface(fine=80.0)
-    g2 = TrapGeometry(g1.design, MeshParams(coarse_um=500.0, fine_um=40.0,
-                                            fine_region=g1.mesh.fine_region),
-                      g1.electrodes)
+    g2 = TrapGeometry(g1.design, MeshParams(coarse_um=500.0, fine_um=40.0), g1.electrodes)
     assert g2.electrodes == g1.electrodes
     assert g2.n_panels > g1.n_panels
 
@@ -330,6 +311,22 @@ def test_an_old_format_file_loads_to_the_builders_geometry(design):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("fine_region", [
+    {"center_um": [0.0, 100.0, 0.0], "size_um": [400.0, 220.0, 400.0]},
+    {"center_um": [1e6, -1e6, 1e6], "size_um": [1.0, 1.0, 1.0]},
+    "not a box",
+], ids=["the old window", "far from the electrodes", "not a box"])
+def test_an_older_files_fine_region_is_ignored(fine_region):
+    # the fine window comes from the rf rects, whatever an older file states
+    built = build_cross_rf_trap(fine_um=40.0)
+    old = built.to_dict()
+    old["params"]["mesh"]["fine_region"] = fine_region
+    back = TrapGeometry.from_dict(old)
+    assert back.signature() == built.signature()
+    for a, b in zip(back.arrays_m(), built.arrays_m()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_save_emits_micron_units_and_sorted_keys(tmp_path):
     geom = _coarse_surface()
     path = tmp_path / "g.json"
@@ -407,11 +404,11 @@ def test_gnd_surface_build_meshes_once(monkeypatch):
 # -- the mesher against a one-panel-at-a-time oracle -------------------------
 
 
-def _bisect_one_panel_at_a_time(electrodes, mesh):
+def _bisect_one_panel_at_a_time(electrodes, mesh, lo, hi):
     """The mesher as a per-panel stack loop: the oracle of _mesh_electrodes,
     which must give the same panels in the same order, bit for bit."""
     fine, coarse = mesh.fine_um, mesh.coarse_um
-    lo, hi = mesh.fine_region.lo, mesh.fine_region.hi
+    lo, hi = [float(x) for x in lo], [float(x) for x in hi]
     origins, us, vs, eidx = [], [], [], []
     for ei, elec in enumerate(electrodes):
         for rect in elec.rects:
@@ -454,21 +451,21 @@ def _bisect_one_panel_at_a_time(electrodes, mesh):
             np.asarray(vs, float), np.asarray(eidx, np.int32))
 
 
-def _assert_same_panels(electrodes, mesh):
-    got = geometry._mesh_electrodes(electrodes, mesh)
-    want = _bisect_one_panel_at_a_time(electrodes, mesh)
+def _assert_same_panels(electrodes, mesh, lo, hi):
+    got = geometry._mesh_electrodes(electrodes, mesh, lo, hi)
+    want = _bisect_one_panel_at_a_time(electrodes, mesh, lo, hi)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
 def test_a_lid_far_out_meshes_without_a_warning():
-    # the squared offset of the lid from the fine region overflows; its
+    # the squared offset of the lid from the fine window overflows; its
     # distance of inf grades the lid to coarse_um, as the per-panel loop does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         geom = build_default("gnd-surface", h_um=1e300)
-        _assert_same_panels(geom.electrodes, geom.mesh)
+        _assert_same_panels(geom.electrodes, geom.mesh, *geom.fine_window_um)
 
 
 @pytest.mark.parametrize("design, h_um, fine_um", [
@@ -478,7 +475,7 @@ def test_a_lid_far_out_meshes_without_a_warning():
 ])
 def test_builtin_meshes_equal_the_per_panel_bisection_bitwise(design, h_um, fine_um):
     geom = build_default(design, h_um=h_um, fine_um=fine_um)
-    _assert_same_panels(geom.electrodes, geom.mesh)
+    _assert_same_panels(geom.electrodes, geom.mesh, *geom.fine_window_um)
 
 
 _coord = st.floats(-300.0, 300.0, allow_nan=False)
@@ -509,10 +506,11 @@ def _layouts(draw):
                   for i in range(draw(st.integers(1, 3)))]
     fine = draw(st.floats(4.0, 40.0))
     coarse = fine * draw(st.floats(1.0, 8.0))
-    # a fine box inside, straddling or outside the layout, possibly flat
-    box = Box3(tuple(draw(_coord) for _ in range(3)),
-               tuple(draw(st.floats(0.0, 400.0)) for _ in range(3)))
-    return electrodes, MeshParams(coarse_um=coarse, fine_um=fine, fine_region=box)
+    # a fine window inside, straddling or outside the layout, possibly flat
+    center = np.array([draw(_coord) for _ in range(3)])
+    size = np.array([draw(st.floats(0.0, 400.0)) for _ in range(3)])
+    return (electrodes, MeshParams(coarse_um=coarse, fine_um=fine),
+            center - 0.5 * size, center + 0.5 * size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -525,7 +523,7 @@ def test_mesh_keeps_the_solver_cache_digest():
     # an entry solved from the per-panel mesh still hits for the same source
     from iontrap.bem import PanelSet, _solution_digest
     geom = build_default("surface")
-    want = _bisect_one_panel_at_a_time(geom.electrodes, geom.mesh)
+    want = _bisect_one_panel_at_a_time(geom.electrodes, geom.mesh, *geom.fine_window_um)
     um = 1e-6
     oracle = PanelSet(want[0] * um, want[1] * um, want[2] * um, want[3])
     assert _solution_digest(PanelSet(*geom.arrays_m())) == _solution_digest(oracle)
@@ -541,11 +539,11 @@ def test_the_panel_cap_raises_exactly_when_the_per_panel_loop_would(monkeypatch)
     geom = _coarse_surface()
     n = geom.n_panels
     monkeypatch.setattr(geometry, "MAX_PANELS", n)
-    _assert_same_panels(geom.electrodes, geom.mesh)
+    _assert_same_panels(geom.electrodes, geom.mesh, *geom.fine_window_um)
     monkeypatch.setattr(geometry, "MAX_PANELS", n - 1)
     for mesher in (geometry._mesh_electrodes, _bisect_one_panel_at_a_time):
         with pytest.raises(InvalidGeometryError, match=f"exceeds {n - 1} panels"):
-            mesher(geom.electrodes, geom.mesh)
+            mesher(geom.electrodes, geom.mesh, *geom.fine_window_um)
 
 
 def test_mesh_diagnostics_describe_the_panels():
