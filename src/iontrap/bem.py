@@ -75,18 +75,18 @@ affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
 it; a child of `iontrap sweep --jobs N` takes 1/N of them), since numpy
 releases the interpreter lock inside the ufuncs and the np.take gathers
 that make up a block; potential_matrix writes its rows through them too,
-not by a fancy-index assignment, which would hold the lock. A call of one
-block, or on one CPU, runs inline. The pool is the package's parallel
-engine: a solve runs its BLAS and LAPACK calls on one thread
-(_blas_limit), except the LU of a block of _THREADED_LU_ROWS rows or more,
-as a second BLAS thread gains nothing on the smaller blocks of the default
-meshes and then spins for about 0.1 s on the CPU that the kernel pool and
-the report need. Each thread computes its blocks in _SCRATCH arrays of
-about _BLOCK_PAIRS doubles (0.4 MB each) that it keeps from call to call
-and grows when a call needs more, so the kernel's working set is workers x
-4 MB: small beside SOLVE_MEMORY_BUDGET, which bounds the solver's kernel
-rows and symmetry blocks. A solve drops the scratch before it assembles and
-again before it factors.
+not by a fancy-index assignment, which would hold the lock, and so does the
+solve's sum of each symmetry block. A call of one block, or on one CPU,
+runs inline. The pool is the package's parallel engine: a solve runs its
+BLAS and LAPACK calls on one thread (_blas_limit), except the LU of a block
+of _THREADED_LU_ROWS rows or more, as a second BLAS thread gains nothing on
+the smaller blocks of the default meshes and then spins for about 0.1 s on
+the CPU that the kernel pool and the report need. Each thread computes its
+blocks in _SCRATCH arrays of about _BLOCK_PAIRS doubles (0.4 MB each) that
+it keeps from call to call and grows when a call needs more, so the
+kernel's working set is workers x 4 MB: small beside SOLVE_MEMORY_BUDGET,
+which bounds the solver's kernel rows and symmetry blocks. A solve drops
+the scratch before it assembles and again before it factors.
 
 Collocation at panel centers with one row per center and one column per panel
 gives the system A sigma = V, solved for one right-hand side: the rf
@@ -106,9 +106,11 @@ block 0 alone; x -> -x maps cross-rf's rf_bottom onto gnd_bottom, so it
 factors the two z-even blocks. The block solutions are expanded back to
 sigma; the residual check sums A sigma on every collocation point from Q with
 the evaluators' weight columns and mirror sum. A geometry without symmetry is
-the trivial group: one block, the dense matrix. The solve holds Q and the
-rows of at most two blocks at once, the bytes SOLVE_MEMORY_BUDGET is checked
-against, besides a few n-vectors and 64-column slices of a block.
+the trivial group: one block, the dense matrix. The solve holds Q and one
+block at once, whose rows the kernel pool sums in chunks straight from Q
+(_MirrorGroup.block), each task with a buffer or two of at most _BLOCK_PAIRS
+doubles: the bytes SOLVE_MEMORY_BUDGET is checked against, besides a few
+n-vectors and 64-column slices of a block.
 """
 
 from __future__ import annotations
@@ -469,6 +471,13 @@ def _executor():
         return _pool
 
 
+def _run_tasks(task, tasks):
+    """task(0), ..., task(tasks - 1) on the kernel pool, inline when tasks
+    <= 1; the first error a task raises reaches the caller."""
+    for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
+        pass
+
+
 def _thread_scratch(size):
     """The calling thread's _SCRATCH kernel arrays of at least size doubles
     and its mask, kept for its next call and grown when a call needs more."""
@@ -550,8 +559,7 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=(), width=None
                 t = terms(u, v, z, s, mask, bool(z.any()), odd)
                 emit(out[i0:i0 + step], g, wg, t, flat[2 + len(t):])
 
-    for _ in (map if tasks <= 1 else _executor().map)(task, range(tasks)):
-        pass
+    _run_tasks(task, tasks)
     out *= 1.0 / (4.0 * np.pi * constants.EPS0)
     return out
 
@@ -795,13 +803,22 @@ class _MirrorGroup:
         self.chars = np.array([c for c, k in zip(chars, keep) if k.size])
         self.keep = [k for k in keep if k.size]
         self.block_sizes = [int(k.size) for k in self.keep]
-        # Q, at most |G| rows per rep, and the rows of the block being summed
-        # and of the term being added to it or of the block's kept columns;
-        # the trivial group gathers one block and adds no term
-        blocks = 2 if len(self.elements) > 1 else 1
-        self.solve_bytes = 8 * (len(self.elements) * self.reps.size ** 2
-                                + blocks * max(self.block_sizes) ** 2)
+        # rows of a block that one chunk sums: _BLOCK_PAIRS entries of Q
+        self.chunk_rows = max(1, _BLOCK_PAIRS // self.reps.size)
         self._table = None
+
+    @property
+    def solve_bytes(self):
+        """Bytes of Q (at most |G| rows per rep), the largest block and, per
+        pool task that sums its chunks, the chunk's rows of the term being
+        added and, for a block that keeps fewer orbits than there are reps,
+        of the sum before its kept columns are picked. The trivial group
+        gathers its one block straight from Q and adds no term."""
+        reps, block = self.reps.size, max(self.block_sizes)
+        rows = min(self.chunk_rows, block)
+        tasks = min(_WORKERS, -(-block // rows))
+        buffers = (len(self.elements) > 1) + (min(self.block_sizes) < reps)
+        return 8 * (len(self.elements) * reps**2 + block**2 + tasks * buffers * rows * reps)
 
     def images_of(self, points):
         """The distinct images g.p of the (m, 3) points under the elements,
@@ -810,6 +827,19 @@ class _MirrorGroup:
         p = np.atleast_2d(points) * _MIRROR_SIGNS[self.elements][:, None] + 0.0
         first, inverse = _unique_rows(p.reshape(-1, 3).view(np.int64))
         return p.reshape(-1, 3)[first], inverse.reshape(len(self.elements), -1)
+
+    def images_index(self, index):
+        """images_of(images)[1] for the images and index of one images_of
+        call, without mapping them again: element codes compose by XOR and
+        sign flips are exact, so image g' of the image in row index[g, i] is
+        the row index[g ^ g', i]."""
+        codes = self.elements.tolist()
+        at = {e: a for a, e in enumerate(codes)}
+        out = np.empty((len(codes), index.max() + 1), index.dtype)
+        for e, rows in zip(codes, index):
+            for f in codes:
+                out[at[f], rows] = index[at[e ^ f]]
+        return out
 
     def sum_images(self, values, index, column, sign):
         """sum_g sign(_MIRROR_SIGNS[g]) values[index[g, i], column[g]] of each
@@ -845,6 +875,44 @@ class _MirrorGroup:
         bc = np.einsum("cg,gm->cm", self.chars, b[self.images])
         return bc, [c for c, k in enumerate(self.keep) if bc[c, k].any()]
 
+    def block(self, Q, index, c):
+        """Block c, M_c[i, j] = sum_g chars[c, g] Q[index[g, keep[c][i]],
+        keep[c][j]] / sqrt(stab_i stab_j), in C order. Its rows are summed in
+        chunks of chunk_rows, dealt round-robin to one task per worker of the
+        kernel pool (inline on one worker): a chunk gathers the rows of each
+        image into its rows of the block, or of a buffer when the block keeps
+        fewer orbits than there are reps, adds them image after image, picks
+        the kept columns, and divides the rows and then the columns of the
+        orbits with a stabilizer (division by 1.0 would be exact). Each entry
+        takes the same operations in any chunk and on any schedule."""
+        k, step, order = self.keep[c], self.chunk_rows, len(self.elements)
+        M = np.empty((k.size, k.size))
+        s = np.sqrt(self.stab[k])
+        big = np.flatnonzero(self.stab[k] > 1)
+        picked = k.size < Q.shape[1]
+        starts = range(0, k.size, step)
+        tasks = min(_WORKERS, len(starts))
+
+        def task(first):
+            # the term being added and, when columns are picked, the sum
+            buf = np.empty((int(order > 1) + picked, min(step, k.size), Q.shape[1]))
+            for i0 in starts[first::tasks]:
+                rows = index[:, k[i0:i0 + step]]
+                dst = M[i0:i0 + step]
+                acc = buf[1, :len(dst)] if picked else dst
+                np.take(Q, rows[0], axis=0, out=acc, mode="clip")
+                for chi, r in zip(self.chars[c, 1:], rows[1:]):
+                    term = np.take(Q, r, axis=0, out=buf[0, :len(dst)], mode="clip")
+                    (np.add if chi > 0 else np.subtract)(acc, term, out=acc)
+                if picked:
+                    np.take(acc, k, axis=1, out=dst, mode="clip")
+                mine = big[(big >= i0) & (big < i0 + step)]
+                dst[mine - i0] /= s[mine, None]
+                dst[:, big] /= s[big]
+
+        _run_tasks(task, tasks)
+        return M
+
     def solve(self, Q, index, b):
         """(sigma, cond, factored, threads): sigma of A sigma = b from Q,
         the kernel of the distinct images of the rep centres against the rep
@@ -855,8 +923,9 @@ class _MirrorGroup:
         _blas_limit of its rows.
 
         A[rep_i, g.rep_r] = K(g.c_i, rep_r), so block c is the signed sum of
-        the rows index[g, keep[c]] of Q, in C order: M_c.T is in Fortran
-        order, and LU factors it in place and solves the transpose. Block c
+        the rows index[g, keep[c]] of Q (block, on the kernel pool), in C
+        order: M_c.T is in Fortran order, and LU factors it in place and
+        solves the transpose. The solve holds one block at a time. Block c
         solves M_c y = sqrt(|G| / stab_i) b_c,i for the projected right-hand
         side b_c,i = sum_g chars[c, g] b[g.rep_i] / |G|; then
         x_c[r] = sqrt(stab_r / |G|) y_r and sigma[g.r] = sum_c chars[c, g] x_c[r].
@@ -873,18 +942,7 @@ class _MirrorGroup:
         ran = {}  # rows of each block factored -> the BLAS threads of its LU
         for c in factored:
             k = self.keep[c]
-            M, term = np.take(Q, index[0, k], axis=0), None
-            for chi, rows in zip(self.chars[c, 1:], index[1:, k]):
-                term = np.take(Q, rows, axis=0, out=term, mode="clip")
-                (np.add if chi > 0 else np.subtract)(M, term, out=M)
-            del term
-            if k.size < M.shape[1]:
-                M = np.take(M, k, axis=1)
-            s = np.sqrt(self.stab[k])
-            # only the orbits with a stabilizer: division by 1.0 is exact
-            big = np.flatnonzero(self.stab[k] > 1)
-            M[big] /= s[big, None]
-            M[:, big] /= s[big]
+            M, s = self.block(Q, index, c), np.sqrt(self.stab[k])
             # the 1-norm from column sums of a few columns at a time, not
             # from a block-sized |M|
             mnorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max())
@@ -1020,13 +1078,13 @@ def solve_unit_excitations(geometry: TrapGeometry,
     t2 = time.perf_counter()
 
     # every collocation point must sit on its prescribed voltage, by the
-    # evaluators' weight columns and mirror sum; an image's images are the
-    # rows of Q. W Q.T for the weight columns W: BLAS packs a copy of Q for
-    # Q @ W.T, 11 MiB on surface
+    # evaluators' weight columns and mirror sum; an image's images are rows
+    # of Q (images_index). W Q.T for the weight columns W: BLAS can pack a
+    # copy of Q for Q @ W.T, 11 MiB on surface
     charge = ChargeWeights(pset, S)
     with _blas_limit():
         values = (charge.columns @ Q.T).T
-    phi = group.sum_images(values, group.images_of(points)[1], charge.column, lambda s: 1.0)
+    phi = group.sum_images(values, group.images_index(index), charge.column, lambda s: 1.0)
     residual = float(np.abs(phi[index] - b[group.images]).max())
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise SolverError(

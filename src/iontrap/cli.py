@@ -2,10 +2,11 @@
 
 Subcommands: build (emit geometry JSON), report (figures of merit of one
 trap), sweep (figures of merit vs wafer separation), map (pseudopotential
-grid), validate (invariant scoreboard). Every output file is accompanied by
-<output>.manifest.json recording the tool version, the exact command, input
-hashes, and diagnostics; data outputs themselves are deterministic, so a
-rerun with equal inputs is byte-identical.
+grid), validate (invariant scoreboard). Every command writes one
+<first output>.manifest.json, which each CSV output names in its first line,
+recording the tool version, the exact command, input and output hashes, and
+diagnostics; data outputs themselves are deterministic, so a rerun with
+equal inputs is byte-identical.
 
 Exit codes: 0 success, 1 validation/sweep failure, 2 invalid input,
 3 solver failure.
@@ -81,8 +82,10 @@ def _write_manifest(out_paths: list[str], args_ns, inputs: dict, diagnostics: di
     return manifest_path
 
 
-def _manifest_ref(out_csv: str) -> str:
-    return f"# manifest: {os.path.basename(out_csv)}.manifest.json\n"
+def _manifest_ref(first_out: str) -> str:
+    """The leading comment of a CSV output: the manifest that
+    _write_manifest puts next to first_out, the command's first output."""
+    return f"# manifest: {os.path.basename(first_out)}.manifest.json\n"
 
 
 def _species_arg(name: str):
@@ -206,7 +209,7 @@ def cmd_report(ns) -> int:
 
     _write_output(json_path, json.dumps(report.to_dict(), indent=2,
                                         sort_keys=True) + "\n")
-    _write_output(csv_path, _manifest_ref(ns.out) + TrapReport.CSV_HEADER
+    _write_output(csv_path, _manifest_ref(json_path) + TrapReport.CSV_HEADER
                   + "\n" + report.csv_row() + "\n")
     manifest = _write_manifest(
         [json_path, csv_path], ns, _geometry_inputs(ns, geom),
@@ -429,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--reference", default=None,
                    help="geometry file or design name for heating/power norms")
     r.add_argument("--out", required=True,
-                   help="output prefix (.json/.csv/.manifest.json)")
+                   help="output prefix: writes PREFIX.json, PREFIX.csv and "
+                        "PREFIX.json.manifest.json")
     r.set_defaults(fn=cmd_report)
 
     s = sub.add_parser("sweep", help="figures of merit vs wafer separation")

@@ -884,10 +884,12 @@ def test_a_built_in_solve_factors_only_its_z_even_blocks(monkeypatch):
 
 
 def _z_odd_layout():
-    """A plate about the origin and two above and below it: the mesh keeps
-    both mirrors, and the rf excitation of top, even in x but not in z,
-    reaches the two x-even blocks, one of them z-odd."""
-    return _custom_geometry((_rect("mid", -100.0, -150.0, 200.0, 300.0),
+    """A strip about the origin, one panel wide in z, and two plates above
+    and below it: the mesh keeps both mirrors, z -> -z fixes the strip's
+    panels, so the z-odd blocks keep fewer orbits than there are reps, and
+    the rf excitation of top, even in x but not in z, reaches the two x-even
+    blocks, one of them z-odd."""
+    return _custom_geometry((_rect("mid", -100.0, -25.0, 200.0, 50.0),
                              _rect("top", -100.0, 200.0, 200.0, 150.0, role="rf"),
                              _rect("bottom", -100.0, -350.0, 200.0, 150.0)), 50.0)
 
@@ -899,6 +901,8 @@ def test_a_layout_with_an_electrode_odd_in_z_factors_every_block_it_reaches(monk
     assert diag["mirror_group"] == FULL_GROUP
     assert diag["factored_blocks"] == _chars_of(group, 1, 1) == [0, 1]
     assert _chars_of(group, 2, -1)[0] in diag["factored_blocks"]
+    # the z-odd block drops the strip's orbits, so its columns are picked
+    assert [group.keep[c].size < group.reps.size for c in (0, 1)] == [False, True]
     assert factored == [diag["block_sizes"][c] for c in diag["factored_blocks"]]
     assert solved.residual <= bem.RESIDUAL_LIMIT
     pset = solved.pset
@@ -922,6 +926,66 @@ def test_a_cache_hit_derives_the_record_of_the_miss_that_wrote_it(tmp_path, buil
               "kernel_block_pairs"]
     assert sorted(hit) == sorted(["cache"] + shared)
     assert [hit[key] for key in shared] == [miss[key] for key in shared]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_default("surface"),
+    lambda: build_default("gnd-surface", h_um=200.0),
+    lambda: build_default("cross-rf", h_um=200.0),
+    _z_odd_layout, _z_only_layout], ids=["surface", "gnd-surface", "cross-rf", "z-odd",
+                                         "z-only"])
+def test_the_images_of_the_rep_images_are_rows_of_their_index(build):
+    # image g' of image g.c_i is (g ^ g').c_i, bit for bit
+    pset = bem.PanelSet(*build().arrays_m())
+    group = bem._MirrorGroup(pset)
+    assert len(group.elements) > 1
+    points, index = group.images_of(pset.centers[group.reps])
+    again, want = group.images_of(points)
+    assert again.tobytes() == points.tobytes()
+    got = group.images_index(index)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build,pairs,blocks", [
+    (lambda: build_default("surface"), bem._BLOCK_PAIRS, [0]),
+    (lambda: build_default("cross-rf", h_um=200.0), bem._BLOCK_PAIRS, [0, 2]),
+    # chunks of 4 rows, so that its blocks of 10 and 8 rows split too
+    (_z_odd_layout, 40, [0, 1])], ids=["surface", "cross-rf", "z-odd"])
+def test_the_block_stage_gives_the_same_bits_on_one_worker_and_on_the_pool(
+        build, pairs, blocks, monkeypatch):
+    g = build()
+    monkeypatch.setattr(bem, "_BLOCK_PAIRS", pairs)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(bem, "_WORKERS", workers)
+        solved = solve_unit_excitations(g)
+        group = solved.pset.group
+        assert all(len(range(0, group.block_sizes[c], group.chunk_rows)) >= 2
+                   for c in blocks)
+        runs.append((solved.sigma.tobytes(), solved.cond_estimate,
+                     solved.diagnostics["factored_blocks"]))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == blocks
+    # and each block has the same bits in chunks of one row and in one chunk
+    group, Q, index = _assemble(solved.pset)
+    pooled = [group.block(Q, index, c).tobytes() for c in blocks]
+    for rows in (1, max(group.block_sizes)):
+        group.chunk_rows = rows
+        assert [group.block(Q, index, c).tobytes() for c in blocks] == pooled, rows
+
+
+def test_the_surface_solve_counts_q_one_block_and_the_chunk_buffers(monkeypatch):
+    group = bem._MirrorGroup(bem.PanelSet(*build_default("surface").arrays_m()))
+    assert (group.reps.size, group.block_sizes) == (1030, [1030, 1030, 1020, 1020])
+    block = 8 * 1030**2
+    # Q's four rows per rep and two blocks: the count before the blocks were
+    # summed in chunks
+    two_blocks = 4 * block + 2 * block
+    for workers in (1, 2):
+        monkeypatch.setattr(bem, "_WORKERS", workers)
+        buffers = group.solve_bytes - (two_blocks - block)
+        # per worker, a chunk's term and sum of at most _BLOCK_PAIRS doubles
+        assert 0 < buffers <= workers * 2 * 8 * bem._BLOCK_PAIRS
 
 
 @pytest.mark.parametrize("electrodes,group", [
@@ -1096,33 +1160,38 @@ def test_quotient_blocks_equal_the_blocks_of_the_dense_matrix(layout, monkeypatc
 
 
 @pytest.mark.parametrize("layout", ["surface", "trivial"])
-def test_solve_holds_no_more_than_its_memory_count(layout):
+def test_solve_holds_no_more_than_its_memory_count(layout, monkeypatch):
     pset = (bem.PanelSet(*build_default("surface").arrays_m()) if layout == "surface"
             else _panel_grid(1500))
     group, Q, index = _assemble(pset)
     assert len(group.names) == (3 if layout == "surface" else 0)
     b = _every_block(pset)
-    tracemalloc.start()
-    try:
-        S, cond, _, _ = group.solve(Q, index, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(cond) and S.shape == b.shape
-    # besides the blocks solve_bytes counts: at most four n-vectors (the
-    # gathered and projected right-hand sides, the block solutions, sigma)
-    # and, per block, a 64-column slab of |M|, the pivots and the condition
-    # estimate's work vectors
-    vectors = 8 * pset.n * (4 + 72)
-    assert peak <= group.solve_bytes - Q.nbytes + vectors
+    # the chunk buffers of the pool's tasks are counted too
+    for workers in (1, 2):
+        monkeypatch.setattr(bem, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            S, cond, _, _ = group.solve(Q, index, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(cond) and S.shape == b.shape
+        # besides the blocks and chunk buffers solve_bytes counts: at most
+        # four n-vectors (the gathered and projected right-hand sides, the
+        # block solutions, sigma) and, per block, a 64-column slab of |M|,
+        # the pivots and the condition estimate's work vectors
+        vectors = 8 * pset.n * (4 + 72)
+        assert peak <= group.solve_bytes - Q.nbytes + vectors
 
 
 def test_the_residual_check_keeps_no_packed_copy_of_the_kernel_rows():
     # tracemalloc does not see the buffers BLAS allocates, the resident
     # high-water mark of a fresh process does. On 2 CPUs one cold surface
-    # solve raised it by 57.9-58.5 MiB, against solve_bytes of 48.6 MiB; a
-    # residual product written as Q @ W, for which OpenBLAS packs a copy of
-    # Q, raised it by 68.8-69.3 MiB
+    # solve raised it by 49.5-49.9 MiB, against solve_bytes of 42.0 MiB. A
+    # residual product written as Q @ W, for which OpenBLAS can pack a copy
+    # of Q (11 MiB), read the same, 49.5-49.8 MiB, with numpy 2.4.6 and
+    # scipy-openblas 0.3.31: their one-thread product of one weight column
+    # packs nothing
     code = textwrap.dedent("""
         import resource
         import scipy.linalg

@@ -233,6 +233,20 @@ def test_report_manifest_records_how_the_solve_ran(tmp_path):
     assert depth["depth_polished"] is True
 
 
+@pytest.mark.parametrize("command,out,csv", [
+    (("report", "--design", "surface", "--mesh-fine-um", 80), "r", "r.csv"),
+    (("map", "--design", "surface", "--mesh-fine-um", 80, "--center-um", "0,90,0",
+      "--span-um", "20,0,0", "--res-um", 10), "m.csv", "m.csv"),
+], ids=["report", "map"])
+def test_a_csv_names_the_manifest_that_was_written(tmp_path, command, out, csv):
+    assert run_cli("--cache-dir", tmp_path / "cache", *command,
+                   "--out", tmp_path / out) == 0
+    first = (tmp_path / csv).read_text().splitlines()[0]
+    assert first.startswith("# manifest: ")
+    manifest = json.loads((tmp_path / first.removeprefix("# manifest: ")).read_text())
+    assert manifest["outputs"][csv] == _sha256_file(tmp_path / csv)
+
+
 def test_report_manifest_describes_the_mesh(tmp_path, surface_solved, cache_dir):
     blocks = {}
     for fine in (14, 10):
