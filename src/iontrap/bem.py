@@ -51,24 +51,25 @@ image. ChargeWeights, the one field object, folds a sigma into its weight
 columns once and counts the points, distinct images and rep corners of its
 evaluations.
 
-The kernel computes only the terms whose outputs can be nonzero, for each
-block of images and each corner group. (a) When every image of the block
-lies in the group's plane, the normal term is skipped: the field's sign(z)
-atan(uv / (|z| r)), the potential's z atan and the Jacobian's z a and z b.
-The surface trap's collocation rows all lie in their panels' plane, so its
-assembly computes no atan. (b) When every image of the block has coordinate
-a = 0.0, and the mirror of a is in the group and keeps the charge
-(ChargeWeights.kept_axes), the outputs that mirror negates are left at 0.0,
-which sum_images gives them anyway: a field term along a frame row that
-lies along a, and a Jacobian entry with exactly one index on such a row, is
-not computed, nor is an intermediate that feeds only them. On z = 0 (the
-map and the depth grid) the field needs one of its two ln terms, and on
-x = z = 0 (the null search of a charge that keeps both mirrors) neither.
-A block takes a rule only when all its images qualify, and each term
-computed takes the same operations as without the skip, so every value
-keeps its bits. On a 2-vCPU host the 5454-point map of the benchmark took
-110-113 ms in pseudo_map against 137-151 ms with every term computed
-(medians of 15 calls).
+The kernel skips a term that can only add zeros where the evaluations reach
+it, for each block of images and each corner group. (a) When every image of
+the block lies in the group's plane, every z is 0.0 and the potential skips
+its z atan (and the field, whose terms it shares, its atan): the surface
+trap's collocation rows all lie in their panels' plane, so its assembly
+computes no atan. (b) When every image of the block has coordinate a = 0.0,
+and the mirror of a is in the group and keeps the charge
+(ChargeWeights.kept_axes), the field skips its ln term along an in-plane
+frame row along a: on z = 0 (the map and the depth grid) it needs one of
+its two ln terms, on x = z = 0 (the null search of a charge that keeps both
+mirrors) neither. A block takes a rule only when all its images qualify,
+and each term computed takes the same operations as without the skip, so
+every value keeps its bits. The Jacobian computes every term, and the field
+its normal term on a mirror plane: there the images under g and g.e of a
+kept mirror e coincide and column[g] == column[g.e], so sum_images adds
+each output that e negates to its exact negation, 0.0 as a skip would leave
+it. On a 2-vCPU host the 5454-point map of the benchmark took 110-113 ms in
+pseudo_map against 137-151 ms with every term computed (medians of 15
+calls).
 
 The blocks run on a pool of _WORKERS threads, one per CPU in this process's
 affinity mask (os.sched_getaffinity; the BLAS thread variables do not set
@@ -334,12 +335,12 @@ class ChargeWeights:
 # fault them in again for the next.
 #
 # A term that can only add zeros is skipped and given as None (_evaluate
-# says when): with normal False every z is 0.0 and each term with a factor
-# z, or sign(z), is zero; odd holds the frame rows (0 u, 1 v, 2 n) along
-# which the mirror sum cancels every output, so a field term along such a
-# row, and a Jacobian entry with exactly one index on one, is not needed.
-# Each term that is computed takes the same operations, and the same bits,
-# as with nothing skipped.
+# says when): with normal False every z is 0.0 and the field's and the
+# potential's normal term is zero; odd holds the frame rows (0 u, 1 v, 2 n)
+# along which the mirror sum cancels every output, and the field skips its
+# ln term along row u or v there. The Jacobian computes every term. Each
+# term that is computed takes the same operations, and the same bits, as
+# with nothing skipped.
 _SCRATCH = 10
 
 
@@ -367,7 +368,7 @@ def _field_terms(u, v, z, s, mask, normal, odd):
     np.multiply(v, v, out=r)
     r += du
     np.sqrt(r, out=r)
-    if normal and 2 not in odd:
+    if normal:
         np.multiply(u, v, out=at)
         np.multiply(np.abs(z), r, out=lu)
         np.arctan2(at, lu, out=at)
@@ -379,8 +380,7 @@ def _field_terms(u, v, z, s, mask, normal, odd):
         _ln_sum(u, r, dv, lu, mask)
     if 0 not in odd:
         _ln_sum(v, r, du, lv, mask)
-    return (None if 0 in odd else lv, None if 1 in odd else lu,
-            at if normal and 2 not in odd else None)
+    return (None if 0 in odd else lv, None if 1 in odd else lu, at if normal else None)
 
 
 def _potential_terms(u, v, z, s, mask, normal, odd):
@@ -400,28 +400,24 @@ def _jacobian_terms(u, v, z, s, mask, normal, odd):
     """jxx, jxy, jxz, jyy, jyz, jzz of each corner: u a, 1/r, z a, v b, z b
     and u v (r^2 + z^2) / (r du dv), with a = (r - v) / (r du),
     b = (r - u) / (r dv), du = u^2 + z^2, dv = v^2 + z^2 and r, du and dv
-    at least _TINY."""
+    at least _TINY. Every term, whatever normal and odd."""
     jxx, r, a, jyy, b, jzz, du, dv = s[:8]
     z2 = z * z
     np.multiply(u, u, out=r)
     np.multiply(v, v, out=du)
     r += du
-    if normal:
-        r += z2
+    r += z2
     np.sqrt(r, out=r)
     np.maximum(r, _TINY, out=r)
     np.multiply(u, u, out=du)
-    if normal:
-        du += z2
+    du += z2
     np.maximum(du, _TINY, out=du)
     np.multiply(v, v, out=dv)
-    if normal:
-        dv += z2
+    dv += z2
     np.maximum(dv, _TINY, out=dv)
     np.multiply(u, v, out=jzz)
     np.multiply(r, r, out=jxx)
-    if normal:
-        jxx += z2
+    jxx += z2
     jzz *= jxx
     np.multiply(r, du, out=jxx)
     np.subtract(r, v, out=a)
@@ -433,14 +429,8 @@ def _jacobian_terms(u, v, z, s, mask, normal, odd):
     b /= jxx
     np.multiply(u, a, out=jxx)
     np.multiply(v, b, out=jyy)
-    jxy = jxz = jyz = None
-    if normal and not {0, 2} & odd:
-        jxz = np.multiply(a, z, out=a)
-    if normal and not {1, 2} & odd:
-        jyz = np.multiply(b, z, out=b)
-    if not {0, 1} & odd:
-        jxy = np.divide(1.0, r, out=r)
-    return jxx, jxy, jxz, jyy, jyz, jzz
+    return (jxx, np.divide(1.0, r, out=r), np.multiply(a, z, out=a), jyy,
+            np.multiply(b, z, out=b), jzz)
 
 
 # Jacobian sums -> symmetric dE_a/dx_b in the frame (uhat, vhat, nhat)
@@ -514,17 +504,15 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=(), width=None
     For every block of points and corner group, terms(u, v, z, s, mask,
     normal, odd) gives the corner terms, each (block points, group corners)
     or None for a term skipped, and emit(out[rows], group, wg, terms, s)
-    adds their part, wg the group's entry of w (None for all without
-    weights) and s the 1-D scratch arrays the terms left free, each of
-    (block points x width) doubles, width by default the largest group's
-    corners; the groups of a block are emitted in the order of
-    pset.corner_groups.
-    normal is False when every point of the block lies in the
-    group's plane. axes are coordinates whose mirror sums the outputs
-    (ChargeWeights.kept_axes): when every point of the block has coordinate
-    a = 0.0 for an a in axes, odd holds the frame rows along a, and the
-    outputs they feed are left at 0.0, which the mirror sum gives them
-    anyway.
+    adds their part, wg the group's entry of w and s the 1-D scratch arrays
+    the terms left free, each of (block points x width) doubles, width by
+    default the largest group's corners; the groups of a block are emitted
+    in the order of pset.corner_groups. normal is False when every point of
+    the block lies in the group's plane (rule (a), for the potential). axes
+    are coordinates whose mirror sums the outputs (ChargeWeights.kept_axes):
+    when every point of the block has coordinate a = 0.0 for an a in axes,
+    odd holds the frame rows along a, whose outputs the mirror sum gives as
+    0.0 (rule (b), for the field).
 
     The blocks are dealt round-robin to one task per worker of the kernel
     pool, at most one per block; a call of one block, or on one CPU, runs
@@ -534,7 +522,6 @@ def _evaluate(pset: PanelSet, points, w, terms, emit, shape, axes=(), width=None
     p = np.atleast_2d(np.asarray(points, float))
     out = np.zeros((p.shape[0],) + tuple(shape))
     groups = pset.corner_groups
-    w = [None] * len(groups) if w is None else w
     corners = sum(g.cu.size for g in groups)
     step = max(8, _BLOCK_PAIRS // corners)
     starts = range(0, p.shape[0], step)
@@ -645,10 +632,9 @@ def field_of(pset: PanelSet, sigma, points):
 def jacobian_of(pset: PanelSet, sigma, points):
     """dE_i/dx_j of the superposed field, (m, 3, 3); trace is zero (Laplace)."""
     def emit(dst, g, w, terms, s):
-        sums = np.zeros(dst.shape[:2] + (len(terms),))
+        sums = np.empty(dst.shape[:2] + (len(terms),))
         for k, t in enumerate(terms):
-            if t is not None:
-                _weighted_sums(t, w, s[0], sums[:, :, k])
+            _weighted_sums(t, w, s[0], sums[:, :, k])
         dst += g.frame.T @ (sums[..., _JAC_INDEX] * _JAC_SIGN) @ g.frame
     return _quotient(pset, _charge(pset, sigma), points, lambda s: s[:, None] * s,
                      _jacobian_terms, emit, (3, 3))

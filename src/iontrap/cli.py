@@ -47,11 +47,16 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _manifest_path(first_out: str) -> str:
+    """The manifest of a command whose first output is first_out."""
+    return first_out + ".manifest.json"
+
+
 def _refuse_directory_outputs(*paths):
     """InvalidInputError naming the first output path that is an existing
-    directory: one of paths, or the manifest that _write_manifest puts next
-    to the first of them. Called before any work, so no solve runs in vain."""
-    for path in (*paths, paths[0] + ".manifest.json"):
+    directory: one of paths, or the manifest of the first of them. Called
+    before any work, so no solve runs in vain."""
+    for path in (*paths, _manifest_path(paths[0])):
         if os.path.isdir(path):
             raise InvalidInputError(f"output path is a directory: {path}")
 
@@ -66,7 +71,7 @@ def _write_manifest(out_paths: list[str], args_ns, inputs: dict, diagnostics: di
     """One manifest next to the first output; all outputs reference it."""
     import datetime
 
-    manifest_path = out_paths[0] + ".manifest.json"
+    manifest_path = _manifest_path(out_paths[0])
     payload = {
         "tool": "iontrap",
         "version": __version__,
@@ -83,9 +88,9 @@ def _write_manifest(out_paths: list[str], args_ns, inputs: dict, diagnostics: di
 
 
 def _manifest_ref(first_out: str) -> str:
-    """The leading comment of a CSV output: the manifest that
-    _write_manifest puts next to first_out, the command's first output."""
-    return f"# manifest: {os.path.basename(first_out)}.manifest.json\n"
+    """The leading comment of a CSV output: the manifest of a command whose
+    first output is first_out."""
+    return f"# manifest: {os.path.basename(_manifest_path(first_out))}\n"
 
 
 def _species_arg(name: str):
@@ -269,7 +274,7 @@ def _load_sweep_spec(path) -> tuple:
     reference = spec.get("reference", "surface")
     if reference is not None and reference not in _DESIGNS:
         raise InvalidInputError(f"sweep 'reference' must be null or one of {_DESIGNS}")
-    drive = DriveParams.from_mhz(_field(spec, "voltage_V", _nonnegative, DEFAULT_VOLTAGE_V),
+    drive = DriveParams.from_mhz(_field(spec, "voltage_V", _positive, DEFAULT_VOLTAGE_V),
                                  _field(spec, "freq_MHz", _positive, DEFAULT_FREQ_MHZ))
     return (design, hs, drive, _species_arg(spec.get("species", CA40.name)),
             _field(spec, "mesh.fine_um", _mesh_size, geometry.DEFAULT_FINE_UM), reference)

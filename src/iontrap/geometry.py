@@ -506,17 +506,7 @@ def build_gnd_surface_trap(h_um=DEFAULT_H_UM, center_width_um=90.0, rf_width_um=
     electrodes = _five_wire_electrodes("gnd-surface", center_width_um, rf_width_um,
                                        gap_um, L, W)
     _require_positive("gnd-surface", h_um=h_um)
-    top = Electrode(
-        name="gnd_top",
-        role=ROLE_GROUND,
-        rects=(
-            Rect(
-                origin=(-0.5 * W, h_um, -0.5 * L),
-                edge_u=(W, 0.0, 0.0),
-                edge_v=(0.0, 0.0, L),
-            ),
-        ),
-    )
+    top = _strip("gnd_top", ROLE_GROUND, -0.5 * W, 0.5 * W, h_um, L)
     return TrapGeometry("gnd-surface", MeshParams(coarse_um, fine_um), electrodes + [top])
 
 

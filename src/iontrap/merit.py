@@ -152,8 +152,15 @@ def find_rf_null(pseudo: PseudoField, start_um, end_um) -> NullResult:
     Gauss-Newton in 3D on E(r) = 0, with the analytic field Jacobian and
     steps of at most 2 um, starts from the first candidate of the well. A
     psi at a node, or a |grad psi| at a segment end or at the null, that is
-    not finite, a drive whose psi overflows, raises InvalidInputError.
+    not finite, a drive whose psi overflows, raises InvalidInputError, and
+    so does a drive whose psi is zero (its scale coef is not > 0), which has
+    no null.
     """
+    if not pseudo.coef > 0.0:
+        drive = pseudo.drive
+        raise InvalidInputError(
+            f"the pseudopotential of {drive.voltage:g} V at {drive.freq_MHz:g} MHz on "
+            f"{pseudo.species.name} is zero: there is no rf null to find")
     start, end = np.asarray(start_um, float), np.asarray(end_um, float)
     length = float(np.linalg.norm(end - start))
     with np.errstate(over="ignore"):  # an overflow raises InvalidInputError

@@ -87,16 +87,9 @@ def check_field_is_gradient():
     return worst < 1e-6, f"max rel dev {worst:.2e} (limit 1e-6)"
 
 
-def _single_panel_set():
-    origin, eu, ev = _unit_square()
-    return bem.PanelSet(origins=origin[None, :], edge_u=eu[None, :],
-                        edge_v=ev[None, :],
-                        electrode_idx=np.zeros(1, dtype=np.int32))
-
-
 def check_jacobian_fd():
     """Analytic field Jacobian vs central differences of the field."""
-    ps = _single_panel_set()
+    ps = bem._single(*_unit_square())
     sig = np.ones(1)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 2.0, size=(10, 3))
@@ -115,7 +108,7 @@ def check_jacobian_fd():
 
 def check_laplace_trace():
     """Trace of the field Jacobian vanishes away from sources."""
-    ps = _single_panel_set()
+    ps = bem._single(*_unit_square())
     sig = np.ones(1)
     rng = np.random.default_rng(13)
     pts = rng.uniform(-1.0, 2.0, size=(10, 3))

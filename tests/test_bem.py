@@ -430,6 +430,41 @@ def test_tilted_panels_take_each_field_component_from_its_character():
     assert charge.evaluations["images"] == 3 * (20 + 2 * 10)
 
 
+def _x_normal_plates():
+    """Two rf plates normal to x at x = -150 and 150 um over a grounded
+    floor on y = 0: the plates' normal frame row lies along x, the axis of a
+    mirror that keeps their charge."""
+    plates = tuple(Electrode(name, "rf", (Rect((x, 20.0, -200.0), (0.0, 160.0, 0.0),
+                                               (0.0, 0.0, 400.0)),))
+                   for name, x in (("left", -150.0), ("right", 150.0)))
+    floor = _rect("floor", -100.0, -200.0, 200.0, 400.0, role="ground")
+    return _custom_geometry(plates + (floor,), 40.0)
+
+
+def test_a_plane_normal_to_a_kept_mirror_gives_the_outputs_it_negates_as_zero(monkeypatch):
+    # on x = 0 the field computes the plates' normal term, along x, and the
+    # mirror sum adds it to its exact negation: E_x and the Jacobian's x
+    # couplings come out as 0.0, with the bits of every term computed
+    solved = solve_unit_excitations(_x_normal_plates())
+    pset, sigma = solved.pset, solved.sigma
+    assert pset.group.names == FULL_GROUP
+    assert solved.charge_weights().kept_axes == [0, 2]
+    assert [g.axes[2] for g in pset.group.table(pset).corner_groups] == [0, 1]
+    pts = _plane_points(51)
+    _assert_mirror_images_are_signed_bitwise(pset, sigma, pts)
+    on = np.vstack([pts[:20], pts[40:60]])  # x = 0, and x = z = 0
+    E, J = bem.field_of(pset, sigma, on), bem.jacobian_of(pset, sigma, on)
+    zeros = bytes(8 * len(on))
+    assert E[:, 0].tobytes() == zeros and np.abs(E[:, 1]).min() > 0.0
+    for a, b in ((0, 1), (0, 2), (1, 0), (2, 0)):
+        assert J[:, a, b].tobytes() == zeros, (a, b)
+    got = [evaluate(pset, sigma, pts) for evaluate in (bem.field_of, bem.jacobian_of)]
+    for name in ("_field_terms", "_jacobian_terms"):
+        monkeypatch.setattr(bem, name, _every_term(getattr(bem, name)))
+    for evaluate, values in zip((bem.field_of, bem.jacobian_of), got):
+        assert values.tobytes() == evaluate(pset, sigma, pts).tobytes(), evaluate
+
+
 def _orbits(perms):
     """reps, images and stab of the panel permutations perms, each orbit
     closed by applying every permutation until it grows no more."""

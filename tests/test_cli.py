@@ -339,6 +339,20 @@ def test_report_rejects_a_target_whose_drive_is_out_of_range(tmp_path, capsys, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("voltage", ["0", "1e-170"])
+def test_report_rejects_a_drive_whose_pseudopotential_is_zero(tmp_path, capsys, cache_dir,
+                                                              surface_solved, voltage):
+    # psi is zero everywhere (1e-170 V: its scale underflows), so there is no
+    # null to find; the reference report stops the same way
+    for reference in ((), ("--reference", "surface")):
+        rc = run_cli("--cache-dir", cache_dir, "report", "--design", "surface",
+                     "--voltage-V", voltage, *reference, "--out", tmp_path / "r")
+        assert rc == 2
+        assert (f"the pseudopotential of {float(voltage):g} V at 20 MHz on Ca40 is zero: "
+                f"there is no rf null to find") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [("--voltage-V", "1e150"), ("--freq-MHz", "1e-100")])
 def test_report_rejects_a_drive_whose_pseudopotential_overflows(tmp_path, capsys, cache_dir,
                                                                 surface_solved, flag, value):
@@ -585,14 +599,17 @@ def test_map_bounds_x_and_z_each_by_their_own_electrode_extent(tmp_path, capsys)
 
 # a case whose message took the input rules' wording keeps its id
 @pytest.mark.parametrize("key, value, fragment", [
-    ("voltage_V", -1, "sweep spec 'voltage_V' must be >= 0 and finite, got -1"),
-    ("voltage_V", True, "sweep spec 'voltage_V' must be >= 0 and finite, got True"),
+    *(pytest.param("voltage_V", value,
+                   f"sweep spec 'voltage_V' must be > 0 and finite, got {value!r}",
+                   id=f"voltage_V-{value}-sweep spec 'voltage_V' must be >= 0 and finite, "
+                      f"got {value!r}")
+      for value in (-1, True, math.inf, math.nan)),
     pytest.param("freq_MHz", "20", "sweep spec 'freq_MHz' must be > 0 and finite, got '20'",
                  id="freq_MHz-20-sweep spec 'freq_MHz' must be a number, got '20'"),
     ("freq_MHz", 0, "sweep spec 'freq_MHz' must be > 0 and finite, got 0"),
-    ("voltage_V", math.inf, "sweep spec 'voltage_V' must be >= 0 and finite, got inf"),
-    ("voltage_V", math.nan, "sweep spec 'voltage_V' must be >= 0 and finite, got nan"),
     ("freq_MHz", math.inf, "sweep spec 'freq_MHz' must be > 0 and finite, got inf"),
+    # a zero drive has no pseudopotential, so no null for its rows
+    ("voltage_V", 0, "sweep spec 'voltage_V' must be > 0 and finite, got 0"),
 ])
 def test_sweep_spec_with_a_bad_drive_exits_2(tmp_path, capsys, key, value, fragment):
     path = write_spec(tmp_path, {"design": "cross-rf", "h_um": [105.0],
